@@ -305,16 +305,6 @@ class Device:
     def snapshot(self) -> DiskImage:
         return DiskImage(self.size_bytes, self._base, dict(self._dirty))
 
-    def reset_to(self, image: DiskImage) -> None:
-        """Drop dirty sectors so the current image equals ``image``."""
-        if image.size_bytes != self.size_bytes:
-            raise GeometryError("reset image size mismatch")
-        if image._base is self._base:
-            self._dirty = dict(image._overlay)
-        else:
-            self._base = image.to_bytes()
-            self._dirty = {}
-
     def fork(self, *, log_io: bool = False) -> "Device":
         """Cheap copy sharing the base image; used for oracle capture."""
         dev = Device.__new__(Device)
@@ -364,15 +354,6 @@ def split_epochs(log: IoLog) -> list[Epoch]:
     if cur.records or cur.terminator is not None or cur.checkpoints:
         epochs.append(cur)
     return epochs
-
-
-def checkpoint_epoch_positions(epochs: list[Epoch]) -> dict[int, tuple[int, int]]:
-    """Map checkpoint_id -> (epoch index, position within epoch)."""
-    out: dict[int, tuple[int, int]] = {}
-    for i, ep in enumerate(epochs):
-        for pos, cp in ep.checkpoints:
-            out[cp] = (i, pos)
-    return out
 
 
 def replay(

@@ -22,9 +22,10 @@ from pathlib import Path
 from . import ace, report
 from .ace import Bounds, Workload
 from .blockdev import NoPersistencePointWarning
+from .crashgen import GRANULARITIES
 from .fsops import FsOpKind
 from .fstarget import get_target
-from .harness import DEFAULT_DEVICE_BYTES, RunFlags, Verdict, run_workload
+from .harness import RunFlags, Verdict, check_state, profile, run_workload, state_for
 
 EXIT_OK = 0
 EXIT_BUGS = 1
@@ -52,13 +53,14 @@ class CampaignConfig:
     out: str | None = None
     no_group: bool = False
     index_range: tuple[int, int | None] | None = None
-    device_bytes: int = DEFAULT_DEVICE_BYTES
 
     def validate(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.corpus is not None and self.index_range is not None:
             raise ValueError("corpus campaigns take no generator index range")
+        if self.granularity not in GRANULARITIES:
+            raise ValueError(f"unknown granularity {self.granularity!r}")
         get_target(self.fs)
 
     def bounds_for(self, seq_length: int) -> Bounds:
@@ -103,12 +105,12 @@ class CampaignResult:
 
 
 def _run_partition(args):
-    fs_name, flags, device_bytes, items = args
+    fs_name, flags, items = args
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoPersistencePointWarning)
         for idx, workload in items:
-            out.append((idx, run_workload(workload, fs_name, flags, device_bytes)))
+            out.append((idx, run_workload(workload, fs_name, flags)))
     return out
 
 
@@ -135,14 +137,10 @@ def _run_tier(config: CampaignConfig, flags, tier) -> dict[int, list[Verdict]]:
     partitions = [tier[wk :: config.workers] for wk in range(config.workers)]
     results: dict[int, list[Verdict]] = {}
     if config.workers == 1:
-        for idx, verdicts in _run_partition(
-            (config.fs, flags, config.device_bytes, partitions[0])
-        ):
+        for idx, verdicts in _run_partition((config.fs, flags, partitions[0])):
             results[idx] = verdicts
         return results
-    payloads = [
-        (config.fs, flags, config.device_bytes, part) for part in partitions if part
-    ]
+    payloads = [(config.fs, flags, part) for part in partitions if part]
     with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
         for chunk in pool.map(_run_partition, payloads):
             for idx, verdicts in chunk:
@@ -291,8 +289,8 @@ def replay_report(path, index: int, *, quiet: bool = False) -> Verdict:
             f"v{rep.fs_format_version}, this build has v{target.FORMAT_VERSION}; "
             "refusing to replay"
         )
-    workload = ace.parse(rep.workload_dsl)
-    verdict = _replay_descriptor(workload, rep.fs_target, rep.crash_descriptor)
+    prof = profile(ace.parse(rep.workload_dsl), rep.fs_target)
+    verdict = check_state(prof, state_for(prof, rep.crash_descriptor))
     if not quiet:
         print(f"workload:\n{rep.workload_dsl}")
         print(f"crash point: {rep.crash_descriptor}")
@@ -304,37 +302,6 @@ def replay_report(path, index: int, *, quiet: bool = False) -> Verdict:
                 f"expected={entry.expected!r} actual={entry.actual!r}"
             )
     return verdict
-
-
-def _replay_descriptor(workload: Workload, fs_name: str, descriptor: str) -> Verdict:
-    from .blockdev import replay as replay_log, split_epochs
-    from .crashgen import SubsetDescriptor, build_subset_state
-    from .harness import check, profile
-
-    prof = profile(workload, fs_name)
-    if descriptor.startswith("checkpoint="):
-        k = int(descriptor.split("=", 1)[1])
-        image = replay_log(prof.base_image, prof.io_log, checkpoint=k)
-        return check(
-            image, prof.oracle_views[k], prof.persisted[k], fs_name, descriptor=descriptor
-        )
-    sub = SubsetDescriptor.parse(descriptor)
-    epochs = split_epochs(prof.io_log)
-    state = build_subset_state(
-        prof.base_image, epochs, sub.prefix_epoch_count, sub.kept_indices, sub.granularity
-    )
-    cp = state.checkpoint_id
-    oracle_view = prof.oracle_views.get(cp, prof.base_view)
-    later = [prof.oracle_views[j] for j in range(cp + 1, prof.checkpoint_count + 1)]
-    return check(
-        state.image,
-        oracle_view,
-        prof.persisted.get(cp, {}),
-        fs_name,
-        mode="subset",
-        descriptor=descriptor,
-        later_views=later,
-    )
 
 
 # -- corpus ----------------------------------------------------------------------
@@ -410,7 +377,7 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--all-checkpoints", action="store_true", default=None)
     p.add_argument("--subset", action="store_true", default=None)
-    p.add_argument("--granularity", choices=("op", "sector"), default=None)
+    p.add_argument("--granularity", choices=GRANULARITIES, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--known-bugs", default=None, help="known-bug database file")
     p.add_argument("--out", default=None, help="report output directory")

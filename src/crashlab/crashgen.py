@@ -1,25 +1,24 @@
-"""Crash-state construction from a base image and an IO log.
+"""Crash-state construction from a base image and an IO log's epochs.
 
-Two modes: checkpoint-sequential (one state per persistence point) and
-epoch-prefix/ordered-subset (all fully durable leading epochs plus an
-ordered subset of the target epoch, optionally at sector granularity).
+A subset-mode state is every fully durable leading epoch plus an ordered
+subset of the target epoch's write units (whole records, or 512-byte
+sectors). Small epochs are enumerated exhaustively; larger ones are sampled
+reproducibly from a seed. Checkpoint states are plain log replays and need
+nothing from this module beyond ``CrashState``.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 
-from .blockdev import (
-    SECTOR_SIZE,
-    DiskImage,
-    Epoch,
-    IoLog,
-    NoPersistencePointWarning,
-    replay,
-    split_epochs,
-)
+from .blockdev import SECTOR_SIZE, DiskImage, Epoch
+
+# Target epochs with at most this many units are enumerated exhaustively;
+# larger ones yield SAMPLE_COUNT subsets drawn from the seed.
+EXHAUSTIVE_UNITS = 10
+SAMPLE_COUNT = 64
+GRANULARITIES = ("op", "sector")
 
 
 class CrashGenError(Exception):
@@ -35,6 +34,8 @@ class SubsetDescriptor:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.kept_indices, self.kept_indices[1:])):
             raise CrashGenError("kept_indices must be strictly increasing")
+        if self.granularity not in GRANULARITIES:
+            raise CrashGenError(f"unknown granularity {self.granularity!r}")
 
     def serialize(self) -> str:
         kept = ",".join(str(i) for i in self.kept_indices)
@@ -42,9 +43,12 @@ class SubsetDescriptor:
 
     @classmethod
     def parse(cls, text: str) -> "SubsetDescriptor":
-        parts = dict(kv.split("=", 1) for kv in text.split(";"))
-        kept = tuple(int(i) for i in parts["kept"].split(",") if i != "")
-        return cls(int(parts["prefix"]), kept, parts["gran"])
+        try:
+            parts = dict(kv.split("=", 1) for kv in text.split(";"))
+            kept = tuple(int(i) for i in parts["kept"].split(",") if i != "")
+            return cls(int(parts["prefix"]), kept, parts["gran"])
+        except (ValueError, KeyError):
+            raise CrashGenError("expected prefix=P;kept=I,J,...;gran=op|sector") from None
 
 
 @dataclass
@@ -59,36 +63,6 @@ class CrashState:
         if self.subset is None:
             return f"checkpoint={self.checkpoint_id}"
         return self.subset.serialize()
-
-
-@dataclass(frozen=True)
-class SubsetSelector:
-    mode: str = "exhaustive"  # "exhaustive" | "random"
-    seed: int = 0
-    count: int = 64
-    granularity: str = "op"  # "op" | "sector"
-    contiguous_prefix: bool = False
-
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "random"):
-            raise CrashGenError(f"unknown selector mode {self.mode!r}")
-        if self.granularity not in ("op", "sector"):
-            raise CrashGenError(f"unknown granularity {self.granularity!r}")
-
-
-def crash_states_at_checkpoints(base: DiskImage, log: IoLog) -> list[CrashState]:
-    """One crash state per checkpoint: replay everything up to the marker."""
-    if log.checkpoint_count == 0:
-        warnings.warn(
-            "workload has no persistence point; no crash states generated",
-            NoPersistencePointWarning,
-            stacklevel=2,
-        )
-        return []
-    return [
-        CrashState(replay(base, log, checkpoint=k), checkpoint_id=k)
-        for k in range(1, log.checkpoint_count + 1)
-    ]
 
 
 def _atomic_units(epoch: Epoch, granularity: str) -> list[tuple[int, bytes]]:
@@ -113,77 +87,29 @@ def _atomic_units(epoch: Epoch, granularity: str) -> list[tuple[int, bytes]]:
     return units
 
 
-def _unit_op_boundaries(epoch: Epoch, granularity: str) -> list[tuple[int, int]]:
-    """(start, end) unit-index ranges, one per originating record."""
-    recs = list(epoch.records)
-    if epoch.terminator is not None and epoch.terminator.is_data_write:
-        recs.append(epoch.terminator)
-    bounds = []
-    pos = 0
-    for rec in recs:
-        if granularity == "op" or (rec.flags.fua and rec is epoch.terminator):
-            n = 1
-        else:
-            n = rec.length // SECTOR_SIZE
-        bounds.append((pos, pos + n))
-        pos += n
-    return bounds
-
-
 def enumerate_target_subsets(
     epochs: list[Epoch],
     prefix_count: int,
-    selector: SubsetSelector,
+    granularity: str = "op",
+    seed: int = 0,
 ):
     """Yield ordered index subsets of the target epoch's atomic units.
 
-    Exhaustive mode yields all 2^n subsets (or the per-op contiguous
-    prefixes when the selector asks for them); random mode samples distinct
-    subsets without replacement, reproducibly from the seed.
+    Up to EXHAUSTIVE_UNITS units, all 2^n subsets; beyond that, SAMPLE_COUNT
+    distinct subsets sampled without replacement, reproducibly from the seed.
     """
     if not 0 <= prefix_count < len(epochs):
-        raise CrashGenError(f"prefix_count {prefix_count} out of range")
-    target = epochs[prefix_count]
-    units = _atomic_units(target, selector.granularity)
-    n = len(units)
-
-    if selector.contiguous_prefix:
-        subsets = _contiguous_prefix_subsets(target, selector.granularity)
-    else:
-        subsets = _mask_subsets(n)
-
-    if selector.mode == "exhaustive":
-        yield from subsets
+        raise CrashGenError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
+    n = len(_atomic_units(epochs[prefix_count], granularity))
+    if n <= EXHAUSTIVE_UNITS:
+        yield from _mask_subsets(n)
         return
-
-    pool = list(subsets)
-    rng = random.Random(selector.seed)
-    if selector.count >= len(pool):
-        yield from pool
-    else:
-        yield from rng.sample(pool, selector.count)
+    yield from random.Random(seed).sample(list(_mask_subsets(n)), SAMPLE_COUNT)
 
 
 def _mask_subsets(n: int):
     for mask in range(1 << n):
         yield tuple(i for i in range(n) if mask >> i & 1)
-
-
-def _contiguous_prefix_subsets(epoch: Epoch, granularity: str):
-    # Hard drives tend to persist an op's sectors sequentially: keep only
-    # prefixes of each op's unit run.
-    bounds = _unit_op_boundaries(epoch, granularity)
-    choices = [list(range(hi - lo + 1)) for lo, hi in bounds]
-
-    def rec(i, acc):
-        if i == len(bounds):
-            yield tuple(acc)
-            return
-        lo, _hi = bounds[i]
-        for take in choices[i]:
-            yield from rec(i + 1, acc + [lo + j for j in range(take)])
-
-    yield from rec(0, [])
 
 
 def build_subset_state(
@@ -195,7 +121,11 @@ def build_subset_state(
 ) -> CrashState:
     """base + all records of the prefix epochs + kept target units, in order."""
     if not 0 <= prefix_count < len(epochs):
-        raise CrashGenError(f"prefix_count {prefix_count} out of range")
+        raise CrashGenError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
+    subset = SubsetDescriptor(prefix_count, tuple(kept), granularity)
+    units = _atomic_units(epochs[prefix_count], granularity)
+    if kept and not 0 <= kept[0] <= kept[-1] < len(units):
+        raise CrashGenError(f"kept units out of range; epoch {prefix_count} has {len(units)} units")
     overlay = dict(base._overlay)
 
     def apply_payload(sector: int, data: bytes):
@@ -206,7 +136,6 @@ def build_subset_state(
         for rec in ep.all_records():
             if rec.is_data_write:
                 apply_payload(rec.sector, rec.data)
-    units = _atomic_units(epochs[prefix_count], granularity)
     for idx in kept:
         sector, data = units[idx]
         apply_payload(sector, data)
@@ -214,7 +143,7 @@ def build_subset_state(
     return CrashState(
         image,
         checkpoint_id=_last_checkpoint_before(epochs, prefix_count),
-        subset=SubsetDescriptor(prefix_count, tuple(kept), granularity),
+        subset=subset,
     )
 
 
@@ -224,15 +153,3 @@ def _last_checkpoint_before(epochs: list[Epoch], prefix_count: int) -> int:
         for _pos, cp in ep.checkpoints:
             last = max(last, cp)
     return last
-
-
-def subset_states(
-    base: DiskImage,
-    log: IoLog,
-    selector: SubsetSelector,
-):
-    """Iterate subset-mode crash states over every (prefix, target) split."""
-    epochs = split_epochs(log)
-    for prefix in range(len(epochs)):
-        for kept in enumerate_target_subsets(epochs, prefix, selector):
-            yield build_subset_state(base, epochs, prefix, kept, selector.granularity)

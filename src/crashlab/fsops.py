@@ -63,8 +63,6 @@ _FALLOC_DSL = {
 }
 _FALLOC_FROM_DSL = {v: k for k, v in _FALLOC_DSL.items()}
 
-DATA_OP_KINDS = (FsOpKind.WRITE, FsOpKind.DWRITE, FsOpKind.MWRITE)
-
 
 @dataclass(frozen=True)
 class FsOp:
@@ -116,10 +114,6 @@ def parent_dir(path: str) -> str:
     if "/" not in path:
         return "/"
     return path.rsplit("/", 1)[0]
-
-
-def path_name(path: str) -> str:
-    return path.rsplit("/", 1)[-1]
 
 
 def same_directory(a: str, b: str) -> bool:

@@ -33,7 +33,6 @@ class PersistenceGuarantees:
     fsync_file_persists_parent_dirent: bool = True
     fsync_dir_persists_children_entries: bool = True
     fsync_file_persists_all_hard_links: bool = True
-    rename_atomic_across_crash: bool = True
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,6 @@ class FsStateView:
     """Complete logical listing of a mounted file system."""
 
     entries: dict[str, ViewEntry] = field(default_factory=dict)
-    mountable: bool = True
-
-    def paths(self) -> list[str]:
-        return sorted(self.entries)
 
     def get(self, path: str) -> ViewEntry | None:
         return self.entries.get(path)

@@ -582,7 +582,9 @@ class SoundFs:
             node.content = buf
         return node.content
 
-    def _write_range(self, node: Inode, start: int, data: bytes, *, direct: bool) -> None:
+    def _write_range(self, node: Inode, start: int, data: bytes, *, buffered: bool) -> None:
+        """Buffered writes leave their blocks pending until the next commit;
+        the rest go to the device now."""
         content = self._content(node)
         end = start + len(data)
         if end > len(content):
@@ -595,16 +597,10 @@ class SoundFs:
         first = start // BLOCK_SIZE
         last = (end - 1) // BLOCK_SIZE if end else first
         touched = set(range(first, last + 1))
-        if self.DELAYED_DATA and not direct:
-            self._pending_data.setdefault(node.ino, set()).update(touched)
-        elif not direct and self._buffer_in_memory_only():
+        if buffered:
             self._pending_data.setdefault(node.ino, set()).update(touched)
         else:
             self._submit_file_blocks(node, touched)
-
-    def _buffer_in_memory_only(self) -> bool:
-        # mwrite path: set transiently by apply()
-        return getattr(self, "_mmap_write", False)
 
     def _submit_file_blocks(self, node: Inode, indices: set[int]) -> None:
         content = self._content(node)
@@ -745,17 +741,12 @@ class SoundFs:
 
     def _op_write(self, path: str, start: int, data: bytes, kind: FsOpKind) -> None:
         node = self._ensure_file(path)
-        if kind is FsOpKind.MWRITE:
-            self._mmap_write = True
-            try:
-                self._write_range(node, start, data, direct=False)
-            finally:
-                self._mmap_write = False
-            return
-        direct = kind is FsOpKind.DWRITE
-        if direct:
+        if kind is FsOpKind.DWRITE:
             self._note_dwrite(node, start + len(data))
-        self._write_range(node, start, data, direct=direct)
+        # mwrite dirties page-cache pages only; plain writes do too when data
+        # writeback is delayed
+        buffered = kind is FsOpKind.MWRITE or (kind is FsOpKind.WRITE and self.DELAYED_DATA)
+        self._write_range(node, start, data, buffered=buffered)
 
     def _note_dwrite(self, node: Inode, new_end: int) -> None:
         if new_end > self._durable_size.get(node.ino, 0):
@@ -950,11 +941,6 @@ class SoundFs:
         """Flush everything pending and return the quiesced image."""
         self._commit("unmount", None)
         return self.device.snapshot()
-
-    def clean_unmount_image(self) -> DiskImage:
-        """Oracle capture: fork the device, cleanly unmount the replica."""
-        replica = self.replicate()
-        return replica.unmount_clean()
 
     def replicate(self) -> "SoundFs":
         fs = self.__class__.__new__(self.__class__)

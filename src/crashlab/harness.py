@@ -1,10 +1,14 @@
-"""Workload profiling, crash-state checking, and the per-workload pipeline.
+"""Workload profiling and the one crash-state pipeline.
 
 A profile run executes the workload once on a recording device, inserting a
 checkpoint after every persistence call and capturing an oracle (the image a
 clean unmount would leave) at each one. Crash states are rebuilt from the
-log, mounted so recovery runs, and compared against the oracle, but only
-for entities the target's declared guarantees say were persisted.
+log: at a checkpoint by replay, mid-epoch by the crash generator's subsets.
+``check_state`` turns any of them into a verdict: it mounts the state so
+recovery runs and compares it against the oracle of the last checkpoint the
+state contains, but only for entities the target's declared guarantees say
+were persisted. Campaigns, replay (``state_for`` rebuilds the state a report
+names) and the corpus all go through it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ from .blockdev import (
     replay,
     split_epochs,
 )
-from .crashgen import SubsetSelector, build_subset_state, enumerate_target_subsets
+from .crashgen import (
+    CrashGenError,
+    CrashState,
+    SubsetDescriptor,
+    build_subset_state,
+    enumerate_target_subsets,
+)
 from .fsops import FsOp, PersistKind, PersistOp, parent_dir
 from .fstarget import FsError, FsStateView, Unmountable, get_target
 from .report import DiffEntry
@@ -36,13 +46,6 @@ _PROBE_INDEX = 1_000_000  # op_index for write-check probes; payload arbitrary
 
 class HarnessError(Exception):
     """Workload execution failure: a test error, never a bug report."""
-
-
-@dataclass
-class SyscallTraceEntry:
-    kind: str
-    args: tuple
-    checkpoint_id_after: int | None = None
 
 
 @dataclass
@@ -64,7 +67,6 @@ class Profile:
     workload: Workload
     fs_name: str
     io_log: IoLog
-    trace: list[SyscallTraceEntry]
     oracles: dict[int, DiskImage]
     oracle_views: dict[int, FsStateView]
     persisted: dict[int, dict[str, int]]
@@ -76,19 +78,17 @@ class Profile:
         return len(self.oracles)
 
 
-_mkfs_cache: dict[tuple[str, int], DiskImage] = {}
+_mkfs_cache: dict[str, DiskImage] = {}
 
 
-def mkfs_base_image(fs_name: str, device_bytes: int = DEFAULT_DEVICE_BYTES) -> DiskImage:
+def mkfs_base_image(fs_name: str) -> DiskImage:
     """Formatting is deterministic, so the clean image is built once per
-    target geometry and shared as a replay base."""
-    key = (fs_name, device_bytes)
-    if key not in _mkfs_cache:
-        target = get_target(fs_name)
-        dev = create_device(device_bytes)
-        target.mkfs(dev)
-        _mkfs_cache[key] = dev.snapshot()
-    return _mkfs_cache[key]
+    target and shared as a replay base."""
+    if fs_name not in _mkfs_cache:
+        dev = create_device(DEFAULT_DEVICE_BYTES)
+        get_target(fs_name).mkfs(dev)
+        _mkfs_cache[fs_name] = dev.snapshot()
+    return _mkfs_cache[fs_name]
 
 
 def _update_persisted(
@@ -133,22 +133,17 @@ def _update_persisted(
             bump(parent_dir(resolved), ENTRY)
 
 
-def profile(
-    workload: Workload,
-    fs_name: str,
-    device_bytes: int = DEFAULT_DEVICE_BYTES,
-) -> Profile:
-    """Execute once end-to-end, collecting the IO log, syscall trace,
-    per-checkpoint oracles, and persisted sets."""
+def profile(workload: Workload, fs_name: str) -> Profile:
+    """Execute once end-to-end, collecting the IO log, per-checkpoint
+    oracles, and persisted sets."""
     target = get_target(fs_name)
-    base = mkfs_base_image(fs_name, device_bytes)
-    device = create_device(device_bytes, base=base)
+    base = mkfs_base_image(fs_name)
+    device = create_device(DEFAULT_DEVICE_BYTES, base=base)
     fs = target.mount_device(device)
     if isinstance(fs, Unmountable):
         raise HarnessError(f"fresh image did not mount: {fs.reason}")
     base_view = fs.state_view()
 
-    trace: list[SyscallTraceEntry] = []
     persisted_now: dict[str, int] = {}
     persisted: dict[int, dict[str, int]] = {}
     oracles: dict[int, DiskImage] = {}
@@ -158,12 +153,10 @@ def profile(
     try:
         for op in workload.prologue:
             fs.apply(op, op_index)
-            trace.append(SyscallTraceEntry(op.op_name, (op.path, op.path2)))
             op_index += 1
         for step in workload.steps:
             if isinstance(step, FsOp):
                 fs.apply(step, op_index)
-                trace.append(SyscallTraceEntry(step.op_name, (step.path, step.path2)))
                 op_index += 1
             else:
                 fs.persist(step.kind, step.target)
@@ -173,11 +166,6 @@ def profile(
                 replica = fs.replicate()
                 oracles[cp] = replica.unmount_clean()
                 oracle_views[cp] = replica.state_view()
-                trace.append(
-                    SyscallTraceEntry(
-                        step.kind.value, (step.target,), checkpoint_id_after=cp
-                    )
-                )
     except FsError as e:
         raise HarnessError(f"workload op failed: {e}") from e
 
@@ -185,7 +173,6 @@ def profile(
         workload=workload,
         fs_name=fs_name,
         io_log=device.log,
-        trace=trace,
         oracles=oracles,
         oracle_views=oracle_views,
         persisted=persisted,
@@ -375,22 +362,17 @@ class RunFlags:
     subset: bool = False
     granularity: str = "op"
     seed: int = 0
-    subset_count: int = 64
-    max_exhaustive_units: int = 10
 
 
 def run_workload(
-    workload: Workload,
-    fs_name: str,
-    flags: RunFlags | None = None,
-    device_bytes: int = DEFAULT_DEVICE_BYTES,
+    workload: Workload, fs_name: str, flags: RunFlags | None = None
 ) -> list[Verdict]:
     """Profile once, then test crash states. Default mode tests only the final
     checkpoint: campaigns run shorter sequences first, so earlier checkpoints
     repeat already-explored workloads."""
     flags = flags or RunFlags()
     try:
-        prof = profile(workload, fs_name, device_bytes)
+        prof = profile(workload, fs_name)
     except HarnessError as e:
         return [Verdict("harness_error", crash_descriptor="profile", reason=str(e))]
 
@@ -403,65 +385,61 @@ def run_workload(
         )
         return []
 
-    verdicts: list[Verdict] = []
     checkpoints = range(1, n + 1) if (flags.all_checkpoints or flags.subset) else [n]
-    for k in checkpoints:
-        image = replay(prof.base_image, prof.io_log, checkpoint=k)
-        verdicts.append(
-            check(
-                image,
-                prof.oracle_views[k],
-                prof.persisted[k],
-                fs_name,
-                descriptor=f"checkpoint={k}",
-            )
-        )
-
+    verdicts = [check_state(prof, _checkpoint_state(prof, k)) for k in checkpoints]
     if flags.subset:
-        verdicts.extend(_subset_verdicts(prof, fs_name, flags))
+        verdicts.extend(_subset_verdicts(prof, flags))
     return verdicts
 
 
-def _subset_verdicts(prof: Profile, fs_name: str, flags: RunFlags) -> list[Verdict]:
+def _subset_verdicts(prof: Profile, flags: RunFlags) -> list[Verdict]:
     epochs = split_epochs(prof.io_log)
-    out = []
-    for prefix in range(len(epochs)):
-        selector = _selector_for(epochs, prefix, flags)
-        if selector is None:
-            continue
-        for kept in enumerate_target_subsets(epochs, prefix, selector):
-            state = build_subset_state(
-                prof.base_image, epochs, prefix, kept, flags.granularity
-            )
-            cp = state.checkpoint_id
-            oracle_view = prof.oracle_views.get(cp, prof.base_view)
-            later = [
-                prof.oracle_views[j]
-                for j in range(cp + 1, prof.checkpoint_count + 1)
-            ]
-            out.append(
-                check(
-                    state.image,
-                    oracle_view,
-                    prof.persisted.get(cp, {}),
-                    fs_name,
-                    mode="subset",
-                    descriptor=state.descriptor(),
-                    later_views=later,
-                )
-            )
-    return out
+    return [
+        check_state(
+            prof,
+            build_subset_state(prof.base_image, epochs, prefix, kept, flags.granularity),
+        )
+        for prefix in range(len(epochs))
+        for kept in enumerate_target_subsets(epochs, prefix, flags.granularity, flags.seed)
+    ]
 
 
-def _selector_for(epochs, prefix, flags: RunFlags) -> SubsetSelector | None:
-    from .crashgen import _atomic_units
+def _checkpoint_state(prof: Profile, k: int) -> CrashState:
+    return CrashState(replay(prof.base_image, prof.io_log, checkpoint=k), checkpoint_id=k)
 
-    units = len(_atomic_units(epochs[prefix], flags.granularity))
-    if units <= flags.max_exhaustive_units:
-        return SubsetSelector(mode="exhaustive", granularity=flags.granularity)
-    return SubsetSelector(
-        mode="random",
-        seed=flags.seed,
-        count=flags.subset_count,
-        granularity=flags.granularity,
+
+def check_state(prof: Profile, state: CrashState) -> Verdict:
+    """Check one crash state against the oracle of the last checkpoint it
+    contains (the freshly formatted file system before the first). A subset
+    state may also match any later oracle."""
+    cp = state.checkpoint_id
+    return check(
+        state.image,
+        prof.oracle_views.get(cp, prof.base_view),
+        prof.persisted.get(cp, {}),
+        prof.fs_name,
+        mode="checkpoint" if state.subset is None else "subset",
+        descriptor=state.descriptor(),
+        later_views=[prof.oracle_views[j] for j in range(cp + 1, prof.checkpoint_count + 1)],
     )
+
+
+def state_for(prof: Profile, descriptor: str) -> CrashState:
+    """Rebuild the crash state a report's descriptor names. Raises ValueError
+    when the descriptor does not fit the profiled workload."""
+    try:
+        if descriptor.startswith("checkpoint="):
+            k = int(descriptor[len("checkpoint="):])
+            if not 1 <= k <= prof.checkpoint_count:
+                raise ValueError(f"the workload has {prof.checkpoint_count} checkpoints")
+            return _checkpoint_state(prof, k)
+        sub = SubsetDescriptor.parse(descriptor)
+        return build_subset_state(
+            prof.base_image,
+            split_epochs(prof.io_log),
+            sub.prefix_epoch_count,
+            sub.kept_indices,
+            sub.granularity,
+        )
+    except (ValueError, CrashGenError) as e:
+        raise ValueError(f"crash descriptor {descriptor!r}: {e}") from None

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -85,15 +84,6 @@ def classify(diff: list[DiffEntry]) -> Consequence:
                 return Consequence(kind, first.field)
             return Consequence(kind)
     raise ValueError("diff entries mapped to no consequence")
-
-
-def diff_hash(diff: list[DiffEntry]) -> str:
-    h = hashlib.sha256()
-    for entry in sorted(diff, key=lambda e: (e.category, e.path, e.field)):
-        h.update(
-            f"{entry.category}|{entry.path}|{entry.field}|{entry.expected}|{entry.actual}\n".encode()
-        )
-    return h.hexdigest()
 
 
 @dataclass

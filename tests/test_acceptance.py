@@ -18,7 +18,7 @@ from crashlab.cli import (
     run_campaign,
     run_corpus,
 )
-from crashlab.crashgen import SubsetSelector, build_subset_state, enumerate_target_subsets
+from crashlab.crashgen import build_subset_state, enumerate_target_subsets
 from crashlab.fsops import FsOpKind, same_directory
 from crashlab.fstarget import VARIANTS
 
@@ -279,7 +279,7 @@ def test_acceptance_crash_state_exhaustiveness():
     base = DiskImage.zeroed(size)
     epochs = split_epochs(dev.log)
     images = {}
-    for kept in enumerate_target_subsets(epochs, 0, SubsetSelector()):
+    for kept in enumerate_target_subsets(epochs, 0):
         state = build_subset_state(base, epochs, 0, kept)
         # eager oracle: apply kept writes directly
         buf = bytearray(size)
@@ -301,7 +301,7 @@ def test_acceptance_crash_state_exhaustiveness():
             dev.write(sec, bytes([0x30 + i]) * (512 * rng.randint(1, 2)))
         epochs = split_epochs(dev.log)
         units = [(r.sector, r.data) for r in epochs[0].records]
-        for kept in enumerate_target_subsets(epochs, 0, SubsetSelector()):
+        for kept in enumerate_target_subsets(epochs, 0):
             image = build_subset_state(base, epochs, 0, kept).image
             expect = bytearray(size)
             for idx in kept:

@@ -226,14 +226,6 @@ def test_two_snapshots_without_writes_identical():
     assert dev.snapshot() == dev.snapshot()
 
 
-def test_reset_to_base_drops_dirty_blocks():
-    dev = create_device(1 * MiB)
-    base = dev.snapshot()
-    dev.write(0, b"\x44" * 512)
-    dev.reset_to(base)
-    assert dev.snapshot() == base
-
-
 def test_cow_isolation_against_eager_copy_oracle():
     """Every snapshot equals what a full eager copy at that instant shows."""
     rng = random.Random(42)

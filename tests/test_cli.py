@@ -130,6 +130,8 @@ def test_config_validation():
         CampaignConfig(fs="not-a-target").validate()
     with pytest.raises(ValueError):
         CampaignConfig(corpus="/tmp/x", index_range=(0, 5)).validate()
+    with pytest.raises(ValueError, match="granularity"):
+        CampaignConfig(granularity="bytes").validate()
 
 
 def test_cli_main_campaign_and_config_file(tmp_path):
@@ -150,16 +152,53 @@ def test_cli_main_campaign_and_config_file(tmp_path):
     assert code == 0
 
 
+def _b3_subset_config(**kw):
+    # one falloc workload whose 34 bug reports are nearly all subset states
+    return CampaignConfig(
+        fs="bugfs-b3", seq=(1,), ops=("falloc",), subset=True, index_range=(122, 123), **kw
+    )
+
+
 def test_replay_reproduces_consequence_and_diff_hash(tmp_path):
+    """Replay gives back each report's consequence, descriptor and full diff,
+    for checkpoint and subset descriptors alike."""
+    for name, config in (("b6", _b6_config), ("b3", _b3_subset_config)):
+        out = tmp_path / name
+        run_campaign(config(out=str(out)), quiet=True)
+        reports = report.read_reports(out / "reports.jsonl")
+        assert reports
+        indices = range(len(reports)) if name == "b3" else (0, len(reports) - 1)
+        for idx in indices:
+            verdict = replay_report(out / "reports.jsonl", idx, quiet=True)
+            assert verdict.consequence == reports[idx].consequence
+            assert verdict.crash_descriptor == reports[idx].crash_descriptor
+            assert [vars(d) for d in verdict.diff] == reports[idx].diff
+    descriptors = [r.crash_descriptor for r in reports]
+    assert len(descriptors) == 34
+    assert sum(d.startswith("prefix=") for d in descriptors) == 33
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ("checkpoint=9", "has 1 checkpoints"),
+        ("prefix=7;kept=0;gran=op", "log has 3 epochs"),
+        ("prefix=1;kept=5;gran=op", "has 1 units"),
+        ("bogus", "expected prefix=P;kept="),
+        ("prefix=0;kept=;gran=bytes", "unknown granularity"),
+    ],
+    ids=["checkpoint", "prefix", "kept", "bogus", "granularity"],
+)
+def test_replay_rejects_descriptor_that_does_not_fit(tmp_path, capsys, descriptor, message):
     out = tmp_path / "out"
-    result = run_campaign(_b6_config(out=str(out)), quiet=True)
-    reports = report.read_reports(out / "reports.jsonl")
-    assert reports
-    for idx in (0, len(reports) - 1):
-        verdict = replay_report(out / "reports.jsonl", idx, quiet=True)
-        assert verdict.consequence == reports[idx].consequence
-        stored = [report.DiffEntry(**d) for d in reports[idx].diff]
-        assert report.diff_hash(verdict.diff) == report.diff_hash(stored)
+    run_campaign(_b3_subset_config(out=str(out)), quiet=True)
+    payload = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
+    payload["crash_descriptor"] = descriptor
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(payload) + "\n")
+    assert main(["replay", str(bad), "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(descriptor) in err and message in err
 
 
 def test_replay_refuses_version_mismatch(tmp_path):

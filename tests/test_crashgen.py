@@ -1,25 +1,21 @@
 """Crash-state generation: checkpoint mode, subset mode, ordering guarantees."""
 
 import random
-import warnings
 
 import pytest
 
 from crashlab.blockdev import (
     SECTOR_SIZE,
     DiskImage,
-    IoLog,
-    NoPersistencePointWarning,
     create_device,
     replay,
     split_epochs,
 )
 from crashlab.crashgen import (
+    SAMPLE_COUNT,
     CrashGenError,
     SubsetDescriptor,
-    SubsetSelector,
     build_subset_state,
-    crash_states_at_checkpoints,
     enumerate_target_subsets,
 )
 
@@ -38,26 +34,24 @@ def test_one_crash_state_per_checkpoint():
     dev.write(1, b"\x02" * 512)
     dev.flush()
     dev.insert_checkpoint()
-    states = crash_states_at_checkpoints(DiskImage.zeroed(SIZE), dev.log)
-    assert [s.checkpoint_id for s in states] == [1, 2]
-    assert states[0].image.read(512, 512) == bytes(512)
-    assert states[1].image.read(512, 512) == b"\x02" * 512
+    base = DiskImage.zeroed(SIZE)
+    images = [replay(base, dev.log, checkpoint=k) for k in (1, 2)]
+    assert images[0].read(512, 512) == bytes(512)
+    assert images[1].read(512, 512) == b"\x02" * 512
 
 
-def test_zero_checkpoints_warns_and_returns_empty():
+def test_states_before_any_checkpoint_belong_to_checkpoint_zero():
     dev = _device()
     dev.write(0, b"\x01" * 512)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        states = crash_states_at_checkpoints(DiskImage.zeroed(SIZE), dev.log)
-    assert states == []
-    assert any(issubclass(w.category, NoPersistencePointWarning) for w in caught)
-
-
-def test_empty_log_warns_empty():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert crash_states_at_checkpoints(DiskImage.zeroed(SIZE), IoLog()) == []
+    dev.flush()
+    dev.write(1, b"\x02" * 512)
+    epochs = split_epochs(dev.log)
+    base = DiskImage.zeroed(SIZE)
+    for prefix in range(len(epochs)):
+        for kept in enumerate_target_subsets(epochs, prefix):
+            state = build_subset_state(base, epochs, prefix, kept)
+            assert state.checkpoint_id == 0
+            assert state.descriptor().startswith(f"prefix={prefix};")
 
 
 # -- subset enumeration ------------------------------------------------------------
@@ -68,7 +62,7 @@ def test_exhaustive_subset_count_n3():
     for i in range(3):
         dev.write(i, bytes([i + 1]) * 512)
     epochs = split_epochs(dev.log)
-    subsets = list(enumerate_target_subsets(epochs, 0, SubsetSelector()))
+    subsets = list(enumerate_target_subsets(epochs, 0))
     assert len(subsets) == 8
     assert len(set(subsets)) == 8
     assert all(list(s) == sorted(s) for s in subsets)
@@ -78,20 +72,27 @@ def test_zero_units_yields_exactly_empty_subset():
     dev = _device()
     dev.flush()
     epochs = split_epochs(dev.log)
-    assert list(enumerate_target_subsets(epochs, 0, SubsetSelector())) == [()]
+    assert list(enumerate_target_subsets(epochs, 0)) == [()]
 
 
 def test_sector_granularity_unit_count():
-    """An 8192-byte write splits into length/512 sector units."""
+    """A write splits into length/512 sector units: 8 units are enumerated
+    exhaustively, 16 are sampled."""
     dev = _device()
-    dev.write(0, b"\x07" * 8192)
+    dev.write(0, b"\x07" * 4096)
     epochs = split_epochs(dev.log)
     # independent arithmetic: one unit per 512-byte slice
-    assert 8192 // SECTOR_SIZE == 16
-    full = list(
-        enumerate_target_subsets(epochs, 0, SubsetSelector(granularity="sector"))
-    )
-    assert len(full) == 2**16
+    assert 4096 // SECTOR_SIZE == 8
+    full = list(enumerate_target_subsets(epochs, 0, "sector"))
+    assert len(full) == 2**8
+    assert max(len(s) for s in full) == 8
+
+    dev = _device()
+    dev.write(0, b"\x07" * 8192)
+    sampled = list(enumerate_target_subsets(split_epochs(dev.log), 0, "sector"))
+    assert len(sampled) == len(set(sampled)) == SAMPLE_COUNT
+    assert all(0 <= i < 16 for s in sampled for i in s)
+    assert len(list(enumerate_target_subsets(split_epochs(dev.log), 0, "op"))) == 2
 
 
 def test_prefix_count_out_of_range():
@@ -99,20 +100,21 @@ def test_prefix_count_out_of_range():
     dev.write(0, b"\x01" * 512)
     epochs = split_epochs(dev.log)
     with pytest.raises(CrashGenError):
-        list(enumerate_target_subsets(epochs, 5, SubsetSelector()))
+        list(enumerate_target_subsets(epochs, 5))
 
 
 def test_random_mode_reproducible_and_distinct():
+    """Eleven units is one past the exhaustive bound: the subsets are sampled."""
     dev = _device()
-    for i in range(6):
+    for i in range(11):
         dev.write(i, bytes([i + 1]) * 512)
     epochs = split_epochs(dev.log)
-    sel = SubsetSelector(mode="random", seed=11, count=10)
-    a = list(enumerate_target_subsets(epochs, 0, sel))
-    b = list(enumerate_target_subsets(epochs, 0, sel))
+    a = list(enumerate_target_subsets(epochs, 0, "op", seed=11))
+    b = list(enumerate_target_subsets(epochs, 0, "op", seed=11))
     assert a == b
-    assert len(a) == 10 and len(set(a)) == 10
-    c = list(enumerate_target_subsets(epochs, 0, SubsetSelector(mode="random", seed=12, count=10)))
+    assert len(a) == SAMPLE_COUNT and len(set(a)) == SAMPLE_COUNT
+    assert all(list(s) == sorted(s) for s in a)
+    c = list(enumerate_target_subsets(epochs, 0, "op", seed=12))
     assert a != c
 
 
@@ -121,24 +123,9 @@ def test_fua_terminator_is_single_unit_in_sector_mode():
     dev.write(0, b"\x01" * 1024)
     dev.write(4, b"\x02" * 1024, fua=True)
     epochs = split_epochs(dev.log)
-    full = list(enumerate_target_subsets(epochs, 0, SubsetSelector(granularity="sector")))
+    full = list(enumerate_target_subsets(epochs, 0, "sector"))
     # 2 sector units from the plain write + 1 atomic FUA unit
     assert len(full) == 2**3
-
-
-def test_contiguous_prefix_mode_counts():
-    dev = _device()
-    dev.write(0, b"\x01" * 1024)  # 2 sectors
-    dev.write(8, b"\x02" * 1536)  # 3 sectors
-    epochs = split_epochs(dev.log)
-    sel = SubsetSelector(granularity="sector", contiguous_prefix=True)
-    subsets = list(enumerate_target_subsets(epochs, 0, sel))
-    assert len(subsets) == 3 * 4  # prefixes 0..2 of op1 x prefixes 0..3 of op2
-    for s in subsets:
-        op1 = [i for i in s if i < 2]
-        op2 = [i - 2 for i in s if i >= 2]
-        assert op1 == list(range(len(op1)))
-        assert op2 == list(range(len(op2)))
 
 
 # -- subset state construction ------------------------------------------------------
@@ -203,7 +190,7 @@ def test_two_disjoint_writes_all_four_images_match_oracle():
     base = DiskImage.zeroed(SIZE)
     epochs = split_epochs(dev.log)
     seen = set()
-    for kept in enumerate_target_subsets(epochs, 0, SubsetSelector()):
+    for kept in enumerate_target_subsets(epochs, 0):
         state = build_subset_state(base, epochs, 0, kept)
         assert state.image.to_bytes() == _eager_subset_oracle(base, epochs, 0, kept)
         seen.add(state.image.sha256())
@@ -224,7 +211,7 @@ def test_order_preservation_on_randomized_overlapping_logs():
         base = DiskImage.zeroed(size)
         epochs = split_epochs(dev.log)
         units = [(r.sector, r.data) for r in epochs[0].records]
-        for kept in enumerate_target_subsets(epochs, 0, SubsetSelector()):
+        for kept in enumerate_target_subsets(epochs, 0):
             image = build_subset_state(base, epochs, 0, kept).image
             expect = bytearray(size)
             for idx in kept:  # issue order: later kept writes overwrite earlier
@@ -245,12 +232,11 @@ def test_checkpoint_mode_equivalence_with_subset_mode():
     dev.write(3, b"\x04" * 512)
     base = DiskImage.zeroed(SIZE)
     epochs = split_epochs(dev.log)
-    states = crash_states_at_checkpoints(base, dev.log)
     # checkpoint 1 sits after epoch 0; checkpoint 2 after epoch 1
-    for cp_state, prefix in zip(states, (1, 2)):
+    for k, prefix in ((1, 1), (2, 2)):
         sub = build_subset_state(base, epochs, prefix, ())
-        assert sub.image == cp_state.image
-        assert sub.checkpoint_id == cp_state.checkpoint_id
+        assert sub.image == replay(base, dev.log, checkpoint=k)
+        assert sub.checkpoint_id == k
 
 
 def test_prefix_durability():
@@ -286,7 +272,7 @@ def test_prefix_durability():
                     target_secs.update(
                         range(rec.sector, rec.sector + rec.length // SECTOR_SIZE)
                     )
-            for kept in enumerate_target_subsets(epochs, prefix, SubsetSelector()):
+            for kept in enumerate_target_subsets(epochs, prefix):
                 got = build_subset_state(base, epochs, prefix, kept).image
                 for sec in range(size // SECTOR_SIZE):
                     if sec in target_secs:

@@ -1,5 +1,6 @@
 """Profiling, oracle capture, the auto-checker, and the workload pipeline."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -7,7 +8,8 @@ import time
 
 from crashlab import ace
 from crashlab.ace import Bounds, parse
-from crashlab.blockdev import create_device, replay
+from crashlab.blockdev import create_device, replay, split_epochs
+from crashlab.crashgen import build_subset_state, enumerate_target_subsets
 from crashlab.fsops import FsOp, FsOpKind, PersistKind
 from crashlab.fstarget import SoundFs, TARGETS, Unmountable, get_target
 from crashlab.harness import (
@@ -294,18 +296,32 @@ def test_subset_mode_clean_on_soundfs():
 def test_journal_atomicity_under_subset_mode():
     """Crash states inside a commit show the old or the new metadata view,
     never a mix."""
-    from crashlab.crashgen import SubsetSelector, subset_states
-
     w = parse("creat foo\nwrite (0-8K) foo\nfsync foo\ncreat bar\nfsync bar\n")
     prof = profile(w, "soundfs")
     allowed = [set(v.entries) for v in (prof.base_view, *prof.oracle_views.values())]
-    for state in subset_states(
-        prof.base_image, prof.io_log, SubsetSelector(mode="exhaustive")
-    ):
-        fs = SoundFs.mount(state.image)
-        assert not isinstance(fs, Unmountable)
-        paths = set(fs.state_view().entries)
-        assert paths in allowed, (state.descriptor(), paths)
+    epochs = split_epochs(prof.io_log)
+    # every epoch has at most 10 units, so each is enumerated exhaustively
+    for prefix in range(len(epochs)):
+        for kept in enumerate_target_subsets(epochs, prefix):
+            state = build_subset_state(prof.base_image, epochs, prefix, kept)
+            fs = SoundFs.mount(state.image)
+            assert not isinstance(fs, Unmountable)
+            paths = set(fs.state_view().entries)
+            assert paths in allowed, (state.descriptor(), paths)
+
+
+def test_subset_mode_samples_large_epochs():
+    """Epochs of [7, 1, 11, 1, 4] op units: epoch 2 is past the exhaustive
+    bound, so its 64 subsets are sampled from the seed. The verdict list is
+    pinned: 2 checkpoints + 128 + 2 + 64 + 2 + 16 subset states."""
+    w = parse(
+        "mkdir A\nmkdir B\ncreat A/foo\nfdatasync A/foo\ncreat B/foo\nfdatasync A/foo\n"
+    )
+    vs = run_workload(w, "soundfs", RunFlags(subset=True, seed=7))
+    assert len(vs) == 214
+    assert all(v.outcome == "pass" for v in vs)
+    digest = hashlib.sha256("\n".join(v.crash_descriptor for v in vs).encode()).hexdigest()
+    assert digest == "709f3435c1391c458443c47320083701f0bd55ab011553400fd232f7d518b0a9"
 
 
 def test_no_false_positives_across_all_op_pairs():

@@ -9,7 +9,6 @@ from crashlab.report import (
     DiffEntry,
     KnownBugDb,
     classify,
-    diff_hash,
     group,
     read_reports,
     suppress_known,
@@ -106,12 +105,6 @@ def test_consequence_string_roundtrip():
     c = Consequence(ConsequenceKind.METADATA_MISMATCH, "size")
     assert Consequence.parse(str(c)) == c
     assert Consequence.parse("unmountable") == Consequence(ConsequenceKind.UNMOUNTABLE)
-
-
-def test_diff_hash_order_independent():
-    a = DiffEntry("field", path="x", field="size", expected="1", actual="2")
-    b = DiffEntry("missing", path="y", expected="file", actual="absent")
-    assert diff_hash([a, b]) == diff_hash([b, a])
 
 
 # -- grouping --------------------------------------------------------------------
