@@ -3,7 +3,9 @@
 Four phases: pick operation kinds (skeletons), expand parameters over the
 bounded file set with symmetry pruning, weave in persistence points, and
 resolve dependencies into a prologue. The output stream is deterministic and
-index-addressable: workload i is reconstructible from (Bounds, i).
+index-addressable: workload i is reconstructible from (Bounds, i). Seeking to
+i costs one body count per (skeleton, params) group before it, not one
+resolved workload per index.
 
 Symmetry rule: for an operation taking two file-path arguments from the same
 directory (link, symlink, rename), the two argument orders describe the same
@@ -14,7 +16,7 @@ emitted. Single-path parameterizations are never collapsed.
 from __future__ import annotations
 
 import itertools
-import logging
+import math
 from dataclasses import dataclass, field, replace
 
 from .fsops import (
@@ -34,8 +36,6 @@ from .fsops import (
     parse_size,
     same_directory,
 )
-
-log = logging.getLogger(__name__)
 
 WRITE_CLASSES = ("overwrite_start", "overwrite_middle", "overwrite_end", "append")
 NOMINAL_SIZE = 16 * 1024  # floor for overwrite-class offsets on small files
@@ -595,14 +595,12 @@ def _referenced_paths(ops: tuple[FsOp, ...]) -> list[str]:
     return sorted(seen)
 
 
-def add_persistence_points(
+def _persistence_choices(
     ops: tuple[FsOp, ...], bounds: Bounds
-) -> list[tuple[Step, ...]]:
-    """All combinations of {none, fsync(t), fdatasync(t), sync} after each
-    non-final op; the final op always gets a persistence point so a workload
-    is never a truncated copy of a shorter one."""
+) -> list[list[PersistOp | None]]:
+    """The persistence points offered after each op; a live target is a
+    referenced path that exists and resolves once the op has run."""
     referenced = _referenced_paths(ops)
-
     st = _SymState(bounds)
     slot_choices: list[list[PersistOp | None]] = []
     for i, op in enumerate(ops):
@@ -617,16 +615,28 @@ def add_persistence_points(
         choices += [PersistOp(PersistKind.FDATASYNC, t) for t in live_targets]
         choices.append(PersistOp(PersistKind.SYNC))
         slot_choices.append(choices)
+    return slot_choices
 
-    bodies: list[tuple[Step, ...]] = []
-    for combo in itertools.product(*slot_choices):
-        steps: list[Step] = []
-        for op, pp in zip(ops, combo):
-            steps.append(op)
-            if pp is not None:
-                steps.append(pp)
-        bodies.append(tuple(steps))
-    return bodies
+
+def _weave(ops: tuple[FsOp, ...], combo: tuple[PersistOp | None, ...]) -> tuple[Step, ...]:
+    steps: list[Step] = []
+    for op, pp in zip(ops, combo):
+        steps.append(op)
+        if pp is not None:
+            steps.append(pp)
+    return tuple(steps)
+
+
+def add_persistence_points(
+    ops: tuple[FsOp, ...], bounds: Bounds
+) -> list[tuple[Step, ...]]:
+    """All combinations of {none, fsync(t), fdatasync(t), sync} after each
+    non-final op; the final op always gets a persistence point so a workload
+    is never a truncated copy of a shorter one."""
+    return [
+        _weave(ops, combo)
+        for combo in itertools.product(*_persistence_choices(ops, bounds))
+    ]
 
 
 # -- phase 4: dependency resolution ---------------------------------------------
@@ -654,40 +664,57 @@ def resolve_dependencies(steps: tuple[Step, ...], bounds: Bounds | None = None) 
 
 @dataclass
 class GenerationStats:
+    # The generator rejects no body (see _workloads_from), so ``rejected``
+    # stays 0; the fields remain for the tools that read them.
     emitted: int = 0
     rejected: int = 0
     rejection_reasons: list[str] = field(default_factory=list)
 
 
-def generate_workloads(bounds: Bounds, stats: GenerationStats | None = None):
-    """Deterministic stream of complete workloads, index-stamped in order."""
+def _workloads_from(bounds: Bounds, start: int):
+    """The workload stream from index ``start`` on.
+
+    Each (skeleton, params) group holds exactly prod(len(choices)) bodies, so
+    a group that ends before ``start`` is skipped by its count alone, and only
+    bodies at or after ``start`` are resolved. No generated body is ever
+    rejected: ``_persistence_choices`` offers only targets that exist and
+    resolve after the same ``_apply_effect`` sequence that
+    ``resolve_dependencies`` replays, and ``expand_params`` has already
+    applied those ops without error. A rejection would therefore be a
+    generator bug, and it raises rather than silently renumbering every later
+    workload.
+    """
     index = 0
     for skeleton in gen_skeletons(bounds):
         for ops in expand_params(skeleton, bounds):
-            for body in add_persistence_points(ops, bounds):
-                try:
-                    workload = resolve_dependencies(body, bounds)
-                except UnsatisfiableBody as e:
-                    if stats is not None:
-                        stats.rejected += 1
-                        stats.rejection_reasons.append(str(e))
-                    log.debug("rejected body: %s", e)
-                    continue
-                workload = replace(workload, skeleton=skeleton, index=index)
-                if stats is not None:
-                    stats.emitted += 1
-                yield workload
+            choices = _persistence_choices(ops, bounds)
+            count = math.prod(len(c) for c in choices)
+            if index + count <= start:
+                index += count
+                continue
+            combos = itertools.product(*choices)
+            if index < start:
+                combos = itertools.islice(combos, start - index, None)
+                index = start
+            for combo in combos:
+                workload = resolve_dependencies(_weave(ops, combo), bounds)
+                yield replace(workload, skeleton=skeleton, index=index)
                 index += 1
 
 
+def generate_workloads(bounds: Bounds, stats: GenerationStats | None = None):
+    """Deterministic stream of complete workloads, index-stamped in order."""
+    for workload in _workloads_from(bounds, 0):
+        if stats is not None:
+            stats.emitted += 1
+        yield workload
+
+
 def workload_range(bounds: Bounds, start: int, end: int | None) -> list[Workload]:
-    out = []
-    for w in generate_workloads(bounds):
-        if end is not None and w.index >= end:
-            break
-        if w.index >= start:
-            out.append(w)
-    return out
+    """Workloads [start, end) of the stream; seeks past the groups before start."""
+    start = max(start, 0)
+    stream = _workloads_from(bounds, start)
+    return list(stream if end is None else itertools.islice(stream, max(end - start, 0)))
 
 
 # -- DSL serialization ------------------------------------------------------------

@@ -25,7 +25,15 @@ from .blockdev import NoPersistencePointWarning
 from .crashgen import GRANULARITIES
 from .fsops import FsOpKind
 from .fstarget import get_target
-from .harness import RunFlags, Verdict, check_state, profile, run_workload, state_for
+from .harness import (
+    HarnessError,
+    RunFlags,
+    Verdict,
+    check_state,
+    profile,
+    run_workload,
+    state_for,
+)
 
 EXIT_OK = 0
 EXIT_BUGS = 1
@@ -153,16 +161,13 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
     t0 = time.monotonic()
     flags = config.run_flags()
     tiers = _collect_tiers(config)
-    items: list[tuple[int, Workload]] = []
+    workloads: dict[int, Workload] = {}
     results: dict[int, list[Verdict]] = {}
     for tier in tiers:
-        items.extend(tier)
+        workloads.update(tier)
         results.update(_run_tier(config, flags, tier))
 
-    dsl_by_index = {idx: ace.serialize(w) for idx, w in items}
-    skeleton_by_index = {idx: str(w.skeleton) for idx, w in items}
-
-    res = CampaignResult(exit_code=EXIT_OK, total_workloads=len(items))
+    res = CampaignResult(exit_code=EXIT_OK, total_workloads=len(workloads))
     target = get_target(config.fs)
     debug_seed = (
         target.BUG_SEED.id
@@ -183,8 +188,8 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
                 res.bug_verdicts += 1
                 res.reports.append(
                     report.BugReport(
-                        workload_dsl=dsl_by_index[idx],
-                        skeleton=skeleton_by_index[idx],
+                        workload_dsl=ace.serialize(workloads[idx]),
+                        skeleton=str(workloads[idx].skeleton),
                         crash_descriptor=verdict.crash_descriptor,
                         consequence=verdict.consequence,
                         diff=[vars(d) for d in verdict.diff],
@@ -469,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "replay":
         try:
             replay_report(args.report_file, args.index)
-        except (ValueError, FileNotFoundError) as e:
+        except (ValueError, FileNotFoundError, ace.GenerationError, HarnessError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CONFIG
         return EXIT_OK

@@ -102,13 +102,17 @@ def enumerate_target_subsets(
         raise CrashGenError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
     n = len(_atomic_units(epochs[prefix_count], granularity))
     if n <= EXHAUSTIVE_UNITS:
-        yield from _mask_subsets(n)
-        return
-    yield from random.Random(seed).sample(list(_mask_subsets(n)), SAMPLE_COUNT)
-
-
-def _mask_subsets(n: int):
-    for mask in range(1 << n):
+        masks = range(1 << n)
+    else:
+        # Draw masks until SAMPLE_COUNT distinct ones are held, without
+        # building the 2^n pool. Past 2^10 masks, random.sample over that pool
+        # makes these same draws, so a seed picks the subsets it always did.
+        rng = random.Random(seed)
+        picked: dict[int, None] = {}
+        while len(picked) < SAMPLE_COUNT:
+            picked[rng.randrange(1 << n)] = None
+        masks = picked
+    for mask in masks:
         yield tuple(i for i in range(n) if mask >> i & 1)
 
 

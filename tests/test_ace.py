@@ -7,6 +7,7 @@ import pytest
 from crashlab import ace
 from crashlab.ace import (
     Bounds,
+    GenerationStats,
     ParseError,
     Skeleton,
     UnsatisfiableBody,
@@ -308,12 +309,55 @@ def test_bounds_monotonicity_ops_and_files():
     assert base <= {serialize(w) for w in generate_workloads(more_files)}
 
 
+def _indexed_dsl(workloads):
+    return [(w.index, str(w.skeleton), serialize(w)) for w in workloads]
+
+
 def test_workloads_index_addressable():
     bounds = Bounds(seq_length=1, allowed_ops=(FsOpKind.CREAT, FsOpKind.LINK))
     all_ws = list(generate_workloads(bounds))
     sliced = ace.workload_range(bounds, 3, 7)
     assert [w.index for w in sliced] == [3, 4, 5, 6]
     assert [serialize(w) for w in sliced] == [serialize(w) for w in all_ws[3:7]]
+    assert _indexed_dsl(ace.workload_range(bounds, 5, None)) == _indexed_dsl(all_ws[5:])
+    assert ace.workload_range(bounds, len(all_ws), None) == []
+    assert ace.workload_range(bounds, len(all_ws) + 10, len(all_ws) + 20) == []
+
+
+_SEQ2 = Bounds(seq_length=2)
+_WRITE_RENAME = Bounds(
+    seq_length=2, allowed_ops=(FsOpKind.WRITE, FsOpKind.RENAME), files=("foo", "bar"), dirs=()
+)
+
+
+@pytest.mark.parametrize(
+    "bounds, start, end",
+    [
+        (_SEQ2, 1343, 1346),  # across the creat-creat / creat-mkdir boundary at 1344
+        (_SEQ2, 1344, 1400),  # from a skeleton's first group over two more groups
+        (_SEQ2, 25000, 25010),  # inside the group 24980:25034
+        (_WRITE_RENAME, 1000, 1248),  # to the end of the tier
+    ],
+    ids=["skeleton-boundary", "skeleton-start", "mid-group", "tier-end"],
+)
+def test_workload_range_seeks_to_the_stream_index(bounds, start, end):
+    expected = itertools.islice(generate_workloads(bounds), start, end)
+    assert _indexed_dsl(ace.workload_range(bounds, start, end)) == _indexed_dsl(expected)
+
+
+def test_every_generated_body_resolves():
+    """The seek skips a parameter group by its body count, which holds only if
+    no body of the group is rejected."""
+    bounds = Bounds(seq_length=1)
+    bodies = 0
+    for skeleton in gen_skeletons(bounds):
+        for ops in expand_params(skeleton, bounds):
+            for body in add_persistence_points(ops, bounds):
+                resolve_dependencies(body, bounds)
+                bodies += 1
+    stats = GenerationStats()
+    assert sum(1 for _ in generate_workloads(bounds, stats)) == bodies == 1415
+    assert stats.emitted == bodies and stats.rejected == 0
 
 
 # -- independent brute-force enumerator (exhaustiveness oracle) ----------------------

@@ -201,6 +201,23 @@ def test_replay_rejects_descriptor_that_does_not_fit(tmp_path, capsys, descripto
     assert err.startswith("error: ") and repr(descriptor) in err and message in err
 
 
+@pytest.mark.parametrize(
+    "dsl, message",
+    [("frobnicate foo\n", "unknown operation 'frobnicate'"), ("unlink ghost\nsync\n", "ghost")],
+    ids=["parse", "harness"],
+)
+def test_replay_rejects_workload_it_cannot_rebuild(tmp_path, capsys, dsl, message):
+    out = tmp_path / "out"
+    run_campaign(_b6_config(out=str(out)), quiet=True)
+    payload = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
+    payload["workload_dsl"] = dsl
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(payload) + "\n")
+    assert main(["replay", str(bad), "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_replay_refuses_version_mismatch(tmp_path):
     out = tmp_path / "out"
     run_campaign(_b6_config(out=str(out)), quiet=True)

@@ -324,6 +324,18 @@ def test_subset_mode_samples_large_epochs():
     assert digest == "709f3435c1391c458443c47320083701f0bd55ab011553400fd232f7d518b0a9"
 
 
+def test_sector_subsets_of_wide_epochs_are_sampled_quickly():
+    """At sector granularity the epochs hold [48, 1, 32] units, so two are
+    sampled: 1 checkpoint + 64 + 2 + 64 subset states. Sampling must not build
+    the 2^48 subset pool."""
+    w = parse("creat foo\nwrite (0-4K) foo\nfsync foo\n")
+    t0 = time.monotonic()
+    vs = run_workload(w, "soundfs", RunFlags(subset=True, granularity="sector"))
+    assert time.monotonic() - t0 < 10.0
+    assert len(vs) == 131
+    assert all(v.outcome == "pass" for v in vs)
+
+
 def test_no_false_positives_across_all_op_pairs():
     """Strided sample from every seq-2 skeleton: every op-kind interaction
     gets exercised on SoundFS with zero bugs and zero harness errors."""
