@@ -1,11 +1,13 @@
 """Exhaustive bounded workload generation.
 
-Four phases: pick operation kinds (skeletons), expand parameters over the
-bounded file set with symmetry pruning, weave in persistence points, and
-resolve dependencies into a prologue. The output stream is deterministic and
-index-addressable: workload i is reconstructible from (Bounds, i). Seeking to
-i costs one body count per (skeleton, params) group before it, not one
-resolved workload per index.
+Three phases: pick operation kinds (skeletons), expand parameters over the
+bounded file set with symmetry pruning, and weave in persistence points. One
+symbolic pass per (skeleton, params) group applies each op to a symbolic
+state; that pass alone decides validity, and the states it leaves after each
+op give the group's persistence choices and its dependency prologue. The
+output stream is deterministic and index-addressable: workload i is
+reconstructible from (Bounds, i). Seeking to i costs one body count per
+group before it, not one workload per index.
 
 Symmetry rule: for an operation taking two file-path arguments from the same
 directory (link, symlink, rename), the two argument orders describe the same
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .fsops import (
     CORE_OP_KINDS,
@@ -38,6 +40,8 @@ from .fsops import (
 )
 
 WRITE_CLASSES = ("overwrite_start", "overwrite_middle", "overwrite_end", "append")
+FALLOC_FLAGS = tuple(FallocFlag)
+TRUNCATE_SIZES = (0, 2500)
 NOMINAL_SIZE = 16 * 1024  # floor for overwrite-class offsets on small files
 CHUNK = 4 * 1024
 
@@ -69,10 +73,6 @@ class Bounds:
     allowed_ops: tuple[FsOpKind, ...] = CORE_OP_KINDS
     files: tuple[str, ...] = DEFAULT_FILES
     dirs: tuple[str, ...] = DEFAULT_DIRS
-    write_classes: tuple[str, ...] = WRITE_CLASSES
-    falloc_flags: tuple[FallocFlag, ...] = tuple(FallocFlag)
-    truncate_sizes: tuple[int, ...] = (0, 2500)
-    nested_depth: int = 2
 
     def __post_init__(self):
         if not 1 <= self.seq_length <= 3:
@@ -106,9 +106,6 @@ class Workload:
 
     def core_ops(self) -> list[FsOp]:
         return [s for s in self.steps if isinstance(s, FsOp)]
-
-    def all_ops(self) -> list[FsOp]:
-        return list(self.prologue) + self.core_ops()
 
     def __eq__(self, other):
         if not isinstance(other, Workload):
@@ -181,20 +178,6 @@ class _SymState:
             for p in self.nodes
             if p.startswith(prefix) and "/" not in p[len(prefix) :] and p != dirpath
         ]
-
-    def can_ensure_dir(self, path: str) -> bool:
-        if path == "/":
-            return True
-        k = self.nodes.get(path)
-        if k is not None:
-            return k == "dir"
-        return path not in self.removed and self.can_ensure_dir(parent_dir(path))
-
-    def can_ensure_file(self, path: str) -> bool:
-        k = self.nodes.get(path)
-        if k is not None:
-            return k == "file"
-        return path not in self.removed and self.can_ensure_dir(parent_dir(path))
 
     def _prologue_visible(self, path: str) -> bool:
         """A prologue op may only run inside directories that exist before the
@@ -276,14 +259,6 @@ class _SymState:
         self.nodes[path] = "file"
         self.sizes[path] = 0
 
-    def can_materialize_file(self, path: str, *, by_op: bool = False) -> bool:
-        k = self.nodes.get(path)
-        if k is not None:
-            return k == "file"
-        if self.can_ensure_file(path):
-            return True
-        return by_op and self.kind(parent_dir(path)) == "dir"
-
     def resolve(self, path: str, depth: int = 0) -> str | None:
         """Follow a final-component symlink chain; None when dangling."""
         if depth > 8 or not self.exists(path):
@@ -335,13 +310,7 @@ def _apply_effect(st: _SymState, op: FsOp) -> None:
     elif k is FsOpKind.MKDIR:
         if st.exists(op.path):
             raise UnsatisfiableBody(f"mkdir target {op.path} already exists")
-        if op.path in st.removed:
-            # recreating a removed directory name is a body-level effect
-            if not st.can_ensure_dir(parent_dir(op.path)):
-                raise UnsatisfiableBody(f"parent of {op.path} is gone")
-            st.ensure_dir(parent_dir(op.path))
-        else:
-            st.ensure_dir(parent_dir(op.path))
+        st.ensure_dir(parent_dir(op.path))
         st.nodes[op.path] = "dir"
         st.removed.discard(op.path)
     elif k is FsOpKind.FALLOC:
@@ -377,8 +346,6 @@ def _apply_effect(st: _SymState, op: FsOp) -> None:
             raise UnsatisfiableBody(f"rename onto directory {op.path2}")
         if st.kind(op.path) is None:
             st.ensure_file(op.path)
-        if not st.exists(op.path2) and not st.can_ensure_dir(parent_dir(op.path2)):
-            raise UnsatisfiableBody(f"parent of {op.path2} is gone")
         st.ensure_dir(parent_dir(op.path2))
         src_kind = st.nodes[op.path]
         src_size = st.sizes.get(op.path, 0)
@@ -444,140 +411,74 @@ def _apply_effect(st: _SymState, op: FsOp) -> None:
 # -- phase 2: parameter expansion ----------------------------------------------
 
 
+def _pairs(kind: FsOpKind, files: tuple[str, ...]) -> list[FsOp]:
+    """Two-path ops over distinct names; of a same-directory pair only the
+    ordered one is kept (the symmetry rule)."""
+    return [
+        FsOp(kind, path=a, path2=b)
+        for a in files
+        for b in files
+        if a != b and not (same_directory(a, b) and a > b)
+    ]
+
+
 def _candidates(kind: FsOpKind, st: _SymState, bounds: Bounds) -> list[FsOp]:
-    """Deterministically ordered argument choices plausible at this point;
-    final validity is decided by applying the effect."""
+    """Argument choices in their deterministic order; which of them are valid
+    is decided by applying the effect."""
     files, dirs = bounds.files, bounds.dirs
-    out: list[FsOp] = []
-
-    def is_file_slot(p: str) -> bool:
-        return st.kind(p) in (None, "file")
-
-    if kind is FsOpKind.CREAT:
-        out = [FsOp(kind, path=f) for f in files if is_file_slot(f)]
-
-    elif kind is FsOpKind.MKDIR:
-        out = [FsOp(kind, path=d) for d in dirs if not st.exists(d)]
-
-    elif kind is FsOpKind.FALLOC:
-        for f in files:
-            if not is_file_slot(f) or not st.can_materialize_file(f, by_op=True):
-                continue
-            for flag in bounds.falloc_flags:
-                for wc in bounds.write_classes:
-                    start, end = _overwrite_range(st.sizes.get(f, 0), wc)
-                    out.append(FsOp(kind, path=f, start=start, end=end, flag=flag))
-
-    elif kind in (FsOpKind.WRITE, FsOpKind.DWRITE, FsOpKind.MWRITE):
-        for f in files:
-            if not is_file_slot(f) or not st.can_materialize_file(f, by_op=True):
-                continue
-            for wc in bounds.write_classes:
-                start, end = _overwrite_range(st.sizes.get(f, 0), wc)
-                out.append(FsOp(kind, path=f, start=start, end=end))
-
-    elif kind is FsOpKind.LINK:
-        for src in files:
-            if not (st.kind(src) == "file" or (st.kind(src) is None and st.can_ensure_file(src))):
-                continue
-            for dst in files:
-                if src == dst or st.exists(dst):
-                    continue
-                if same_directory(src, dst) and src > dst:
-                    continue  # symmetric to the ordered pair
-                out.append(FsOp(kind, path=src, path2=dst))
-
-    elif kind is FsOpKind.SYMLINK:
-        for target in files:
-            for link in files:
-                if target == link or st.exists(link):
-                    continue
-                if same_directory(target, link) and target > link:
-                    continue
-                out.append(FsOp(kind, path=target, path2=link))
-
-    elif kind is FsOpKind.RENAME:
-        for src in files:
-            if st.kind(src) == "dir":
-                continue
-            if st.kind(src) is None and not st.can_ensure_file(src):
-                continue
-            for dst in files:
-                if src == dst or st.kind(dst) == "dir":
-                    continue
-                if same_directory(src, dst) and src > dst:
-                    continue
-                out.append(FsOp(kind, path=src, path2=dst))
-
-    elif kind is FsOpKind.UNLINK:
-        out = [
-            FsOp(kind, path=f)
+    if kind in (FsOpKind.CREAT, FsOpKind.UNLINK):
+        return [FsOp(kind, path=f) for f in files]
+    if kind in (FsOpKind.MKDIR, FsOpKind.RMDIR):
+        return [FsOp(kind, path=d) for d in dirs]
+    if kind is FsOpKind.REMOVE:
+        return [FsOp(kind, path=p) for p in files + dirs]
+    if kind is FsOpKind.FALLOC:
+        return [
+            FsOp(kind, path=f, start=start, end=end, flag=flag)
             for f in files
-            if st.kind(f) in ("file", "symlink")
-            or (st.kind(f) is None and st.can_ensure_file(f))
+            for flag in FALLOC_FLAGS
+            for start, end in (_overwrite_range(st.sizes.get(f, 0), wc) for wc in WRITE_CLASSES)
         ]
-
-    elif kind is FsOpKind.REMOVE:
-        for p in list(files) + list(dirs):
-            k = st.kind(p)
-            if k == "dir" and st.children(p):
-                continue
-            if k is None and p in dirs and not st.can_ensure_dir(p):
-                continue
-            if k is None and p in files and not st.can_ensure_file(p):
-                continue
-            out.append(FsOp(kind, path=p))
-
-    elif kind is FsOpKind.RMDIR:
-        for d in dirs:
-            k = st.kind(d)
-            if k == "dir" and st.children(d):
-                continue
-            if k is None and not st.can_ensure_dir(d):
-                continue
-            if k not in (None, "dir"):
-                continue
-            out.append(FsOp(kind, path=d))
-
-    elif kind is FsOpKind.TRUNCATE:
-        for f in files:
-            if st.kind(f) == "file" or (st.kind(f) is None and st.can_ensure_file(f)):
-                for size in bounds.truncate_sizes:
-                    out.append(FsOp(kind, path=f, end=size))
-
-    elif kind is FsOpKind.XATTR:
-        settable = [
-            f
+    if kind in (FsOpKind.WRITE, FsOpKind.DWRITE, FsOpKind.MWRITE):
+        return [
+            FsOp(kind, path=f, start=start, end=end)
             for f in files
-            if st.kind(f) == "file" or (st.kind(f) is None and st.can_ensure_file(f))
+            for start, end in (_overwrite_range(st.sizes.get(f, 0), wc) for wc in WRITE_CLASSES)
         ]
-        out = [
-            FsOp(kind, path=f, attr="u1", value="val1", variant="setxattr")
-            for f in settable
-        ] + [FsOp(kind, path=f, attr="u1", variant="removexattr") for f in settable]
+    if kind in (FsOpKind.LINK, FsOpKind.SYMLINK, FsOpKind.RENAME):
+        return _pairs(kind, files)
+    if kind is FsOpKind.TRUNCATE:
+        return [FsOp(kind, path=f, end=size) for f in files for size in TRUNCATE_SIZES]
+    if kind is FsOpKind.XATTR:
+        return [
+            FsOp(kind, path=f, attr="u1", value="val1", variant="setxattr") for f in files
+        ] + [FsOp(kind, path=f, attr="u1", variant="removexattr") for f in files]
+    raise GenerationError(f"no candidates for {kind}")
 
-    return out
+
+def expand_params(skeleton: Skeleton, bounds: Bounds):
+    """Yield ``(ops, prologue, choices)`` for each valid parameterization of
+    ``skeleton``, in stream order.
+
+    Each op is applied to a clone of the symbolic state left by the op before
+    it; an op whose effect cannot be satisfied is dropped. The states after
+    each op give the persistence choices, and the last one the prologue.
+    """
+    return _expand(skeleton, bounds, _SymState(bounds), (), ())
 
 
-def expand_params(skeleton: Skeleton, bounds: Bounds) -> list[tuple[FsOp, ...]]:
-    """Cartesian expansion over the bounded file set, validity-checked against
-    a symbolic state and pruned of symmetric duplicates."""
-    results: list[tuple[FsOp, ...]] = []
-
-    def rec(slot: int, st: _SymState, acc: list[FsOp]):
-        if slot == len(skeleton.ops):
-            results.append(tuple(acc))
-            return
-        for op in _candidates(skeleton.ops[slot], st, bounds):
-            child = st.clone()
-            try:
-                _apply_effect(child, op)
-            except UnsatisfiableBody:
-                continue
-            rec(slot + 1, child, acc + [op])
-
-    rec(0, _SymState(bounds), [])
-    return results
+def _expand(skeleton: Skeleton, bounds: Bounds, st: _SymState, ops: tuple, states: tuple):
+    for op in _candidates(skeleton.ops[len(ops)], st, bounds):
+        child = st.clone()
+        try:
+            _apply_effect(child, op)
+        except UnsatisfiableBody:
+            continue
+        body, after = ops + (op,), states + (child,)
+        if len(body) == len(skeleton.ops):
+            yield body, tuple(child.prologue), _persistence_choices(body, after)
+        else:
+            yield from _expand(skeleton, bounds, child, body, after)
 
 
 # -- phase 3: persistence points -----------------------------------------------
@@ -596,21 +497,18 @@ def _referenced_paths(ops: tuple[FsOp, ...]) -> list[str]:
 
 
 def _persistence_choices(
-    ops: tuple[FsOp, ...], bounds: Bounds
+    ops: tuple[FsOp, ...], states: tuple[_SymState, ...]
 ) -> list[list[PersistOp | None]]:
-    """The persistence points offered after each op; a live target is a
-    referenced path that exists and resolves once the op has run."""
+    """The persistence points offered after each op, given the symbolic state
+    the op left: {none, fsync(t), fdatasync(t), sync}, where a live target t
+    is a referenced path that exists and resolves. The final op always gets a
+    persistence point, so a workload is never a truncated copy of a shorter
+    one."""
     referenced = _referenced_paths(ops)
-    st = _SymState(bounds)
     slot_choices: list[list[PersistOp | None]] = []
-    for i, op in enumerate(ops):
-        _apply_effect(st, op)
-        live_targets = [
-            t for t in referenced if st.exists(t) and st.resolve(t) is not None
-        ]
-        choices: list[PersistOp | None] = []
-        if i != len(ops) - 1:
-            choices.append(None)
+    for i, st in enumerate(states):
+        live_targets = [t for t in referenced if st.resolve(t) is not None]
+        choices: list[PersistOp | None] = [] if i == len(ops) - 1 else [None]
         choices += [PersistOp(PersistKind.FSYNC, t) for t in live_targets]
         choices += [PersistOp(PersistKind.FDATASYNC, t) for t in live_targets]
         choices.append(PersistOp(PersistKind.SYNC))
@@ -627,38 +525,6 @@ def _weave(ops: tuple[FsOp, ...], combo: tuple[PersistOp | None, ...]) -> tuple[
     return tuple(steps)
 
 
-def add_persistence_points(
-    ops: tuple[FsOp, ...], bounds: Bounds
-) -> list[tuple[Step, ...]]:
-    """All combinations of {none, fsync(t), fdatasync(t), sync} after each
-    non-final op; the final op always gets a persistence point so a workload
-    is never a truncated copy of a shorter one."""
-    return [
-        _weave(ops, combo)
-        for combo in itertools.product(*_persistence_choices(ops, bounds))
-    ]
-
-
-# -- phase 4: dependency resolution ---------------------------------------------
-
-
-def resolve_dependencies(steps: tuple[Step, ...], bounds: Bounds | None = None) -> Workload:
-    """Build the minimal deterministic prologue making every path valid at use."""
-    bounds = bounds or Bounds()
-    st = _SymState(bounds)
-    for step in steps:
-        if isinstance(step, FsOp):
-            _apply_effect(st, step)
-        else:
-            if step.kind is not PersistKind.SYNC:
-                if not st.exists(step.target) or st.resolve(step.target) is None:
-                    raise UnsatisfiableBody(
-                        f"persistence target {step.target} does not exist"
-                    )
-    skeleton = Skeleton(tuple(s.kind for s in steps if isinstance(s, FsOp)))
-    return Workload(prologue=tuple(st.prologue), steps=tuple(steps), skeleton=skeleton)
-
-
 # -- generation pipeline ---------------------------------------------------------
 
 
@@ -668,26 +534,20 @@ class GenerationStats:
     # stays 0; the fields remain for the tools that read them.
     emitted: int = 0
     rejected: int = 0
-    rejection_reasons: list[str] = field(default_factory=list)
 
 
 def _workloads_from(bounds: Bounds, start: int):
     """The workload stream from index ``start`` on.
 
     Each (skeleton, params) group holds exactly prod(len(choices)) bodies, so
-    a group that ends before ``start`` is skipped by its count alone, and only
-    bodies at or after ``start`` are resolved. No generated body is ever
-    rejected: ``_persistence_choices`` offers only targets that exist and
-    resolve after the same ``_apply_effect`` sequence that
-    ``resolve_dependencies`` replays, and ``expand_params`` has already
-    applied those ops without error. A rejection would therefore be a
-    generator bug, and it raises rather than silently renumbering every later
-    workload.
+    a group that ends before ``start`` is skipped by its count alone. No body
+    is ever rejected: every persistence target offered exists and resolves in
+    the state its op left, and the group's ops were all applied without error
+    when the prologue was built.
     """
     index = 0
     for skeleton in gen_skeletons(bounds):
-        for ops in expand_params(skeleton, bounds):
-            choices = _persistence_choices(ops, bounds)
+        for ops, prologue, choices in expand_params(skeleton, bounds):
             count = math.prod(len(c) for c in choices)
             if index + count <= start:
                 index += count
@@ -697,8 +557,7 @@ def _workloads_from(bounds: Bounds, start: int):
                 combos = itertools.islice(combos, start - index, None)
                 index = start
             for combo in combos:
-                workload = resolve_dependencies(_weave(ops, combo), bounds)
-                yield replace(workload, skeleton=skeleton, index=index)
+                yield Workload(prologue, _weave(ops, combo), skeleton, index)
                 index += 1
 
 

@@ -8,7 +8,6 @@ log by the crash-state generator. Reads are never logged.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 
 SECTOR_SIZE = 512
@@ -48,15 +47,6 @@ class IoFlags:
             | (2 if self.flush else 0)
             | (4 if self.fua else 0)
             | (8 if self.checkpoint else 0)
-        )
-
-    @classmethod
-    def from_byte(cls, b: int) -> "IoFlags":
-        return cls(
-            write=bool(b & 1),
-            flush=bool(b & 2),
-            fua=bool(b & 4),
-            checkpoint=bool(b & 8),
         )
 
 
@@ -111,15 +101,6 @@ class IoLog:
 
     def __iter__(self):
         return iter(self.records)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IoLog) and self.records == other.records
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for rec in self.records:
-            h.update(_pack_record(rec))
-        return h.hexdigest()
 
 
 class DiskImage:
@@ -356,32 +337,15 @@ def split_epochs(log: IoLog) -> list[Epoch]:
     return epochs
 
 
-def replay(
-    base: DiskImage,
-    log: IoLog,
-    *,
-    checkpoint: int | None = None,
-    seq: int | None = None,
-) -> DiskImage:
-    """Apply every write record up to and including the cut point to ``base``.
-
-    Pure: the input image is never modified. Exactly one of ``checkpoint`` /
-    ``seq`` must be given; ``seq=0`` replays nothing.
-    """
-    if (checkpoint is None) == (seq is None):
-        raise ReplayError("give exactly one of checkpoint= or seq=")
-    if checkpoint is not None:
-        cut = None
-        for rec in log:
-            if rec.flags.checkpoint and rec.checkpoint_id == checkpoint:
-                cut = rec.seq
-                break
-        if cut is None:
-            raise ReplayError(f"unknown checkpoint id {checkpoint}")
-    else:
-        cut = seq
-        if cut != 0 and not any(r.seq == cut for r in log):
-            raise ReplayError(f"unknown record seq {cut}")
+def replay(base: DiskImage, log: IoLog, *, checkpoint: int) -> DiskImage:
+    """Apply every write record logged before checkpoint ``checkpoint`` to
+    ``base``. Pure: the input image is never modified."""
+    cut = next(
+        (rec.seq for rec in log if rec.flags.checkpoint and rec.checkpoint_id == checkpoint),
+        None,
+    )
+    if cut is None:
+        raise ReplayError(f"unknown checkpoint id {checkpoint}")
 
     overlay = dict(base._overlay)
     size = base.size_bytes
@@ -396,47 +360,3 @@ def replay(
             overlay[rec.sector + i] = rec.data[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]
     return DiskImage(size, base._base, overlay)
 
-
-# -- .iolog serialization ----------------------------------------------------
-#
-# Little-endian, length-prefixed binary records:
-#   seq u64 | sector u64 | length u32 | flags u8 | checkpoint_id u32 | data
-# flags bits: 0 write, 1 flush, 2 fua, 3 checkpoint.
-
-_REC_HEADER = struct.Struct("<QQIBI")
-
-
-def _pack_record(rec: IoRecord) -> bytes:
-    return (
-        _REC_HEADER.pack(
-            rec.seq, rec.sector, rec.length, rec.flags.to_byte(), rec.checkpoint_id or 0
-        )
-        + rec.data
-    )
-
-
-def save_iolog(log: IoLog, path) -> None:
-    with open(path, "wb") as fh:
-        for rec in log:
-            fh.write(_pack_record(rec))
-
-
-def load_iolog(path) -> IoLog:
-    log = IoLog()
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    pos = 0
-    while pos < len(raw):
-        if pos + _REC_HEADER.size > len(raw):
-            raise BlockDevError("truncated iolog record header")
-        seq, sector, length, flag_byte, cp = _REC_HEADER.unpack_from(raw, pos)
-        pos += _REC_HEADER.size
-        if pos + length > len(raw):
-            raise BlockDevError("truncated iolog record data")
-        data = raw[pos : pos + length]
-        pos += length
-        flags = IoFlags.from_byte(flag_byte)
-        log.append(
-            IoRecord(seq, sector, length, data, flags, cp if flags.checkpoint else None)
-        )
-    return log

@@ -321,35 +321,35 @@ class CorpusRow:
     note: str = ""
 
 
-def run_corpus(corpus_dir, fs_name: str, *, quiet: bool = False) -> list[CorpusRow]:
-    """Run every DSL file in all-checkpoints mode; the expected consequence for
+def _corpus_row(path: Path, fs_name: str) -> CorpusRow:
+    """Run one DSL file in all-checkpoints mode; the expected consequence for
     this target comes from a `# consequence[<fs>]:` header (default none)."""
-    rows: list[CorpusRow] = []
-    flags = RunFlags(all_checkpoints=True)
-    for path in sorted(Path(corpus_dir).glob("*.wl")):
-        text = path.read_text(encoding="utf-8")
-        annotations = ace.corpus_annotations(text)
-        expected = annotations.get(f"consequence[{fs_name}]", "none")
-        try:
-            workload = ace.parse(text)
-        except ace.ParseError as e:
-            rows.append(CorpusRow(path.name, expected, f"parse_error: {e}", False))
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NoPersistencePointWarning)
-            verdicts = run_workload(workload, fs_name, flags)
-        observed = "none"
-        note = ""
-        for v in verdicts:
-            if v.outcome == "harness_error":
-                observed = "harness_error"
-                note = v.reason
-                break
-            if v.is_bug:
-                observed = v.consequence
-                note = v.crash_descriptor
-                break
-        rows.append(CorpusRow(path.name, expected, observed, expected == observed, note))
+    text = path.read_text(encoding="utf-8")
+    expected = ace.corpus_annotations(text).get(f"consequence[{fs_name}]", "none")
+    try:
+        workload = ace.parse(text)
+    except ace.ParseError as e:
+        return CorpusRow(path.name, expected, f"parse_error: {e}", False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoPersistencePointWarning)
+        verdicts = run_workload(workload, fs_name, RunFlags(all_checkpoints=True))
+    observed = "none"
+    note = ""
+    for v in verdicts:
+        if v.outcome == "harness_error":
+            observed = "harness_error"
+            note = v.reason
+            break
+        if v.is_bug:
+            observed = v.consequence
+            note = v.crash_descriptor
+            break
+    return CorpusRow(path.name, expected, observed, expected == observed, note)
+
+
+def run_corpus(corpus_dir, fs_name: str, *, quiet: bool = False) -> list[CorpusRow]:
+    """Run every DSL file of the corpus on ``fs_name``."""
+    rows = [_corpus_row(path, fs_name) for path in sorted(Path(corpus_dir).glob("*.wl"))]
     if not quiet:
         width = max((len(r.file) for r in rows), default=10)
         for r in rows:
@@ -367,6 +367,14 @@ def corpus_variant_map(corpus_dir) -> dict[str, tuple[str, str]]:
         if variant:
             out[path.name] = (variant, annotations.get(f"consequence[{variant}]", "none"))
     return out
+
+
+def run_mapped_corpus(corpus_dir) -> list[tuple[str, CorpusRow]]:
+    """(variant, row) for each mapped entry, run once on its buggy variant."""
+    return [
+        (variant, _corpus_row(Path(corpus_dir) / fname, variant))
+        for fname, (variant, _expected) in corpus_variant_map(corpus_dir).items()
+    ]
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -484,16 +492,10 @@ def main(argv: list[str] | None = None) -> int:
         rows = run_corpus(corpus_dir, args.fs)
         ok = all(r.match for r in rows)
         if args.mapped:
-            for fname, (variant, expected) in corpus_variant_map(corpus_dir).items():
-                sub_rows = [
-                    r
-                    for r in run_corpus(corpus_dir, variant, quiet=True)
-                    if r.file == fname
-                ]
-                for r in sub_rows:
-                    status = "ok " if r.match else "FAIL"
-                    print(f"{status} {r.file} on {variant}: expected={r.expected} observed={r.observed}")
-                    ok = ok and r.match
+            for variant, r in run_mapped_corpus(corpus_dir):
+                status = "ok " if r.match else "FAIL"
+                print(f"{status} {r.file} on {variant}: expected={r.expected} observed={r.observed}")
+                ok = ok and r.match
         return EXIT_OK if ok else EXIT_BUGS
 
     return EXIT_CONFIG

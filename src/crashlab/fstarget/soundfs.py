@@ -431,28 +431,7 @@ class SoundFs:
     def _validate(self) -> str | None:
         """Structural consistency of the recovered tree; None when sound."""
         refs: dict[int, int] = {}
-        seen_dirs: set[int] = set()
-
-        def walk(ino: int, depth: int) -> str | None:
-            if depth > 16:
-                return "directory tree too deep or cyclic"
-            node = self.inodes.get(ino)
-            if node is None:
-                return f"dangling directory inode {ino}"
-            if ino in seen_dirs:
-                return None
-            seen_dirs.add(ino)
-            for name, child in sorted(node.entries.items()):
-                if child not in self.alloc_inos or child not in self.inodes:
-                    return f"entry {name!r} points to unallocated inode {child}"
-                refs[child] = refs.get(child, 0) + 1
-                if self.inodes[child].kind == KIND_DIR:
-                    err = walk(child, depth + 1)
-                    if err:
-                        return err
-            return None
-
-        err = walk(ROOT_INO, 0)
+        err = self._walk_tree(ROOT_INO, 0, refs, set())
         if err:
             return err
         for ino, node in self.inodes.items():
@@ -464,6 +443,29 @@ class SoundFs:
                     f"inode {ino} link count {node.nlink} does not match "
                     f"{expect} directory references"
                 )
+        return None
+
+    def _walk_tree(
+        self, ino: int, depth: int, refs: dict[int, int], seen_dirs: set[int]
+    ) -> str | None:
+        """Count directory references below ``ino`` into ``refs``; the first
+        structural problem found, or None."""
+        if depth > 16:
+            return "directory tree too deep or cyclic"
+        node = self.inodes.get(ino)
+        if node is None:
+            return f"dangling directory inode {ino}"
+        if ino in seen_dirs:
+            return None
+        seen_dirs.add(ino)
+        for name, child in sorted(node.entries.items()):
+            if child not in self.alloc_inos or child not in self.inodes:
+                return f"entry {name!r} points to unallocated inode {child}"
+            refs[child] = refs.get(child, 0) + 1
+            if self.inodes[child].kind == KIND_DIR:
+                err = self._walk_tree(child, depth + 1, refs, seen_dirs)
+                if err:
+                    return err
         return None
 
     # -- path resolution -----------------------------------------------------

@@ -17,6 +17,7 @@ from crashlab.cli import (
     default_corpus_dir,
     run_campaign,
     run_corpus,
+    run_mapped_corpus,
 )
 from crashlab.crashgen import build_subset_state, enumerate_target_subsets
 from crashlab.fsops import FsOpKind, same_directory
@@ -252,11 +253,9 @@ def test_acceptance_regression_corpus():
     mapping = corpus_variant_map(default_corpus_dir())
     mapped_ok = True
     mapped_detail = []
-    for fname, (variant, expected) in sorted(mapping.items()):
-        sub = [r for r in run_corpus(default_corpus_dir(), variant, quiet=True) if r.file == fname]
-        ok = bool(sub) and all(r.match for r in sub)
-        mapped_ok = mapped_ok and ok
-        mapped_detail.append(f"{fname}->{variant}:{expected}:{'ok' if ok else 'FAIL'}")
+    for variant, r in run_mapped_corpus(default_corpus_dir()):
+        mapped_ok = mapped_ok and r.match
+        mapped_detail.append(f"{r.file}->{variant}:{r.expected}:{'ok' if r.match else 'FAIL'}")
     block_count_case = mapping.get("known_02.wl") == (
         "bugfs-b3",
         "metadata_mismatch(block_count)",

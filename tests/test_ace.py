@@ -1,6 +1,8 @@
 """Workload generation: counts, symmetry, persistence points, dependencies, DSL."""
 
+import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -11,12 +13,12 @@ from crashlab.ace import (
     ParseError,
     Skeleton,
     UnsatisfiableBody,
-    add_persistence_points,
+    _apply_effect,
+    _SymState,
     expand_params,
     gen_skeletons,
     generate_workloads,
     parse,
-    resolve_dependencies,
     serialize,
 )
 from crashlab.fsops import FsOp, FsOpKind, PersistKind, PersistOp, same_directory
@@ -62,16 +64,34 @@ def test_empty_allowed_ops_rejected():
 # -- phase 2 -------------------------------------------------------------------
 
 
+def _bodies(skeleton, bounds):
+    """The op tuples of the skeleton's parameter groups, in stream order."""
+    return [ops for ops, _prologue, _choices in expand_params(skeleton, bounds)]
+
+
+def _group(ops, bounds):
+    """(prologue, choices) of the parameter group whose ops are ``ops``."""
+    skeleton = Skeleton(tuple(op.kind for op in ops))
+    for group_ops, prologue, choices in expand_params(skeleton, bounds):
+        if group_ops == ops:
+            return prologue, choices
+    raise AssertionError(f"no parameter group {ops}")
+
+
+def _body_count(choices):
+    return math.prod(len(c) for c in choices)
+
+
 def test_link_symmetric_pair_collapses():
     bounds = Bounds(seq_length=2, allowed_ops=(FsOpKind.LINK,), files=("foo", "bar"), dirs=())
-    seqs = expand_params(Skeleton((FsOpKind.LINK,)), bounds)
+    seqs = _bodies(Skeleton((FsOpKind.LINK,)), bounds)
     assert seqs == [(FsOp(FsOpKind.LINK, path="bar", path2="foo"),)]
 
 
 def test_creat_expansion_one_per_file_slot():
     """Single-path ops are never collapsed: count equals the file slots."""
     bounds = Bounds(seq_length=1)
-    seqs = expand_params(Skeleton((FsOpKind.CREAT,)), bounds)
+    seqs = _bodies(Skeleton((FsOpKind.CREAT,)), bounds)
     # independent brute-force: every file path is a valid fresh-creat target
     assert len(seqs) == len(bounds.files)
     assert [s[0].path for s in seqs] == list(bounds.files)
@@ -79,12 +99,12 @@ def test_creat_expansion_one_per_file_slot():
 
 def test_empty_file_set_expands_to_nothing():
     bounds = Bounds(seq_length=1, files=(), dirs=())
-    assert expand_params(Skeleton((FsOpKind.CREAT,)), bounds) == []
+    assert _bodies(Skeleton((FsOpKind.CREAT,)), bounds) == []
 
 
 def test_cross_directory_pairs_not_collapsed():
     bounds = Bounds(seq_length=1, files=("foo", "A/foo"), dirs=("A",))
-    seqs = expand_params(Skeleton((FsOpKind.LINK,)), bounds)
+    seqs = _bodies(Skeleton((FsOpKind.LINK,)), bounds)
     pairs = {(s[0].path, s[0].path2) for s in seqs}
     assert ("foo", "A/foo") in pairs and ("A/foo", "foo") in pairs
 
@@ -92,14 +112,14 @@ def test_cross_directory_pairs_not_collapsed():
 def test_mkdir_after_implied_dependency_is_invalid():
     # creat A/foo forces A as a dependency, so a later mkdir A must not appear
     bounds = Bounds(seq_length=2, files=("A/foo",), dirs=("A",))
-    seqs = expand_params(Skeleton((FsOpKind.CREAT, FsOpKind.MKDIR)), bounds)
+    seqs = _bodies(Skeleton((FsOpKind.CREAT, FsOpKind.MKDIR)), bounds)
     assert seqs == []
 
 
 def test_overlap_expansions_present():
     """Write-class expansion includes overlapping writes to the same file."""
     bounds = Bounds(seq_length=2, files=("foo",), dirs=())
-    seqs = expand_params(Skeleton((FsOpKind.WRITE, FsOpKind.WRITE)), bounds)
+    seqs = _bodies(Skeleton((FsOpKind.WRITE, FsOpKind.WRITE)), bounds)
     overlapping = [
         s
         for s in seqs
@@ -137,91 +157,82 @@ def _persist_variants_oracle(target_counts):
 
 def test_seq1_persistence_variant_count():
     bounds = Bounds(seq_length=1)
-    op = FsOp(FsOpKind.CREAT, path="foo")
-    bodies = add_persistence_points((op,), bounds)
+    _prologue, choices = _group((FsOp(FsOpKind.CREAT, path="foo"),), bounds)
     # one live target (foo): fsync, fdatasync, sync
-    assert len(bodies) == _persist_variants_oracle([1]) == 3
+    assert _body_count(choices) == _persist_variants_oracle([1]) == 3
 
 
 def test_seq1_persistence_with_parent_dir_target():
     bounds = Bounds(seq_length=1)
-    op = FsOp(FsOpKind.CREAT, path="A/foo")
-    bodies = add_persistence_points((op,), bounds)
+    _prologue, choices = _group((FsOp(FsOpKind.CREAT, path="A/foo"),), bounds)
     # targets: A/foo and its parent A
-    assert len(bodies) == _persist_variants_oracle([2]) == 5
+    assert _body_count(choices) == _persist_variants_oracle([2]) == 5
 
 
 def test_seq2_persistence_variant_count():
     bounds = Bounds(seq_length=2)
     ops = (FsOp(FsOpKind.CREAT, path="foo"), FsOp(FsOpKind.CREAT, path="bar"))
-    bodies = add_persistence_points(ops, bounds)
+    _prologue, choices = _group(ops, bounds)
     # slot 1: foo live, bar referenced-but-dead -> p=1 -> none+fsync+fdatasync+sync = 4
     # slot 2: both live -> p=2 -> 5
-    assert len(bodies) == _persist_variants_oracle([1, 2]) == 20
+    assert _body_count(choices) == _persist_variants_oracle([1, 2]) == 20
 
 
 def test_final_op_always_followed_by_persistence_point():
-    bounds = Bounds(seq_length=2, files=("foo", "bar"), dirs=())
-    for skeleton in gen_skeletons(Bounds(seq_length=2, allowed_ops=(FsOpKind.CREAT, FsOpKind.UNLINK), files=("foo", "bar"), dirs=())):
-        for seq in expand_params(skeleton, bounds):
-            for body in add_persistence_points(seq, bounds):
-                assert isinstance(body[-1], PersistOp)
+    bounds = Bounds(
+        seq_length=2, allowed_ops=(FsOpKind.CREAT, FsOpKind.UNLINK), files=("foo", "bar"), dirs=()
+    )
+    workloads = list(generate_workloads(bounds))
+    assert workloads
+    for w in workloads:
+        assert isinstance(w.steps[-1], PersistOp)
 
 
 def test_dead_targets_not_offered():
     bounds = Bounds(seq_length=1, files=("foo",), dirs=())
-    op = FsOp(FsOpKind.UNLINK, path="foo")
-    bodies = add_persistence_points((op,), bounds)
+    _prologue, choices = _group((FsOp(FsOpKind.UNLINK, path="foo"),), bounds)
     # only sync remains once the single referenced file is gone
-    assert len(bodies) == 1
-    assert bodies[0][-1] == PersistOp(PersistKind.SYNC)
+    assert choices == [[PersistOp(PersistKind.SYNC)]]
 
 
-# -- phase 4 -------------------------------------------------------------------
+# -- dependency prologue ------------------------------------------------------------
 
 
 def test_rename_dependency_prologue():
-    body = (
-        FsOp(FsOpKind.RENAME, path="A/foo", path2="A/bar"),
-        PersistOp(PersistKind.FSYNC, "A/bar"),
-    )
-    w = resolve_dependencies(body)
-    assert w.prologue == (
+    # of the pair {A/foo, A/bar} only the ordered rename A/bar -> A/foo is generated
+    prologue, _choices = _group((FsOp(FsOpKind.RENAME, path="A/bar", path2="A/foo"),), Bounds())
+    assert prologue == (
         FsOp(FsOpKind.MKDIR, path="A"),
-        FsOp(FsOpKind.CREAT, path="A/foo"),
+        FsOp(FsOpKind.CREAT, path="A/bar"),
     )
 
 
 def test_creat_needs_no_prologue():
-    body = (FsOp(FsOpKind.CREAT, path="foo"), PersistOp(PersistKind.SYNC))
-    assert resolve_dependencies(body).prologue == ()
+    prologue, _choices = _group((FsOp(FsOpKind.CREAT, path="foo"),), Bounds())
+    assert prologue == ()
 
 
 def test_prologue_minimal_no_duplicate_deps():
-    body = (
-        FsOp(FsOpKind.WRITE, path="A/foo", start=0, end=4096),
-        FsOp(FsOpKind.LINK, path="A/foo", path2="A/bar"),
-        PersistOp(PersistKind.SYNC),
+    ops = (
+        FsOp(FsOpKind.WRITE, path="A/bar", start=0, end=4096),
+        FsOp(FsOpKind.LINK, path="A/bar", path2="A/foo"),
     )
-    w = resolve_dependencies(body)
-    assert w.prologue == (
+    prologue, _choices = _group(ops, Bounds(seq_length=2))
+    assert prologue == (
         FsOp(FsOpKind.MKDIR, path="A"),
-        FsOp(FsOpKind.CREAT, path="A/foo"),
+        FsOp(FsOpKind.CREAT, path="A/bar"),
     )
 
 
 def test_rmdir_root_rejected():
     with pytest.raises(UnsatisfiableBody):
-        resolve_dependencies((FsOp(FsOpKind.RMDIR, path="/"), PersistOp(PersistKind.SYNC)))
+        _apply_effect(_SymState(Bounds()), FsOp(FsOpKind.RMDIR, path="/"))
 
 
 def test_removexattr_dependency_sets_attribute():
-    body = (
-        FsOp(FsOpKind.XATTR, path="foo", attr="u1", variant="removexattr"),
-        PersistOp(PersistKind.SYNC),
-    )
-    w = resolve_dependencies(body)
-    assert w.prologue == (
+    ops = (FsOp(FsOpKind.XATTR, path="foo", attr="u1", variant="removexattr"),)
+    prologue, _choices = _group(ops, Bounds())
+    assert prologue == (
         FsOp(FsOpKind.CREAT, path="foo"),
         FsOp(FsOpKind.XATTR, path="foo", attr="u1", value="val1", variant="setxattr"),
     )
@@ -345,19 +356,49 @@ def test_workload_range_seeks_to_the_stream_index(bounds, start, end):
     assert _indexed_dsl(ace.workload_range(bounds, start, end)) == _indexed_dsl(expected)
 
 
+def _replay_symbolically(w, bounds):
+    """Apply the prologue, then the body, to a fresh symbolic state: every op
+    must succeed without adding a dependency, and every persistence target
+    must exist and resolve when it is reached."""
+    st = _SymState(bounds)
+    for op in w.prologue:
+        _apply_effect(st, op)
+    assert st.prologue == []
+    for step in w.steps:
+        if isinstance(step, FsOp):
+            _apply_effect(st, step)
+        elif step.kind is not PersistKind.SYNC:
+            assert st.resolve(step.target) is not None, serialize(w)
+    assert st.prologue == [], serialize(w)
+
+
 def test_every_generated_body_resolves():
     """The seek skips a parameter group by its body count, which holds only if
-    no body of the group is rejected."""
+    no body of the group is rejected; each emitted workload must replay
+    symbolically from its own prologue."""
     bounds = Bounds(seq_length=1)
-    bodies = 0
-    for skeleton in gen_skeletons(bounds):
-        for ops in expand_params(skeleton, bounds):
-            for body in add_persistence_points(ops, bounds):
-                resolve_dependencies(body, bounds)
-                bodies += 1
+    bodies = sum(
+        _body_count(choices)
+        for skeleton in gen_skeletons(bounds)
+        for _ops, _prologue, choices in expand_params(skeleton, bounds)
+    )
     stats = GenerationStats()
-    assert sum(1 for _ in generate_workloads(bounds, stats)) == bodies == 1415
+    workloads = list(generate_workloads(bounds, stats))
+    for w in workloads:
+        _replay_symbolically(w, bounds)
+    assert len(workloads) == bodies == 1415
     assert stats.emitted == bodies and stats.rejected == 0
+
+
+def test_stream_digest_is_pinned():
+    """The generator's output, as (index, DSL), over seq 1 and two seq-2
+    slices; any change to the stream changes this digest."""
+    h = hashlib.sha256()
+    slices = ((Bounds(seq_length=1), 0, None), (_SEQ2, 0, 3000), (_SEQ2, 25000, 25250))
+    for bounds, start, end in slices:
+        for w in ace.workload_range(bounds, start, end):
+            h.update(f"{w.index}\n{serialize(w)}".encode())
+    assert h.hexdigest() == "e8c3b6e5517dbe204301add8cd345a61cfe277efa6d4bba925c49414206f61d1"
 
 
 # -- independent brute-force enumerator (exhaustiveness oracle) ----------------------

@@ -1,4 +1,4 @@
-"""Block device: logging, epochs, replay, COW snapshots, serialization."""
+"""Block device: logging, epochs, replay, COW snapshots."""
 
 import itertools
 import random
@@ -9,14 +9,10 @@ from crashlab.blockdev import (
     SECTOR_SIZE,
     DiskImage,
     GeometryError,
-    IoFlags,
     IoLog,
-    IoRecord,
     OutOfBoundsError,
     create_device,
-    load_iolog,
     replay,
-    save_iolog,
     split_epochs,
 )
 
@@ -168,7 +164,9 @@ def test_epoch_partition_covers_whole_log():
 
 def test_replay_empty_log_is_identity():
     base = DiskImage.from_bytes(b"\x55" * MiB)
-    out = replay(base, IoLog(), seq=0)
+    dev = create_device(MiB, base)
+    dev.insert_checkpoint()
+    out = replay(base, dev.log, checkpoint=1)
     assert out == base
 
 
@@ -188,8 +186,9 @@ def test_replay_to_checkpoint_deterministic():
 def test_replay_last_writer_wins():
     dev = create_device(1 * MiB)
     dev.write(0, b"\x01" * 512)
-    rec2 = dev.write(0, b"\x02" * 512)
-    out = replay(DiskImage.zeroed(1 * MiB), dev.log, seq=rec2.seq)
+    dev.write(0, b"\x02" * 512)
+    dev.insert_checkpoint()
+    out = replay(DiskImage.zeroed(1 * MiB), dev.log, checkpoint=1)
     assert out.read(0, 512) == b"\x02" * 512
 
 
@@ -202,10 +201,12 @@ def test_replay_unknown_checkpoint():
 
 def test_replay_does_not_mutate_base():
     dev = create_device(1 * MiB)
-    rec = dev.write(0, b"\x09" * 512)
+    dev.write(0, b"\x09" * 512)
+    dev.insert_checkpoint()
     base = DiskImage.zeroed(1 * MiB)
     digest = base.sha256()
-    replay(base, dev.log, seq=rec.seq)
+    out = replay(base, dev.log, checkpoint=1)
+    assert out.read(0, 512) == b"\x09" * 512
     assert base.sha256() == digest
 
 
@@ -245,32 +246,3 @@ def test_cow_isolation_against_eager_copy_oracle():
     for snap, eager in snaps:
         assert snap.to_bytes() == eager
 
-
-# -- serialization ----------------------------------------------------------------
-
-
-def test_iolog_roundtrip_bit_exact(tmp_path):
-    dev = create_device(1 * MiB)
-    dev.write(3, b"\xaa" * 1024)
-    dev.flush()
-    dev.insert_checkpoint()
-    dev.write(9, b"\xbb" * 512, fua=True)
-    dev.insert_checkpoint()
-    path = tmp_path / "log.iolog"
-    save_iolog(dev.log, path)
-    loaded = load_iolog(path)
-    assert loaded == dev.log
-    save_iolog(loaded, tmp_path / "log2.iolog")
-    assert (tmp_path / "log.iolog").read_bytes() == (tmp_path / "log2.iolog").read_bytes()
-
-
-def test_iolog_record_layout():
-    rec = IoRecord(1, 7, 512, b"\xcd" * 512, IoFlags(write=True, fua=True))
-    from crashlab.blockdev import _pack_record
-
-    raw = _pack_record(rec)
-    assert len(raw) == 25 + 512
-    assert raw[0:8] == (1).to_bytes(8, "little")
-    assert raw[8:16] == (7).to_bytes(8, "little")
-    assert raw[16:20] == (512).to_bytes(4, "little")
-    assert raw[20] == 0b101  # write | fua

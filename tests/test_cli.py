@@ -13,6 +13,7 @@ from crashlab.cli import (
     replay_report,
     run_campaign,
     run_corpus,
+    run_mapped_corpus,
 )
 
 
@@ -259,9 +260,12 @@ def test_corpus_mapped_variants_reproduce_annotations():
         ("bugfs-b4", "metadata_mismatch(size)"),
         ("bugfs-b6", "unmountable"),
     }
-    for fname, (variant, _expected) in mapping.items():
-        rows = [r for r in run_corpus(default_corpus_dir(), variant, quiet=True) if r.file == fname]
-        assert rows and all(r.match for r in rows), (fname, variant, rows)
+    mapped = run_mapped_corpus(default_corpus_dir())
+    assert [(r.file, variant) for variant, r in mapped] == [
+        (fname, variant) for fname, (variant, _expected) in mapping.items()
+    ]
+    for variant, r in mapped:
+        assert r.match, (variant, r)
 
 
 def test_cli_main_corpus_command(capsys):
@@ -269,6 +273,13 @@ def test_cli_main_corpus_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "known_01.wl" in out
+
+
+def test_cli_main_corpus_mapped_command(capsys):
+    assert main(["corpus", "--mapped"]) == 0
+    out = capsys.readouterr().out
+    assert "ok  known_02.wl on bugfs-b3: expected=metadata_mismatch(block_count)" in out
+    assert "FAIL" not in out
 
 
 def test_partition_independence_worker_counts():

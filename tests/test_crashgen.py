@@ -164,23 +164,24 @@ def test_full_subset_equals_replay_to_epoch_end():
     dev.write(1, b"\x02" * 512)
     dev.flush()
     dev.write(2, b"\x03" * 512)
+    dev.insert_checkpoint()
     base = DiskImage.zeroed(SIZE)
     epochs = split_epochs(dev.log)
     all_units = tuple(range(len(epochs[1].records)))
     state = build_subset_state(base, epochs, 1, all_units)
-    last = max(r.seq for r in dev.log)
-    assert state.image == replay(base, dev.log, seq=last)
+    assert state.image == replay(base, dev.log, checkpoint=1)
 
 
 def test_empty_subset_equals_replay_to_prefix_end():
     dev = _device()
     dev.write(0, b"\x01" * 512)
-    rec_flush = dev.flush()
+    dev.flush()
+    dev.insert_checkpoint()
     dev.write(2, b"\x03" * 512)
     base = DiskImage.zeroed(SIZE)
     epochs = split_epochs(dev.log)
     state = build_subset_state(base, epochs, 1, ())
-    assert state.image == replay(base, dev.log, seq=rec_flush.seq)
+    assert state.image == replay(base, dev.log, checkpoint=1)
 
 
 def test_two_disjoint_writes_all_four_images_match_oracle():
@@ -249,23 +250,16 @@ def test_prefix_durability():
         for i in range(rng.randint(3, 8)):
             if rng.random() < 0.3:
                 dev.flush()
+                dev.insert_checkpoint()
             else:
                 dev.write(rng.randrange(0, 16), bytes([0x40 + i]) * 512)
         dev.flush()
+        dev.insert_checkpoint()
         base = DiskImage.zeroed(size)
         epochs = split_epochs(dev.log)
         for prefix in range(len(epochs)):
-            prefix_end = None
-            for ep in reversed(epochs[:prefix]):
-                recs = ep.all_records()
-                if recs:
-                    prefix_end = recs[-1].seq
-                    break
-            want = (
-                replay(base, dev.log, seq=prefix_end)
-                if prefix_end is not None
-                else base
-            )
+            # checkpoint k follows the flush that ends epoch k - 1
+            want = replay(base, dev.log, checkpoint=prefix) if prefix else base
             target_secs = set()
             for rec in epochs[prefix].all_records():
                 if rec.is_data_write:

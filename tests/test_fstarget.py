@@ -60,6 +60,28 @@ def test_mount_garbage_is_unmountable():
     assert isinstance(SoundFs.mount(garbage), Unmountable)
 
 
+def test_mounted_fs_is_freed_by_reference_counting():
+    """A crash state's file system must not wait for the cyclic collector."""
+    import gc
+    import weakref
+
+    fs = fresh_fs()
+    fs.apply(op("mkdir", path="A"), 0)
+    fs.apply(op("creat", path="A/foo"), 1)
+    fs.persist(PersistKind.SYNC, "")
+    image = fs.device.snapshot()
+    gc.disable()
+    try:
+        mounted = SoundFs.mount(image)
+        assert not isinstance(mounted, Unmountable)
+        assert "A/foo" in mounted.state_view().entries
+        ref = weakref.ref(mounted)
+        del mounted
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_clean_unmount_roundtrip_view():
     fs = fresh_fs()
     fs.apply(op("mkdir", path="A"), 0)
