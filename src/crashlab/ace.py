@@ -569,6 +569,15 @@ def generate_workloads(bounds: Bounds, stats: GenerationStats | None = None):
         yield workload
 
 
+def count_workloads(bounds: Bounds) -> int:
+    """Length of the workload stream, counted by group without building any."""
+    return sum(
+        math.prod(len(c) for c in choices)
+        for skeleton in gen_skeletons(bounds)
+        for _ops, _prologue, choices in expand_params(skeleton, bounds)
+    )
+
+
 def workload_range(bounds: Bounds, start: int, end: int | None) -> list[Workload]:
     """Workloads [start, end) of the stream; seeks past the groups before start."""
     start = max(start, 0)

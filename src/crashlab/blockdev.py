@@ -1,6 +1,12 @@
-"""Simulated block device with a write-path IO log and copy-on-write snapshots.
+"""Simulated block device, its write-path IO log, and the disk-image format.
 
-The device applies writes eagerly to a "current image"; durability
+An image is a shared immutable base plus a sector overlay (sector number to
+its 512 bytes). This module is the only code that knows that format: every
+write into an overlay goes through ``_write_sectors`` and every block read
+through ``_read_block``, whether it serves the live ``Device``, a log replay
+or a crash state built with ``DiskImage.with_writes``.
+
+The device applies writes eagerly to its current image; durability
 distinctions (what survives a power cut) are reconstructed later from the
 log by the crash-state generator. Reads are never logged.
 """
@@ -12,6 +18,7 @@ from dataclasses import dataclass, field
 
 SECTOR_SIZE = 512
 BLOCK_SIZE = 4096
+_SECTORS_PER_BLOCK = BLOCK_SIZE // SECTOR_SIZE
 
 
 class BlockDevError(Exception):
@@ -35,78 +42,40 @@ class NoPersistencePointWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class IoFlags:
-    write: bool = False
+class IoRecord:
+    """One logged request: a write when ``data`` is non-empty (with ``fua``
+    for a FUA write), a FLUSH, or a checkpoint marker when ``checkpoint_id``
+    is set."""
+
+    sector: int = 0
+    data: bytes = b""
     flush: bool = False
     fua: bool = False
-    checkpoint: bool = False
-
-    def to_byte(self) -> int:
-        return (
-            (1 if self.write else 0)
-            | (2 if self.flush else 0)
-            | (4 if self.fua else 0)
-            | (8 if self.checkpoint else 0)
-        )
-
-
-@dataclass(frozen=True)
-class IoRecord:
-    """One logged block-device request."""
-
-    seq: int
-    sector: int
-    length: int
-    data: bytes
-    flags: IoFlags
     checkpoint_id: int | None = None
 
-    def __post_init__(self):
-        if len(self.data) != self.length:
-            raise BlockDevError("data length does not match length field")
-        if self.flags.checkpoint and (self.length != 0 or self.flags.write):
-            raise BlockDevError("checkpoint records must be empty non-writes")
-        if self.flags.to_byte() == 0:
-            raise BlockDevError("at least one flag must be set")
-        if (self.flags.checkpoint) != (self.checkpoint_id is not None):
-            raise BlockDevError("checkpoint_id present iff checkpoint flag set")
 
-    @property
-    def is_data_write(self) -> bool:
-        return self.flags.write and self.length > 0
+def _write_sectors(overlay: dict[int, bytes], sector: int, data: bytes) -> None:
+    for i in range(0, len(data), SECTOR_SIZE):
+        overlay[sector + i // SECTOR_SIZE] = data[i : i + SECTOR_SIZE]
 
 
-class IoLog:
-    """Ordered stream of IoRecords with checkpoint markers."""
-
-    def __init__(self, records: list[IoRecord] | None = None):
-        self.records: list[IoRecord] = []
-        self.checkpoint_count = 0
-        for rec in records or []:
-            self.append(rec)
-
-    def append(self, rec: IoRecord) -> None:
-        if self.records and rec.seq <= self.records[-1].seq:
-            raise BlockDevError("seq must be strictly increasing")
-        if rec.flags.checkpoint:
-            if rec.checkpoint_id != self.checkpoint_count + 1:
-                raise BlockDevError(
-                    "checkpoint ids must be 1..n in order of appearance"
-                )
-            self.checkpoint_count += 1
-        self.records.append(rec)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+def _read_block(base: bytes, overlay: dict[int, bytes], block_no: int) -> bytes:
+    if not overlay:
+        return base[block_no * BLOCK_SIZE : (block_no + 1) * BLOCK_SIZE]
+    sec0 = block_no * _SECTORS_PER_BLOCK
+    get = overlay.get
+    return b"".join(
+        [
+            get(sec) or base[sec * SECTOR_SIZE : (sec + 1) * SECTOR_SIZE]
+            for sec in range(sec0, sec0 + _SECTORS_PER_BLOCK)
+        ]
+    )
 
 
 class DiskImage:
     """Immutable point-in-time byte image of a device.
 
-    Stored as a shared base plus a sector-granular overlay so snapshots cost
+    Snapshots share the base and copy only the overlay, so they cost
     O(dirtied sectors), not O(device size).
     """
 
@@ -125,28 +94,31 @@ class DiskImage:
     def from_bytes(cls, raw: bytes) -> "DiskImage":
         return cls(len(raw), bytes(raw), {})
 
-    def read(self, offset: int, length: int) -> bytes:
-        if offset < 0 or offset + length > self.size_bytes:
-            raise OutOfBoundsError(f"read [{offset}, {offset + length}) out of bounds")
-        if not self._overlay:
-            return self._base[offset : offset + length]
-        out = bytearray()
-        pos = offset
-        end = offset + length
-        while pos < end:
-            sec = pos // SECTOR_SIZE
-            in_off = pos % SECTOR_SIZE
-            take = min(SECTOR_SIZE - in_off, end - pos)
-            chunk = self._overlay.get(sec)
-            if chunk is None:
-                out += self._base[pos : pos + take]
-            else:
-                out += chunk[in_off : in_off + take]
-            pos += take
-        return bytes(out)
+    def with_writes(self, writes) -> "DiskImage":
+        """A new image: this one with the ``(sector, data)`` writes applied
+        in order, the last writer of a sector winning."""
+        overlay = dict(self._overlay)
+        for sector, data in writes:
+            if sector * SECTOR_SIZE + len(data) > self.size_bytes:
+                raise OutOfBoundsError(f"write at sector {sector} is beyond this image")
+            _write_sectors(overlay, sector, data)
+        return DiskImage(self.size_bytes, self._base, overlay)
+
+    def compacted(self) -> "DiskImage":
+        """The same bytes, keeping in the overlay only the sectors that
+        differ from the base."""
+        base = self._base
+        overlay = {
+            sec: data
+            for sec, data in self._overlay.items()
+            if data != base[sec * SECTOR_SIZE : (sec + 1) * SECTOR_SIZE]
+        }
+        return DiskImage(self.size_bytes, base, overlay)
 
     def read_block(self, block_no: int) -> bytes:
-        return self.read(block_no * BLOCK_SIZE, BLOCK_SIZE)
+        if not 0 <= block_no < self.size_bytes // BLOCK_SIZE:
+            raise OutOfBoundsError(f"block {block_no} out of bounds")
+        return _read_block(self._base, self._overlay, block_no)
 
     def to_bytes(self) -> bytes:
         if not self._overlay:
@@ -162,33 +134,25 @@ class DiskImage:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiskImage):
             return NotImplemented
-        if self.size_bytes != other.size_bytes:
-            return False
-        return self.to_bytes() == other.to_bytes()
-
-    def __hash__(self):
-        raise TypeError("DiskImage is not hashable; compare via sha256()")
+        return self.size_bytes == other.size_bytes and self.to_bytes() == other.to_bytes()
 
 
 @dataclass
 class Epoch:
     """A run of write records terminated by a FLUSH or FUA request.
 
-    ``checkpoints`` holds (position, checkpoint_id) annotations, where
-    position is the number of records of this epoch issued before the
-    checkpoint; a checkpoint following the terminator has position
-    len(records) + 1.
+    ``checkpoints`` holds the ids of the checkpoints logged inside the epoch;
+    a checkpoint right after the terminator belongs to it and closes it.
     """
 
     records: list[IoRecord] = field(default_factory=list)
     terminator: IoRecord | None = None
-    checkpoints: list[tuple[int, int]] = field(default_factory=list)
+    checkpoints: list[int] = field(default_factory=list)
 
     def all_records(self) -> list[IoRecord]:
-        recs = list(self.records)
-        if self.terminator is not None:
-            recs.append(self.terminator)
-        return recs
+        if self.terminator is None:
+            return list(self.records)
+        return self.records + [self.terminator]
 
 
 class Device:
@@ -197,139 +161,78 @@ class Device:
     def __init__(self, size_bytes: int, base: DiskImage | None = None, *, log_io: bool = True):
         if size_bytes <= 0 or size_bytes % SECTOR_SIZE != 0:
             raise GeometryError("size must be a positive multiple of the sector size")
-        if base is not None and base.size_bytes != size_bytes:
+        if base is None:
+            base = DiskImage.zeroed(size_bytes)
+        elif base.size_bytes != size_bytes:
             raise GeometryError("base image size does not match device size")
         self.size_bytes = size_bytes
-        if base is None:
-            self._base = bytes(size_bytes)
-            self._dirty: dict[int, bytes] = {}
-        else:
-            self._base = base._base
-            self._dirty = dict(base._overlay)
-        self.log = IoLog()
+        self._base = base._base
+        self._overlay = dict(base._overlay)
         self._log_io = log_io
-        self._next_seq = 1
+        self.log: list[IoRecord] = []
+        self.checkpoint_count = 0
 
     # -- IO path --
 
-    def submit_io(
-        self,
-        sector: int,
-        data: bytes = b"",
-        *,
-        flush: bool = False,
-        fua: bool = False,
-    ) -> IoRecord:
+    def write(self, sector: int, data: bytes, *, fua: bool = False) -> None:
+        data = bytes(data)
         length = len(data)
-        if length % SECTOR_SIZE != 0:
-            raise OutOfBoundsError("IO length must be a multiple of the sector size")
+        if length == 0 or length % SECTOR_SIZE != 0:
+            raise OutOfBoundsError("IO length must be a positive multiple of the sector size")
         if sector < 0 or sector * SECTOR_SIZE + length > self.size_bytes:
             raise OutOfBoundsError(f"IO at sector {sector} length {length} out of bounds")
-        flags = IoFlags(write=length > 0, flush=flush, fua=fua)
-        if flags.to_byte() == 0:
-            raise BlockDevError("empty request with no flags")
-        rec = IoRecord(self._next_seq, sector, length, bytes(data), flags)
-        self._next_seq += 1
         if self._log_io:
-            self.log.append(rec)
-        self._apply(rec)
-        return rec
+            self.log.append(IoRecord(sector, data, fua=fua))
+        _write_sectors(self._overlay, sector, data)
 
-    def write(self, sector: int, data: bytes, *, fua: bool = False) -> IoRecord:
-        return self.submit_io(sector, data, fua=fua)
-
-    def write_block(self, block_no: int, data: bytes, *, fua: bool = False) -> IoRecord:
+    def write_block(self, block_no: int, data: bytes, *, fua: bool = False) -> None:
         if len(data) != BLOCK_SIZE:
             raise OutOfBoundsError("write_block wants exactly one block")
-        return self.write(block_no * (BLOCK_SIZE // SECTOR_SIZE), data, fua=fua)
+        self.write(block_no * _SECTORS_PER_BLOCK, data, fua=fua)
 
-    def flush(self) -> IoRecord:
-        return self.submit_io(0, b"", flush=True)
+    def flush(self) -> None:
+        if self._log_io:
+            self.log.append(IoRecord(flush=True))
 
     def insert_checkpoint(self) -> int:
-        cp_id = self.log.checkpoint_count + 1
-        rec = IoRecord(
-            self._next_seq, 0, 0, b"", IoFlags(checkpoint=True), checkpoint_id=cp_id
-        )
-        self._next_seq += 1
-        self.log.append(rec)
-        return cp_id
-
-    def _apply(self, rec: IoRecord) -> None:
-        if not rec.is_data_write:
-            return
-        for i in range(rec.length // SECTOR_SIZE):
-            self._dirty[rec.sector + i] = rec.data[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]
+        self.checkpoint_count += 1
+        self.log.append(IoRecord(checkpoint_id=self.checkpoint_count))
+        return self.checkpoint_count
 
     # -- reads (never logged) --
 
-    def read(self, offset: int, length: int) -> bytes:
-        return self.snapshot().read(offset, length)
-
     def read_block(self, block_no: int) -> bytes:
-        off = block_no * BLOCK_SIZE
-        sec0 = off // SECTOR_SIZE
-        nsec = BLOCK_SIZE // SECTOR_SIZE
-        if not self._dirty:
-            return self._base[off : off + BLOCK_SIZE]
-        parts = []
-        for i in range(nsec):
-            chunk = self._dirty.get(sec0 + i)
-            if chunk is None:
-                s = (sec0 + i) * SECTOR_SIZE
-                chunk = self._base[s : s + SECTOR_SIZE]
-            parts.append(chunk)
-        return b"".join(parts)
+        return _read_block(self._base, self._overlay, block_no)
 
     # -- snapshots --
 
     def snapshot(self) -> DiskImage:
-        return DiskImage(self.size_bytes, self._base, dict(self._dirty))
+        return DiskImage(self.size_bytes, self._base, dict(self._overlay))
 
-    def fork(self, *, log_io: bool = False) -> "Device":
-        """Cheap copy sharing the base image; used for oracle capture."""
-        dev = Device.__new__(Device)
-        dev.size_bytes = self.size_bytes
-        dev._base = self._base
-        dev._dirty = dict(self._dirty)
-        dev.log = IoLog()
-        dev._log_io = log_io
-        dev._next_seq = 1
-        return dev
+    def fork(self) -> "Device":
+        """A non-logging copy of the current image; used for oracle capture."""
+        return Device(self.size_bytes, self.snapshot(), log_io=False)
 
 
-def create_device(size_bytes: int, base: DiskImage | None = None) -> Device:
-    return Device(size_bytes, base)
-
-
-def split_epochs(log: IoLog) -> list[Epoch]:
+def split_epochs(log: list[IoRecord]) -> list[Epoch]:
     """Partition the write/flush stream into flush-terminated epochs.
 
-    Checkpoint records are excluded from epochs but their positions are
-    retained as annotations on the epoch they fall inside.
+    Checkpoint records are not epoch members; their ids annotate the epoch
+    they fall inside.
     """
     epochs: list[Epoch] = []
     cur = Epoch()
-    after_terminator = False
-
-    def close():
-        nonlocal cur, after_terminator
-        epochs.append(cur)
-        cur = Epoch()
-        after_terminator = False
-
     for rec in log:
-        if rec.flags.checkpoint:
-            pos = len(cur.records) + (1 if after_terminator else 0)
-            cur.checkpoints.append((pos, rec.checkpoint_id))
-            if after_terminator:
-                close()
-            continue
-        if after_terminator:
-            close()
-        if rec.flags.flush or rec.flags.fua:
+        if rec.checkpoint_id is None and cur.terminator is not None:
+            epochs.append(cur)
+            cur = Epoch()
+        if rec.checkpoint_id is not None:
+            cur.checkpoints.append(rec.checkpoint_id)
+            if cur.terminator is not None:
+                epochs.append(cur)
+                cur = Epoch()
+        elif rec.flush or rec.fua:
             cur.terminator = rec
-            after_terminator = True
         else:
             cur.records.append(rec)
     if cur.records or cur.terminator is not None or cur.checkpoints:
@@ -337,26 +240,10 @@ def split_epochs(log: IoLog) -> list[Epoch]:
     return epochs
 
 
-def replay(base: DiskImage, log: IoLog, *, checkpoint: int) -> DiskImage:
+def replay(base: DiskImage, log: list[IoRecord], *, checkpoint: int) -> DiskImage:
     """Apply every write record logged before checkpoint ``checkpoint`` to
     ``base``. Pure: the input image is never modified."""
-    cut = next(
-        (rec.seq for rec in log if rec.flags.checkpoint and rec.checkpoint_id == checkpoint),
-        None,
-    )
+    cut = next((i for i, rec in enumerate(log) if rec.checkpoint_id == checkpoint), None)
     if cut is None:
         raise ReplayError(f"unknown checkpoint id {checkpoint}")
-
-    overlay = dict(base._overlay)
-    size = base.size_bytes
-    for rec in log:
-        if rec.seq > cut:
-            break
-        if not rec.is_data_write:
-            continue
-        if rec.sector * SECTOR_SIZE + rec.length > size:
-            raise OutOfBoundsError("logged write out of bounds for this base")
-        for i in range(rec.length // SECTOR_SIZE):
-            overlay[rec.sector + i] = rec.data[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]
-    return DiskImage(size, base._base, overlay)
-
+    return base.with_writes((rec.sector, rec.data) for rec in log[:cut] if rec.data)

@@ -96,13 +96,18 @@ class CampaignResult:
     total_workloads: int = 0
     total_verdicts: int = 0
     bug_verdicts: int = 0
-    harness_errors: int = 0
+    # one {"workload_index", "reason", "workload_dsl"} dict per harness error
+    errors: list[dict] = field(default_factory=list)
     reports: list[report.BugReport] = field(default_factory=list)
     groups: list[report.BugGroup] = field(default_factory=list)
     new_groups: list[report.BugGroup] = field(default_factory=list)
     suppressed_reports: int = 0
     group_hash: str = ""
     elapsed: float = 0.0
+
+    @property
+    def harness_errors(self) -> int:
+        return len(self.errors)
 
     def verdict_multiset(self) -> dict[tuple[int, str, str], int]:
         out: dict[tuple[int, str, str], int] = {}
@@ -124,20 +129,26 @@ def _run_partition(args):
 
 def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
     """Workload batches in campaign order: shorter sequences first, so every
-    seq-k verdict is aggregated before seq-(k+1) starts."""
+    seq-k verdict is aggregated before seq-(k+1) starts.
+
+    A workload's campaign index is its generator index plus the full sizes of
+    the shorter tiers, so each workload has one index whatever the range, and
+    ``--range`` selects by it."""
     if config.corpus is not None:
         corpus_dir = Path(config.corpus)
         files = sorted(corpus_dir.glob("*.wl"))
         return [[(i, ace.parse_file(path)) for i, path in enumerate(files)]]
     start, end = config.index_range or (0, None)
+    seqs = sorted(set(config.seq))
     tiers = []
-    offset = 0
-    for seq_length in sorted(set(config.seq)):
+    base = 0
+    for n, seq_length in enumerate(seqs):
         bounds = config.bounds_for(seq_length)
-        tier = [(offset + w.index, w) for w in ace.workload_range(bounds, start, end)]
-        tiers.append(tier)
-        if tier:
-            offset = tier[-1][0] + 1
+        lo = max(start - base, 0)
+        hi = None if end is None else max(end - base, 0)
+        tiers.append([(base + w.index, w) for w in ace.workload_range(bounds, lo, hi)])
+        if n + 1 < len(seqs):
+            base += ace.count_workloads(bounds)
     return tiers
 
 
@@ -183,7 +194,13 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
         for verdict in results[idx]:
             res.total_verdicts += 1
             if verdict.outcome == "harness_error":
-                res.harness_errors += 1
+                res.errors.append(
+                    {
+                        "workload_index": idx,
+                        "reason": verdict.reason,
+                        "workload_dsl": ace.serialize(workloads[idx]),
+                    }
+                )
             elif verdict.is_bug:
                 res.bug_verdicts += 1
                 res.reports.append(
@@ -222,6 +239,9 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         report.write_reports(out_dir / "reports.jsonl", res.reports)
+        (out_dir / "errors.jsonl").write_text(
+            "".join(json.dumps(e, sort_keys=True) + "\n" for e in res.errors), encoding="utf-8"
+        )
         (out_dir / "groups.json").write_text(group_payload, encoding="utf-8")
         summary = {
             "schema": 1,
@@ -251,8 +271,12 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
             f"{res.harness_errors} harness errors, "
             f"{res.elapsed:.1f}s ({rate:.0f} workloads/s)"
         )
-        if res.harness_errors:
-            print(f"warning: {res.harness_errors} workloads aborted as harness errors")
+        if res.errors:
+            first = res.errors[0]
+            print(
+                f"warning: {res.harness_errors} workloads aborted as harness errors; "
+                f"first: workload {first['workload_index']}: {first['reason']}"
+            )
     return res
 
 
@@ -395,7 +419,7 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--known-bugs", default=None, help="known-bug database file")
     p.add_argument("--out", default=None, help="report output directory")
     p.add_argument("--no-group", action="store_true", default=None)
-    p.add_argument("--range", default=None, help="generator index range START:END")
+    p.add_argument("--range", default=None, help="campaign index range START:END")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
 
 

@@ -3,8 +3,10 @@
 A subset-mode state is every fully durable leading epoch plus an ordered
 subset of the target epoch's write units (whole records, or 512-byte
 sectors). Small epochs are enumerated exhaustively; larger ones are sampled
-reproducibly from a seed. Checkpoint states are plain log replays and need
-nothing from this module beyond ``CrashState``.
+reproducibly from a seed. The state's image is the base with those writes
+applied through ``DiskImage.with_writes``, so this module never sees the
+image format. Checkpoint states are plain log replays and need nothing from
+this module beyond ``CrashState``.
 """
 
 from __future__ import annotations
@@ -72,18 +74,17 @@ def _atomic_units(epoch: Epoch, granularity: str) -> list[tuple[int, bytes]]:
     records split into 512-byte units, except a FUA terminator, whose payload
     is all-or-nothing (the device persists it as a unit).
     """
-    recs = list(epoch.records)
-    if epoch.terminator is not None and epoch.terminator.is_data_write:
-        recs.append(epoch.terminator)
     units: list[tuple[int, bytes]] = []
-    for rec in recs:
-        if granularity == "op" or (rec.flags.fua and rec is epoch.terminator):
+    for rec in epoch.all_records():
+        if not rec.data:
+            continue
+        if granularity == "op" or rec.fua:
             units.append((rec.sector, rec.data))
         else:
-            for i in range(rec.length // SECTOR_SIZE):
-                units.append(
-                    (rec.sector + i, rec.data[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
-                )
+            units.extend(
+                (rec.sector + i // SECTOR_SIZE, rec.data[i : i + SECTOR_SIZE])
+                for i in range(0, len(rec.data), SECTOR_SIZE)
+            )
     return units
 
 
@@ -130,30 +131,11 @@ def build_subset_state(
     units = _atomic_units(epochs[prefix_count], granularity)
     if kept and not 0 <= kept[0] <= kept[-1] < len(units):
         raise CrashGenError(f"kept units out of range; epoch {prefix_count} has {len(units)} units")
-    overlay = dict(base._overlay)
-
-    def apply_payload(sector: int, data: bytes):
-        for i in range(len(data) // SECTOR_SIZE):
-            overlay[sector + i] = data[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]
-
-    for ep in epochs[:prefix_count]:
-        for rec in ep.all_records():
-            if rec.is_data_write:
-                apply_payload(rec.sector, rec.data)
-    for idx in kept:
-        sector, data = units[idx]
-        apply_payload(sector, data)
-    image = DiskImage(base.size_bytes, base._base, overlay)
+    prefix = epochs[:prefix_count]
+    writes = [(rec.sector, rec.data) for ep in prefix for rec in ep.all_records() if rec.data]
+    writes += [units[i] for i in kept]
     return CrashState(
-        image,
-        checkpoint_id=_last_checkpoint_before(epochs, prefix_count),
+        base.with_writes(writes),
+        checkpoint_id=max((cp for ep in prefix for cp in ep.checkpoints), default=0),
         subset=subset,
     )
-
-
-def _last_checkpoint_before(epochs: list[Epoch], prefix_count: int) -> int:
-    last = 0
-    for ep in epochs[:prefix_count]:
-        for _pos, cp in ep.checkpoints:
-            last = max(last, cp)
-    return last

@@ -946,7 +946,7 @@ class SoundFs:
 
     def replicate(self) -> "SoundFs":
         fs = self.__class__.__new__(self.__class__)
-        fs.device = self.device.fork(log_io=False)
+        fs.device = self.device.fork()
         fs.geo = self.geo
         fs._journal_pos = self._journal_pos
         fs._next_txn = self._next_txn

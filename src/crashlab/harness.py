@@ -1,14 +1,14 @@
 """Workload profiling and the one crash-state pipeline.
 
 A profile run executes the workload once on a recording device, inserting a
-checkpoint after every persistence call and capturing an oracle (the image a
-clean unmount would leave) at each one. Crash states are rebuilt from the
-log: at a checkpoint by replay, mid-epoch by the crash generator's subsets.
-``check_state`` turns any of them into a verdict: it mounts the state so
-recovery runs and compares it against the oracle of the last checkpoint the
-state contains, but only for entities the target's declared guarantees say
-were persisted. Campaigns, replay (``state_for`` rebuilds the state a report
-names) and the corpus all go through it.
+checkpoint after every persistence call and capturing an oracle at each one:
+the view of a replica of the file system after a clean unmount. Crash states
+are rebuilt from the log: at a checkpoint by replay, mid-epoch by the crash
+generator's subsets. ``check_state`` turns any of them into a verdict: it
+mounts the state so recovery runs and compares it against the oracle of the
+last checkpoint the state contains, but only for entities the target's
+declared guarantees say were persisted. Campaigns, replay (``state_for``
+rebuilds the state a report names) and the corpus all go through it.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 from .ace import Workload
 from .blockdev import (
+    Device,
     DiskImage,
-    IoLog,
+    IoRecord,
     NoPersistencePointWarning,
-    create_device,
     replay,
     split_epochs,
 )
@@ -66,16 +66,12 @@ class Verdict:
 class Profile:
     workload: Workload
     fs_name: str
-    io_log: IoLog
-    oracles: dict[int, DiskImage]
+    io_log: list[IoRecord]
+    checkpoint_count: int
     oracle_views: dict[int, FsStateView]
     persisted: dict[int, dict[str, int]]
     base_image: DiskImage
     base_view: FsStateView
-
-    @property
-    def checkpoint_count(self) -> int:
-        return len(self.oracles)
 
 
 _mkfs_cache: dict[str, DiskImage] = {}
@@ -83,11 +79,14 @@ _mkfs_cache: dict[str, DiskImage] = {}
 
 def mkfs_base_image(fs_name: str) -> DiskImage:
     """Formatting is deterministic, so the clean image is built once per
-    target and shared as a replay base."""
+    target and shared as a replay base. Its overlay keeps only the sectors
+    that differ from its zero base (mkfs also writes the zeroed journal), so
+    every device and crash state built on it copies a few sectors, not
+    thousands."""
     if fs_name not in _mkfs_cache:
-        dev = create_device(DEFAULT_DEVICE_BYTES)
+        dev = Device(DEFAULT_DEVICE_BYTES)
         get_target(fs_name).mkfs(dev)
-        _mkfs_cache[fs_name] = dev.snapshot()
+        _mkfs_cache[fs_name] = dev.snapshot().compacted()
     return _mkfs_cache[fs_name]
 
 
@@ -135,10 +134,10 @@ def _update_persisted(
 
 def profile(workload: Workload, fs_name: str) -> Profile:
     """Execute once end-to-end, collecting the IO log, per-checkpoint
-    oracles, and persisted sets."""
+    oracle views, and persisted sets."""
     target = get_target(fs_name)
     base = mkfs_base_image(fs_name)
-    device = create_device(DEFAULT_DEVICE_BYTES, base=base)
+    device = Device(DEFAULT_DEVICE_BYTES, base)
     fs = target.mount_device(device)
     if isinstance(fs, Unmountable):
         raise HarnessError(f"fresh image did not mount: {fs.reason}")
@@ -146,7 +145,6 @@ def profile(workload: Workload, fs_name: str) -> Profile:
 
     persisted_now: dict[str, int] = {}
     persisted: dict[int, dict[str, int]] = {}
-    oracles: dict[int, DiskImage] = {}
     oracle_views: dict[int, FsStateView] = {}
 
     op_index = 0
@@ -163,8 +161,11 @@ def profile(workload: Workload, fs_name: str) -> Profile:
                 cp = device.insert_checkpoint()
                 _update_persisted(persisted_now, fs, step, target.GUARANTEES)
                 persisted[cp] = dict(persisted_now)
+                # The oracle is the view after a clean unmount, not the live
+                # view: data a commit deferred (bugfs-b5) gets its blocks
+                # only when the unmount writes it.
                 replica = fs.replicate()
-                oracles[cp] = replica.unmount_clean()
+                replica.unmount_clean()
                 oracle_views[cp] = replica.state_view()
     except FsError as e:
         raise HarnessError(f"workload op failed: {e}") from e
@@ -173,7 +174,7 @@ def profile(workload: Workload, fs_name: str) -> Profile:
         workload=workload,
         fs_name=fs_name,
         io_log=device.log,
-        oracles=oracles,
+        checkpoint_count=device.checkpoint_count,
         oracle_views=oracle_views,
         persisted=persisted,
         base_image=base,

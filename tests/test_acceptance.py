@@ -10,7 +10,7 @@ import time
 
 from crashlab import report
 from crashlab.ace import Bounds, gen_skeletons, generate_workloads, serialize
-from crashlab.blockdev import DiskImage, create_device, split_epochs
+from crashlab.blockdev import Device, DiskImage, split_epochs
 from crashlab.cli import (
     CampaignConfig,
     corpus_variant_map,
@@ -272,7 +272,7 @@ def test_acceptance_regression_corpus():
 
 def test_acceptance_crash_state_exhaustiveness():
     size = 16 * 1024
-    dev = create_device(size)
+    dev = Device(size)
     for i in range(4):
         dev.write(i * 2, bytes([0x20 + i]) * 512)
     base = DiskImage.zeroed(size)
@@ -294,7 +294,7 @@ def test_acceptance_crash_state_exhaustiveness():
     order_ok = True
     trials = 0
     for _ in range(1000):
-        dev = create_device(size)
+        dev = Device(size)
         for i in range(rng.randint(2, 4)):
             sec = rng.randrange(0, 6)
             dev.write(sec, bytes([0x30 + i]) * (512 * rng.randint(1, 2)))

@@ -242,12 +242,12 @@ def test_all_seq1_workloads_execute_cleanly():
     """Zero precondition failures across the full default seq-1 stream."""
     from crashlab.fstarget import FsError, SoundFs, Unmountable
     from crashlab.harness import mkfs_base_image
-    from crashlab.blockdev import create_device
+    from crashlab.blockdev import Device
 
     base = mkfs_base_image("soundfs")
     count = 0
     for w in generate_workloads(Bounds(seq_length=1)):
-        dev = create_device(4 * 1024 * 1024, base)
+        dev = Device(4 * 1024 * 1024, base)
         fs = SoundFs.mount_device(dev)
         assert not isinstance(fs, Unmountable)
         try:

@@ -8,10 +8,9 @@ import pytest
 from crashlab.blockdev import (
     SECTOR_SIZE,
     DiskImage,
+    Device,
     GeometryError,
-    IoLog,
     OutOfBoundsError,
-    create_device,
     replay,
     split_epochs,
 )
@@ -20,34 +19,34 @@ MiB = 1024 * 1024
 
 
 def test_create_device_zero_filled():
-    dev = create_device(4 * MiB)
-    assert dev.read(0, SECTOR_SIZE) == bytes(SECTOR_SIZE)
-    assert dev.read(4 * MiB - 512, 512) == bytes(512)
+    dev = Device(4 * MiB)
+    assert dev.read_block(0) == bytes(4096)
+    assert dev.read_block(4 * MiB // 4096 - 1) == bytes(4096)
 
 
 def test_create_device_with_base_is_identity():
     base = DiskImage.from_bytes(bytes(range(256)) * (4 * MiB // 256))
-    dev = create_device(4 * MiB, base)
+    dev = Device(4 * MiB, base)
     assert dev.snapshot() == base
 
 
 def test_create_device_bad_sizes():
     with pytest.raises(GeometryError):
-        create_device(4 * MiB + 1)
+        Device(4 * MiB + 1)
     with pytest.raises(GeometryError):
-        create_device(0)
+        Device(0)
     with pytest.raises(GeometryError):
-        create_device(4 * MiB, DiskImage.zeroed(2 * MiB))
+        Device(4 * MiB, DiskImage.zeroed(2 * MiB))
 
 
 def test_write_applies_to_current_image():
-    dev = create_device(4 * MiB)
+    dev = Device(4 * MiB)
     dev.write(0, b"\xab" * 4096)
-    assert dev.read(0, 4096) == b"\xab" * 4096
+    assert dev.read_block(0) == b"\xab" * 4096
 
 
 def test_flush_only_record_leaves_image_unchanged():
-    dev = create_device(1 * MiB)
+    dev = Device(1 * MiB)
     before = dev.snapshot()
     dev.flush()
     assert dev.snapshot() == before
@@ -55,33 +54,28 @@ def test_flush_only_record_leaves_image_unchanged():
 
 
 def test_out_of_bounds_write_rejected():
-    dev = create_device(1 * MiB)
+    dev = Device(1 * MiB)
     with pytest.raises(OutOfBoundsError):
         dev.write(1 * MiB // SECTOR_SIZE, b"\0" * 512)
     with pytest.raises(OutOfBoundsError):
         dev.write(0, b"\0" * 100)  # not sector-multiple
+    with pytest.raises(OutOfBoundsError):
+        dev.write(0, b"")
+    assert dev.log == []
 
 
 def test_checkpoint_ids_count_up_and_records_are_empty():
-    dev = create_device(1 * MiB)
+    dev = Device(1 * MiB)
     assert dev.insert_checkpoint() == 1
     dev.write(0, b"\x01" * 512)
     assert dev.insert_checkpoint() == 2
-    cps = [r for r in dev.log if r.flags.checkpoint]
+    cps = [r for r in dev.log if r.checkpoint_id is not None]
     assert [r.checkpoint_id for r in cps] == [1, 2]
-    assert all(r.length == 0 and not r.flags.write for r in cps)
+    assert all(r.data == b"" and not (r.flush or r.fua) for r in cps)
+    assert dev.checkpoint_count == 2
     img_before = dev.snapshot()
     dev.insert_checkpoint()
     assert dev.snapshot() == img_before
-
-
-def test_seq_strictly_increasing():
-    dev = create_device(1 * MiB)
-    dev.write(0, b"\0" * 512)
-    dev.flush()
-    dev.insert_checkpoint()
-    seqs = [r.seq for r in dev.log]
-    assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 
 
 # -- epoch splitting -----------------------------------------------------------
@@ -89,7 +83,7 @@ def test_seq_strictly_increasing():
 
 def _mklog(symbols):
     """Build a log from symbols: W (write), F (flush), U (fua write), C (checkpoint)."""
-    dev = create_device(1 * MiB)
+    dev = Device(1 * MiB)
     for i, sym in enumerate(symbols):
         if sym == "W":
             dev.write(i, bytes([i + 1]) * 512)
@@ -134,7 +128,7 @@ def test_split_epochs_matches_hand_enumerated_oracle(n):
 
 
 def test_split_epochs_empty_log():
-    assert split_epochs(IoLog()) == []
+    assert split_epochs([]) == []
 
 
 def test_single_fua_write_is_its_own_terminator():
@@ -143,7 +137,17 @@ def test_single_fua_write_is_its_own_terminator():
     assert len(epochs) == 1
     assert epochs[0].records == []
     assert epochs[0].terminator is not None
-    assert epochs[0].terminator.flags.fua
+    assert epochs[0].terminator.fua
+
+
+def test_checkpoint_after_terminator_closes_its_epoch():
+    """A checkpoint right after a FLUSH or FUA belongs to that epoch and closes
+    it; a second checkpoint opens the next epoch."""
+    epochs = split_epochs(_mklog("WFCCWCUC"))
+    assert [len(ep.records) for ep in epochs] == [1, 1]
+    assert [ep.terminator.flush for ep in epochs] == [True, False]
+    assert [ep.checkpoints for ep in epochs] == [[1], [2, 3, 4]]
+    assert [ep.checkpoints for ep in split_epochs(_mklog("CWC"))] == [[1, 2]]
 
 
 def test_epoch_partition_covers_whole_log():
@@ -152,11 +156,11 @@ def test_epoch_partition_covers_whole_log():
         symbols = rng.choices("WWFUC", k=rng.randint(0, 12))
         log = _mklog(symbols)
         epochs = split_epochs(log)
-        flat = [r.seq for ep in epochs for r in ep.all_records()]
-        expect = [r.seq for r in log if not r.flags.checkpoint]
+        flat = [id(r) for ep in epochs for r in ep.all_records()]
+        expect = [id(r) for r in log if r.checkpoint_id is None]
         assert flat == expect
-        cps = sorted(cp for ep in epochs for _pos, cp in ep.checkpoints)
-        assert cps == [r.checkpoint_id for r in log if r.flags.checkpoint]
+        cps = [cp for ep in epochs for cp in ep.checkpoints]
+        assert cps == [r.checkpoint_id for r in log if r.checkpoint_id is not None]
 
 
 # -- replay ---------------------------------------------------------------------
@@ -164,14 +168,14 @@ def test_epoch_partition_covers_whole_log():
 
 def test_replay_empty_log_is_identity():
     base = DiskImage.from_bytes(b"\x55" * MiB)
-    dev = create_device(MiB, base)
+    dev = Device(MiB, base)
     dev.insert_checkpoint()
     out = replay(base, dev.log, checkpoint=1)
     assert out == base
 
 
 def test_replay_to_checkpoint_deterministic():
-    dev = create_device(1 * MiB)
+    dev = Device(1 * MiB)
     dev.write(0, b"\x01" * 512)
     dev.flush()
     dev.insert_checkpoint()
@@ -180,33 +184,33 @@ def test_replay_to_checkpoint_deterministic():
     a = replay(base, dev.log, checkpoint=1)
     b = replay(base, dev.log, checkpoint=1)
     assert a.sha256() == b.sha256()
-    assert a.read(8 * 512, 512) == bytes(512)  # post-checkpoint write excluded
+    assert a.read_block(1) == bytes(4096)  # post-checkpoint write excluded
 
 
 def test_replay_last_writer_wins():
-    dev = create_device(1 * MiB)
+    dev = Device(1 * MiB)
     dev.write(0, b"\x01" * 512)
     dev.write(0, b"\x02" * 512)
     dev.insert_checkpoint()
     out = replay(DiskImage.zeroed(1 * MiB), dev.log, checkpoint=1)
-    assert out.read(0, 512) == b"\x02" * 512
+    assert out.to_bytes()[:512] == b"\x02" * 512
 
 
 def test_replay_unknown_checkpoint():
     from crashlab.blockdev import ReplayError
 
     with pytest.raises(ReplayError):
-        replay(DiskImage.zeroed(1 * MiB), IoLog(), checkpoint=3)
+        replay(DiskImage.zeroed(1 * MiB), [], checkpoint=3)
 
 
 def test_replay_does_not_mutate_base():
-    dev = create_device(1 * MiB)
+    dev = Device(1 * MiB)
     dev.write(0, b"\x09" * 512)
     dev.insert_checkpoint()
     base = DiskImage.zeroed(1 * MiB)
     digest = base.sha256()
     out = replay(base, dev.log, checkpoint=1)
-    assert out.read(0, 512) == b"\x09" * 512
+    assert out.to_bytes()[:512] == b"\x09" * 512
     assert base.sha256() == digest
 
 
@@ -214,15 +218,15 @@ def test_replay_does_not_mutate_base():
 
 
 def test_snapshot_isolated_from_later_writes():
-    dev = create_device(1 * MiB)
+    dev = Device(1 * MiB)
     dev.write(5, b"\x11" * 512)
     snap = dev.snapshot()
     dev.write(5, b"\x22" * 512)
-    assert snap.read(5 * 512, 512) == b"\x11" * 512
+    assert snap.read_block(0)[5 * 512 : 6 * 512] == b"\x11" * 512
 
 
 def test_two_snapshots_without_writes_identical():
-    dev = create_device(1 * MiB)
+    dev = Device(1 * MiB)
     dev.write(1, b"\x33" * 512)
     assert dev.snapshot() == dev.snapshot()
 
@@ -231,7 +235,7 @@ def test_cow_isolation_against_eager_copy_oracle():
     """Every snapshot equals what a full eager copy at that instant shows."""
     rng = random.Random(42)
     size = 64 * 1024
-    dev = create_device(size)
+    dev = Device(size)
     shadow = bytearray(size)
     snaps = []
     for _ in range(200):
@@ -245,4 +249,19 @@ def test_cow_isolation_against_eager_copy_oracle():
     snaps.append((dev.snapshot(), bytes(shadow)))
     for snap, eager in snaps:
         assert snap.to_bytes() == eager
+        for block in range(size // 4096):
+            assert snap.read_block(block) == eager[block * 4096 : (block + 1) * 4096]
+    for block in range(size // 4096):
+        assert dev.read_block(block) == shadow[block * 4096 : (block + 1) * 4096]
+
+
+def test_with_writes_applies_in_order_and_checks_bounds():
+    base = DiskImage.from_bytes(b"\x55" * MiB)
+    out = base.with_writes([(1, b"\x01" * 1024), (2, b"\x02" * 512)])
+    assert out.read_block(0)[:2048] == b"\x55" * 512 + b"\x01" * 512 + b"\x02" * 512 + b"\x55" * 512
+    assert base.read_block(0) == b"\x55" * 4096
+    with pytest.raises(OutOfBoundsError):
+        base.with_writes([(MiB // SECTOR_SIZE - 1, b"\0" * 1024)])
+    with pytest.raises(OutOfBoundsError):
+        base.read_block(MiB // 4096)
 

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from crashlab import report
+from crashlab import ace, report
 from crashlab.cli import (
     CampaignConfig,
+    _collect_tiers,
     corpus_variant_map,
     default_corpus_dir,
     main,
@@ -122,6 +123,53 @@ def test_campaign_orders_seq_tiers():
     # seq-1 workloads come first in the combined index space
     assert result.exit_code == 0
     assert result.total_workloads > 0
+
+
+def test_campaign_index_is_stable_across_ranges():
+    """A seq-2 workload is numbered after the whole seq-1 tier (1,415
+    workloads), whatever part of that tier the range covers."""
+
+    def numbered(index_range):
+        tiers = _collect_tiers(CampaignConfig(seq=(1, 2), index_range=index_range))
+        return {i: ace.serialize(w) for tier in tiers for i, w in tier}
+
+    a = numbered((1413, 1417))
+    b = numbered((1416, 1418))
+    assert sorted(a) == [1413, 1414, 1415, 1416]
+    assert sorted(b) == [1416, 1417]
+    assert a[1416] == b[1416]
+    assert _collect_tiers(CampaignConfig(seq=(2,), index_range=(1, 2)))[0][0][1].index == 1
+
+
+def test_group_representative_index_reruns_its_workload(tmp_path):
+    config = dict(fs="bugfs-b1", seq=(1, 2), ops=("creat", "link"), files=("foo", "bar"), dirs=())
+    result = run_campaign(CampaignConfig(**config), quiet=True)
+    assert result.groups
+    for group in result.groups:
+        i = group.representative.workload_index
+        rerun = run_campaign(CampaignConfig(**config, index_range=(i, i + 1)), quiet=True)
+        assert rerun.total_workloads == 1
+        assert {r.workload_dsl for r in rerun.reports} == {group.representative.workload_dsl}
+
+
+def test_harness_errors_are_written_with_reasons(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ghost.wl").write_text("unlink ghost\nsync\n")
+    (corpus / "ok.wl").write_text("creat foo\nfsync foo\n")
+    out = tmp_path / "out"
+    result = run_campaign(CampaignConfig(corpus=str(corpus), out=str(out)))
+    assert result.harness_errors == 1
+    lines = (out / "errors.jsonl").read_text().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert sorted(error) == ["reason", "workload_dsl", "workload_index"]
+    assert error["workload_index"] == 0 and "ENOENT" in error["reason"]
+    assert error["workload_dsl"].startswith("unlink ghost\n")
+    assert "first: workload 0: " in capsys.readouterr().out
+    clean = tmp_path / "clean"
+    run_campaign(CampaignConfig(fs="soundfs", seq=(1,), ops=("creat",), out=str(clean)), quiet=True)
+    assert (clean / "errors.jsonl").read_text() == ""
 
 
 def test_config_validation():

@@ -6,8 +6,8 @@ import pytest
 
 from crashlab.blockdev import (
     SECTOR_SIZE,
+    Device,
     DiskImage,
-    create_device,
     replay,
     split_epochs,
 )
@@ -23,7 +23,7 @@ SIZE = 64 * 1024
 
 
 def _device():
-    return create_device(SIZE)
+    return Device(SIZE)
 
 
 def test_one_crash_state_per_checkpoint():
@@ -36,8 +36,8 @@ def test_one_crash_state_per_checkpoint():
     dev.insert_checkpoint()
     base = DiskImage.zeroed(SIZE)
     images = [replay(base, dev.log, checkpoint=k) for k in (1, 2)]
-    assert images[0].read(512, 512) == bytes(512)
-    assert images[1].read(512, 512) == b"\x02" * 512
+    assert images[0].read_block(0)[512:1024] == bytes(512)
+    assert images[1].read_block(0)[512:1024] == b"\x02" * 512
 
 
 def test_states_before_any_checkpoint_belong_to_checkpoint_zero():
@@ -140,18 +140,18 @@ def _eager_subset_oracle(base: DiskImage, epochs, prefix, kept, granularity="op"
 
     for ep in epochs[:prefix]:
         for rec in ep.all_records():
-            if rec.is_data_write:
+            if rec.data:
                 put(rec.sector, rec.data)
     target = epochs[prefix]
     units = []
     recs = list(target.records)
-    if target.terminator is not None and target.terminator.is_data_write:
+    if target.terminator is not None and target.terminator.data:
         recs.append(target.terminator)
     for rec in recs:
-        if granularity == "op" or (rec.flags.fua and rec is target.terminator):
+        if granularity == "op" or (rec.fua and rec is target.terminator):
             units.append((rec.sector, rec.data))
         else:
-            for i in range(rec.length // SECTOR_SIZE):
+            for i in range(len(rec.data) // SECTOR_SIZE):
                 units.append((rec.sector + i, rec.data[i * 512 : (i + 1) * 512]))
     for idx in kept:
         put(*units[idx])
@@ -203,7 +203,7 @@ def test_order_preservation_on_randomized_overlapping_logs():
     rng = random.Random(1234)
     size = 16 * 1024
     for trial in range(200):
-        dev = create_device(size)
+        dev = Device(size)
         nwrites = rng.randint(2, 4)
         for i in range(nwrites):
             sec = rng.randrange(0, 8)
@@ -246,7 +246,7 @@ def test_prefix_durability():
     rng = random.Random(55)
     size = 16 * 1024
     for _ in range(30):
-        dev = create_device(size)
+        dev = Device(size)
         for i in range(rng.randint(3, 8)):
             if rng.random() < 0.3:
                 dev.flush()
@@ -262,16 +262,18 @@ def test_prefix_durability():
             want = replay(base, dev.log, checkpoint=prefix) if prefix else base
             target_secs = set()
             for rec in epochs[prefix].all_records():
-                if rec.is_data_write:
+                if rec.data:
                     target_secs.update(
-                        range(rec.sector, rec.sector + rec.length // SECTOR_SIZE)
+                        range(rec.sector, rec.sector + len(rec.data) // SECTOR_SIZE)
                     )
+            want_bytes = want.to_bytes()
             for kept in enumerate_target_subsets(epochs, prefix):
-                got = build_subset_state(base, epochs, prefix, kept).image
+                got = build_subset_state(base, epochs, prefix, kept).image.to_bytes()
                 for sec in range(size // SECTOR_SIZE):
                     if sec in target_secs:
                         continue
-                    assert got.read(sec * 512, 512) == want.read(sec * 512, 512)
+                    span = slice(sec * 512, (sec + 1) * 512)
+                    assert got[span] == want_bytes[span]
 
 
 def test_descriptor_roundtrip():

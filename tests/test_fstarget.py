@@ -2,7 +2,7 @@
 
 import pytest
 
-from crashlab.blockdev import DiskImage, create_device, replay
+from crashlab.blockdev import Device, DiskImage, replay
 from crashlab.fsops import FallocFlag, FsOp, FsOpKind, PersistKind
 from crashlab.fstarget import (
     BUG_SEEDS,
@@ -18,7 +18,7 @@ DEV = 4 * MiB
 
 
 def fresh_fs(target=SoundFs, size=DEV):
-    dev = create_device(size)
+    dev = Device(size)
     target.mkfs(dev)
     fs = target.mount_device(dev)
     assert not isinstance(fs, Unmountable)
@@ -41,8 +41,8 @@ def test_mkfs_mount_empty_root():
 
 
 def test_mkfs_deterministic():
-    dev1 = create_device(DEV)
-    dev2 = create_device(DEV)
+    dev1 = Device(DEV)
+    dev2 = Device(DEV)
     SoundFs.mkfs(dev1)
     SoundFs.mkfs(dev2)
     assert dev1.snapshot() == dev2.snapshot()
@@ -52,7 +52,7 @@ def test_mkfs_too_small():
     from crashlab.fstarget import FsError
 
     with pytest.raises(FsError):
-        SoundFs.mkfs(create_device(3 * 4096))
+        SoundFs.mkfs(Device(3 * 4096))
 
 
 def test_mount_garbage_is_unmountable():
@@ -106,18 +106,18 @@ def test_clean_unmount_roundtrip_view():
 
 
 def test_unmount_of_fresh_fs_equals_mkfs_output():
-    dev = create_device(DEV)
+    dev = Device(DEV)
     SoundFs.mkfs(dev)
     formatted = dev.snapshot()
-    fs = SoundFs.mount_device(create_device(DEV, formatted))
+    fs = SoundFs.mount_device(Device(DEV, formatted))
     assert fs.unmount_clean() == formatted
 
 
 def test_mount_crash_state_at_any_checkpoint_succeeds():
-    dev = create_device(DEV)
+    dev = Device(DEV)
     SoundFs.mkfs(dev)
     base = dev.snapshot()
-    live = create_device(DEV, base)
+    live = Device(DEV, base)
     fs = SoundFs.mount_device(live)
     fs.apply(op("creat", path="foo"), 0)
     fs.persist(PersistKind.FSYNC, "foo")
@@ -291,10 +291,10 @@ def test_remove_dispatches_on_kind():
 
 
 def test_recovery_replays_committed_transactions():
-    dev = create_device(DEV)
+    dev = Device(DEV)
     SoundFs.mkfs(dev)
     base = dev.snapshot()
-    live = create_device(DEV, base)
+    live = Device(DEV, base)
     fs = SoundFs.mount_device(live)
     fs.apply(op("creat", path="foo"), 0)
     fs.persist(PersistKind.FSYNC, "foo")
@@ -306,10 +306,10 @@ def test_recovery_replays_committed_transactions():
 
 
 def test_uncommitted_metadata_invisible_after_crash():
-    dev = create_device(DEV)
+    dev = Device(DEV)
     SoundFs.mkfs(dev)
     base = dev.snapshot()
-    live = create_device(DEV, base)
+    live = Device(DEV, base)
     fs = SoundFs.mount_device(live)
     fs.apply(op("creat", path="foo"), 0)
     fs.persist(PersistKind.FSYNC, "foo")
@@ -321,9 +321,9 @@ def test_uncommitted_metadata_invisible_after_crash():
 
 
 def test_recovery_idempotent_across_remounts():
-    dev = create_device(DEV)
+    dev = Device(DEV)
     SoundFs.mkfs(dev)
-    live = create_device(DEV, dev.snapshot())
+    live = Device(DEV, dev.snapshot())
     fs = SoundFs.mount_device(live)
     fs.apply(op("creat", path="foo"), 0)
     fs.persist(PersistKind.SYNC)

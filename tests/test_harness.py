@@ -8,7 +8,7 @@ import time
 
 from crashlab import ace
 from crashlab.ace import Bounds, parse
-from crashlab.blockdev import create_device, replay, split_epochs
+from crashlab.blockdev import Device, replay, split_epochs
 from crashlab.crashgen import build_subset_state, enumerate_target_subsets
 from crashlab.fsops import FsOp, FsOpKind, PersistKind
 from crashlab.fstarget import SoundFs, TARGETS, Unmountable, get_target
@@ -28,9 +28,9 @@ def test_two_persistence_points_two_checkpoints_two_oracles():
     w = parse("creat foo\nfsync foo\ncreat bar\nfsync bar\n")
     prof = profile(w, "soundfs")
     assert prof.checkpoint_count == 2
-    assert sorted(prof.oracles) == [1, 2]
+    assert sorted(prof.oracle_views) == [1, 2]
     assert sorted(prof.persisted) == [1, 2]
-    assert prof.io_log.checkpoint_count == 2
+    assert [r.checkpoint_id for r in prof.io_log if r.checkpoint_id] == [1, 2]
 
 
 def test_persisted_set_includes_parent_dirent():
@@ -60,14 +60,14 @@ def test_persisted_set_monotone_for_sync():
 
 def test_profiling_deterministic_io_log():
     w = parse("mkdir A\nwrite (0-8K) A/foo\nfsync A/foo\nrename A/foo A/bar\nsync\n")
-    a = profile(w, "soundfs").io_log.records
-    b = profile(w, "soundfs").io_log.records
+    a = profile(w, "soundfs").io_log
+    b = profile(w, "soundfs").io_log
     assert a == b
 
 
 def test_profile_determinism_across_seq1_sample():
     for w in itertools.islice(ace.generate_workloads(Bounds(seq_length=1)), 40):
-        assert profile(w, "soundfs").io_log.records == profile(w, "soundfs").io_log.records
+        assert profile(w, "soundfs").io_log == profile(w, "soundfs").io_log
 
 
 def test_oracle_checkpoint_alignment():
@@ -80,47 +80,118 @@ def test_oracle_checkpoint_alignment():
     assert "foo" in v2 and "bar" in v2
 
 
+def _clean_restart_view(w, fs_name, k):
+    """Rerun ``w`` on a fresh device up to its k-th persistence call, unmount
+    cleanly, and mount the image that leaves (an ``Unmountable`` or a view)."""
+    target = get_target(fs_name)
+    fs = target.mount_device(Device(DEFAULT_DEVICE_BYTES, mkfs_base_image(fs_name)))
+    idx = 0
+    for op in w.prologue:
+        fs.apply(op, idx)
+        idx += 1
+    done = 0
+    for step in w.steps:
+        if isinstance(step, FsOp):
+            fs.apply(step, idx)
+            idx += 1
+        else:
+            fs.persist(step.kind, step.target)
+            done += 1
+            if done == k:
+                break
+    remounted = target.mount(fs.unmount_clean())
+    return remounted if isinstance(remounted, Unmountable) else remounted.state_view()
+
+
 def test_oracle_views_match_mounting_the_oracle_image():
     w = parse("mkdir A\nwrite (0-8K) A/foo\nfsync A/foo\nmwrite (0-4K) A/foo\nsync\n")
     prof = profile(w, "soundfs")
-    for k, image in prof.oracles.items():
-        fs = SoundFs.mount(image)
-        assert not isinstance(fs, Unmountable)
-        mounted = fs.state_view().entries
-        captured = prof.oracle_views[k].entries
-        assert set(mounted) == set(captured)
-        for path in mounted:
-            assert mounted[path].data_hash == captured[path].data_hash, (k, path)
-            assert mounted[path].size == captured[path].size
+    assert sorted(prof.oracle_views) == [1, 2]
+    for k, view in prof.oracle_views.items():
+        assert _clean_restart_view(w, "soundfs", k).entries == view.entries, k
+
+
+def _b3_lost_path(w, prof, k):
+    """The path whose blocks bugfs-b3 loses for good at checkpoint k, if any.
+
+    bugfs-b3 journals an fdatasync target without its blocks past EOF, and
+    the commit leaves the inode clean, so no later commit (not even a clean
+    unmount) writes them back. A directory's in-memory size is 0 between
+    commits, so it loses every block."""
+    pp = [s for s in w.steps if not isinstance(s, FsOp)][k - 1]
+    if prof.fs_name != "bugfs-b3" or pp.kind is not PersistKind.FDATASYNC:
+        return None
+    entry = prof.oracle_views[k].get(pp.target)
+    sectors_within_eof = 8 * -(-entry.size // 4096)
+    if entry.kind == "dir" or entry.block_count > sectors_within_eof:
+        return pp.target
+    return None
 
 
 def test_oracle_fork_strategy_equals_restart_strategy():
-    """Forking the device at a checkpoint equals restarting the workload and
-    cleanly unmounting at the same persistence point."""
-    sample = list(itertools.islice(ace.generate_workloads(Bounds(seq_length=1)), 25))
-    for w in sample:
-        prof = profile(w, "soundfs")
-        persists = [s for s in w.steps if not isinstance(s, FsOp)]
-        for k in prof.oracles:
-            base = mkfs_base_image("soundfs")
-            dev = create_device(DEFAULT_DEVICE_BYTES, base)
-            fs = SoundFs.mount_device(dev)
-            done = 0
-            idx = 0
-            for op in w.prologue:
-                fs.apply(op, idx)
-                idx += 1
-            for step in w.steps:
-                if isinstance(step, FsOp):
-                    fs.apply(step, idx)
-                    idx += 1
-                else:
-                    fs.persist(step.kind, step.target)
-                    done += 1
-                    if done == k:
-                        break
-            restart_image = fs.unmount_clean()
-            assert restart_image.sha256() == prof.oracles[k].sha256(), ace.serialize(w)
+    """The oracle taken from a replica forked at a checkpoint equals
+    restarting the workload, cleanly unmounting at the same persistence point
+    and remounting: on every target over every 13th seq-1 workload, and on
+    bugfs-b5's write/rename seq-2 slice. bugfs-b3 is the one exception: its
+    seeded loss of blocks past EOF survives the clean unmount, so the
+    remount differs in that one entry, or does not mount when a non-empty
+    directory lost its entry block."""
+    seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)[::13]
+    b5_slice = ace.workload_range(
+        Bounds(
+            seq_length=2,
+            allowed_ops=(FsOpKind.WRITE, FsOpKind.RENAME),
+            files=("foo", "bar"),
+            dirs=(),
+        ),
+        1000,
+        1248,
+    )
+    cases = [(name, w) for name in sorted(TARGETS) for w in seq1]
+    cases += [("bugfs-b5", w) for w in b5_slice]
+    lost = unmountable = 0
+    for name, w in cases:
+        prof = profile(w, name)
+        assert prof.checkpoint_count == len(prof.oracle_views) > 0
+        for k, view in prof.oracle_views.items():
+            restart = _clean_restart_view(w, name, k)
+            path = _b3_lost_path(w, prof, k)
+            if path is None:
+                assert restart.entries == view.entries, (name, k, ace.serialize(w))
+                continue
+            lost += 1
+            if isinstance(restart, Unmountable):
+                unmountable += 1
+                continue
+            assert restart.entries[path] != view.entries[path]
+            del restart.entries[path]
+            assert restart.entries == {p: e for p, e in view.entries.items() if p != path}
+    assert (lost, unmountable) == (18, 13)
+
+
+def test_oracle_is_a_clean_unmount_not_the_live_view():
+    """bugfs-b5 defers the data of a renamed file past the fsync commit, so
+    the live file system has not yet allocated its blocks; a clean unmount
+    writes them. Comparing crash states against the live view would expect
+    an unallocated file."""
+    w = parse("creat bar\nwrite (0-4K) bar\nrename bar foo\nfsync foo\n")
+    fs = get_target("bugfs-b5").mount_device(
+        Device(DEFAULT_DEVICE_BYTES, mkfs_base_image("bugfs-b5"))
+    )
+    for idx, op in enumerate(w.steps[:3]):
+        fs.apply(op, idx)
+    fs.persist(PersistKind.FSYNC, "foo")
+    assert fs.state_view().entries["foo"].block_count == 0
+    assert profile(w, "bugfs-b5").oracle_views[1].entries["foo"].block_count == 8
+
+
+def test_mkfs_base_image_keeps_only_nonzero_sectors():
+    for name in sorted(TARGETS):
+        dev = Device(DEFAULT_DEVICE_BYTES)
+        get_target(name).mkfs(dev)
+        image = mkfs_base_image(name)
+        assert image == dev.snapshot(), name
+        assert len(image._overlay) < 64, name
 
 
 # -- checker -------------------------------------------------------------------
@@ -167,7 +238,7 @@ def test_mutating_non_persisted_file_never_flips_pass_to_bug():
     fs = SoundFs.mount(image)
     bar_ino = fs.resolve_ino("bar")
     block = fs.inodes[bar_ino].blocks[0]
-    dev = create_device(image.size_bytes, image)
+    dev = Device(image.size_bytes, image)
     dev.write_block(block, b"\x66" * 4096)
     mutated = dev.snapshot()
     v = check(mutated, prof.oracle_views[1], prof.persisted[1], "soundfs")
@@ -188,7 +259,7 @@ def test_mutation_fuzz_over_random_non_persisted_targets():
         path = rng.choice(unpersisted)
         node = fs.inodes[fs.resolve_ino(path)]
         block = rng.choice([b for b in node.blocks if b])
-        dev = create_device(image.size_bytes, image)
+        dev = Device(image.size_bytes, image)
         dev.write_block(block, bytes([rng.randrange(256)]) * 4096)
         v = check(dev.snapshot(), prof.oracle_views[1], prof.persisted[1], "soundfs")
         assert v.outcome == "pass", (path, v.diff)
@@ -204,7 +275,7 @@ def test_checker_soundness_on_clean_shutdown_all_targets():
     w = parse(text)
     for name in sorted(TARGETS):
         target = get_target(name)
-        dev = create_device(DEFAULT_DEVICE_BYTES, mkfs_base_image(name))
+        dev = Device(DEFAULT_DEVICE_BYTES, mkfs_base_image(name))
         fs = target.mount_device(dev)
         idx = 0
         for op in w.prologue:
