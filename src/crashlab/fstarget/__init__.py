@@ -4,7 +4,6 @@ from .base import (
     BugSeed,
     FsError,
     FsStateView,
-    PersistenceGuarantees,
     Unmountable,
     ViewEntry,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "FORMAT_VERSION",
     "FsError",
     "FsStateView",
-    "PersistenceGuarantees",
     "SoundFs",
     "TARGETS",
     "Unmountable",

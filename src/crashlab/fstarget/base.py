@@ -24,18 +24,6 @@ class Unmountable:
 
 
 @dataclass(frozen=True)
-class PersistenceGuarantees:
-    """What a target promises survives a crash after each persistence call.
-
-    The checker consults only these declarations.
-    """
-
-    fsync_file_persists_parent_dirent: bool = True
-    fsync_dir_persists_children_entries: bool = True
-    fsync_file_persists_all_hard_links: bool = True
-
-
-@dataclass(frozen=True)
 class BugSeed:
     """Catalog entry for one deliberately seeded bug."""
 

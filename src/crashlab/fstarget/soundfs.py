@@ -7,9 +7,10 @@ committed at persistence points. Recovery replays committed transactions
 and then structurally validates the tree; validation failure surfaces as
 an un-mountable image.
 
-Buggy variants override the narrow policy hooks marked below; everything
-else (clean unmount, sync, recovery replay itself) stays correct, so bugs
-manifest only across crash recovery.
+Buggy variants override the narrow policy hooks marked below and keep
+their own bookkeeping; SoundFS itself tracks only what its commits write.
+Their bugs manifest across crash recovery, and in bugfs-b3's case also
+survive a clean unmount (see ``variants``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import struct
 
 from ..blockdev import BLOCK_SIZE, Device, DiskImage
 from ..fsops import FallocFlag, FsOp, FsOpKind, PersistKind
-from .base import FsError, FsStateView, PersistenceGuarantees, Unmountable, ViewEntry
+from .base import FsError, FsStateView, Unmountable, ViewEntry
 
 MAGIC = b"SOUNDFS1"
 FORMAT_VERSION = 1
@@ -169,6 +170,18 @@ def _unpack_xattrs(blob: bytes) -> dict[str, str]:
     return out
 
 
+def _unpack_bitmap(raw: bytes, nbits: int) -> int:
+    """Bit n set means inode or block n is in use; bits from ``nbits`` on
+    are ignored. ``int.to_bytes(BLOCK_SIZE, "little")`` packs it back."""
+    return int.from_bytes(raw, "little") & ((1 << nbits) - 1)
+
+
+def _lowest_clear_bit(bits: int, lo: int, hi: int) -> int | None:
+    """The lowest n in [lo, hi) whose bit is clear, or None."""
+    free = ~bits & ((1 << hi) - (1 << lo))
+    return (free & -free).bit_length() - 1 if free else None
+
+
 def _pack_dir(entries: dict[str, int], kinds: dict[int, int]) -> bytes:
     blob = bytearray()
     for name in sorted(entries):
@@ -195,7 +208,6 @@ class SoundFs:
     """One mounted instance, confined to a single worker."""
 
     NAME = "soundfs"
-    GUARANTEES = PersistenceGuarantees()
     BUG_SEED = None
     FORMAT_VERSION = FORMAT_VERSION
 
@@ -213,18 +225,12 @@ class SoundFs:
             raise FsError("ENOSPC", "device too small for this file system")
         device.write_block(0, geo.pack_superblock())
 
-        ibmp = bytearray(BLOCK_SIZE)
-        ibmp[0] |= 0b11  # ino 0 invalid, ino 1 root
-        device.write_block(geo.inode_bitmap_block, bytes(ibmp))
-
+        # ino 0 invalid, ino 1 root; the metadata region and the root dir block
         root_data_block = geo.data_start
-        bbmp = bytearray(BLOCK_SIZE)
-        for b in range(geo.data_start + 1):  # metadata region + root dir block
-            bbmp[b // 8] |= 1 << (b % 8)
-        device.write_block(geo.block_bitmap_block, bytes(bbmp))
+        device.write_block(geo.inode_bitmap_block, (0b11).to_bytes(BLOCK_SIZE, "little"))
+        used = (1 << (root_data_block + 1)) - 1
+        device.write_block(geo.block_bitmap_block, used.to_bytes(BLOCK_SIZE, "little"))
 
-        root = Inode(ROOT_INO, KIND_DIR)
-        root.blocks = [root_data_block]
         table = bytearray(BLOCK_SIZE)
         table[INODE_SIZE : 2 * INODE_SIZE] = cls._pack_inode_struct(
             KIND_DIR, 1, 0, 0, "", {}, [root_data_block]
@@ -261,8 +267,7 @@ class SoundFs:
 
     @classmethod
     def mount(cls, image: DiskImage) -> "SoundFs | Unmountable":
-        dev = Device(image.size_bytes, base=image, log_io=False)
-        return cls.mount_device(dev)
+        return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
 
     @classmethod
     def mount_device(cls, device: Device) -> "SoundFs | Unmountable":
@@ -287,17 +292,11 @@ class SoundFs:
         self._mtime = max((i.mtime for i in self.inodes.values()), default=0)
 
     def _reset_pending(self) -> None:
+        """Start with nothing pending; variants add their bookkeeping here."""
         self._dirty_inodes: set[int] = set()
         self._dirty_dirs: set[int] = set()
         self._bitmap_dirty = False
         self._pending_data: dict[int, set[int]] = {}
-        self._link_pending: list[tuple[int, str, int]] = []
-        self._rename_pending: list[tuple[int, str, int, str, int]] = []
-        self._renamed_inodes: set[int] = set()
-        self._unlink_window: set[tuple[int, str]] = set()
-        self._reused_names: list[tuple[int, str]] = []
-        self._durable_size = {ino: n.size for ino, n in self.inodes.items()}
-        self._dwrite_extended: set[int] = set()
 
     # -- journal recovery ----------------------------------------------------
 
@@ -393,17 +392,15 @@ class SoundFs:
 
     def _load_state(self) -> None:
         geo = self.geo
-        ibmp = self.device.read_block(geo.inode_bitmap_block)
-        bbmp = self.device.read_block(geo.block_bitmap_block)
-        self.alloc_inos = {
-            i for i in range(INODE_COUNT) if ibmp[i // 8] >> (i % 8) & 1
-        }
-        self.alloc_blocks = {
-            b for b in range(geo.total_blocks) if bbmp[b // 8] >> (b % 8) & 1
-        }
+        self.alloc_inos = _unpack_bitmap(
+            self.device.read_block(geo.inode_bitmap_block), INODE_COUNT
+        )
+        self.alloc_blocks = _unpack_bitmap(
+            self.device.read_block(geo.block_bitmap_block), geo.total_blocks
+        )
         self.inodes: dict[int, Inode] = {}
-        for ino in sorted(self.alloc_inos):
-            if ino == 0:
+        for ino in range(1, INODE_COUNT):
+            if not self.alloc_inos >> ino & 1:
                 continue
             raw = self._read_inode_raw(ino)
             kind, _f, nlink, size, mtime, tl, tgt, xl, blob, nptr, *ptrs = _INODE.unpack(
@@ -459,7 +456,7 @@ class SoundFs:
             return None
         seen_dirs.add(ino)
         for name, child in sorted(node.entries.items()):
-            if child not in self.alloc_inos or child not in self.inodes:
+            if not self.alloc_inos >> child & 1 or child not in self.inodes:
                 return f"entry {name!r} points to unallocated inode {child}"
             refs[child] = refs.get(child, 0) + 1
             if self.inodes[child].kind == KIND_DIR:
@@ -529,39 +526,38 @@ class SoundFs:
     # -- allocation ----------------------------------------------------------
 
     def _alloc_ino(self, kind: int) -> Inode:
-        for ino in range(1, INODE_COUNT):
-            if ino not in self.alloc_inos:
-                self.alloc_inos.add(ino)
-                self._bitmap_dirty = True
-                node = Inode(ino, kind)
-                node.mtime = self._tick()
-                self.inodes[ino] = node
-                self._dirty_inodes.add(ino)
-                return node
-        raise FsError("ENOSPC", "out of inodes")
+        ino = _lowest_clear_bit(self.alloc_inos, 1, INODE_COUNT)
+        if ino is None:
+            raise FsError("ENOSPC", "out of inodes")
+        self.alloc_inos |= 1 << ino
+        self._bitmap_dirty = True
+        node = Inode(ino, kind)
+        node.mtime = self._tick()
+        self.inodes[ino] = node
+        self._dirty_inodes.add(ino)
+        return node
 
     def _alloc_block(self) -> int:
-        for b in range(self.geo.data_start, self.geo.total_blocks):
-            if b not in self.alloc_blocks:
-                self.alloc_blocks.add(b)
-                self._bitmap_dirty = True
-                return b
-        raise FsError("ENOSPC", "out of data blocks")
+        b = _lowest_clear_bit(self.alloc_blocks, self.geo.data_start, self.geo.total_blocks)
+        if b is None:
+            raise FsError("ENOSPC", "out of data blocks")
+        self.alloc_blocks |= 1 << b
+        self._bitmap_dirty = True
+        return b
 
     def _free_block(self, b: int) -> None:
         if b:
-            self.alloc_blocks.discard(b)
+            self.alloc_blocks &= ~(1 << b)
             self._bitmap_dirty = True
 
     def _free_inode(self, node: Inode) -> None:
         for b in node.blocks:
             self._free_block(b)
-        self.alloc_inos.discard(node.ino)
+        self.alloc_inos &= ~(1 << node.ino)
         self.inodes.pop(node.ino, None)
         self._dirty_inodes.add(node.ino)
         self._bitmap_dirty = True
         self._pending_data.pop(node.ino, None)
-        self._renamed_inodes.discard(node.ino)
 
     def _tick(self) -> int:
         self._mtime += 1
@@ -653,20 +649,7 @@ class SoundFs:
             raise FsError("EINVAL", f"unsupported op {kind}")
 
     def _op_creat(self, path: str) -> None:
-        parent, name, ino = self._resolve(path, follow=True)
-        dirn = self._require_parent_dir(parent, path)
-        if ino is not None:
-            node = self.inodes[ino]
-            if node.kind == KIND_DIR:
-                raise FsError("EISDIR", f"{path} is a directory")
-            self._truncate_node(node, 0)
-            return
-        node = self._alloc_ino(KIND_FILE)
-        dirn.entries[name] = node.ino
-        dirn.mtime = self._tick()
-        self._dirty_dirs.add(dirn.ino)
-        if (dirn.ino, name) in self._unlink_window:
-            self._reused_names.append((dirn.ino, name))
+        self._ensure_file(path, truncate=True)
 
     def _op_mkdir(self, path: str) -> None:
         parent, name, ino = self._resolve(path, follow=False)
@@ -681,20 +664,22 @@ class SoundFs:
         self._dirty_dirs.add(dirn.ino)
         self._dirty_dirs.add(node.ino)
 
-    def _ensure_file(self, path: str) -> Inode:
+    def _ensure_file(self, path: str, truncate: bool = False) -> Inode:
+        """The file at ``path``, created when missing; creat truncates."""
         parent, name, ino = self._resolve(path, follow=True)
-        if ino is None:
+        if ino is None or truncate:
             dirn = self._require_parent_dir(parent, path)
+        if ino is None:
             node = self._alloc_ino(KIND_FILE)
             dirn.entries[name] = node.ino
             dirn.mtime = self._tick()
             self._dirty_dirs.add(dirn.ino)
-            if (dirn.ino, name) in self._unlink_window:
-                self._reused_names.append((dirn.ino, name))
             return node
         node = self.inodes[ino]
         if node.kind == KIND_DIR:
             raise FsError("EISDIR", f"{path} is a directory")
+        if truncate:
+            self._truncate_node(node, 0)
         return node
 
     def _op_falloc(self, path: str, flag: FallocFlag, start: int, end: int) -> None:
@@ -743,16 +728,10 @@ class SoundFs:
 
     def _op_write(self, path: str, start: int, data: bytes, kind: FsOpKind) -> None:
         node = self._ensure_file(path)
-        if kind is FsOpKind.DWRITE:
-            self._note_dwrite(node, start + len(data))
         # mwrite dirties page-cache pages only; plain writes do too when data
         # writeback is delayed
         buffered = kind is FsOpKind.MWRITE or (kind is FsOpKind.WRITE and self.DELAYED_DATA)
         self._write_range(node, start, data, buffered=buffered)
-
-    def _note_dwrite(self, node: Inode, new_end: int) -> None:
-        if new_end > self._durable_size.get(node.ino, 0):
-            self._dwrite_extended.add(node.ino)
 
     def _op_link(self, src: str, dst: str) -> None:
         _, _, sino = self._resolve(src, follow=False)
@@ -771,7 +750,6 @@ class SoundFs:
         snode.mtime = self._tick()
         self._dirty_dirs.add(dirn.ino)
         self._dirty_inodes.add(sino)
-        self._link_pending.append((dirn.ino, dname, sino))
 
     def _op_symlink(self, target: str, linkpath: str) -> None:
         parent, name, ino = self._resolve(linkpath, follow=False)
@@ -820,8 +798,6 @@ class SoundFs:
         self._dirty_dirs.add(sparent)
         self._dirty_dirs.add(dirn.ino)
         self._dirty_inodes.add(sino)
-        self._rename_pending.append((sparent, sname, dirn.ino, dname, sino))
-        self._renamed_inodes.add(sino)
 
     def _is_descendant(self, dir_ino: int, ancestor: int) -> bool:
         if dir_ino == ancestor:
@@ -851,7 +827,6 @@ class SoundFs:
         self._dirty_inodes.add(ino)
         if node.nlink == 0:
             self._free_inode(node)
-        self._unlink_window.add((parent, name))
 
     def _op_remove(self, path: str) -> None:
         _, _, ino = self._resolve(path, follow=False)
@@ -945,27 +920,11 @@ class SoundFs:
         return self.device.snapshot()
 
     def replicate(self) -> "SoundFs":
-        fs = self.__class__.__new__(self.__class__)
-        fs.device = self.device.fork()
-        fs.geo = self.geo
-        fs._journal_pos = self._journal_pos
-        fs._next_txn = self._next_txn
-        fs._mtime = self._mtime
-        fs.alloc_inos = set(self.alloc_inos)
-        fs.alloc_blocks = set(self.alloc_blocks)
-        fs.inodes = copy.deepcopy(self.inodes)
-        fs._dirty_inodes = set(self._dirty_inodes)
-        fs._dirty_dirs = set(self._dirty_dirs)
-        fs._bitmap_dirty = self._bitmap_dirty
-        fs._pending_data = {k: set(v) for k, v in self._pending_data.items()}
-        fs._link_pending = list(self._link_pending)
-        fs._rename_pending = list(self._rename_pending)
-        fs._renamed_inodes = set(self._renamed_inodes)
-        fs._unlink_window = set(self._unlink_window)
-        fs._reused_names = list(self._reused_names)
-        fs._durable_size = dict(self._durable_size)
-        fs._dwrite_extended = set(self._dwrite_extended)
-        return fs
+        """An independent copy on a non-logging fork of the device; the
+        geometry is immutable and shared."""
+        return copy.deepcopy(
+            self, {id(self.device): self.device.fork(), id(self.geo): self.geo}
+        )
 
     # Policy hooks the buggy variants override. -------------------------------
 
@@ -979,15 +938,8 @@ class SoundFs:
         return []
 
     def _after_commit(self, trigger: str) -> None:
-        """Baseline: a commit makes everything pending durable."""
-        self._link_pending.clear()
-        self._rename_pending.clear()
-        self._renamed_inodes.clear()
-        self._unlink_window.clear()
-        self._reused_names.clear()
-        for ino, node in self.inodes.items():
-            self._durable_size[ino] = node.size
-        self._dwrite_extended.clear()
+        """Baseline: a commit makes everything pending durable. Variants keep
+        or clear their own bookkeeping here."""
 
     # -- the commit pipeline ---------------------------------------------------
 
@@ -1108,24 +1060,22 @@ class SoundFs:
     @classmethod
     def fsck(cls, image: DiskImage) -> dict:
         """Run only when a crash state is un-mountable; advisory output."""
-        fs = cls.__new__(cls)
-        dev = Device(image.size_bytes, base=image, log_io=False)
-        try:
-            fs._init_from_device(dev)
-        except Exception as e:  # structural parse failure
-            return {"mountable": False, "repairable": False, "issues": [str(e)]}
-        problem = fs._validate()
-        if problem is None:
+        fs = cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
+        if not isinstance(fs, Unmountable):
             return {"mountable": True, "repairable": True, "issues": []}
-        repairable = "link count" in problem  # orphan-style damage only
-        return {"mountable": False, "repairable": repairable, "issues": [problem]}
+        return {
+            "mountable": False,
+            "repairable": "link count" in fs.reason,  # orphan-style damage only
+            "issues": [fs.reason],
+        }
 
 
 class _EffectiveState:
     """Snapshot of the metadata that a commit is about to make durable.
 
     Variants mutate the copies here; the in-memory truth is untouched, so
-    clean unmount and the oracle stay correct.
+    the oracle shows a correct commit. An inode a variant leaves clean keeps
+    its wrong on-disk copy even across a clean unmount (bugfs-b3).
     """
 
     def __init__(self, fs: SoundFs):
@@ -1172,7 +1122,7 @@ class _EffectiveState:
                 if ino not in dirty_inos:
                     continue
                 node = fs.inodes.get(ino)
-                if ino not in fs.alloc_inos or node is None:
+                if not fs.alloc_inos >> ino & 1 or node is None:
                     raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = bytes(INODE_SIZE)
                     continue
                 packed = SoundFs._pack_inode_struct(
@@ -1188,15 +1138,9 @@ class _EffectiveState:
             images.append((fs.geo.itable_start + tb, bytes(raw)))
 
         if fs._bitmap_dirty:
-            ibmp = bytearray(BLOCK_SIZE)
-            for ino in fs.alloc_inos:
-                ibmp[ino // 8] |= 1 << (ino % 8)
-            ibmp[0] |= 1  # ino 0 stays reserved
-            images.append((fs.geo.inode_bitmap_block, bytes(ibmp)))
-            bbmp = bytearray(BLOCK_SIZE)
-            for b in range(fs.geo.data_start):
-                bbmp[b // 8] |= 1 << (b % 8)
-            for b in fs.alloc_blocks:
-                bbmp[b // 8] |= 1 << (b % 8)
-            images.append((fs.geo.block_bitmap_block, bytes(bbmp)))
+            # ino 0 and the metadata region stay reserved
+            inos = fs.alloc_inos | 1
+            blocks = fs.alloc_blocks | ((1 << fs.geo.data_start) - 1)
+            images.append((fs.geo.inode_bitmap_block, inos.to_bytes(BLOCK_SIZE, "little")))
+            images.append((fs.geo.block_bitmap_block, blocks.to_bytes(BLOCK_SIZE, "little")))
         return images

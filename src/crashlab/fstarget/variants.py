@@ -1,17 +1,30 @@
 """Deliberately buggy SoundFS variants, one seeded crash-consistency bug each.
 
 Every variant is a thin policy override of the commit pipeline or the
-recovery path. Clean unmount and sync-triggered commits stay correct in all
-of them, so the bugs manifest only across crash recovery. The checker keeps
-using SoundFS's declared persistence guarantees; the variants violate them.
+recovery path. A variant keeps its own bookkeeping: it creates it at mount
+(``_reset_pending``), records events by extending the ops it watches, and
+keeps or clears it in its ``_after_commit``. Sync-triggered commits stay
+correct in all of them, and so does a clean unmount except on bugfs-b3,
+whose dropped extents are never written back. The checker applies the same
+persistence rules to every target; the variants break them.
 """
 
 from __future__ import annotations
 
+from ..fsops import FsOpKind
 from .base import BugSeed
 from .soundfs import SoundFs
 
 _BUGGY_TRIGGERS = ("fsync", "fdatasync", "msync")
+
+
+def _renamed(fs: SoundFs, src: str, dst: str):
+    """After a successful rename: (src dir, src name, dst dir, dst name,
+    ino), or None for the no-op rename onto the same inode, which leaves the
+    source name in place."""
+    src_dir, src_name, left = fs._resolve(src, follow=False)
+    dst_dir, dst_name, ino = fs._resolve(dst, follow=False)
+    return None if left == ino else (src_dir, src_name, dst_dir, dst_name, ino)
 
 
 class LinkLossFs(SoundFs):
@@ -29,6 +42,14 @@ class LinkLossFs(SoundFs):
         mirrors=("new_05",),
     )
 
+    def _reset_pending(self):
+        super()._reset_pending()
+        self._link_pending: list[tuple[int, str, int]] = []
+
+    def _op_link(self, src, dst):
+        super()._op_link(src, dst)
+        self._link_pending.append(self._resolve(dst, follow=False))
+
     def _adjust_effective(self, eff, trigger, target_ino):
         if trigger not in _BUGGY_TRIGGERS:
             return
@@ -40,17 +61,11 @@ class LinkLossFs(SoundFs):
                     eff.nlink[ino] -= 1
 
     def _after_commit(self, trigger):
-        if trigger in _BUGGY_TRIGGERS:
-            retained = [
-                (d, n, i) for d, n, i in self._link_pending if i in self.inodes
-            ]
-            super()._after_commit(trigger)
-            self._link_pending = retained
-            for dir_ino, _name, ino in retained:
-                self._dirty_dirs.add(dir_ino)
-                self._dirty_inodes.add(ino)
-        else:
-            super()._after_commit(trigger)
+        keep = trigger in _BUGGY_TRIGGERS
+        self._link_pending = [p for p in self._link_pending if keep and p[2] in self.inodes]
+        for dir_ino, _name, ino in self._link_pending:
+            self._dirty_dirs.add(dir_ino)
+            self._dirty_inodes.add(ino)
 
 
 class RenameNonAtomicFs(SoundFs):
@@ -68,6 +83,16 @@ class RenameNonAtomicFs(SoundFs):
         mirrors=("new_02",),
     )
 
+    def _reset_pending(self):
+        super()._reset_pending()
+        self._rename_pending: list[tuple[int, str, int, str, int]] = []
+
+    def _op_rename(self, src, dst):
+        super()._op_rename(src, dst)
+        moved = _renamed(self, src, dst)
+        if moved is not None:
+            self._rename_pending.append(moved)
+
     def _adjust_effective(self, eff, trigger, target_ino):
         if trigger not in _BUGGY_TRIGGERS:
             return
@@ -84,20 +109,14 @@ class RenameNonAtomicFs(SoundFs):
                 eff.nlink[ino] = self.inodes[ino].nlink + 1
 
     def _after_commit(self, trigger):
-        if trigger in _BUGGY_TRIGGERS:
-            retained = [
-                item for item in self._rename_pending if item[4] in self.inodes
-            ]
-            super()._after_commit(trigger)
-            self._rename_pending = retained
-            for src_dir, _sn, dst_dir, _dn, ino in retained:
-                if src_dir in self.inodes:
-                    self._dirty_dirs.add(src_dir)
-                if dst_dir in self.inodes:
-                    self._dirty_dirs.add(dst_dir)
-                self._dirty_inodes.add(ino)
-        else:
-            super()._after_commit(trigger)
+        keep = trigger in _BUGGY_TRIGGERS
+        self._rename_pending = [p for p in self._rename_pending if keep and p[4] in self.inodes]
+        for src_dir, _sn, dst_dir, _dn, ino in self._rename_pending:
+            if src_dir in self.inodes:
+                self._dirty_dirs.add(src_dir)
+            if dst_dir in self.inodes:
+                self._dirty_dirs.add(dst_dir)
+            self._dirty_inodes.add(ino)
 
 
 class FallocBeyondEofLossFs(SoundFs):
@@ -140,6 +159,19 @@ class DirectWriteSizeZeroFs(SoundFs):
         mirrors=("known_04",),
     )
 
+    def _reset_pending(self):
+        super()._reset_pending()
+        # size as of the last commit, kept for freed inodes too
+        self._durable_size = {ino: n.size for ino, n in self.inodes.items()}
+        self._dwrite_extended: set[int] = set()
+
+    def _op_write(self, path, start, data, kind):
+        super()._op_write(path, start, data, kind)
+        if kind is FsOpKind.DWRITE:
+            _, _, ino = self._resolve(path, follow=True)
+            if start + len(data) > self._durable_size.get(ino, 0):
+                self._dwrite_extended.add(ino)
+
     def _adjust_effective(self, eff, trigger, target_ino):
         if trigger not in ("fsync", "fdatasync"):
             return
@@ -148,18 +180,13 @@ class DirectWriteSizeZeroFs(SoundFs):
                 eff.sizes[ino] = self._durable_size.get(ino, 0)
 
     def _after_commit(self, trigger):
-        if trigger in ("fsync", "fdatasync"):
-            flagged = {
-                ino: self._durable_size.get(ino, 0)
-                for ino in self._dwrite_extended
-                if ino in self.inodes
-            }
-            super()._after_commit(trigger)
-            self._dwrite_extended = set(flagged)
-            self._durable_size.update(flagged)
-            self._dirty_inodes.update(flagged)
-        else:
-            super()._after_commit(trigger)
+        kept = self._dwrite_extended if trigger in ("fsync", "fdatasync") else ()
+        flagged = {ino: self._durable_size.get(ino, 0) for ino in kept if ino in self.inodes}
+        for ino, node in self.inodes.items():
+            self._durable_size[ino] = node.size
+        self._durable_size.update(flagged)
+        self._dwrite_extended = set(flagged)
+        self._dirty_inodes.update(flagged)
 
 
 class RenameBeforeDataFs(SoundFs):
@@ -178,15 +205,28 @@ class RenameBeforeDataFs(SoundFs):
     )
     DELAYED_DATA = True
 
+    def _reset_pending(self):
+        super()._reset_pending()
+        self._renamed_inodes: set[int] = set()
+
+    def _op_rename(self, src, dst):
+        super()._op_rename(src, dst)
+        moved = _renamed(self, src, dst)
+        if moved is not None:
+            self._renamed_inodes.add(moved[4])
+
+    def _free_inode(self, node):
+        super()._free_inode(node)
+        self._renamed_inodes.discard(node.ino)
+
     def _skip_data_flush_inos(self, trigger):
         if trigger in _BUGGY_TRIGGERS:
             return set(self._renamed_inodes)
         return set()
 
     def _after_commit(self, trigger):
-        deferred = set(self._pending_data)
-        super()._after_commit(trigger)
-        self._dirty_inodes.update(i for i in deferred if i in self.inodes)
+        self._renamed_inodes = set()
+        self._dirty_inodes.update(i for i in self._pending_data if i in self.inodes)
 
 
 class UnlinkReplayBrickFs(SoundFs):
@@ -205,10 +245,31 @@ class UnlinkReplayBrickFs(SoundFs):
         mirrors=("known_05",),
     )
 
+    def _reset_pending(self):
+        super()._reset_pending()
+        self._unlink_window: set[tuple[int, str]] = set()
+        self._reused_names: list[tuple[int, str]] = []
+
+    def _op_unlink(self, path):
+        super()._op_unlink(path)
+        parent, name, _ = self._resolve(path, follow=False)
+        self._unlink_window.add((parent, name))
+
+    def _ensure_file(self, path, truncate=False):
+        parent, name, ino = self._resolve(path, follow=True)
+        node = super()._ensure_file(path, truncate)
+        if ino is None and (parent, name) in self._unlink_window:
+            self._reused_names.append((parent, name))
+        return node
+
     def _tombstones_for_commit(self, trigger):
         if trigger in ("fsync", "fdatasync"):
             return list(self._reused_names)
         return []
+
+    def _after_commit(self, trigger):
+        self._unlink_window = set()
+        self._reused_names = []
 
 
 VARIANTS = (

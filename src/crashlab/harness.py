@@ -6,8 +6,8 @@ the view of a replica of the file system after a clean unmount. Crash states
 are rebuilt from the log: at a checkpoint by replay, mid-epoch by the crash
 generator's subsets. ``check_state`` turns any of them into a verdict: it
 mounts the state so recovery runs and compares it against the oracle of the
-last checkpoint the state contains, but only for entities the target's
-declared guarantees say were persisted. Campaigns, replay (``state_for``
+last checkpoint the state contains, but only for entities the persistence
+calls made durable (``_update_persisted``). Campaigns, replay (``state_for``
 rebuilds the state a report names) and the corpus all go through it.
 """
 
@@ -91,13 +91,19 @@ def mkfs_base_image(fs_name: str) -> DiskImage:
 
 
 def _update_persisted(
-    persisted: dict[str, int], fs, pp: PersistOp, guarantees
+    persisted: dict[str, int], fs, pp: PersistOp, view: FsStateView
 ) -> None:
+    """Raise the levels of what ``pp`` made durable, by the checker's fixed
+    rules: sync persists everything; fdatasync and msync persist the target's
+    data and size-related metadata; fsync of a file persists its data,
+    metadata, all of its hard links and its parent's entry for it; fsync of
+    a directory persists it and its children's entries. ``view`` is the
+    oracle view at this checkpoint; only its paths and kinds are read."""
+
     def bump(path: str, level: int) -> None:
         if persisted.get(path, 0) < level:
             persisted[path] = level
 
-    view = fs.state_view()
     if pp.kind is PersistKind.SYNC:
         for path in view.entries:
             bump(path, FULL)
@@ -119,17 +125,14 @@ def _update_persisted(
     # fsync
     bump(resolved, FULL)
     if entry.kind == "dir":
-        if guarantees.fsync_dir_persists_children_entries:
-            prefix = "" if resolved == "/" else resolved + "/"
-            for path in view.entries:
-                if path.startswith(prefix) and path != resolved and "/" not in path[len(prefix):]:
-                    bump(path, ENTRY)
+        prefix = "" if resolved == "/" else resolved + "/"
+        for path in view.entries:
+            if path.startswith(prefix) and path != resolved and "/" not in path[len(prefix):]:
+                bump(path, ENTRY)
     else:
-        if guarantees.fsync_file_persists_all_hard_links:
-            for path in paths:
-                bump(path, FULL)
-        if guarantees.fsync_file_persists_parent_dirent:
-            bump(parent_dir(resolved), ENTRY)
+        for path in paths:
+            bump(path, FULL)
+        bump(parent_dir(resolved), ENTRY)
 
 
 def profile(workload: Workload, fs_name: str) -> Profile:
@@ -159,14 +162,14 @@ def profile(workload: Workload, fs_name: str) -> Profile:
             else:
                 fs.persist(step.kind, step.target)
                 cp = device.insert_checkpoint()
-                _update_persisted(persisted_now, fs, step, target.GUARANTEES)
-                persisted[cp] = dict(persisted_now)
                 # The oracle is the view after a clean unmount, not the live
                 # view: data a commit deferred (bugfs-b5) gets its blocks
                 # only when the unmount writes it.
                 replica = fs.replicate()
                 replica.unmount_clean()
                 oracle_views[cp] = replica.state_view()
+                _update_persisted(persisted_now, fs, step, oracle_views[cp])
+                persisted[cp] = dict(persisted_now)
     except FsError as e:
         raise HarnessError(f"workload op failed: {e}") from e
 

@@ -92,6 +92,74 @@ def test_report_files_byte_identical_across_runs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+# sha256 of reports.jsonl, groups.json and summary.json, recorded before the
+# seeded-bug bookkeeping moved from SoundFS into the variants.
+_PINNED_CAMPAIGNS = [
+    (
+        "--fs bugfs-b1 --seq 1 --all-checkpoints",
+        (
+            "99fad5d3fa9581b479105a6f1f9a40a8ba977440a4b094e68cc036168b1d5d19",
+            "7b2b3fea6eaee9be73e1c288b4fd129fef563243a38170f917612af60ca5accb",
+            "7c473e322bb65f9915d74df9100c58e52ee2e39aee717c801e10955d2e8bc347",
+        ),
+    ),
+    (
+        "--fs bugfs-b2 --seq 1 --all-checkpoints",
+        (
+            "14a87fdc8c71eac6b1ac38a9f16aad6f72e89b8a5dc4a517f45a6fe9a84d4602",
+            "c5e1f94fd894512bd0a4dceaeb99f194fe4cfd4a9da080310fb990f3d134e7f9",
+            "822fe33864646f2d97ad5818358a9503fdecb28300e608fc2df5dbf02fdae894",
+        ),
+    ),
+    (
+        "--fs bugfs-b3 --seq 1 --all-checkpoints",
+        (
+            "729ab1dc92532fc99b7fefc50e4878654f1384e0cf82bce6c21b1e7e0e5bc2b1",
+            "2cd7733eda741b312169177ab8d2c4b61d26afcaa47c9aa1f402423e4c2d077a",
+            "e070ade8e07ddf3a09ad086113df19f8f9b23717fa09f7ff619b321b19c570a1",
+        ),
+    ),
+    (
+        "--fs bugfs-b4 --seq 1 --all-checkpoints",
+        (
+            "28d481a6863da111559401a7c855033f216e102f8d981a67a50f96a25fa1689a",
+            "5e9ebb0ddf3a4bf84b560bec144b3c392d1e8f82e4093660d9527c7fe2c17ba2",
+            "5d38ddf46da47dfae7c728dc716939beada6e6c8746548b83aac2dbe2740af36",
+        ),
+    ),
+    (
+        "--fs bugfs-b5 --seq 2 --ops write,rename --files foo,bar --dirs= --range 1000:1248",
+        (
+            "34d2a87a5ddcd970ca052f6010b2a64f8ca8dc5e00b33162a1e4414253d13e7f",
+            "bc9d13e79abfd0ff7da55eeddcc94d1cf0444e89af6de14209046cd565f3879e",
+            "c9dd5eb53427da016e2c39ff6f0a10305cd6a885f44bd11c66de6e4df471605c",
+        ),
+    ),
+    (
+        "--fs bugfs-b6 --seq 2 --ops unlink,creat --files foo,bar --dirs= --all-checkpoints",
+        (
+            "b6dd30884124fb1e5c5fec6a1b11901eff2b1c77da8ae4f64e8373743e62bd52",
+            "a00f22678727dde2e3df63b86ec470410522ae4450beee1a96a7faf8e3164706",
+            "39bef1cfaf5762f818740ef61c143bac59ada263c964abdfe4f38703101e1f94",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digests", _PINNED_CAMPAIGNS, ids=[a.split()[1] for a, _ in _PINNED_CAMPAIGNS]
+)
+def test_variant_report_files_are_pinned(tmp_path, args, digests):
+    """The seeded bugs report byte for byte what they reported before."""
+    import hashlib
+
+    out = tmp_path / "out"
+    assert main(["campaign", *args.split(), "--out", str(out)]) == 1  # bugs found
+    names = ("reports.jsonl", "groups.json", "summary.json")
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
+    assert got == digests
+
+
 def test_no_group_flag_keeps_every_report(tmp_path):
     grouped = run_campaign(_b6_config(), quiet=True)
     ungrouped = run_campaign(_b6_config(no_group=True), quiet=True)

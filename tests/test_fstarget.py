@@ -2,10 +2,11 @@
 
 import pytest
 
-from crashlab.blockdev import Device, DiskImage, replay
+from crashlab.blockdev import BLOCK_SIZE, Device, DiskImage, replay
 from crashlab.fsops import FallocFlag, FsOp, FsOpKind, PersistKind
 from crashlab.fstarget import (
     BUG_SEEDS,
+    FsError,
     SoundFs,
     TARGETS,
     Unmountable,
@@ -257,6 +258,16 @@ def test_errors_surface_as_values():
     with pytest.raises(FsError) as e:
         fs.apply(op("unlink", path="A"), 3)
     assert e.value.code == "EISDIR"
+    with pytest.raises(FsError) as e:
+        fs.apply(op("creat", path="/"), 4)
+    assert e.value.code == "ENOENT"
+    for kind in ("creat", "write"):
+        with pytest.raises(FsError) as e:
+            fs.apply(op(kind, path="A", start=0, end=4096), 5)
+        assert e.value.code == "EISDIR"
+    with pytest.raises(FsError) as e:
+        fs.apply(op("write", path="/", start=0, end=4096), 6)
+    assert e.value.code == "EISDIR"
 
 
 def test_truncate_shrink_and_grow():
@@ -334,6 +345,97 @@ def test_recovery_idempotent_across_remounts():
     assert sorted(fs_b.state_view().entries) == sorted(fs_a.state_view().entries)
 
 
+# -- allocation ----------------------------------------------------------------------
+
+
+def test_mounted_soundfs_holds_only_file_system_state():
+    """Seeded-bug bookkeeping lives in the variants, not in SoundFS."""
+    fs = fresh_fs()
+    assert set(vars(fs)) == {
+        "device",
+        "geo",
+        "_journal_pos",
+        "_next_txn",
+        "_mtime",
+        "alloc_inos",
+        "alloc_blocks",
+        "inodes",
+        "_dirty_inodes",
+        "_dirty_dirs",
+        "_bitmap_dirty",
+        "_pending_data",
+    }
+
+
+def test_inodes_run_out_at_the_exact_count():
+    from crashlab.fstarget.soundfs import INODE_COUNT
+
+    fs = fresh_fs()
+    for i in range(INODE_COUNT - 2):  # ino 0 is reserved and ino 1 is the root
+        fs.apply(op("creat", path=f"f{i}"), i)
+    with pytest.raises(FsError, match="out of inodes") as e:
+        fs.apply(op("creat", path="last"), INODE_COUNT)
+    assert e.value.code == "ENOSPC"
+
+
+def test_data_blocks_run_out_at_the_exact_count():
+    fs = fresh_fs(size=64 * BLOCK_SIZE)
+    free = fs.geo.total_blocks - fs.geo.data_start - 1  # the root dir holds one
+    fs.apply(op("write", path="a", start=0, end=free * BLOCK_SIZE), 0)
+    with pytest.raises(FsError, match="out of data blocks") as e:
+        fs.apply(op("write", path="b", start=0, end=BLOCK_SIZE), 1)
+    assert e.value.code == "ENOSPC"
+
+
+def test_freed_inodes_and_blocks_are_reused_lowest_first():
+    fs = fresh_fs()
+    for i, name in enumerate("abc"):
+        fs.apply(op("write", path=name, start=0, end=BLOCK_SIZE), i)
+    nodes = {name: fs.inodes[fs.resolve_ino(name)] for name in "abc"}
+    inos = {name: node.ino for name, node in nodes.items()}
+    blocks = {name: node.blocks[0] for name, node in nodes.items()}
+    assert inos["a"] < inos["b"] < inos["c"] and blocks["a"] < blocks["b"] < blocks["c"]
+    fs.apply(op("unlink", path="b"), 3)
+    fs.apply(op("unlink", path="a"), 4)
+    fs.apply(op("write", path="d", start=0, end=3 * BLOCK_SIZE), 5)
+    d = fs.inodes[fs.resolve_ino("d")]
+    assert d.ino == inos["a"]
+    assert d.blocks[:2] == [blocks["a"], blocks["b"]]
+    assert d.blocks[2] > blocks["c"]
+
+
+def test_sync_and_remount_restore_the_allocation():
+    fs = fresh_fs()
+    fs.apply(op("mkdir", path="A"), 0)
+    fs.apply(op("write", path="A/foo", start=0, end=3 * BLOCK_SIZE), 1)
+    fs.apply(op("write", path="bar", start=0, end=2 * BLOCK_SIZE), 2)
+    fs.apply(op("truncate", path="A/foo", end=BLOCK_SIZE), 3)
+    fs.apply(op("unlink", path="bar"), 4)
+    fs.apply(op("creat", path="baz"), 5)
+    fs.persist(PersistKind.SYNC)
+    allocation = (fs.alloc_inos, fs.alloc_blocks)
+    assert bin(fs.alloc_inos).count("1") == 5  # ino 0, the root, A, A/foo, baz
+    remounted = SoundFs.mount(fs.device.snapshot())
+    assert (remounted.alloc_inos, remounted.alloc_blocks) == allocation
+    again = SoundFs.mount(fs.unmount_clean())
+    assert (again.alloc_inos, again.alloc_blocks) == allocation
+
+
+def test_block_bitmap_bits_past_the_device_are_ignored():
+    fs = fresh_fs()
+    geo = fs.geo
+    raw = bytearray(fs.device.read_block(geo.block_bitmap_block))
+    tail = geo.total_blocks // 8
+    raw[tail:] = b"\xff" * (BLOCK_SIZE - tail)
+    fs.device.write_block(geo.block_bitmap_block, bytes(raw))
+    mounted = SoundFs.mount(fs.device.snapshot())
+    assert not isinstance(mounted, Unmountable)
+    assert mounted.alloc_blocks == fs.alloc_blocks
+    mounted.apply(op("write", path="foo", start=0, end=BLOCK_SIZE), 0)
+    mounted.persist(PersistKind.SYNC)
+    assert mounted.device.read_block(geo.block_bitmap_block)[tail:] == bytes(BLOCK_SIZE - tail)
+
+
 # -- seeded bug catalog ---------------------------------------------------------------
 
 
@@ -347,11 +449,6 @@ def test_variant_catalog_complete():
 def test_get_target_unknown():
     with pytest.raises(ValueError):
         get_target("extfour")
-
-
-def test_variants_share_declared_guarantees():
-    for v in VARIANTS:
-        assert v.GUARANTEES == SoundFs.GUARANTEES
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.NAME)
@@ -440,7 +537,15 @@ def test_fsck_reports_on_unmountable():
     prof = profile(w, "bugfs-b6")
     image = replay_log(prof.base_image, prof.io_log, checkpoint=2)
     target = get_target("bugfs-b6")
-    assert isinstance(target.mount(image), Unmountable)
-    result = target.fsck(image)
-    assert result["mountable"] is False
-    assert result["issues"]
+    mounted = target.mount(image)
+    assert isinstance(mounted, Unmountable)
+    assert target.fsck(image) == {
+        "mountable": False,
+        "repairable": "link count" in mounted.reason,
+        "issues": [mounted.reason],
+    }
+    assert target.fsck(replay_log(prof.base_image, prof.io_log, checkpoint=1)) == {
+        "mountable": True,
+        "repairable": True,
+        "issues": [],
+    }

@@ -1,5 +1,6 @@
 """Profiling, oracle capture, the auto-checker, and the workload pipeline."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -80,26 +81,30 @@ def test_oracle_checkpoint_alignment():
     assert "foo" in v2 and "bar" in v2
 
 
-def _clean_restart_view(w, fs_name, k):
-    """Rerun ``w`` on a fresh device up to its k-th persistence call, unmount
-    cleanly, and mount the image that leaves (an ``Unmountable`` or a view)."""
-    target = get_target(fs_name)
-    fs = target.mount_device(Device(DEFAULT_DEVICE_BYTES, mkfs_base_image(fs_name)))
+def _live_run(w, fs_name):
+    """Apply ``w`` on a plain mount of the mkfs image, with no oracle
+    capture; yield the file system and the checkpoint id after each
+    persistence call."""
+    device = Device(DEFAULT_DEVICE_BYTES, mkfs_base_image(fs_name))
+    fs = get_target(fs_name).mount_device(device)
     idx = 0
     for op in w.prologue:
         fs.apply(op, idx)
         idx += 1
-    done = 0
     for step in w.steps:
         if isinstance(step, FsOp):
             fs.apply(step, idx)
             idx += 1
         else:
             fs.persist(step.kind, step.target)
-            done += 1
-            if done == k:
-                break
-    remounted = target.mount(fs.unmount_clean())
+            yield fs, device.insert_checkpoint()
+
+
+def _clean_restart_view(w, fs_name, k):
+    """Rerun ``w`` on a fresh device up to its k-th persistence call, unmount
+    cleanly, and mount the image that leaves (an ``Unmountable`` or a view)."""
+    fs = next(fs for fs, cp in _live_run(w, fs_name) if cp == k)
+    remounted = get_target(fs_name).mount(fs.unmount_clean())
     return remounted if isinstance(remounted, Unmountable) else remounted.state_view()
 
 
@@ -183,6 +188,64 @@ def test_oracle_is_a_clean_unmount_not_the_live_view():
     fs.persist(PersistKind.FSYNC, "foo")
     assert fs.state_view().entries["foo"].block_count == 0
     assert profile(w, "bugfs-b5").oracle_views[1].entries["foo"].block_count == 8
+
+
+# Each variant's trigger, then a sync: what the replica of the trigger's
+# checkpoint shares with the live file system shows in the sync's commit.
+_TRIGGERS_THEN_SYNC = {
+    "bugfs-b1": "creat foo\nlink foo bar\nfsync foo\nsync\n",
+    "bugfs-b2": "creat foo\nrename foo bar\nfsync bar\nsync\n",
+    "bugfs-b3": "write (0-8K) foo\nfsync foo\nfalloc -k (8-16K) foo\nfdatasync foo\nsync\n",
+    "bugfs-b4": "creat foo\ndwrite (0-8K) foo\nfsync foo\nsync\n",
+    "bugfs-b5": "creat bar\nwrite (0-4K) bar\nrename bar foo\nfsync foo\nsync\n",
+    "bugfs-b6": "creat foo\nlink foo bar\nsync\nunlink bar\ncreat bar\nfsync bar\nsync\n",
+}
+
+
+def test_oracle_capture_leaves_the_live_run_alone():
+    """``profile`` replicates the file system and unmounts the replica at
+    every checkpoint; its IO log must equal that of a run without replicas,
+    which it does not if the replica shares mutable state with the original
+    (dirty sets, inodes, a variant's bookkeeping)."""
+    seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)[::13]
+    cases = [(name, w) for name in sorted(TARGETS) for w in seq1]
+    cases += [(name, parse(text)) for name, text in _TRIGGERS_THEN_SYNC.items()]
+    for name, w in cases:
+        for fs, _ in _live_run(w, name):
+            pass
+        assert profile(w, name).io_log == fs.device.log, (name, ace.serialize(w))
+
+
+def test_live_view_has_the_oracle_paths_and_kinds():
+    """The persisted sets are computed from the oracle view; they may be,
+    because it lists the same paths with the same kinds as the live file
+    system. Only ``block_count`` differs, on bugfs-b5 (see above)."""
+    seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)[::13]
+    b5_slice = ace.workload_range(
+        Bounds(
+            seq_length=2,
+            allowed_ops=(FsOpKind.WRITE, FsOpKind.RENAME),
+            files=("foo", "bar"),
+            dirs=(),
+        ),
+        1000,
+        1248,
+    )
+    cases = [(name, w) for name in sorted(TARGETS) for w in seq1]
+    cases += [("bugfs-b5", w) for w in b5_slice]
+    block_counts_differ = 0
+    for name, w in cases:
+        live = {cp: fs.state_view() for fs, cp in _live_run(w, name)}
+        oracle = profile(w, name).oracle_views
+        assert sorted(live) == sorted(oracle)
+        for k, view in live.items():
+            assert _without_block_counts(view) == _without_block_counts(oracle[k]), (name, k)
+            block_counts_differ += view.entries != oracle[k].entries
+    assert block_counts_differ == 16
+
+
+def _without_block_counts(view):
+    return {p: dataclasses.replace(e, block_count=0) for p, e in view.entries.items()}
 
 
 def test_mkfs_base_image_keeps_only_nonzero_sectors():
