@@ -210,7 +210,8 @@ class Device:
         return DiskImage(self.size_bytes, self._base, dict(self._overlay))
 
     def fork(self) -> "Device":
-        """A non-logging copy of the current image; used for oracle capture."""
+        """A non-logging copy of the current image; a replica runs on it
+        when oracle capture must unmount one (``SoundFs.clean_view``)."""
         return Device(self.size_bytes, self.snapshot(), log_io=False)
 
 

@@ -921,10 +921,28 @@ class SoundFs:
 
     def replicate(self) -> "SoundFs":
         """An independent copy on a non-logging fork of the device; the
-        geometry is immutable and shared."""
+        geometry is immutable and shared. ``clean_view`` unmounts one when
+        a commit deferred data."""
         return copy.deepcopy(
             self, {id(self.device): self.device.fork(), id(self.geo): self.geo}
         )
+
+    def clean_view(self) -> FsStateView:
+        """The view a clean unmount would leave, without unmounting.
+
+        The unmount commit has one in-memory effect: ``_submit_file_blocks``
+        on pending data, which allocates blocks and so changes
+        ``block_count``. Every other part of ``_commit``, and every
+        variant's ``_after_commit("unmount")``, writes only to the device,
+        the dirty sets or the variant's own bookkeeping, none of which the
+        view reads. So with no data pending the live view is that view. After a commit data stays pending only where a
+        variant skipped its flush (bugfs-b5's ``_skip_data_flush_inos``);
+        then a replica is unmounted and viewed instead."""
+        if not self._pending_data:
+            return self.state_view()
+        replica = self.replicate()
+        replica.unmount_clean()
+        return replica.state_view()
 
     # Policy hooks the buggy variants override. -------------------------------
 

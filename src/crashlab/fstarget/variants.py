@@ -161,7 +161,7 @@ class DirectWriteSizeZeroFs(SoundFs):
 
     def _reset_pending(self):
         super()._reset_pending()
-        # size as of the last commit, kept for freed inodes too
+        # size as of the last commit; a new file has none
         self._durable_size = {ino: n.size for ino, n in self.inodes.items()}
         self._dwrite_extended: set[int] = set()
 
@@ -171,6 +171,11 @@ class DirectWriteSizeZeroFs(SoundFs):
             _, _, ino = self._resolve(path, follow=True)
             if start + len(data) > self._durable_size.get(ino, 0):
                 self._dwrite_extended.add(ino)
+
+    def _free_inode(self, node):
+        super()._free_inode(node)
+        self._durable_size.pop(node.ino, None)
+        self._dwrite_extended.discard(node.ino)
 
     def _adjust_effective(self, eff, trigger, target_ino):
         if trigger not in ("fsync", "fdatasync"):

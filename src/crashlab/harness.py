@@ -2,13 +2,15 @@
 
 A profile run executes the workload once on a recording device, inserting a
 checkpoint after every persistence call and capturing an oracle at each one:
-the view of a replica of the file system after a clean unmount. Crash states
-are rebuilt from the log: at a checkpoint by replay, mid-epoch by the crash
-generator's subsets. ``check_state`` turns any of them into a verdict: it
-mounts the state so recovery runs and compares it against the oracle of the
-last checkpoint the state contains, but only for entities the persistence
-calls made durable (``_update_persisted``). Campaigns, replay (``state_for``
-rebuilds the state a report names) and the corpus all go through it.
+the view the file system would show after a clean unmount (``clean_view``:
+the live view, or an unmounted replica's when the commit deferred data).
+Crash states are rebuilt from the log: at a checkpoint by replay, mid-epoch
+by the crash generator's subsets. ``check_state`` turns any of them into a
+verdict: it mounts the state so recovery runs and compares it against the
+oracle of the last checkpoint the state contains, but only for entities the
+persistence calls made durable (``_update_persisted``). Campaigns, replay
+(``state_for`` rebuilds the state a report names) and the corpus all go
+through it.
 """
 
 from __future__ import annotations
@@ -162,12 +164,10 @@ def profile(workload: Workload, fs_name: str) -> Profile:
             else:
                 fs.persist(step.kind, step.target)
                 cp = device.insert_checkpoint()
-                # The oracle is the view after a clean unmount, not the live
-                # view: data a commit deferred (bugfs-b5) gets its blocks
-                # only when the unmount writes it.
-                replica = fs.replicate()
-                replica.unmount_clean()
-                oracle_views[cp] = replica.state_view()
+                # The oracle is the view after a clean unmount. It is the
+                # live view unless the commit deferred data (bugfs-b5),
+                # which gets its blocks only when the unmount writes it.
+                oracle_views[cp] = fs.clean_view()
                 _update_persisted(persisted_now, fs, step, oracle_views[cp])
                 persisted[cp] = dict(persisted_now)
     except FsError as e:

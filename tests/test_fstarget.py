@@ -513,6 +513,29 @@ def test_beyond_eof_loss_exact_sector_counts():
     assert (entry.expected, entry.actual) == ("32", "16")
 
 
+def test_dwrite_size_bug_arms_on_a_reused_inode_number():
+    """bugfs-b4 forgets what it knew of a freed inode: a new file that
+    reuses its number and is extended by dwrite journals size 0, and one
+    written only by plain writes journals its size."""
+    from crashlab import ace
+    from crashlab.harness import RunFlags, run_workload
+
+    flags = RunFlags(all_checkpoints=True)
+    w = ace.parse(
+        "creat foo\ndwrite (0-8K) foo\nsync\nunlink foo\ncreat bar\n"
+        "dwrite (0-4K) bar\nfsync bar\n"
+    )
+    assert [(v.crash_descriptor, v.consequence) for v in run_workload(w, "bugfs-b4", flags)] == [
+        ("checkpoint=1", ""),
+        ("checkpoint=2", "metadata_mismatch(size)"),
+    ]
+    assert all(v.outcome == "pass" for v in run_workload(w, "soundfs", flags))
+    w = ace.parse(
+        "creat foo\ndwrite (0-8K) foo\nunlink foo\ncreat bar\nwrite (0-4K) bar\nfsync bar\n"
+    )
+    assert [v.outcome for v in run_workload(w, "bugfs-b4", flags)] == ["pass"]
+
+
 def test_sound_journal_never_bricks_across_campaign_sample():
     """Every checkpoint crash state of every sampled workload mounts."""
     import itertools

@@ -100,6 +100,18 @@ def _live_run(w, fs_name):
             yield fs, device.insert_checkpoint()
 
 
+def _b5_write_rename_slice():
+    """bugfs-b5's write/rename seq-2 workloads 1000:1248, which hold all of
+    its bug reports on that tier."""
+    bounds = Bounds(
+        seq_length=2,
+        allowed_ops=(FsOpKind.WRITE, FsOpKind.RENAME),
+        files=("foo", "bar"),
+        dirs=(),
+    )
+    return ace.workload_range(bounds, 1000, 1248)
+
+
 def _clean_restart_view(w, fs_name, k):
     """Rerun ``w`` on a fresh device up to its k-th persistence call, unmount
     cleanly, and mount the image that leaves (an ``Unmountable`` or a view)."""
@@ -134,26 +146,17 @@ def _b3_lost_path(w, prof, k):
 
 
 def test_oracle_fork_strategy_equals_restart_strategy():
-    """The oracle taken from a replica forked at a checkpoint equals
-    restarting the workload, cleanly unmounting at the same persistence point
-    and remounting: on every target over every 13th seq-1 workload, and on
+    """The oracle ``profile`` takes at a checkpoint (the live view, or an
+    unmounted replica's where the commit deferred data) equals restarting
+    the workload, cleanly unmounting at the same persistence point and
+    remounting: on every target over every 13th seq-1 workload, and on
     bugfs-b5's write/rename seq-2 slice. bugfs-b3 is the one exception: its
     seeded loss of blocks past EOF survives the clean unmount, so the
     remount differs in that one entry, or does not mount when a non-empty
     directory lost its entry block."""
     seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)[::13]
-    b5_slice = ace.workload_range(
-        Bounds(
-            seq_length=2,
-            allowed_ops=(FsOpKind.WRITE, FsOpKind.RENAME),
-            files=("foo", "bar"),
-            dirs=(),
-        ),
-        1000,
-        1248,
-    )
     cases = [(name, w) for name in sorted(TARGETS) for w in seq1]
-    cases += [("bugfs-b5", w) for w in b5_slice]
+    cases += [("bugfs-b5", w) for w in _b5_write_rename_slice()]
     lost = unmountable = 0
     for name, w in cases:
         prof = profile(w, name)
@@ -190,8 +193,9 @@ def test_oracle_is_a_clean_unmount_not_the_live_view():
     assert profile(w, "bugfs-b5").oracle_views[1].entries["foo"].block_count == 8
 
 
-# Each variant's trigger, then a sync: what the replica of the trigger's
-# checkpoint shares with the live file system shows in the sync's commit.
+# Each variant's trigger, then a sync: whatever oracle capture at the
+# trigger's checkpoint changes in the live file system shows in the sync's
+# commit.
 _TRIGGERS_THEN_SYNC = {
     "bugfs-b1": "creat foo\nlink foo bar\nfsync foo\nsync\n",
     "bugfs-b2": "creat foo\nrename foo bar\nfsync bar\nsync\n",
@@ -203,10 +207,11 @@ _TRIGGERS_THEN_SYNC = {
 
 
 def test_oracle_capture_leaves_the_live_run_alone():
-    """``profile`` replicates the file system and unmounts the replica at
-    every checkpoint; its IO log must equal that of a run without replicas,
-    which it does not if the replica shares mutable state with the original
-    (dirty sets, inodes, a variant's bookkeeping)."""
+    """``profile`` views the live file system at every checkpoint, and
+    replicates it and unmounts the replica where the commit deferred data;
+    its IO log must equal that of a run without oracle capture, which it
+    does not if the view or the replica changes the original (dirty sets,
+    inodes, a variant's bookkeeping)."""
     seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)[::13]
     cases = [(name, w) for name in sorted(TARGETS) for w in seq1]
     cases += [(name, parse(text)) for name, text in _TRIGGERS_THEN_SYNC.items()]
@@ -216,23 +221,55 @@ def test_oracle_capture_leaves_the_live_run_alone():
         assert profile(w, name).io_log == fs.device.log, (name, ace.serialize(w))
 
 
+def test_clean_view_equals_the_unmounted_replica_view():
+    """``clean_view`` takes the live view when no data is pending and a
+    replica's otherwise; both must equal the view of a replica after a clean
+    unmount. The pending path is taken only on bugfs-b5."""
+    seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)[::13]
+    cases = [(name, w) for name in sorted(TARGETS) for w in seq1]
+    cases += [(name, parse(text)) for name, text in _TRIGGERS_THEN_SYNC.items()]
+    cases += [("bugfs-b5", w) for w in _b5_write_rename_slice()]
+    pending = set()
+    for name, w in cases:
+        for fs, cp in _live_run(w, name):
+            if fs._pending_data:
+                pending.add(name)
+            replica = fs.replicate()
+            replica.unmount_clean()
+            assert fs.clean_view().entries == replica.state_view().entries, (
+                name, cp, ace.serialize(w)
+            )
+    assert pending == {"bugfs-b5"}
+
+
+def test_profile_replicates_only_where_a_commit_deferred_data(monkeypatch):
+    """Counts the checkpoints at which ``profile`` copies the file system:
+    none on SoundFS, and on bugfs-b5 only the fsync that deferred the
+    renamed file's data, not the sync after it."""
+    at = []
+    replicate = SoundFs.replicate
+
+    def counting(fs):
+        at.append(fs.device.checkpoint_count)
+        return replicate(fs)
+
+    monkeypatch.setattr(SoundFs, "replicate", counting)
+    for w in ace.workload_range(Bounds(seq_length=1), 0, None)[::13]:
+        profile(w, "soundfs")
+    assert at == []
+    prof = profile(parse(_TRIGGERS_THEN_SYNC["bugfs-b5"]), "bugfs-b5")
+    assert prof.checkpoint_count == 2
+    assert at == [1]
+    assert prof.oracle_views[1].entries["foo"].block_count == 8
+
+
 def test_live_view_has_the_oracle_paths_and_kinds():
     """The persisted sets are computed from the oracle view; they may be,
     because it lists the same paths with the same kinds as the live file
     system. Only ``block_count`` differs, on bugfs-b5 (see above)."""
     seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)[::13]
-    b5_slice = ace.workload_range(
-        Bounds(
-            seq_length=2,
-            allowed_ops=(FsOpKind.WRITE, FsOpKind.RENAME),
-            files=("foo", "bar"),
-            dirs=(),
-        ),
-        1000,
-        1248,
-    )
     cases = [(name, w) for name in sorted(TARGETS) for w in seq1]
-    cases += [("bugfs-b5", w) for w in b5_slice]
+    cases += [("bugfs-b5", w) for w in _b5_write_rename_slice()]
     block_counts_differ = 0
     for name, w in cases:
         live = {cp: fs.state_view() for fs, cp in _live_run(w, name)}
