@@ -1,10 +1,12 @@
 """Simulated block device, its write-path IO log, and the disk-image format.
 
-An image is a shared immutable base plus a sector overlay (sector number to
-its 512 bytes). This module is the only code that knows that format: every
-write into an overlay goes through ``_write_sectors`` and every block read
+An image is a shared immutable base plus a block overlay (4 KB block number
+to its 4096 bytes). This module is the only code that knows that format:
+every write into an overlay goes through ``_write`` and every block read
 through ``_read_block``, whether it serves the live ``Device``, a log replay
-or a crash state built with ``DiskImage.with_writes``.
+or a crash state built with ``DiskImage.with_writes``. IO stays
+sector-addressed: a write that does not cover whole blocks (a sector-granular
+crash-state unit) is merged into the blocks it touches.
 
 The device applies writes eagerly to its current image; durability
 distinctions (what survives a power cut) are reconstructed later from the
@@ -13,12 +15,10 @@ log by the crash-state generator. Reads are never logged.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 SECTOR_SIZE = 512
 BLOCK_SIZE = 4096
-_SECTORS_PER_BLOCK = BLOCK_SIZE // SECTOR_SIZE
 
 
 class BlockDevError(Exception):
@@ -54,29 +54,32 @@ class IoRecord:
     checkpoint_id: int | None = None
 
 
-def _write_sectors(overlay: dict[int, bytes], sector: int, data: bytes) -> None:
-    for i in range(0, len(data), SECTOR_SIZE):
-        overlay[sector + i // SECTOR_SIZE] = data[i : i + SECTOR_SIZE]
+def _write(base: bytes, overlay: dict[int, bytes], sector: int, data: bytes) -> None:
+    """Apply one sector-aligned write. An aligned whole block is stored as
+    given, sharing the caller's bytes; a block the write covers only in part
+    is read, patched and stored back."""
+    block_no, off = divmod(sector * SECTOR_SIZE, BLOCK_SIZE)
+    if not off and len(data) == BLOCK_SIZE:
+        overlay[block_no] = data
+        return
+    while data:
+        piece, data = data[: BLOCK_SIZE - off], data[BLOCK_SIZE - off :]
+        if len(piece) < BLOCK_SIZE:
+            old = _read_block(base, overlay, block_no)
+            piece = old[:off] + piece + old[off + len(piece) :]
+        overlay[block_no] = piece
+        block_no, off = block_no + 1, 0
 
 
 def _read_block(base: bytes, overlay: dict[int, bytes], block_no: int) -> bytes:
-    if not overlay:
-        return base[block_no * BLOCK_SIZE : (block_no + 1) * BLOCK_SIZE]
-    sec0 = block_no * _SECTORS_PER_BLOCK
-    get = overlay.get
-    return b"".join(
-        [
-            get(sec) or base[sec * SECTOR_SIZE : (sec + 1) * SECTOR_SIZE]
-            for sec in range(sec0, sec0 + _SECTORS_PER_BLOCK)
-        ]
-    )
+    return overlay.get(block_no) or base[block_no * BLOCK_SIZE : (block_no + 1) * BLOCK_SIZE]
 
 
 class DiskImage:
     """Immutable point-in-time byte image of a device.
 
     Snapshots share the base and copy only the overlay, so they cost
-    O(dirtied sectors), not O(device size).
+    O(dirtied blocks), not O(device size).
     """
 
     __slots__ = ("size_bytes", "_base", "_overlay")
@@ -90,28 +93,25 @@ class DiskImage:
     def zeroed(cls, size_bytes: int) -> "DiskImage":
         return cls(size_bytes, bytes(size_bytes), {})
 
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "DiskImage":
-        return cls(len(raw), bytes(raw), {})
-
     def with_writes(self, writes) -> "DiskImage":
         """A new image: this one with the ``(sector, data)`` writes applied
         in order, the last writer of a sector winning."""
+        base = self._base
         overlay = dict(self._overlay)
         for sector, data in writes:
             if sector * SECTOR_SIZE + len(data) > self.size_bytes:
                 raise OutOfBoundsError(f"write at sector {sector} is beyond this image")
-            _write_sectors(overlay, sector, data)
-        return DiskImage(self.size_bytes, self._base, overlay)
+            _write(base, overlay, sector, data)
+        return DiskImage(self.size_bytes, base, overlay)
 
     def compacted(self) -> "DiskImage":
-        """The same bytes, keeping in the overlay only the sectors that
+        """The same bytes, keeping in the overlay only the blocks that
         differ from the base."""
         base = self._base
         overlay = {
-            sec: data
-            for sec, data in self._overlay.items()
-            if data != base[sec * SECTOR_SIZE : (sec + 1) * SECTOR_SIZE]
+            block_no: data
+            for block_no, data in self._overlay.items()
+            if data != base[block_no * BLOCK_SIZE : (block_no + 1) * BLOCK_SIZE]
         }
         return DiskImage(self.size_bytes, base, overlay)
 
@@ -124,12 +124,9 @@ class DiskImage:
         if not self._overlay:
             return self._base
         buf = bytearray(self._base)
-        for sec, chunk in self._overlay.items():
-            buf[sec * SECTOR_SIZE : (sec + 1) * SECTOR_SIZE] = chunk
+        for block_no, data in self._overlay.items():
+            buf[block_no * BLOCK_SIZE : (block_no + 1) * BLOCK_SIZE] = data
         return bytes(buf)
-
-    def sha256(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiskImage):
@@ -183,12 +180,12 @@ class Device:
             raise OutOfBoundsError(f"IO at sector {sector} length {length} out of bounds")
         if self._log_io:
             self.log.append(IoRecord(sector, data, fua=fua))
-        _write_sectors(self._overlay, sector, data)
+        _write(self._base, self._overlay, sector, data)
 
     def write_block(self, block_no: int, data: bytes, *, fua: bool = False) -> None:
         if len(data) != BLOCK_SIZE:
             raise OutOfBoundsError("write_block wants exactly one block")
-        self.write(block_no * _SECTORS_PER_BLOCK, data, fua=fua)
+        self.write(block_no * (BLOCK_SIZE // SECTOR_SIZE), data, fua=fua)
 
     def flush(self) -> None:
         if self._log_io:

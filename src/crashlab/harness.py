@@ -81,10 +81,10 @@ _mkfs_cache: dict[str, DiskImage] = {}
 
 def mkfs_base_image(fs_name: str) -> DiskImage:
     """Formatting is deterministic, so the clean image is built once per
-    target and shared as a replay base. Its overlay keeps only the sectors
+    target and shared as a replay base. Its overlay keeps only the blocks
     that differ from its zero base (mkfs also writes the zeroed journal), so
-    every device and crash state built on it copies a few sectors, not
-    thousands."""
+    every device and crash state built on it copies a few blocks, not
+    hundreds."""
     if fs_name not in _mkfs_cache:
         dev = Device(DEFAULT_DEVICE_BYTES)
         get_target(fs_name).mkfs(dev)

@@ -287,7 +287,7 @@ def test_acceptance_crash_state_exhaustiveness():
             sec, data = units[idx]
             buf[sec * 512 : sec * 512 + len(data)] = data
         assert state.image.to_bytes() == bytes(buf), kept
-        images[state.image.sha256()] = kept
+        images[state.image.to_bytes()] = kept
     count_ok = len(images) == 16
 
     rng = random.Random(20260808)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from crashlab.blockdev import (
+    BLOCK_SIZE,
     SECTOR_SIZE,
     DiskImage,
     Device,
@@ -25,7 +26,7 @@ def test_create_device_zero_filled():
 
 
 def test_create_device_with_base_is_identity():
-    base = DiskImage.from_bytes(bytes(range(256)) * (4 * MiB // 256))
+    base = DiskImage(4 * MiB, bytes(range(256)) * (4 * MiB // 256), {})
     dev = Device(4 * MiB, base)
     assert dev.snapshot() == base
 
@@ -167,7 +168,7 @@ def test_epoch_partition_covers_whole_log():
 
 
 def test_replay_empty_log_is_identity():
-    base = DiskImage.from_bytes(b"\x55" * MiB)
+    base = DiskImage(MiB, b"\x55" * MiB, {})
     dev = Device(MiB, base)
     dev.insert_checkpoint()
     out = replay(base, dev.log, checkpoint=1)
@@ -183,7 +184,7 @@ def test_replay_to_checkpoint_deterministic():
     base = DiskImage.zeroed(1 * MiB)
     a = replay(base, dev.log, checkpoint=1)
     b = replay(base, dev.log, checkpoint=1)
-    assert a.sha256() == b.sha256()
+    assert a.to_bytes() == b.to_bytes()
     assert a.read_block(1) == bytes(4096)  # post-checkpoint write excluded
 
 
@@ -208,10 +209,9 @@ def test_replay_does_not_mutate_base():
     dev.write(0, b"\x09" * 512)
     dev.insert_checkpoint()
     base = DiskImage.zeroed(1 * MiB)
-    digest = base.sha256()
     out = replay(base, dev.log, checkpoint=1)
     assert out.to_bytes()[:512] == b"\x09" * 512
-    assert base.sha256() == digest
+    assert base.to_bytes() == bytes(MiB)
 
 
 # -- snapshots -------------------------------------------------------------------
@@ -231,32 +231,56 @@ def test_two_snapshots_without_writes_identical():
     assert dev.snapshot() == dev.snapshot()
 
 
+def _random_write(rng, size):
+    """A write of 1-16 sectors at a random sector offset, so some straddle
+    block boundaries and most cover blocks only in part."""
+    n = rng.randint(1, 16)
+    return rng.randrange(size // SECTOR_SIZE - n + 1), rng.randbytes(n * SECTOR_SIZE)
+
+
+def _assert_image_is(image, eager):
+    assert image.to_bytes() == eager
+    for block in range(len(eager) // BLOCK_SIZE):
+        assert image.read_block(block) == eager[block * BLOCK_SIZE : (block + 1) * BLOCK_SIZE]
+
+
 def test_cow_isolation_against_eager_copy_oracle():
-    """Every snapshot equals what a full eager copy at that instant shows."""
+    """Every snapshot, and every snapshot with further writes applied,
+    equals what a full eager copy at that instant shows."""
     rng = random.Random(42)
     size = 64 * 1024
-    dev = Device(size)
-    shadow = bytearray(size)
+    raw = rng.randbytes(size)
+    dev = Device(size, DiskImage(size, raw, {}))
+    shadow = bytearray(raw)
     snaps = []
     for _ in range(200):
-        if rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.3:
             snaps.append((dev.snapshot(), bytes(shadow)))
+            continue
+        if roll < 0.5:
+            block = rng.randrange(size // BLOCK_SIZE)
+            sec, payload = block * (BLOCK_SIZE // SECTOR_SIZE), rng.randbytes(BLOCK_SIZE)
+            dev.write_block(block, payload)
         else:
-            sec = rng.randrange(size // SECTOR_SIZE)
-            payload = bytes([rng.randrange(256)]) * SECTOR_SIZE
+            sec, payload = _random_write(rng, size)
             dev.write(sec, payload)
-            shadow[sec * SECTOR_SIZE : (sec + 1) * SECTOR_SIZE] = payload
+        shadow[sec * SECTOR_SIZE : sec * SECTOR_SIZE + len(payload)] = payload
     snaps.append((dev.snapshot(), bytes(shadow)))
     for snap, eager in snaps:
-        assert snap.to_bytes() == eager
-        for block in range(size // 4096):
-            assert snap.read_block(block) == eager[block * 4096 : (block + 1) * 4096]
-    for block in range(size // 4096):
-        assert dev.read_block(block) == shadow[block * 4096 : (block + 1) * 4096]
+        _assert_image_is(snap, eager)
+        writes = [_random_write(rng, size) for _ in range(rng.randint(1, 8))]
+        expect = bytearray(eager)
+        for sec, payload in writes:
+            expect[sec * SECTOR_SIZE : sec * SECTOR_SIZE + len(payload)] = payload
+        _assert_image_is(snap.with_writes(writes), bytes(expect))
+        _assert_image_is(snap, eager)
+    for block in range(size // BLOCK_SIZE):
+        assert dev.read_block(block) == shadow[block * BLOCK_SIZE : (block + 1) * BLOCK_SIZE]
 
 
 def test_with_writes_applies_in_order_and_checks_bounds():
-    base = DiskImage.from_bytes(b"\x55" * MiB)
+    base = DiskImage(MiB, b"\x55" * MiB, {})
     out = base.with_writes([(1, b"\x01" * 1024), (2, b"\x02" * 512)])
     assert out.read_block(0)[:2048] == b"\x55" * 512 + b"\x01" * 512 + b"\x02" * 512 + b"\x55" * 512
     assert base.read_block(0) == b"\x55" * 4096

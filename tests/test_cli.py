@@ -93,7 +93,9 @@ def test_report_files_byte_identical_across_runs(tmp_path):
 
 
 # sha256 of reports.jsonl, groups.json and summary.json, recorded before the
-# seeded-bug bookkeeping moved from SoundFS into the variants.
+# seeded-bug bookkeeping moved from SoundFS into the variants; the
+# sector-granularity case, which writes partial blocks into crash states, was
+# recorded before disk images were keyed by block.
 _PINNED_CAMPAIGNS = [
     (
         "--fs bugfs-b1 --seq 1 --all-checkpoints",
@@ -143,11 +145,21 @@ _PINNED_CAMPAIGNS = [
             "39bef1cfaf5762f818740ef61c143bac59ada263c964abdfe4f38703101e1f94",
         ),
     ),
+    (
+        "--fs bugfs-b3 --seq 1 --ops falloc --subset --granularity sector --seed 7 --range 120:140",
+        (
+            "ce9d8b941a4196aefbaaf57724a5740019dc4118a761773125eeee56a2d05f10",
+            "4a8e84e900234b491bd8479025f80d8127067287fc62d9bd4f18476112c6b4c6",
+            "a87208fd25fa810d5dc7b27cf99825b60cbe22f3b073bc6d942491d544b80d6f",
+        ),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "args,digests", _PINNED_CAMPAIGNS, ids=[a.split()[1] for a, _ in _PINNED_CAMPAIGNS]
+    "args,digests",
+    _PINNED_CAMPAIGNS,
+    ids=[a.split()[1] + ("-sector" if "sector" in a else "") for a, _ in _PINNED_CAMPAIGNS],
 )
 def test_variant_report_files_are_pinned(tmp_path, args, digests):
     """The seeded bugs report byte for byte what they reported before."""

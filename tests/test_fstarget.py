@@ -57,7 +57,7 @@ def test_mkfs_too_small():
 
 
 def test_mount_garbage_is_unmountable():
-    garbage = DiskImage.from_bytes(b"\x5a" * DEV)
+    garbage = DiskImage(DEV, b"\x5a" * DEV, {})
     assert isinstance(SoundFs.mount(garbage), Unmountable)
 
 

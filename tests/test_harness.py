@@ -9,7 +9,7 @@ import time
 
 from crashlab import ace
 from crashlab.ace import Bounds, parse
-from crashlab.blockdev import Device, replay, split_epochs
+from crashlab.blockdev import BLOCK_SIZE, Device, replay, split_epochs
 from crashlab.crashgen import build_subset_state, enumerate_target_subsets
 from crashlab.fsops import FsOp, FsOpKind, PersistKind
 from crashlab.fstarget import SoundFs, TARGETS, Unmountable, get_target
@@ -285,13 +285,21 @@ def _without_block_counts(view):
     return {p: dataclasses.replace(e, block_count=0) for p, e in view.entries.items()}
 
 
-def test_mkfs_base_image_keeps_only_nonzero_sectors():
+def test_mkfs_base_image_keeps_only_nonzero_blocks():
+    zero_block = bytes(BLOCK_SIZE)
     for name in sorted(TARGETS):
         dev = Device(DEFAULT_DEVICE_BYTES)
         get_target(name).mkfs(dev)
         image = mkfs_base_image(name)
-        assert image == dev.snapshot(), name
-        assert len(image._overlay) < 64, name
+        raw = dev.snapshot().to_bytes()
+        assert image.to_bytes() == raw, name
+        assert image._base == bytes(DEFAULT_DEVICE_BYTES), name
+        nonzero = {
+            b
+            for b in range(DEFAULT_DEVICE_BYTES // BLOCK_SIZE)
+            if raw[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE] != zero_block
+        }
+        assert set(image._overlay) == nonzero, name
 
 
 # -- checker -------------------------------------------------------------------
