@@ -104,9 +104,6 @@ class Workload:
     skeleton: Skeleton
     index: int = -1
 
-    def core_ops(self) -> list[FsOp]:
-        return [s for s in self.steps if isinstance(s, FsOp)]
-
     def __eq__(self, other):
         if not isinstance(other, Workload):
             return NotImplemented

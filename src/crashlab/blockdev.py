@@ -115,24 +115,6 @@ class DiskImage:
         }
         return DiskImage(self.size_bytes, base, overlay)
 
-    def read_block(self, block_no: int) -> bytes:
-        if not 0 <= block_no < self.size_bytes // BLOCK_SIZE:
-            raise OutOfBoundsError(f"block {block_no} out of bounds")
-        return _read_block(self._base, self._overlay, block_no)
-
-    def to_bytes(self) -> bytes:
-        if not self._overlay:
-            return self._base
-        buf = bytearray(self._base)
-        for block_no, data in self._overlay.items():
-            buf[block_no * BLOCK_SIZE : (block_no + 1) * BLOCK_SIZE] = data
-        return bytes(buf)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiskImage):
-            return NotImplemented
-        return self.size_bytes == other.size_bytes and self.to_bytes() == other.to_bytes()
-
 
 @dataclass
 class Epoch:

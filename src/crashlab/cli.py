@@ -109,13 +109,6 @@ class CampaignResult:
     def harness_errors(self) -> int:
         return len(self.errors)
 
-    def verdict_multiset(self) -> dict[tuple[int, str, str], int]:
-        out: dict[tuple[int, str, str], int] = {}
-        for rep in self.reports:
-            key = (rep.workload_index, rep.crash_descriptor, rep.consequence)
-            out[key] = out.get(key, 0) + 1
-        return out
-
 
 def _run_partition(args):
     fs_name, flags, items = args
@@ -169,6 +162,7 @@ def _run_tier(config: CampaignConfig, flags, tier) -> dict[int, list[Verdict]]:
 
 def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResult:
     config.validate()
+    known = report.load_known_bugs(config.known_bugs) if config.known_bugs else set()
     t0 = time.monotonic()
     flags = config.run_flags()
     tiers = _collect_tiers(config)
@@ -227,8 +221,7 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
     else:
         res.groups = report.group(res.reports)
 
-    db = report.KnownBugDb.load(config.known_bugs) if config.known_bugs else report.KnownBugDb()
-    res.new_groups, res.suppressed_reports = report.suppress_known(res.groups, db)
+    res.new_groups, res.suppressed_reports = report.suppress_known(res.groups, known)
 
     group_payload = _groups_json(res.new_groups)
     res.group_hash = hashlib.sha256(group_payload.encode()).hexdigest()
@@ -342,7 +335,6 @@ class CorpusRow:
     expected: str
     observed: str
     match: bool
-    note: str = ""
 
 
 def _corpus_row(path: Path, fs_name: str) -> CorpusRow:
@@ -357,18 +349,9 @@ def _corpus_row(path: Path, fs_name: str) -> CorpusRow:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoPersistencePointWarning)
         verdicts = run_workload(workload, fs_name, RunFlags(all_checkpoints=True))
-    observed = "none"
-    note = ""
-    for v in verdicts:
-        if v.outcome == "harness_error":
-            observed = "harness_error"
-            note = v.reason
-            break
-        if v.is_bug:
-            observed = v.consequence
-            note = v.crash_descriptor
-            break
-    return CorpusRow(path.name, expected, observed, expected == observed, note)
+    # the first failing verdict's consequence, or "harness_error"
+    observed = next((v.consequence or v.outcome for v in verdicts if v.outcome != "pass"), "none")
+    return CorpusRow(path.name, expected, observed, expected == observed)
 
 
 def run_corpus(corpus_dir, fs_name: str, *, quiet: bool = False) -> list[CorpusRow]:
@@ -423,11 +406,21 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
 
 
+def _read_config(path) -> dict:
+    """The JSON object of a config file; its keys are the flag names with
+    underscores."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ValueError(f"config file {path}: {e}") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"config file {path}: expected a JSON object")
+    return values
+
+
 def _config_from_args(args) -> CampaignConfig:
-    file_values = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+    file_values = _read_config(args.config) if args.config else {}
 
     def pick(name, default):
         flag = getattr(args, name, None)
@@ -443,33 +436,33 @@ def _config_from_args(args) -> CampaignConfig:
         start_s, _, end_s = str(rng).partition(":")
         index_range = (int(start_s or 0), int(end_s) if end_s else None)
 
-    ops = pick("ops", None)
-    if isinstance(ops, str):
-        ops = tuple(o.strip() for o in ops.split(",") if o.strip())
-    files = pick("files", None)
-    if isinstance(files, str):
-        files = tuple(f.strip() for f in files.split(",") if f.strip())
-    dirs = pick("dirs", None)
-    if isinstance(dirs, str):
-        dirs = tuple(d.strip() for d in dirs.split(",") if d.strip())
+    def names(name):
+        value = pick(name, None)
+        if isinstance(value, str):
+            return tuple(v.strip() for v in value.split(",") if v.strip())
+        return None if value is None else tuple(value)
 
-    return CampaignConfig(
-        fs=pick("fs", "soundfs"),
-        seq=tuple(pick("seq", [1])),
-        ops=ops,
-        files=files,
-        dirs=dirs,
-        corpus=pick("corpus", None),
-        workers=int(pick("workers", 1)),
-        all_checkpoints=bool(pick("all_checkpoints", False)),
-        subset=bool(pick("subset", False)),
-        granularity=pick("granularity", "op"),
-        seed=int(pick("seed", 0)),
-        known_bugs=pick("known_bugs", None),
-        out=pick("out", None),
-        no_group=bool(pick("no_group", False)),
-        index_range=index_range,
-    )
+    try:
+        return CampaignConfig(
+            fs=pick("fs", "soundfs"),
+            seq=tuple(int(s) for s in pick("seq", [1])),
+            ops=names("ops"),
+            files=names("files"),
+            dirs=names("dirs"),
+            corpus=pick("corpus", None),
+            workers=int(pick("workers", 1)),
+            all_checkpoints=bool(pick("all_checkpoints", False)),
+            subset=bool(pick("subset", False)),
+            granularity=pick("granularity", "op"),
+            seed=int(pick("seed", 0)),
+            known_bugs=pick("known_bugs", None),
+            out=pick("out", None),
+            no_group=bool(pick("no_group", False)),
+            index_range=index_range,
+        )
+    except TypeError as e:
+        # argparse types every flag, so a value of the wrong type is the file's
+        raise ValueError(f"config file {args.config}: {e}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,9 +3,10 @@
 A subset-mode state is every fully durable leading epoch plus an ordered
 subset of the target epoch's write units (whole records, or 512-byte
 sectors). Small epochs are enumerated exhaustively; larger ones are sampled
-reproducibly from a seed. The state's image is the base with those writes
-applied through ``DiskImage.with_writes``, so this module never sees the
-image format. Checkpoint states are plain log replays and need nothing from
+reproducibly from a seed. The prefix image is built once per target epoch
+(``prefix_state``), and each state is that image with its kept units applied
+through ``DiskImage.with_writes``, so this module never sees the image
+format. Checkpoint states are plain log replays and need nothing from
 this module beyond ``CrashState``.
 """
 
@@ -88,20 +89,45 @@ def _atomic_units(epoch: Epoch, granularity: str) -> list[tuple[int, bytes]]:
     return units
 
 
-def enumerate_target_subsets(
-    epochs: list[Epoch],
-    prefix_count: int,
-    granularity: str = "op",
-    seed: int = 0,
-):
+@dataclass(frozen=True)
+class PrefixState:
+    """What every subset state of one target epoch shares: the image with
+    all prefix epochs applied, the last checkpoint they contain, and the
+    target epoch's droppable units."""
+
+    image: DiskImage
+    prefix_count: int
+    checkpoint_id: int
+    units: list[tuple[int, bytes]]
+    granularity: str
+
+
+def prefix_state(
+    base: DiskImage, epochs: list[Epoch], prefix_count: int, granularity: str = "op"
+) -> PrefixState:
+    """base + all records of the first ``prefix_count`` epochs, with the
+    next epoch as the target."""
+    if not 0 <= prefix_count < len(epochs):
+        raise CrashGenError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
+    prefix = epochs[:prefix_count]
+    return PrefixState(
+        base.with_writes(
+            (rec.sector, rec.data) for ep in prefix for rec in ep.all_records() if rec.data
+        ),
+        prefix_count,
+        max((cp for ep in prefix for cp in ep.checkpoints), default=0),
+        _atomic_units(epochs[prefix_count], granularity),
+        granularity,
+    )
+
+
+def enumerate_target_subsets(prefix: PrefixState, seed: int = 0):
     """Yield ordered index subsets of the target epoch's atomic units.
 
     Up to EXHAUSTIVE_UNITS units, all 2^n subsets; beyond that, SAMPLE_COUNT
     distinct subsets sampled without replacement, reproducibly from the seed.
     """
-    if not 0 <= prefix_count < len(epochs):
-        raise CrashGenError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
-    n = len(_atomic_units(epochs[prefix_count], granularity))
+    n = len(prefix.units)
     if n <= EXHAUSTIVE_UNITS:
         masks = range(1 << n)
     else:
@@ -117,25 +143,16 @@ def enumerate_target_subsets(
         yield tuple(i for i in range(n) if mask >> i & 1)
 
 
-def build_subset_state(
-    base: DiskImage,
-    epochs: list[Epoch],
-    prefix_count: int,
-    kept: tuple[int, ...],
-    granularity: str = "op",
-) -> CrashState:
-    """base + all records of the prefix epochs + kept target units, in order."""
-    if not 0 <= prefix_count < len(epochs):
-        raise CrashGenError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
-    subset = SubsetDescriptor(prefix_count, tuple(kept), granularity)
-    units = _atomic_units(epochs[prefix_count], granularity)
+def build_subset_state(prefix: PrefixState, kept: tuple[int, ...]) -> CrashState:
+    """The prefix image + the kept target units, in order."""
+    subset = SubsetDescriptor(prefix.prefix_count, tuple(kept), prefix.granularity)
+    units = prefix.units
     if kept and not 0 <= kept[0] <= kept[-1] < len(units):
-        raise CrashGenError(f"kept units out of range; epoch {prefix_count} has {len(units)} units")
-    prefix = epochs[:prefix_count]
-    writes = [(rec.sector, rec.data) for ep in prefix for rec in ep.all_records() if rec.data]
-    writes += [units[i] for i in kept]
+        raise CrashGenError(
+            f"kept units out of range; epoch {prefix.prefix_count} has {len(units)} units"
+        )
     return CrashState(
-        base.with_writes(writes),
-        checkpoint_id=max((cp for ep in prefix for cp in ep.checkpoints), default=0),
+        prefix.image.with_writes(units[i] for i in kept),
+        checkpoint_id=prefix.checkpoint_id,
         subset=subset,
     )

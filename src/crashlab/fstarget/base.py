@@ -46,7 +46,6 @@ class ViewEntry:
     data_hash: str = ""
     xattrs: tuple[tuple[str, str], ...] = ()
     symlink_target: str = ""
-    ino: int = 0  # internal identity; never compared
 
 
 @dataclass

@@ -1037,7 +1037,6 @@ class SoundFs:
                 block_count=SECTORS_PER_BLOCK * sum(1 for b in node.blocks if b),
                 data_hash=hashlib.sha256(bytes(content[: node.size])).hexdigest(),
                 xattrs=tuple(sorted(node.xattrs.items())),
-                ino=node.ino,
             )
         if node.kind == KIND_DIR:
             return ViewEntry(
@@ -1046,14 +1045,12 @@ class SoundFs:
                 link_count=1,
                 block_count=SECTORS_PER_BLOCK * sum(1 for b in node.blocks if b),
                 xattrs=tuple(sorted(node.xattrs.items())),
-                ino=node.ino,
             )
         return ViewEntry(
             kind="symlink",
             size=node.size,
             link_count=node.nlink,
             symlink_target=node.target,
-            ino=node.ino,
         )
 
     def state_view(self) -> FsStateView:
@@ -1076,15 +1073,13 @@ class SoundFs:
     # -- offline structural check (fsck analogue) ------------------------------
 
     @classmethod
-    def fsck(cls, image: DiskImage) -> dict:
-        """Run only when a crash state is un-mountable; advisory output."""
-        fs = cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
-        if not isinstance(fs, Unmountable):
-            return {"mountable": True, "repairable": True, "issues": []}
+    def fsck(cls, failed: Unmountable) -> dict:
+        """Advisory structural-check report on a crash state whose mount
+        failed with ``failed``."""
         return {
             "mountable": False,
-            "repairable": "link count" in fs.reason,  # orphan-style damage only
-            "issues": [fs.reason],
+            "repairable": "link count" in failed.reason,  # orphan-style damage only
+            "issues": [failed.reason],
         }
 
 

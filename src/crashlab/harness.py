@@ -33,10 +33,11 @@ from .crashgen import (
     SubsetDescriptor,
     build_subset_state,
     enumerate_target_subsets,
+    prefix_state,
 )
-from .fsops import FsOp, PersistKind, PersistOp, parent_dir
+from .fsops import FsOp, FsOpKind, PersistKind, PersistOp, parent_dir
 from .fstarget import FsError, FsStateView, Unmountable, get_target
-from .report import DiffEntry
+from .report import DiffEntry, classify
 
 DEFAULT_DEVICE_BYTES = 4 * 1024 * 1024
 
@@ -66,7 +67,6 @@ class Verdict:
 
 @dataclass
 class Profile:
-    workload: Workload
     fs_name: str
     io_log: list[IoRecord]
     checkpoint_count: int
@@ -174,7 +174,6 @@ def profile(workload: Workload, fs_name: str) -> Profile:
         raise HarnessError(f"workload op failed: {e}") from e
 
     return Profile(
-        workload=workload,
         fs_name=fs_name,
         io_log=device.log,
         checkpoint_count=device.checkpoint_count,
@@ -242,35 +241,34 @@ def check(
     persisted_set: dict[str, int],
     fs_name: str,
     *,
-    mode: str = "checkpoint",
     descriptor: str = "",
     later_views: list[FsStateView] | None = None,
 ) -> Verdict:
     """Mount the crash state (running recovery) and compare persisted entities
     against the oracle.
 
-    In subset mode the crash lands mid-epoch, so an entity may legitimately
-    show any committed state at or after its persistence point: it must match
-    the checkpoint oracle or one of the later oracles, metadata only (in-place
-    data overwrites are legally torn), and no spurious-entry scan runs.
+    A subset state comes with ``later_views``. Its crash lands mid-epoch, so
+    an entity may legitimately show any committed state at or after its
+    persistence point: it must match the checkpoint oracle or one of the
+    later oracles, metadata only (in-place data overwrites are legally torn),
+    and no spurious-entry scan runs.
     """
     target = get_target(fs_name)
     fs = target.mount(crash_image)
     if isinstance(fs, Unmountable):
-        fsck = target.fsck(crash_image)
         diff = [DiffEntry("unmountable", expected="mountable file system", actual=fs.reason)]
         return Verdict(
             "bug",
             crash_descriptor=descriptor,
             consequence="unmountable",
             diff=diff,
-            fsck=fsck,
+            fsck=target.fsck(fs),
         )
 
     crash_view = fs.state_view()
     diff: list[DiffEntry] = []
-    subset = mode == "subset"
-    candidates = [oracle_view] + list(later_views or []) if subset else [oracle_view]
+    subset = later_views is not None
+    candidates = [oracle_view, *(later_views or ())]
 
     for path in sorted(persisted_set):
         level = persisted_set[path]
@@ -296,14 +294,7 @@ def check(
     diff.extend(_write_checks(fs, crash_view, persisted_set))
 
     if diff:
-        from .report import classify
-
-        return Verdict(
-            "bug",
-            crash_descriptor=descriptor,
-            consequence=str(classify(diff)),
-            diff=diff,
-        )
+        return Verdict("bug", crash_descriptor=descriptor, consequence=classify(diff), diff=diff)
     return Verdict("pass", crash_descriptor=descriptor)
 
 
@@ -321,8 +312,6 @@ def _write_checks(fs, crash_view: FsStateView, persisted_set: dict[str, int]):
         if parent == "/" or (parent_entry is not None and parent_entry.kind == "dir"):
             dirs.add(parent)
     diff = []
-    from .fsops import FsOpKind
-
     for d in sorted(dirs):
         probe = "probe_chk" if d == "/" else f"{d}/probe_chk"
         if crash_view.get(probe) is not None:
@@ -398,13 +387,13 @@ def run_workload(
 
 def _subset_verdicts(prof: Profile, flags: RunFlags) -> list[Verdict]:
     epochs = split_epochs(prof.io_log)
+    prefixes = (
+        prefix_state(prof.base_image, epochs, p, flags.granularity) for p in range(len(epochs))
+    )
     return [
-        check_state(
-            prof,
-            build_subset_state(prof.base_image, epochs, prefix, kept, flags.granularity),
-        )
-        for prefix in range(len(epochs))
-        for kept in enumerate_target_subsets(epochs, prefix, flags.granularity, flags.seed)
+        check_state(prof, build_subset_state(prefix, kept))
+        for prefix in prefixes
+        for kept in enumerate_target_subsets(prefix, flags.seed)
     ]
 
 
@@ -417,14 +406,16 @@ def check_state(prof: Profile, state: CrashState) -> Verdict:
     contains (the freshly formatted file system before the first). A subset
     state may also match any later oracle."""
     cp = state.checkpoint_id
+    later_views = None
+    if state.subset is not None:
+        later_views = [prof.oracle_views[j] for j in range(cp + 1, prof.checkpoint_count + 1)]
     return check(
         state.image,
         prof.oracle_views.get(cp, prof.base_view),
         prof.persisted.get(cp, {}),
         prof.fs_name,
-        mode="checkpoint" if state.subset is None else "subset",
         descriptor=state.descriptor(),
-        later_views=[prof.oracle_views[j] for j in range(cp + 1, prof.checkpoint_count + 1)],
+        later_views=later_views,
     )
 
 
@@ -438,12 +429,9 @@ def state_for(prof: Profile, descriptor: str) -> CrashState:
                 raise ValueError(f"the workload has {prof.checkpoint_count} checkpoints")
             return _checkpoint_state(prof, k)
         sub = SubsetDescriptor.parse(descriptor)
-        return build_subset_state(
-            prof.base_image,
-            split_epochs(prof.io_log),
-            sub.prefix_epoch_count,
-            sub.kept_indices,
-            sub.granularity,
+        prefix = prefix_state(
+            prof.base_image, split_epochs(prof.io_log), sub.prefix_epoch_count, sub.granularity
         )
+        return build_subset_state(prefix, sub.kept_indices)
     except (ValueError, CrashGenError) as e:
         raise ValueError(f"crash descriptor {descriptor!r}: {e}") from None

@@ -2,48 +2,25 @@
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-
-class ConsequenceKind(enum.Enum):
-    FILE_MISSING = "file_missing"
-    DATA_MISMATCH = "data_mismatch"
-    METADATA_MISMATCH = "metadata_mismatch"
-    SPURIOUS_ENTRY = "spurious_entry"
-    UNMOUNTABLE = "unmountable"
-    UNWRITABLE_DIR = "unwritable_dir"
-
-
-# Most severe first; exactly one class per report.
+# Consequence classes, most severe first; exactly one class per report.
 DOMINANCE = (
-    ConsequenceKind.UNMOUNTABLE,
-    ConsequenceKind.SPURIOUS_ENTRY,
-    ConsequenceKind.FILE_MISSING,
-    ConsequenceKind.DATA_MISMATCH,
-    ConsequenceKind.METADATA_MISMATCH,
-    ConsequenceKind.UNWRITABLE_DIR,
+    "unmountable",
+    "spurious_entry",
+    "file_missing",
+    "data_mismatch",
+    "metadata_mismatch",
+    "unwritable_dir",
 )
 
-
-@dataclass(frozen=True)
-class Consequence:
-    kind: ConsequenceKind
-    detail: str = ""  # metadata field for metadata_mismatch
-
-    def __str__(self) -> str:
-        if self.detail:
-            return f"{self.kind.value}({self.detail})"
-        return self.kind.value
-
-    @classmethod
-    def parse(cls, text: str) -> "Consequence":
-        text = text.strip()
-        if "(" in text and text.endswith(")"):
-            base, _, detail = text[:-1].partition("(")
-            return cls(ConsequenceKind(base), detail)
-        return cls(ConsequenceKind(text))
+_CATEGORY_CLASS = {
+    "unmountable": "unmountable",
+    "spurious": "spurious_entry",
+    "missing": "file_missing",
+    "probe": "unwritable_dir",
+}
 
 
 @dataclass(frozen=True)
@@ -56,34 +33,26 @@ class DiffEntry:
     expected: str = ""
     actual: str = ""
 
-    def consequence_kind(self) -> ConsequenceKind:
-        if self.category == "unmountable":
-            return ConsequenceKind.UNMOUNTABLE
-        if self.category == "spurious":
-            return ConsequenceKind.SPURIOUS_ENTRY
-        if self.category == "missing":
-            return ConsequenceKind.FILE_MISSING
-        if self.category == "probe":
-            return ConsequenceKind.UNWRITABLE_DIR
-        if self.field == "data_hash":
-            return ConsequenceKind.DATA_MISMATCH
-        return ConsequenceKind.METADATA_MISMATCH
+    def consequence_class(self) -> str:
+        if self.category == "field":
+            return "data_mismatch" if self.field == "data_hash" else "metadata_mismatch"
+        return _CATEGORY_CLASS[self.category]
 
 
-def classify(diff: list[DiffEntry]) -> Consequence:
-    """Deterministic dominant class of a non-empty bug diff."""
+def classify(diff: list[DiffEntry]) -> str:
+    """Deterministic dominant class of a non-empty bug diff. A metadata
+    mismatch names the field of its first entry by path, for example
+    ``metadata_mismatch(size)``."""
     if not diff:
         raise ValueError("classify() requires a bug diff")
-    by_kind: dict[ConsequenceKind, list[DiffEntry]] = {}
-    for entry in diff:
-        by_kind.setdefault(entry.consequence_kind(), []).append(entry)
-    for kind in DOMINANCE:
-        if kind in by_kind:
-            if kind is ConsequenceKind.METADATA_MISMATCH:
-                first = min(by_kind[kind], key=lambda e: (e.path, e.field))
-                return Consequence(kind, first.field)
-            return Consequence(kind)
-    raise ValueError("diff entries mapped to no consequence")
+    present = {entry.consequence_class() for entry in diff}
+    kind = next(k for k in DOMINANCE if k in present)
+    if kind != "metadata_mismatch":
+        return kind
+    first = min(
+        (e for e in diff if e.consequence_class() == kind), key=lambda e: (e.path, e.field)
+    )
+    return f"{kind}({first.field})"
 
 
 @dataclass
@@ -144,56 +113,35 @@ def group(reports: list[BugReport]) -> list[BugGroup]:
     return out
 
 
-@dataclass
-class KnownBugDb:
-    """Append-only (skeleton, consequence) pairs with provenance notes."""
-
-    entries: dict[tuple[str, str], str] = field(default_factory=dict)
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self.entries
-
-    def add(self, skeleton: str, consequence: str, note: str = "") -> None:
-        self.entries.setdefault((skeleton, consequence), note)
-
-    def merge_groups(self, groups: list[BugGroup], note: str = "") -> None:
-        for g in groups:
-            self.add(g.skeleton, g.consequence, note)
-
-    def save(self, path) -> None:
-        payload = {
-            "schema": 1,
-            "entries": [
-                {"skeleton": s, "consequence": c, "note": n}
-                for (s, c), n in sorted(self.entries.items())
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "KnownBugDb":
-        db = cls()
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            return db
-        for item in payload.get("entries", []):
-            db.add(item["skeleton"], item["consequence"], item.get("note", ""))
-        return db
+def load_known_bugs(path) -> set[tuple[str, str]]:
+    """The (skeleton, consequence) pairs of a known-bug file,
+    ``{"schema": 1, "entries": [{"skeleton": ..., "consequence": ...}]}``;
+    other keys are ignored. A missing file holds no known bugs."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError:
+        return set()
+    except ValueError as e:
+        raise ValueError(f"known-bug file {path}: {e}") from None
+    try:
+        return {(item["skeleton"], item["consequence"]) for item in payload.get("entries", [])}
+    except (AttributeError, KeyError, TypeError):
+        raise ValueError(
+            f"known-bug file {path}: expected "
+            '{"entries": [{"skeleton": ..., "consequence": ...}, ...]}'
+        ) from None
 
 
 def suppress_known(
-    groups: list[BugGroup], db: KnownBugDb
+    groups: list[BugGroup], known: set[tuple[str, str]]
 ) -> tuple[list[BugGroup], int]:
-    """Drop groups already in the database; returns survivors and the count of
-    suppressed *reports* (sum of suppressed group sizes)."""
+    """Drop groups whose (skeleton, consequence) is known; returns survivors
+    and the count of suppressed *reports* (sum of suppressed group sizes)."""
     new_groups = []
     suppressed_reports = 0
     for g in groups:
-        if (g.skeleton, g.consequence) in db:
+        if (g.skeleton, g.consequence) in known:
             suppressed_reports += g.size
         else:
             new_groups.append(g)
@@ -209,8 +157,11 @@ def write_reports(path, reports: list[BugReport]) -> None:
 def read_reports(path) -> list[BugReport]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 out.append(BugReport.from_json(line))
+            except (AttributeError, TypeError, ValueError) as e:
+                raise ValueError(f"{path}:{lineno}: not a bug report: {e}") from None
     return out

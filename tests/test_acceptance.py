@@ -5,10 +5,10 @@ helpers run in-process so throughput numbers reflect the real pipeline.
 """
 
 import itertools
+import json
 import random
 import time
 
-from crashlab import report
 from crashlab.ace import Bounds, gen_skeletons, generate_workloads, serialize
 from crashlab.blockdev import Device, DiskImage, split_epochs
 from crashlab.cli import (
@@ -19,9 +19,10 @@ from crashlab.cli import (
     run_corpus,
     run_mapped_corpus,
 )
-from crashlab.crashgen import build_subset_state, enumerate_target_subsets
+from crashlab.crashgen import build_subset_state, enumerate_target_subsets, prefix_state
 from crashlab.fsops import FsOpKind, same_directory
 from crashlab.fstarget import VARIANTS
+from image_helper import image_bytes
 
 SIX_OPS = (
     FsOpKind.CREAT,
@@ -278,16 +279,17 @@ def test_acceptance_crash_state_exhaustiveness():
     base = DiskImage.zeroed(size)
     epochs = split_epochs(dev.log)
     images = {}
-    for kept in enumerate_target_subsets(epochs, 0):
-        state = build_subset_state(base, epochs, 0, kept)
+    pre = prefix_state(base, epochs, 0)
+    for kept in enumerate_target_subsets(pre):
+        state = build_subset_state(pre, kept)
         # eager oracle: apply kept writes directly
         buf = bytearray(size)
         units = [(r.sector, r.data) for r in epochs[0].records]
         for idx in kept:
             sec, data = units[idx]
             buf[sec * 512 : sec * 512 + len(data)] = data
-        assert state.image.to_bytes() == bytes(buf), kept
-        images[state.image.to_bytes()] = kept
+        assert image_bytes(state.image) == bytes(buf), kept
+        images[image_bytes(state.image)] = kept
     count_ok = len(images) == 16
 
     rng = random.Random(20260808)
@@ -300,13 +302,14 @@ def test_acceptance_crash_state_exhaustiveness():
             dev.write(sec, bytes([0x30 + i]) * (512 * rng.randint(1, 2)))
         epochs = split_epochs(dev.log)
         units = [(r.sector, r.data) for r in epochs[0].records]
-        for kept in enumerate_target_subsets(epochs, 0):
-            image = build_subset_state(base, epochs, 0, kept).image
+        pre = prefix_state(base, epochs, 0)
+        for kept in enumerate_target_subsets(pre):
+            image = build_subset_state(pre, kept).image
             expect = bytearray(size)
             for idx in kept:
                 sec, data = units[idx]
                 expect[sec * 512 : sec * 512 + len(data)] = data
-            if image.to_bytes() != bytes(expect):
+            if image_bytes(image) != bytes(expect):
                 order_ok = False
         trials += 1
     _emit(
@@ -319,21 +322,22 @@ def test_acceptance_crash_state_exhaustiveness():
 # -- criterion 7: determinism ------------------------------------------------------------
 
 
-def test_acceptance_campaign_determinism():
+def test_acceptance_campaign_determinism(tmp_path):
     config = dict(
         fs="bugfs-b1", seq=(1, 2), ops=("creat", "link"), files=("foo", "bar"), dirs=()
     )
-    r1 = run_campaign(CampaignConfig(**config, workers=1), quiet=True)
-    r2 = run_campaign(CampaignConfig(**config, workers=1), quiet=True)
-    r3 = run_campaign(CampaignConfig(**config, workers=4), quiet=True)
-    same = (
-        r1.verdict_multiset() == r2.verdict_multiset() == r3.verdict_multiset()
-        and r1.group_hash == r2.group_hash == r3.group_hash
-    )
+    runs = []
+    for name, workers in (("first", 1), ("rerun", 1), ("workers4", 4)):
+        out = tmp_path / name
+        res = run_campaign(CampaignConfig(**config, workers=workers, out=str(out)), quiet=True)
+        files = [(out / f).read_bytes() for f in ("reports.jsonl", "groups.json", "summary.json")]
+        runs.append((res, files))
+    r1, files1 = runs[0]
+    same = all(files == files1 and res.group_hash == r1.group_hash for res, files in runs)
     _emit(
         "campaign-determinism",
         same,
-        f"verdict multisets and group hashes identical across reruns and workers "
+        f"report files and group hashes byte-identical across reruns and workers "
         f"({r1.bug_verdicts} bug verdicts, hash {r1.group_hash[:12]})",
     )
 
@@ -356,9 +360,8 @@ def test_acceptance_dedup_arithmetic(tmp_path):
         sum(g.size for g in first.groups) + 0 == first.bug_verdicts
         and first.suppressed_reports == 0
     )
-    db = report.KnownBugDb()
-    db.merge_groups(first.groups, note="acceptance export")
-    db.save(db_path)
+    entries = [{"skeleton": g.skeleton, "consequence": g.consequence} for g in first.groups]
+    db_path.write_text(json.dumps({"schema": 1, "entries": entries}))
     second = run_campaign(CampaignConfig(**config), quiet=True)
     arithmetic_second = (
         sum(g.size for g in second.new_groups) + second.suppressed_reports

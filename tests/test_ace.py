@@ -289,7 +289,7 @@ def test_parse_unknown_op_reports_line():
 
 def test_parse_ranges_and_flags():
     w = parse("falloc -k (8-16K) foo\nwrite (0-16K) foo\ntruncate 2500 foo\nsync\n")
-    ops = w.core_ops()
+    ops = w.steps
     assert ops[0].start == 8 and ops[0].end == 16384
     assert ops[0].flag.value == "keep_size"
     assert ops[1].end == 16384
@@ -298,7 +298,7 @@ def test_parse_ranges_and_flags():
 
 def test_crash_marker_stops_parsing():
     w = parse("creat foo\n---crash---\ncreat bar\n")
-    assert [o.path for o in w.core_ops()] == ["foo"]
+    assert [o.path for o in w.steps] == ["foo"]
 
 
 # -- stream properties -------------------------------------------------------------

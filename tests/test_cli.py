@@ -58,13 +58,18 @@ def test_buggy_campaign_exits_nonzero_with_groups(tmp_path):
     assert len(lines) == result.bug_verdicts
 
 
+def _report_files(tmp_path, name, **kw):
+    out = tmp_path / name
+    result = run_campaign(_b6_config(out=str(out), **kw), quiet=True)
+    return result, [(out / f).read_bytes() for f in ("reports.jsonl", "groups.json", "summary.json")]
+
+
 def test_group_arithmetic_and_db_idempotence(tmp_path):
     db_path = tmp_path / "known.json"
     result = run_campaign(_b6_config(known_bugs=str(db_path)), quiet=True)
     assert sum(g.size for g in result.groups) + 0 == result.bug_verdicts
-    db = report.KnownBugDb()
-    db.merge_groups(result.groups, note="export")
-    db.save(db_path)
+    entries = [{"skeleton": g.skeleton, "consequence": g.consequence} for g in result.groups]
+    db_path.write_text(json.dumps({"schema": 1, "entries": entries}))
     again = run_campaign(_b6_config(known_bugs=str(db_path)), quiet=True)
     assert again.new_groups == []
     assert again.exit_code == 0
@@ -75,12 +80,12 @@ def test_group_arithmetic_and_db_idempotence(tmp_path):
 
 
 def test_campaign_deterministic_across_runs_and_workers(tmp_path):
-    r1 = run_campaign(_b6_config(workers=1), quiet=True)
-    r2 = run_campaign(_b6_config(workers=1), quiet=True)
-    assert r1.verdict_multiset() == r2.verdict_multiset()
+    r1, files1 = _report_files(tmp_path, "a", workers=1)
+    r2, files2 = _report_files(tmp_path, "b", workers=1)
+    assert files1 == files2
     assert r1.group_hash == r2.group_hash
-    r3 = run_campaign(_b6_config(workers=3), quiet=True)
-    assert r1.verdict_multiset() == r3.verdict_multiset()
+    r3, files3 = _report_files(tmp_path, "c", workers=3)
+    assert files1 == files3
     assert r1.group_hash == r3.group_hash
 
 
@@ -281,6 +286,31 @@ def test_cli_main_campaign_and_config_file(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "text, args, message",
+    [
+        (None, ["campaign", "--config", "{f}"], "config file {f}: "),
+        ('{"seq": 2}', ["campaign", "--config", "{f}"], "config file {f}: "),
+        ('[{"fs": "bugfs-b6"}]', ["campaign", "--config", "{f}"], "config file {f}: expected a JSON object"),
+        (
+            '{"schema": 1, "entries": [{"skeleton": "creat"}]}',
+            ["campaign", "--ops", "creat", "--known-bugs", "{f}"],
+            "known-bug file {f}: ",
+        ),
+        ('{"schema": 1, "workload_dsl": "creat foo\\n"}\n', ["replay", "{f}", "0"], "{f}:1: "),
+    ],
+    ids=["config-missing", "config-seq-int", "config-array", "known-bug-entry", "report-fields"],
+)
+def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, text, args, message):
+    """Exit 1 means new bug groups, so bad input must not end in a traceback."""
+    f = tmp_path / "input.json"
+    if text is not None:
+        f.write_text(text)
+    assert main([a.format(f=f) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(f=f) in err
+
+
 def _b3_subset_config(**kw):
     # one falloc workload whose 34 bug reports are nearly all subset states
     return CampaignConfig(
@@ -410,10 +440,8 @@ def test_cli_main_corpus_mapped_command(capsys):
     assert "FAIL" not in out
 
 
-def test_partition_independence_worker_counts():
-    """Verdict multiset identical for 1 and N workers (acceptance support)."""
-    cfg1 = _b6_config(workers=1)
-    cfg4 = _b6_config(workers=4)
-    assert run_campaign(cfg1, quiet=True).verdict_multiset() == run_campaign(
-        cfg4, quiet=True
-    ).verdict_multiset()
+def test_partition_independence_worker_counts(tmp_path):
+    """Report files byte-identical for 1 and N workers (acceptance support)."""
+    _, files1 = _report_files(tmp_path, "w1", workers=1)
+    _, files4 = _report_files(tmp_path, "w4", workers=4)
+    assert files1 == files4

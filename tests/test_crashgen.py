@@ -17,13 +17,20 @@ from crashlab.crashgen import (
     SubsetDescriptor,
     build_subset_state,
     enumerate_target_subsets,
+    prefix_state,
 )
+from image_helper import image_bytes
 
 SIZE = 64 * 1024
 
 
 def _device():
     return Device(SIZE)
+
+
+def _subsets(epochs, prefix, granularity="op", seed=0):
+    base = DiskImage.zeroed(SIZE)
+    return list(enumerate_target_subsets(prefix_state(base, epochs, prefix, granularity), seed))
 
 
 def test_one_crash_state_per_checkpoint():
@@ -36,8 +43,8 @@ def test_one_crash_state_per_checkpoint():
     dev.insert_checkpoint()
     base = DiskImage.zeroed(SIZE)
     images = [replay(base, dev.log, checkpoint=k) for k in (1, 2)]
-    assert images[0].read_block(0)[512:1024] == bytes(512)
-    assert images[1].read_block(0)[512:1024] == b"\x02" * 512
+    assert image_bytes(images[0])[512:1024] == bytes(512)
+    assert image_bytes(images[1])[512:1024] == b"\x02" * 512
 
 
 def test_states_before_any_checkpoint_belong_to_checkpoint_zero():
@@ -48,8 +55,9 @@ def test_states_before_any_checkpoint_belong_to_checkpoint_zero():
     epochs = split_epochs(dev.log)
     base = DiskImage.zeroed(SIZE)
     for prefix in range(len(epochs)):
-        for kept in enumerate_target_subsets(epochs, prefix):
-            state = build_subset_state(base, epochs, prefix, kept)
+        pre = prefix_state(base, epochs, prefix)
+        for kept in enumerate_target_subsets(pre):
+            state = build_subset_state(pre, kept)
             assert state.checkpoint_id == 0
             assert state.descriptor().startswith(f"prefix={prefix};")
 
@@ -62,7 +70,7 @@ def test_exhaustive_subset_count_n3():
     for i in range(3):
         dev.write(i, bytes([i + 1]) * 512)
     epochs = split_epochs(dev.log)
-    subsets = list(enumerate_target_subsets(epochs, 0))
+    subsets = _subsets(epochs, 0)
     assert len(subsets) == 8
     assert len(set(subsets)) == 8
     assert all(list(s) == sorted(s) for s in subsets)
@@ -72,7 +80,7 @@ def test_zero_units_yields_exactly_empty_subset():
     dev = _device()
     dev.flush()
     epochs = split_epochs(dev.log)
-    assert list(enumerate_target_subsets(epochs, 0)) == [()]
+    assert _subsets(epochs, 0) == [()]
 
 
 def test_sector_granularity_unit_count():
@@ -83,16 +91,16 @@ def test_sector_granularity_unit_count():
     epochs = split_epochs(dev.log)
     # independent arithmetic: one unit per 512-byte slice
     assert 4096 // SECTOR_SIZE == 8
-    full = list(enumerate_target_subsets(epochs, 0, "sector"))
+    full = _subsets(epochs, 0, "sector")
     assert len(full) == 2**8
     assert max(len(s) for s in full) == 8
 
     dev = _device()
     dev.write(0, b"\x07" * 8192)
-    sampled = list(enumerate_target_subsets(split_epochs(dev.log), 0, "sector"))
+    sampled = _subsets(split_epochs(dev.log), 0, "sector")
     assert len(sampled) == len(set(sampled)) == SAMPLE_COUNT
     assert all(0 <= i < 16 for s in sampled for i in s)
-    assert len(list(enumerate_target_subsets(split_epochs(dev.log), 0, "op"))) == 2
+    assert len(_subsets(split_epochs(dev.log), 0, "op")) == 2
 
 
 def test_prefix_count_out_of_range():
@@ -100,7 +108,7 @@ def test_prefix_count_out_of_range():
     dev.write(0, b"\x01" * 512)
     epochs = split_epochs(dev.log)
     with pytest.raises(CrashGenError):
-        list(enumerate_target_subsets(epochs, 5))
+        prefix_state(DiskImage.zeroed(SIZE), epochs, 5)
 
 
 def test_random_mode_reproducible_and_distinct():
@@ -109,12 +117,12 @@ def test_random_mode_reproducible_and_distinct():
     for i in range(11):
         dev.write(i, bytes([i + 1]) * 512)
     epochs = split_epochs(dev.log)
-    a = list(enumerate_target_subsets(epochs, 0, "op", seed=11))
-    b = list(enumerate_target_subsets(epochs, 0, "op", seed=11))
+    a = _subsets(epochs, 0, "op", seed=11)
+    b = _subsets(epochs, 0, "op", seed=11)
     assert a == b
     assert len(a) == SAMPLE_COUNT and len(set(a)) == SAMPLE_COUNT
     assert all(list(s) == sorted(s) for s in a)
-    c = list(enumerate_target_subsets(epochs, 0, "op", seed=12))
+    c = _subsets(epochs, 0, "op", seed=12)
     assert a != c
 
 
@@ -123,7 +131,7 @@ def test_fua_terminator_is_single_unit_in_sector_mode():
     dev.write(0, b"\x01" * 1024)
     dev.write(4, b"\x02" * 1024, fua=True)
     epochs = split_epochs(dev.log)
-    full = list(enumerate_target_subsets(epochs, 0, "sector"))
+    full = _subsets(epochs, 0, "sector")
     # 2 sector units from the plain write + 1 atomic FUA unit
     assert len(full) == 2**3
 
@@ -133,7 +141,7 @@ def test_fua_terminator_is_single_unit_in_sector_mode():
 
 def _eager_subset_oracle(base: DiskImage, epochs, prefix, kept, granularity="op"):
     """Apply prefix epochs then kept units directly onto a byte array."""
-    buf = bytearray(base.to_bytes())
+    buf = bytearray(image_bytes(base))
 
     def put(sector, data):
         buf[sector * SECTOR_SIZE : sector * SECTOR_SIZE + len(data)] = data
@@ -168,8 +176,8 @@ def test_full_subset_equals_replay_to_epoch_end():
     base = DiskImage.zeroed(SIZE)
     epochs = split_epochs(dev.log)
     all_units = tuple(range(len(epochs[1].records)))
-    state = build_subset_state(base, epochs, 1, all_units)
-    assert state.image == replay(base, dev.log, checkpoint=1)
+    state = build_subset_state(prefix_state(base, epochs, 1), all_units)
+    assert image_bytes(state.image) == image_bytes(replay(base, dev.log, checkpoint=1))
 
 
 def test_empty_subset_equals_replay_to_prefix_end():
@@ -180,8 +188,8 @@ def test_empty_subset_equals_replay_to_prefix_end():
     dev.write(2, b"\x03" * 512)
     base = DiskImage.zeroed(SIZE)
     epochs = split_epochs(dev.log)
-    state = build_subset_state(base, epochs, 1, ())
-    assert state.image == replay(base, dev.log, checkpoint=1)
+    state = build_subset_state(prefix_state(base, epochs, 1), ())
+    assert image_bytes(state.image) == image_bytes(replay(base, dev.log, checkpoint=1))
 
 
 def test_two_disjoint_writes_all_four_images_match_oracle():
@@ -191,10 +199,11 @@ def test_two_disjoint_writes_all_four_images_match_oracle():
     base = DiskImage.zeroed(SIZE)
     epochs = split_epochs(dev.log)
     seen = set()
-    for kept in enumerate_target_subsets(epochs, 0):
-        state = build_subset_state(base, epochs, 0, kept)
-        assert state.image.to_bytes() == _eager_subset_oracle(base, epochs, 0, kept)
-        seen.add(state.image.to_bytes())
+    pre = prefix_state(base, epochs, 0)
+    for kept in enumerate_target_subsets(pre):
+        state = build_subset_state(pre, kept)
+        assert image_bytes(state.image) == _eager_subset_oracle(base, epochs, 0, kept)
+        seen.add(image_bytes(state.image))
     assert len(seen) == 4
 
 
@@ -212,13 +221,14 @@ def test_order_preservation_on_randomized_overlapping_logs():
         base = DiskImage.zeroed(size)
         epochs = split_epochs(dev.log)
         units = [(r.sector, r.data) for r in epochs[0].records]
-        for kept in enumerate_target_subsets(epochs, 0):
-            image = build_subset_state(base, epochs, 0, kept).image
+        pre = prefix_state(base, epochs, 0)
+        for kept in enumerate_target_subsets(pre):
+            image = build_subset_state(pre, kept).image
             expect = bytearray(size)
             for idx in kept:  # issue order: later kept writes overwrite earlier
                 sec, data = units[idx]
                 expect[sec * 512 : sec * 512 + len(data)] = data
-            assert image.to_bytes() == bytes(expect)
+            assert image_bytes(image) == bytes(expect)
 
 
 def test_checkpoint_mode_equivalence_with_subset_mode():
@@ -235,8 +245,8 @@ def test_checkpoint_mode_equivalence_with_subset_mode():
     epochs = split_epochs(dev.log)
     # checkpoint 1 sits after epoch 0; checkpoint 2 after epoch 1
     for k, prefix in ((1, 1), (2, 2)):
-        sub = build_subset_state(base, epochs, prefix, ())
-        assert sub.image == replay(base, dev.log, checkpoint=k)
+        sub = build_subset_state(prefix_state(base, epochs, prefix), ())
+        assert image_bytes(sub.image) == image_bytes(replay(base, dev.log, checkpoint=k))
         assert sub.checkpoint_id == k
 
 
@@ -266,9 +276,10 @@ def test_prefix_durability():
                     target_secs.update(
                         range(rec.sector, rec.sector + len(rec.data) // SECTOR_SIZE)
                     )
-            want_bytes = want.to_bytes()
-            for kept in enumerate_target_subsets(epochs, prefix):
-                got = build_subset_state(base, epochs, prefix, kept).image.to_bytes()
+            want_bytes = image_bytes(want)
+            pre = prefix_state(base, epochs, prefix)
+            for kept in enumerate_target_subsets(pre):
+                got = image_bytes(build_subset_state(pre, kept).image)
                 for sec in range(size // SECTOR_SIZE):
                     if sec in target_secs:
                         continue

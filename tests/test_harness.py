@@ -10,7 +10,7 @@ import time
 from crashlab import ace
 from crashlab.ace import Bounds, parse
 from crashlab.blockdev import BLOCK_SIZE, Device, replay, split_epochs
-from crashlab.crashgen import build_subset_state, enumerate_target_subsets
+from crashlab.crashgen import build_subset_state, enumerate_target_subsets, prefix_state
 from crashlab.fsops import FsOp, FsOpKind, PersistKind
 from crashlab.fstarget import SoundFs, TARGETS, Unmountable, get_target
 from crashlab.harness import (
@@ -23,6 +23,7 @@ from crashlab.harness import (
     profile,
     run_workload,
 )
+from image_helper import image_bytes
 
 
 def test_two_persistence_points_two_checkpoints_two_oracles():
@@ -291,8 +292,8 @@ def test_mkfs_base_image_keeps_only_nonzero_blocks():
         dev = Device(DEFAULT_DEVICE_BYTES)
         get_target(name).mkfs(dev)
         image = mkfs_base_image(name)
-        raw = dev.snapshot().to_bytes()
-        assert image.to_bytes() == raw, name
+        raw = image_bytes(dev.snapshot())
+        assert image_bytes(image) == raw, name
         assert image._base == bytes(DEFAULT_DEVICE_BYTES), name
         nonzero = {
             b
@@ -478,8 +479,9 @@ def test_journal_atomicity_under_subset_mode():
     epochs = split_epochs(prof.io_log)
     # every epoch has at most 10 units, so each is enumerated exhaustively
     for prefix in range(len(epochs)):
-        for kept in enumerate_target_subsets(epochs, prefix):
-            state = build_subset_state(prof.base_image, epochs, prefix, kept)
+        pre = prefix_state(prof.base_image, epochs, prefix)
+        for kept in enumerate_target_subsets(pre):
+            state = build_subset_state(pre, kept)
             fs = SoundFs.mount(state.image)
             assert not isinstance(fs, Unmountable)
             paths = set(fs.state_view().entries)

@@ -1,15 +1,15 @@
 """Consequence classification, grouping, and known-bug suppression."""
 
+import json
+
 import pytest
 
 from crashlab.report import (
     BugReport,
-    Consequence,
-    ConsequenceKind,
     DiffEntry,
-    KnownBugDb,
     classify,
     group,
+    load_known_bugs,
     read_reports,
     suppress_known,
     write_reports,
@@ -34,12 +34,12 @@ def _report(skeleton, consequence, index, descriptor="checkpoint=1"):
 
 def test_missing_persisted_path_is_file_missing():
     diff = [DiffEntry("missing", path="foo", expected="file", actual="absent")]
-    assert str(classify(diff)) == "file_missing"
+    assert classify(diff) == "file_missing"
 
 
 def test_size_mismatch_is_metadata_mismatch_size():
     diff = [DiffEntry("field", path="foo", field="size", expected="16384", actual="0")]
-    assert str(classify(diff)) == "metadata_mismatch(size)"
+    assert classify(diff) == "metadata_mismatch(size)"
 
 
 def test_unmountable_dominates_everything():
@@ -49,7 +49,7 @@ def test_unmountable_dominates_everything():
         DiffEntry("unmountable", expected="mountable file system", actual="broken"),
         DiffEntry("spurious", path="baz", expected="absent", actual="file"),
     ]
-    assert str(classify(diff)) == "unmountable"
+    assert classify(diff) == "unmountable"
 
 
 def test_dominance_order_total():
@@ -85,7 +85,7 @@ def test_dominance_order_total():
         ),
     ]
     for diff, expected in ladder:
-        assert str(classify(diff)) == expected
+        assert classify(diff) == expected
 
 
 def test_classify_requires_bug_diff():
@@ -98,13 +98,7 @@ def test_metadata_detail_deterministic():
         DiffEntry("field", path="z", field="size", expected="1", actual="0"),
         DiffEntry("field", path="a", field="block_count", expected="8", actual="0"),
     ]
-    assert str(classify(diff)) == "metadata_mismatch(block_count)"  # (a, block_count) first
-
-
-def test_consequence_string_roundtrip():
-    c = Consequence(ConsequenceKind.METADATA_MISMATCH, "size")
-    assert Consequence.parse(str(c)) == c
-    assert Consequence.parse("unmountable") == Consequence(ConsequenceKind.UNMOUNTABLE)
+    assert classify(diff) == "metadata_mismatch(block_count)"  # (a, block_count) first
 
 
 # -- grouping --------------------------------------------------------------------
@@ -147,45 +141,52 @@ def test_group_sum_equals_total():
 
 
 def test_suppress_known_key():
-    db = KnownBugDb()
-    db.add("creat-link", "file_missing", "seen before")
+    known = {("creat-link", "file_missing")}
     groups = group([_report("creat-link", "file_missing", i) for i in range(3)])
-    remaining, suppressed = suppress_known(groups, db)
+    remaining, suppressed = suppress_known(groups, known)
     assert remaining == []
     assert suppressed == 3
 
 
 def test_empty_db_is_identity():
     groups = group([_report("creat-link", "file_missing", 0)])
-    remaining, suppressed = suppress_known(groups, KnownBugDb())
+    remaining, suppressed = suppress_known(groups, set())
     assert remaining == groups and suppressed == 0
 
 
 def test_export_then_rerun_suppresses_everything(tmp_path):
+    """A known-bug file in the documented format, written from a campaign's
+    groups; keys other than skeleton and consequence are ignored."""
     reports = [
         _report("creat-link", "file_missing", 0),
         _report("link-link", "file_missing", 1),
     ]
-    groups = group(reports)
-    db = KnownBugDb()
-    db.merge_groups(groups, note="campaign-1")
+    entries = [
+        {"skeleton": g.skeleton, "consequence": g.consequence, "note": "campaign-1"}
+        for g in group(reports)
+    ]
     path = tmp_path / "known.json"
-    db.save(path)
-    db2 = KnownBugDb.load(path)
-    remaining, suppressed = suppress_known(group(reports), db2)
+    path.write_text(json.dumps({"schema": 1, "entries": entries}))
+    known = load_known_bugs(path)
+    assert known == {("creat-link", "file_missing"), ("link-link", "file_missing")}
+    remaining, suppressed = suppress_known(group(reports), known)
     assert remaining == [] and suppressed == 2
 
 
 def test_db_load_missing_file_is_empty():
-    db = KnownBugDb.load("/nonexistent/known.json")
-    assert db.entries == {}
+    assert load_known_bugs("/nonexistent/known.json") == set()
 
 
-def test_db_append_only_merge(tmp_path):
-    db = KnownBugDb()
-    db.add("a", "file_missing", "first")
-    db.add("a", "file_missing", "second")  # does not overwrite provenance
-    assert db.entries[("a", "file_missing")] == "first"
+@pytest.mark.parametrize(
+    "payload",
+    ['{"entries": [{"skeleton": "a"}]}', "[]", "{not json"],
+    ids=["no-consequence", "array", "syntax"],
+)
+def test_malformed_known_bug_file_names_itself(tmp_path, payload):
+    path = tmp_path / "known.json"
+    path.write_text(payload)
+    with pytest.raises(ValueError, match="known-bug file .*known.json"):
+        load_known_bugs(path)
 
 
 # -- serialization ------------------------------------------------------------------
