@@ -104,18 +104,6 @@ class Workload:
     skeleton: Skeleton
     index: int = -1
 
-    def __eq__(self, other):
-        if not isinstance(other, Workload):
-            return NotImplemented
-        return (
-            self.prologue == other.prologue
-            and self.steps == other.steps
-            and self.skeleton == other.skeleton
-        )
-
-    def __hash__(self):
-        return hash((self.prologue, self.steps, self.skeleton))
-
 
 # -- phase 1: skeletons -------------------------------------------------------
 

@@ -37,10 +37,6 @@ class ReplayError(BlockDevError):
     """Replay cut point does not exist in the log."""
 
 
-class NoPersistencePointWarning(UserWarning):
-    """Workload produced no checkpoints; crashes cannot be simulated."""
-
-
 @dataclass(frozen=True)
 class IoRecord:
     """One logged request: a write when ``data`` is non-empty (with ``fua``
@@ -102,17 +98,6 @@ class DiskImage:
             if sector * SECTOR_SIZE + len(data) > self.size_bytes:
                 raise OutOfBoundsError(f"write at sector {sector} is beyond this image")
             _write(base, overlay, sector, data)
-        return DiskImage(self.size_bytes, base, overlay)
-
-    def compacted(self) -> "DiskImage":
-        """The same bytes, keeping in the overlay only the blocks that
-        differ from the base."""
-        base = self._base
-        overlay = {
-            block_no: data
-            for block_no, data in self._overlay.items()
-            if data != base[block_no * BLOCK_SIZE : (block_no + 1) * BLOCK_SIZE]
-        }
         return DiskImage(self.size_bytes, base, overlay)
 
 

@@ -15,13 +15,11 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ace, report
 from .ace import Bounds, Workload
-from .blockdev import NoPersistencePointWarning
 from .crashgen import GRANULARITIES
 from .fsops import FsOpKind
 from .fstarget import get_target
@@ -42,6 +40,12 @@ EXIT_CONFIG = 2
 
 def default_corpus_dir() -> Path:
     return Path(__file__).resolve().parent / "corpus"
+
+
+def _check_corpus_dir(path) -> None:
+    # a mistyped path would otherwise run no workloads and exit 0
+    if not Path(path).is_dir():
+        raise ValueError(f"corpus directory {path} does not exist")
 
 
 @dataclass
@@ -67,6 +71,8 @@ class CampaignConfig:
             raise ValueError("workers must be >= 1")
         if self.corpus is not None and self.index_range is not None:
             raise ValueError("corpus campaigns take no generator index range")
+        if self.corpus is not None:
+            _check_corpus_dir(self.corpus)
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         get_target(self.fs)
@@ -112,12 +118,7 @@ class CampaignResult:
 
 def _run_partition(args):
     fs_name, flags, items = args
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoPersistencePointWarning)
-        for idx, workload in items:
-            out.append((idx, run_workload(workload, fs_name, flags)))
-    return out
+    return [(idx, run_workload(workload, fs_name, flags)) for idx, workload in items]
 
 
 def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
@@ -346,9 +347,7 @@ def _corpus_row(path: Path, fs_name: str) -> CorpusRow:
         workload = ace.parse(text)
     except ace.ParseError as e:
         return CorpusRow(path.name, expected, f"parse_error: {e}", False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoPersistencePointWarning)
-        verdicts = run_workload(workload, fs_name, RunFlags(all_checkpoints=True))
+    verdicts = run_workload(workload, fs_name, RunFlags(all_checkpoints=True))
     # the first failing verdict's consequence, or "harness_error"
     observed = next((v.consequence or v.outcome for v in verdicts if v.outcome != "pass"), "none")
     return CorpusRow(path.name, expected, observed, expected == observed)
@@ -506,6 +505,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "corpus":
         corpus_dir = args.dir or default_corpus_dir()
+        try:
+            get_target(args.fs)
+            _check_corpus_dir(corpus_dir)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
         rows = run_corpus(corpus_dir, args.fs)
         ok = all(r.match for r in rows)
         if args.mapped:

@@ -1,11 +1,16 @@
 """SoundFS: a small journaling file system over the simulated block device.
 
 Layout (4096-byte blocks): superblock, inode bitmap, block bitmap, inode
-table, physical redo journal, data blocks. File data is written in place
-(ordered mode); metadata reaches disk only through journal transactions
-committed at persistence points. Recovery replays committed transactions
-and then structurally validates the tree; validation failure surfaces as
-an un-mountable image.
+table, physical redo journal, data blocks. Every layout field follows from
+the device size, so a mount accepts only the superblock mkfs writes for it.
+Inode records are encoded and decoded only by ``_encode_inode`` and
+``_decode_inode``, directory entries only by ``_pack_dir`` and
+``_unpack_dir``; their pad bytes are written as zero and never read, so a
+v1 image with other bytes there mounts the same. File data is written in
+place (ordered mode); metadata reaches disk only through journal
+transactions committed at persistence points. Recovery replays committed
+transactions and then structurally validates the tree; validation failure
+surfaces as an un-mountable image.
 
 Buggy variants override the narrow policy hooks marked below and keep
 their own bookkeeping; SoundFS itself tracks only what its commits write.
@@ -44,7 +49,9 @@ JOURNAL_HDR_MAGIC = b"SLJHDR01"
 JOURNAL_COMMIT_MAGIC = b"SLJCMT01"
 
 _SB = struct.Struct("<8sIIIIIIIIIII")
-_INODE = struct.Struct(f"<BBHQQH{MAX_TARGET}sH{MAX_XATTR_BLOB}sH{MAX_PTRS}H")
+# kind, pad, link count, size, 8 pad bytes, target, xattr blob, block pointers
+_INODE = struct.Struct(f"<BxHQ8xH{MAX_TARGET}sH{MAX_XATTR_BLOB}sH{MAX_PTRS}H")
+_DIRENT = struct.Struct("<HxB")  # ino, pad, name length; the name follows
 _JHDR = struct.Struct("<8sQII")
 _JCOMMIT = struct.Struct("<8sQ32s")
 
@@ -80,40 +87,15 @@ class Geometry:
 
     @classmethod
     def parse_superblock(cls, raw: bytes) -> "Geometry":
-        (
-            magic,
-            version,
-            total,
-            icount,
-            itable_start,
-            itable_blocks,
-            ibmp,
-            bbmp,
-            jstart,
-            jblocks,
-            dstart,
-            root,
-        ) = _SB.unpack_from(raw)
+        """Every layout field follows from the total block count, so a
+        superblock is valid only as the exact block mkfs writes for it."""
+        magic, version, total, *_layout = _SB.unpack_from(raw)
         if magic != MAGIC:
             raise ValueError("bad superblock magic")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported format version {version}")
-        geo = cls.__new__(cls)
-        geo.total_blocks = total
-        geo.inode_bitmap_block = ibmp
-        geo.block_bitmap_block = bbmp
-        geo.itable_start = itable_start
-        geo.itable_blocks = itable_blocks
-        geo.journal_start = jstart
-        geo.journal_blocks = jblocks
-        geo.data_start = dstart
-        if (
-            icount != INODE_COUNT
-            or root != ROOT_INO
-            or itable_start != 3
-            or dstart != jstart + jblocks
-            or dstart >= total
-        ):
+        geo = cls(total)
+        if raw != geo.pack_superblock() or geo.data_start >= total:
             raise ValueError("inconsistent superblock geometry")
         return geo
 
@@ -126,7 +108,6 @@ class Inode:
         "kind",
         "nlink",
         "size",
-        "mtime",
         "target",
         "xattrs",
         "blocks",
@@ -139,7 +120,6 @@ class Inode:
         self.kind = kind
         self.nlink = 1
         self.size = 0
-        self.mtime = 0
         self.target = ""
         self.xattrs: dict[str, str] = {}
         self.blocks: list[int] = []  # per 4K file block; 0 = hole
@@ -170,6 +150,30 @@ def _unpack_xattrs(blob: bytes) -> dict[str, str]:
     return out
 
 
+def _encode_inode(kind, nlink, size, target, xattrs, blocks) -> bytes:
+    """The 512-byte inode record; the pad bytes are written as zero."""
+    tgt = target.encode()
+    if len(tgt) > MAX_TARGET:
+        raise FsError("ENAMETOOLONG", "symlink target too long")
+    blob = _pack_xattrs(xattrs)
+    ptrs = list(blocks)[:MAX_PTRS] + [0] * (MAX_PTRS - len(blocks))
+    return _INODE.pack(kind, nlink, size, len(tgt), tgt, len(blob), blob, len(blocks), *ptrs)
+
+
+def _decode_inode(ino: int, raw: bytes) -> Inode:
+    """The inode a record describes; file content and directory entries stay
+    on disk (``content`` None, ``entries`` empty)."""
+    kind, nlink, size, tl, tgt, xl, blob, nptr, *ptrs = _INODE.unpack(raw)
+    node = Inode(ino, kind)
+    node.nlink = nlink
+    node.size = size
+    node.target = tgt[:tl].decode()
+    node.xattrs = _unpack_xattrs(blob[:xl])
+    node.blocks = list(ptrs[:nptr])
+    node.content = None
+    return node
+
+
 def _unpack_bitmap(raw: bytes, nbits: int) -> int:
     """Bit n set means inode or block n is in use; bits from ``nbits`` on
     are ignored. ``int.to_bytes(BLOCK_SIZE, "little")`` packs it back."""
@@ -182,12 +186,11 @@ def _lowest_clear_bit(bits: int, lo: int, hi: int) -> int | None:
     return (free & -free).bit_length() - 1 if free else None
 
 
-def _pack_dir(entries: dict[str, int], kinds: dict[int, int]) -> bytes:
+def _pack_dir(entries: dict[str, int]) -> bytes:
     blob = bytearray()
     for name in sorted(entries):
-        ino = entries[name]
         nb = name.encode()
-        blob += struct.pack("<HBB", ino, kinds.get(ino, 0), len(nb)) + nb
+        blob += _DIRENT.pack(entries[name], len(nb)) + nb
     if len(blob) > BLOCK_SIZE:
         raise FsError("ENOSPC", "directory full")
     return bytes(blob)
@@ -197,8 +200,8 @@ def _unpack_dir(raw: bytes, length: int) -> dict[str, int]:
     out: dict[str, int] = {}
     pos = 0
     while pos < length:
-        ino, _kind, nl = struct.unpack_from("<HBB", raw, pos)
-        pos += 4
+        ino, nl = _DIRENT.unpack_from(raw, pos)
+        pos += _DIRENT.size
         out[raw[pos : pos + nl].decode()] = ino
         pos += nl
     return out
@@ -219,6 +222,9 @@ class SoundFs:
 
     @classmethod
     def mkfs(cls, device: Device) -> None:
+        """Format a zeroed device: only the superblock, the two bitmaps and
+        the root's inode-table block hold non-zero bytes, so only they are
+        written. The root directory's entry block is the first data block."""
         total = device.size_bytes // BLOCK_SIZE
         geo = Geometry(total)
         if total < geo.data_start + 8:
@@ -232,36 +238,10 @@ class SoundFs:
         device.write_block(geo.block_bitmap_block, used.to_bytes(BLOCK_SIZE, "little"))
 
         table = bytearray(BLOCK_SIZE)
-        table[INODE_SIZE : 2 * INODE_SIZE] = cls._pack_inode_struct(
-            KIND_DIR, 1, 0, 0, "", {}, [root_data_block]
+        table[INODE_SIZE : 2 * INODE_SIZE] = _encode_inode(
+            KIND_DIR, 1, 0, "", {}, [root_data_block]
         )
         device.write_block(geo.itable_start, bytes(table))
-        for b in range(geo.itable_start + 1, geo.itable_start + geo.itable_blocks):
-            device.write_block(b, bytes(BLOCK_SIZE))
-        for b in range(geo.journal_start, geo.journal_start + geo.journal_blocks):
-            device.write_block(b, bytes(BLOCK_SIZE))
-        device.write_block(root_data_block, bytes(BLOCK_SIZE))
-
-    @staticmethod
-    def _pack_inode_struct(kind, nlink, size, mtime, target, xattrs, blocks) -> bytes:
-        tgt = target.encode()
-        if len(tgt) > MAX_TARGET:
-            raise FsError("ENAMETOOLONG", "symlink target too long")
-        blob = _pack_xattrs(xattrs)
-        ptrs = list(blocks)[:MAX_PTRS] + [0] * (MAX_PTRS - len(blocks))
-        return _INODE.pack(
-            kind,
-            0,
-            nlink,
-            size,
-            mtime,
-            len(tgt),
-            tgt.ljust(MAX_TARGET, b"\0"),
-            len(blob),
-            blob.ljust(MAX_XATTR_BLOB, b"\0"),
-            len(blocks),
-            *ptrs,
-        )
 
     # -- mounting ------------------------------------------------------------
 
@@ -289,7 +269,6 @@ class SoundFs:
         self._journal_pos, self._next_txn = self._recover()
         self._load_state()
         self._reset_pending()
-        self._mtime = max((i.mtime for i in self.inodes.values()), default=0)
 
     def _reset_pending(self) -> None:
         """Start with nothing pending; variants add their bookkeeping here."""
@@ -356,30 +335,25 @@ class SoundFs:
 
     def _recovery_remove_entry(self, dir_ino: int, name: str) -> None:
         # Double-processing path: edits the already-replayed directory block.
-        raw = self._read_inode_raw(dir_ino)
-        kind, _f, nlink, size, mtime, tl, tgt, xl, blob, nptr, *ptrs = _INODE.unpack(raw)
-        if kind != KIND_DIR or nptr == 0:
+        node = _decode_inode(dir_ino, self._read_inode_raw(dir_ino))
+        if node.kind != KIND_DIR or not node.blocks:
             return
-        block = ptrs[0]
-        entries = _unpack_dir(self.device.read_block(block), size)
+        block = node.blocks[0]
+        entries = _unpack_dir(self.device.read_block(block), node.size)
         if name not in entries:
             return
         del entries[name]
-        kinds = {ino: self._read_inode_kind(ino) for ino in entries.values()}
-        packed = _pack_dir(entries, kinds)
+        packed = _pack_dir(entries)
         self.device.write_block(block, packed.ljust(BLOCK_SIZE, b"\0"))
-        raw2 = _INODE.pack(
-            kind, 0, nlink, len(packed), mtime, tl, tgt, xl, blob, nptr, *ptrs
+        raw = _encode_inode(
+            node.kind, node.nlink, len(packed), node.target, node.xattrs, node.blocks
         )
-        self._write_inode_raw(dir_ino, raw2)
+        self._write_inode_raw(dir_ino, raw)
 
     def _read_inode_raw(self, ino: int) -> bytes:
         blk = self.geo.itable_start + ino // INODES_PER_BLOCK
         off = (ino % INODES_PER_BLOCK) * INODE_SIZE
         return self.device.read_block(blk)[off : off + INODE_SIZE]
-
-    def _read_inode_kind(self, ino: int) -> int:
-        return self._read_inode_raw(ino)[0]
 
     def _write_inode_raw(self, ino: int, raw: bytes) -> None:
         blk = self.geo.itable_start + ino // INODES_PER_BLOCK
@@ -402,25 +376,12 @@ class SoundFs:
         for ino in range(1, INODE_COUNT):
             if not self.alloc_inos >> ino & 1:
                 continue
-            raw = self._read_inode_raw(ino)
-            kind, _f, nlink, size, mtime, tl, tgt, xl, blob, nptr, *ptrs = _INODE.unpack(
-                raw
-            )
-            if kind == KIND_FREE:
+            node = _decode_inode(ino, self._read_inode_raw(ino))
+            if node.kind == KIND_FREE:
                 raise ValueError(f"allocated inode {ino} has free kind")
-            node = Inode(ino, kind)
-            node.nlink = nlink
-            node.size = size
-            node.mtime = mtime
-            node.target = tgt[:tl].decode()
-            node.xattrs = _unpack_xattrs(blob[:xl])
-            node.blocks = list(ptrs[:nptr])
-            if kind == KIND_DIR:
+            if node.kind == KIND_DIR:
                 data = self.device.read_block(node.blocks[0]) if node.blocks else b""
-                node.entries = _unpack_dir(data, size)
-                node.content = None
-            elif kind == KIND_FILE:
-                node.content = None  # lazily materialized from data blocks
+                node.entries = _unpack_dir(data, node.size)
             self.inodes[ino] = node
         if ROOT_INO not in self.inodes or self.inodes[ROOT_INO].kind != KIND_DIR:
             raise ValueError("missing root directory")
@@ -532,7 +493,6 @@ class SoundFs:
         self.alloc_inos |= 1 << ino
         self._bitmap_dirty = True
         node = Inode(ino, kind)
-        node.mtime = self._tick()
         self.inodes[ino] = node
         self._dirty_inodes.add(ino)
         return node
@@ -558,10 +518,6 @@ class SoundFs:
         self._dirty_inodes.add(node.ino)
         self._bitmap_dirty = True
         self._pending_data.pop(node.ino, None)
-
-    def _tick(self) -> int:
-        self._mtime += 1
-        return self._mtime
 
     # -- content helpers -----------------------------------------------------
 
@@ -590,7 +546,6 @@ class SoundFs:
         content[start:end] = data
         if end > node.size:
             node.size = end
-        node.mtime = self._tick()
         self._dirty_inodes.add(node.ino)
         first = start // BLOCK_SIZE
         last = (end - 1) // BLOCK_SIZE if end else first
@@ -660,7 +615,6 @@ class SoundFs:
         node.blocks = [self._alloc_block()]
         node.content = None
         dirn.entries[name] = node.ino
-        dirn.mtime = self._tick()
         self._dirty_dirs.add(dirn.ino)
         self._dirty_dirs.add(node.ino)
 
@@ -672,7 +626,6 @@ class SoundFs:
         if ino is None:
             node = self._alloc_ino(KIND_FILE)
             dirn.entries[name] = node.ino
-            dirn.mtime = self._tick()
             self._dirty_dirs.add(dirn.ino)
             return node
         node = self.inodes[ino]
@@ -708,7 +661,6 @@ class SoundFs:
                     resubmit.add(edge)
             if resubmit:
                 self._submit_file_blocks(node, resubmit)
-            node.mtime = self._tick()
             self._dirty_inodes.add(node.ino)
             return
         # allocating flavors
@@ -723,7 +675,6 @@ class SoundFs:
         self._submit_file_blocks(node, touched)
         if flag is FallocFlag.NONE and end > node.size:
             node.size = end
-        node.mtime = self._tick()
         self._dirty_inodes.add(node.ino)
 
     def _op_write(self, path: str, start: int, data: bytes, kind: FsOpKind) -> None:
@@ -745,9 +696,7 @@ class SoundFs:
             raise FsError("EEXIST", f"{dst} exists")
         dirn = self._require_parent_dir(dparent, dst)
         dirn.entries[dname] = sino
-        dirn.mtime = self._tick()
         snode.nlink += 1
-        snode.mtime = self._tick()
         self._dirty_dirs.add(dirn.ino)
         self._dirty_inodes.add(sino)
 
@@ -760,7 +709,6 @@ class SoundFs:
         node.target = target
         node.size = len(target.encode())
         dirn.entries[name] = node.ino
-        dirn.mtime = self._tick()
         self._dirty_dirs.add(dirn.ino)
 
     def _op_rename(self, src: str, dst: str) -> None:
@@ -792,9 +740,6 @@ class SoundFs:
         srcdir = self.inodes[sparent]
         del srcdir.entries[sname]
         dirn.entries[dname] = sino
-        srcdir.mtime = self._tick()
-        dirn.mtime = self._tick()
-        snode.mtime = self._tick()
         self._dirty_dirs.add(sparent)
         self._dirty_dirs.add(dirn.ino)
         self._dirty_inodes.add(sino)
@@ -821,7 +766,6 @@ class SoundFs:
             raise FsError("EISDIR", f"{path} is a directory")
         dirn = self.inodes[parent]
         del dirn.entries[name]
-        dirn.mtime = self._tick()
         self._dirty_dirs.add(parent)
         node.nlink -= 1
         self._dirty_inodes.add(ino)
@@ -850,7 +794,6 @@ class SoundFs:
             raise FsError("EBUSY", "cannot remove the root directory")
         dirn = self.inodes[parent]
         del dirn.entries[name]
-        dirn.mtime = self._tick()
         self._dirty_dirs.add(parent)
         self._free_inode(node)
 
@@ -881,7 +824,6 @@ class SoundFs:
             # content may already extend past EOF (keep-size allocations)
             content.extend(bytes(size - len(content)))
         node.size = size
-        node.mtime = self._tick()
         self._dirty_inodes.add(node.ino)
 
     def _op_setxattr(self, path: str, name: str, value: str) -> None:
@@ -890,7 +832,6 @@ class SoundFs:
             raise FsError("ENOENT", f"{path} missing")
         node = self.inodes[ino]
         node.xattrs[name] = value
-        node.mtime = self._tick()
         self._dirty_inodes.add(ino)
 
     def _op_removexattr(self, path: str, name: str) -> None:
@@ -901,7 +842,6 @@ class SoundFs:
         if name not in node.xattrs:
             raise FsError("ENODATA", f"{path} has no xattr {name!r}")
         del node.xattrs[name]
-        node.mtime = self._tick()
         self._dirty_inodes.add(ino)
 
     # -- persistence ---------------------------------------------------------
@@ -1110,7 +1050,6 @@ class _EffectiveState:
     def block_images(self) -> list[tuple[int, bytes]]:
         fs = self.fs
         images: list[tuple[int, bytes]] = []
-        kinds = {ino: node.kind for ino, node in fs.inodes.items()}
 
         dirty_dir_inos = sorted(
             ino for ino in (fs._dirty_dirs | set(self.dir_entries)) if ino in fs.inodes
@@ -1120,7 +1059,7 @@ class _EffectiveState:
             if node.kind != KIND_DIR or not node.blocks:
                 continue
             entries = self.dir_entries.get(ino, dict(node.entries))
-            packed = _pack_dir(entries, kinds)
+            packed = _pack_dir(entries)
             self.sizes[ino] = len(packed)
             images.append((node.blocks[0], packed.ljust(BLOCK_SIZE, b"\0")))
 
@@ -1138,11 +1077,10 @@ class _EffectiveState:
                 if not fs.alloc_inos >> ino & 1 or node is None:
                     raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = bytes(INODE_SIZE)
                     continue
-                packed = SoundFs._pack_inode_struct(
+                packed = _encode_inode(
                     node.kind,
                     self.nlink.get(ino, node.nlink),
                     self.sizes.get(ino, node.size),
-                    node.mtime,
                     node.target,
                     node.xattrs,
                     self.blocks.get(ino, node.blocks),

@@ -278,7 +278,8 @@ def test_fig_example_serialization_shape():
 def test_roundtrip_generated_workloads():
     for w in itertools.islice(generate_workloads(Bounds(seq_length=2)), 300):
         again = parse(serialize(w))
-        assert again == w
+        # parsed text carries no generator index, so compare everything else
+        assert (again.prologue, again.steps, again.skeleton) == (w.prologue, w.steps, w.skeleton)
 
 
 def test_parse_unknown_op_reports_line():

@@ -298,8 +298,20 @@ def test_cli_main_campaign_and_config_file(tmp_path):
             "known-bug file {f}: ",
         ),
         ('{"schema": 1, "workload_dsl": "creat foo\\n"}\n', ["replay", "{f}", "0"], "{f}:1: "),
+        (None, ["corpus", "--fs", "nosuchfs"], "unknown file system target 'nosuchfs'"),
+        (None, ["corpus", "--dir", "{f}"], "corpus directory {f} does not exist"),
+        (None, ["campaign", "--corpus", "{f}"], "corpus directory {f} does not exist"),
     ],
-    ids=["config-missing", "config-seq-int", "config-array", "known-bug-entry", "report-fields"],
+    ids=[
+        "config-missing",
+        "config-seq-int",
+        "config-array",
+        "known-bug-entry",
+        "report-fields",
+        "corpus-unknown-fs",
+        "corpus-missing-dir",
+        "campaign-missing-corpus",
+    ],
 )
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, text, args, message):
     """Exit 1 means new bug groups, so bad input must not end in a traceback."""

@@ -62,6 +62,82 @@ def test_mount_garbage_is_unmountable():
     assert isinstance(SoundFs.mount(garbage), Unmountable)
 
 
+_LAYOUT_FIELDS = (
+    "inode_count",
+    "itable_start",
+    "itable_blocks",
+    "inode_bitmap_block",
+    "block_bitmap_block",
+    "journal_start",
+    "journal_blocks",
+    "data_start",
+    "root_ino",
+)
+
+
+@pytest.mark.parametrize("field", _LAYOUT_FIELDS)
+def test_superblock_differing_from_mkfs_is_unmountable(field):
+    from crashlab.fstarget.soundfs import _SB
+
+    dev = Device(DEV)
+    SoundFs.mkfs(dev)
+    # magic, version and total blocks come first, then the layout fields
+    values = list(_SB.unpack_from(dev.read_block(0)))
+    values[3 + _LAYOUT_FIELDS.index(field)] += 1
+    dev.write_block(0, _SB.pack(*values).ljust(BLOCK_SIZE, b"\0"))
+    failed = SoundFs.mount(dev.snapshot())
+    assert isinstance(failed, Unmountable)
+    assert failed.reason == "inconsistent superblock geometry"
+
+
+def test_v1_pad_bytes_are_never_read():
+    """Images written before the pad bytes were zeroed hold inode flags,
+    mtimes and directory entry kinds there. They must mount to the same
+    view, which is why the format version is still 1."""
+    from crashlab.fstarget.soundfs import INODE_SIZE, INODES_PER_BLOCK, KIND_DIR
+
+    fs = fresh_fs()
+    ops = [
+        op("mkdir", path="A"),
+        op("creat", path="A/foo"),
+        op("write", path="A/foo", start=0, end=8192),
+        op("link", path="A/foo", path2="bar"),
+        op("symlink", path="A/foo", path2="A/sym"),
+        FsOp(FsOpKind.XATTR, path="bar", attr="u1", value="v1", variant="setxattr"),
+    ]
+    for i, o in enumerate(ops):
+        fs.apply(o, i)
+    fs.persist(PersistKind.SYNC)
+    image = fs.device.snapshot()
+    mounted = SoundFs.mount(image)
+    view = mounted.state_view().entries
+
+    dev = Device(DEV, image, log_io=False)
+    scribbled_entries = 0
+    for ino, node in mounted.inodes.items():
+        blk = mounted.geo.itable_start + ino // INODES_PER_BLOCK
+        off = ino % INODES_PER_BLOCK * INODE_SIZE
+        raw = bytearray(dev.read_block(blk))
+        raw[off + 1] = 0xA5  # flags
+        raw[off + 12 : off + 20] = b"\xa5" * 8  # mtime
+        dev.write_block(blk, bytes(raw))
+        if node.kind == KIND_DIR:
+            raw = bytearray(dev.read_block(node.blocks[0]))
+            pos = 0
+            while pos < node.size:  # ino (2 bytes), pad, name length, name
+                raw[pos + 2] = 0xA5
+                pos += 4 + raw[pos + 3]
+                scribbled_entries += 1
+            dev.write_block(node.blocks[0], bytes(raw))
+    assert scribbled_entries == 4  # A, bar, A/foo, A/sym
+
+    scribbled = dev.snapshot()
+    assert image_bytes(scribbled) != image_bytes(image)
+    remounted = SoundFs.mount(scribbled)
+    assert not isinstance(remounted, Unmountable)
+    assert remounted.state_view().entries == view
+
+
 def test_mounted_fs_is_freed_by_reference_counting():
     """A crash state's file system must not wait for the cyclic collector."""
     import gc
@@ -357,7 +433,6 @@ def test_mounted_soundfs_holds_only_file_system_state():
         "geo",
         "_journal_pos",
         "_next_txn",
-        "_mtime",
         "alloc_inos",
         "alloc_blocks",
         "inodes",

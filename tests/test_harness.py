@@ -446,21 +446,13 @@ def test_harness_error_not_a_bug():
     assert len(vs) == 1 and vs[0].outcome == "harness_error"
 
 
-def test_no_persistence_point_warns_and_returns_nothing():
-    import warnings
-
-    from crashlab.blockdev import NoPersistencePointWarning
-
+def test_no_persistence_point_returns_nothing():
     w = ace.Workload(
         prologue=(),
         steps=(FsOp(FsOpKind.CREAT, path="foo"),),
         skeleton=ace.Skeleton((FsOpKind.CREAT,)),
     )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        vs = run_workload(w, "soundfs")
-    assert vs == []
-    assert any(issubclass(c.category, NoPersistencePointWarning) for c in caught)
+    assert run_workload(w, "soundfs") == []
 
 
 def test_subset_mode_clean_on_soundfs():
@@ -517,24 +509,18 @@ def test_sector_subsets_of_wide_epochs_are_sampled_quickly():
 def test_no_false_positives_across_all_op_pairs():
     """Strided sample from every seq-2 skeleton: every op-kind interaction
     gets exercised on SoundFS with zero bugs and zero harness errors."""
-    import warnings
-
-    from crashlab.blockdev import NoPersistencePointWarning
-
     bounds_proto = Bounds(seq_length=2, files=("foo", "A/foo"), dirs=("A",))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoPersistencePointWarning)
-        stream = ace.generate_workloads(bounds_proto)
-        for skeleton, group in itertools.groupby(stream, key=lambda w: w.skeleton):
-            for w in itertools.islice(group, 0, None, 17):
-                for v in run_workload(w, "soundfs"):
-                    assert v.outcome == "pass", (
-                        str(skeleton),
-                        v.outcome,
-                        v.reason or v.consequence,
-                        v.diff[:2],
-                        ace.serialize(w),
-                    )
+    stream = ace.generate_workloads(bounds_proto)
+    for skeleton, group in itertools.groupby(stream, key=lambda w: w.skeleton):
+        for w in itertools.islice(group, 0, None, 17):
+            for v in run_workload(w, "soundfs"):
+                assert v.outcome == "pass", (
+                    str(skeleton),
+                    v.outcome,
+                    v.reason or v.consequence,
+                    v.diff[:2],
+                    ace.serialize(w),
+                )
 
 
 def test_per_workload_latency_budget():
