@@ -4,7 +4,8 @@ An image is a shared immutable base plus a block overlay (4 KB block number
 to its 4096 bytes). This module is the only code that knows that format:
 every write into an overlay goes through ``_write`` and every block read
 through ``_read_block``, whether it serves the live ``Device``, a log replay
-or a crash state built with ``DiskImage.with_writes``. IO stays
+or a crash state built with ``DiskImage.with_writes``; a mount memo keys
+images by ``content_key``. IO stays
 sector-addressed: a write that does not cover whole blocks (a sector-granular
 crash-state unit) is merged into the blocks it touches.
 
@@ -99,6 +100,20 @@ class DiskImage:
                 raise OutOfBoundsError(f"write at sector {sector} is beyond this image")
             _write(base, overlay, sector, data)
         return DiskImage(self.size_bytes, base, overlay)
+
+    def content_key(self) -> tuple:
+        """A hashable value that equals another image's only when both hold
+        the same bytes. Equal content over a different base or overlay split
+        gives a different key: a missed match, never a wrong one."""
+        flat = [x for item in sorted(self._overlay.items()) for x in item]
+        return (self.size_bytes, self._base, *flat)
+
+    def interned(self, table: dict) -> "DiskImage":
+        """This image with each overlay block replaced by the equal bytes
+        already in ``table`` (added there when new), so the images built
+        through one table hold each block content once."""
+        overlay = {n: table.setdefault(data, data) for n, data in self._overlay.items()}
+        return DiskImage(self.size_bytes, self._base, overlay)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from . import ace, report
 from .ace import Bounds, Workload
 from .crashgen import GRANULARITIES
 from .fsops import FsOpKind
-from .fstarget import get_target
+from .fstarget import MountMemo, get_target
 from .harness import (
     HarnessError,
     RunFlags,
@@ -117,8 +117,12 @@ class CampaignResult:
 
 
 def _run_partition(args):
+    """Run one worker's workloads. Its crash states share one mount memo,
+    so an image that recurs within the partition (often across sibling
+    workloads) is recovered once; the verdicts do not depend on it."""
     fs_name, flags, items = args
-    return [(idx, run_workload(workload, fs_name, flags)) for idx, workload in items]
+    memo = MountMemo()
+    return [(idx, run_workload(workload, fs_name, flags, memo)) for idx, workload in items]
 
 
 def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:

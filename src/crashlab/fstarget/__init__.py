@@ -7,7 +7,7 @@ from .base import (
     Unmountable,
     ViewEntry,
 )
-from .soundfs import FORMAT_VERSION, SoundFs
+from .soundfs import FORMAT_VERSION, MountMemo, SoundFs
 from .variants import BUG_SEEDS, VARIANTS
 
 TARGETS = {SoundFs.NAME: SoundFs, **{v.NAME: v for v in VARIANTS}}
@@ -28,6 +28,7 @@ __all__ = [
     "FORMAT_VERSION",
     "FsError",
     "FsStateView",
+    "MountMemo",
     "SoundFs",
     "TARGETS",
     "Unmountable",

@@ -21,6 +21,7 @@ survive a clean unmount (see ``variants``).
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import struct
 
@@ -57,6 +58,10 @@ _JCOMMIT = struct.Struct("<8sQ32s")
 
 
 class Geometry:
+    """The layout of a device of ``total_blocks`` blocks and the superblock
+    mkfs writes for it, packed once; one per device size is shared by every
+    mount (``for_blocks``)."""
+
     def __init__(self, total_blocks: int):
         journal = max(16, min(256, total_blocks // 4))
         self.total_blocks = total_blocks
@@ -67,9 +72,7 @@ class Geometry:
         self.journal_start = self.itable_start + self.itable_blocks
         self.journal_blocks = journal
         self.data_start = self.journal_start + journal
-
-    def pack_superblock(self) -> bytes:
-        raw = _SB.pack(
+        self.superblock = _SB.pack(
             MAGIC,
             FORMAT_VERSION,
             self.total_blocks,
@@ -82,8 +85,12 @@ class Geometry:
             self.journal_blocks,
             self.data_start,
             ROOT_INO,
-        )
-        return raw.ljust(BLOCK_SIZE, b"\0")
+        ).ljust(BLOCK_SIZE, b"\0")
+
+    @staticmethod
+    @functools.lru_cache(maxsize=8)
+    def for_blocks(total_blocks: int) -> "Geometry":
+        return Geometry(total_blocks)
 
     @classmethod
     def parse_superblock(cls, raw: bytes) -> "Geometry":
@@ -94,8 +101,8 @@ class Geometry:
             raise ValueError("bad superblock magic")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported format version {version}")
-        geo = cls(total)
-        if raw != geo.pack_superblock() or geo.data_start >= total:
+        geo = cls.for_blocks(total)
+        if raw != geo.superblock or geo.data_start >= total:
             raise ValueError("inconsistent superblock geometry")
         return geo
 
@@ -176,8 +183,9 @@ def _decode_inode(ino: int, raw: bytes) -> Inode:
 
 def _unpack_bitmap(raw: bytes, nbits: int) -> int:
     """Bit n set means inode or block n is in use; bits from ``nbits`` on
-    are ignored. ``int.to_bytes(BLOCK_SIZE, "little")`` packs it back."""
-    return int.from_bytes(raw, "little") & ((1 << nbits) - 1)
+    are ignored, and so are the bytes past the ones that hold them.
+    ``int.to_bytes(BLOCK_SIZE, "little")`` packs it back."""
+    return int.from_bytes(raw[: (nbits + 7) // 8], "little") & ((1 << nbits) - 1)
 
 
 def _lowest_clear_bit(bits: int, lo: int, hi: int) -> int | None:
@@ -226,10 +234,10 @@ class SoundFs:
         the root's inode-table block hold non-zero bytes, so only they are
         written. The root directory's entry block is the first data block."""
         total = device.size_bytes // BLOCK_SIZE
-        geo = Geometry(total)
+        geo = Geometry.for_blocks(total)
         if total < geo.data_start + 8:
             raise FsError("ENOSPC", "device too small for this file system")
-        device.write_block(0, geo.pack_superblock())
+        device.write_block(0, geo.superblock)
 
         # ino 0 invalid, ino 1 root; the metadata region and the root dir block
         root_data_block = geo.data_start
@@ -246,8 +254,27 @@ class SoundFs:
     # -- mounting ------------------------------------------------------------
 
     @classmethod
-    def mount(cls, image: DiskImage) -> "SoundFs | Unmountable":
-        return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
+    def mount(cls, image: DiskImage, memo: "MountMemo | None" = None) -> "SoundFs | Unmountable":
+        """Mount a crash image: recovery runs on a private device. A mount
+        is a pure function of the target and the image's bytes, so with a
+        ``memo`` each distinct image is recovered, validated and viewed
+        once; a repeat gets a fresh, independent file system built from the
+        frozen record, whose ``state_view`` is the stored one until the
+        first ``apply`` or commit."""
+        if memo is None:
+            return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
+        mounted = memo.states.get((cls, image.content_key()))
+        if mounted is None:
+            if len(memo.states) >= MountMemo.LIMIT:
+                memo.states.clear()
+                memo.values.clear()
+            image = image.interned(memo.values)
+            fs = cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
+            mounted = fs if isinstance(fs, Unmountable) else _MountedState(fs, memo)
+            memo.states[(cls, image.content_key())] = mounted
+        if isinstance(mounted, Unmountable):
+            return mounted
+        return mounted.thaw(cls)
 
     @classmethod
     def mount_device(cls, device: Device) -> "SoundFs | Unmountable":
@@ -268,6 +295,7 @@ class SoundFs:
             raise ValueError("superblock size does not match device")
         self._journal_pos, self._next_txn = self._recover()
         self._load_state()
+        self._view = None
         self._reset_pending()
 
     def _reset_pending(self) -> None:
@@ -571,6 +599,7 @@ class SoundFs:
     def apply(self, op: FsOp, op_index: int = 0) -> None:
         from ..fsops import pattern_bytes
 
+        self._view = None
         kind = op.kind
         if kind is FsOpKind.CREAT:
             self._op_creat(op.path)
@@ -902,6 +931,7 @@ class SoundFs:
     # -- the commit pipeline ---------------------------------------------------
 
     def _commit(self, trigger: str, target_ino: int | None) -> None:
+        self._view = None
         skip = self._skip_data_flush_inos(trigger) if trigger not in ("sync", "unmount") else set()
         deferred: dict[int, set[int]] = {}
         for ino, blocks in sorted(self._pending_data.items()):
@@ -994,6 +1024,12 @@ class SoundFs:
         )
 
     def state_view(self) -> FsStateView:
+        """The logical listing; read-only, as a memo mount shares it."""
+        if self._view is not None:
+            return self._view
+        return self._build_view()
+
+    def _build_view(self) -> FsStateView:
         view = FsStateView()
         view.entries["/"] = self._entry_for(self.inodes[ROOT_INO])
         for path, ino in self._walk_paths():
@@ -1021,6 +1057,71 @@ class SoundFs:
             "repairable": "link count" in failed.reason,  # orphan-style damage only
             "issues": [failed.reason],
         }
+
+
+class MountMemo:
+    """What mounting each distinct crash image gave, for one campaign
+    partition: a ``_MountedState`` or the ``Unmountable``, keyed by target
+    class and exact image content. ``values`` interns block contents and
+    record parts, so the memo holds each once (distinct images share most
+    of their blocks, inodes and views). It empties itself when it passes
+    ``LIMIT`` entries."""
+
+    LIMIT = 1024
+
+    def __init__(self):
+        self.states: dict[tuple, "_MountedState | Unmountable"] = {}
+        self.values: dict = {}
+
+
+class _MountedState:
+    """A frozen mounted file system: the recovered image (recovery copies
+    the image's journal blocks home, so it shares their interned bytes),
+    the journal position, the bitmaps, plain-tuple inode records and the
+    view."""
+
+    __slots__ = ("image", "geo", "journal_pos", "next_txn", "alloc_inos", "alloc_blocks",
+                 "inodes", "view")
+
+    def __init__(self, fs: SoundFs, memo: MountMemo):
+        intern = memo.values.setdefault
+        self.image = fs.device.snapshot()
+        self.geo = fs.geo
+        self.journal_pos = fs._journal_pos
+        self.next_txn = fs._next_txn
+        self.alloc_inos = intern(fs.alloc_inos, fs.alloc_inos)
+        self.alloc_blocks = intern(fs.alloc_blocks, fs.alloc_blocks)
+        inodes = tuple(
+            (n.ino, n.kind, n.nlink, n.size, n.target, tuple(n.xattrs.items()),
+             tuple(n.blocks), tuple(n.entries.items()))
+            for n in fs.inodes.values()
+        )
+        self.inodes = intern(inodes, inodes)
+        view = fs._build_view()
+        self.view = intern(tuple(view.entries.items()), view)
+
+    def thaw(self, cls) -> SoundFs:
+        fs = cls.__new__(cls)
+        fs.device = Device(self.image.size_bytes, base=self.image, log_io=False)
+        fs.geo = self.geo
+        fs._journal_pos = self.journal_pos
+        fs._next_txn = self.next_txn
+        fs.alloc_inos = self.alloc_inos
+        fs.alloc_blocks = self.alloc_blocks
+        fs.inodes = {}
+        for ino, kind, nlink, size, target, xattrs, blocks, entries in self.inodes:
+            node = Inode(ino, kind)
+            node.nlink = nlink
+            node.size = size
+            node.target = target
+            node.xattrs = dict(xattrs)
+            node.blocks = list(blocks)
+            node.entries = dict(entries)
+            node.content = None
+            fs.inodes[ino] = node
+        fs._view = self.view
+        fs._reset_pending()
+        return fs
 
 
 class _EffectiveState:

@@ -34,7 +34,7 @@ from .crashgen import (
     prefix_state,
 )
 from .fsops import FsOp, FsOpKind, PersistKind, PersistOp, parent_dir
-from .fstarget import FsError, FsStateView, Unmountable, get_target
+from .fstarget import FsError, FsStateView, MountMemo, Unmountable, get_target
 from .report import DiffEntry, classify
 
 DEFAULT_DEVICE_BYTES = 4 * 1024 * 1024
@@ -240,9 +240,12 @@ def check(
     *,
     descriptor: str = "",
     later_views: list[FsStateView] | None = None,
+    memo: MountMemo | None = None,
 ) -> Verdict:
     """Mount the crash state (running recovery) and compare persisted entities
-    against the oracle.
+    against the oracle. With a campaign partition's ``memo``, each distinct
+    crash image is recovered and viewed once (``SoundFs.mount``); every
+    state is still mounted, compared and probed on its own file system.
 
     A subset state comes with ``later_views``. Its crash lands mid-epoch, so
     an entity may legitimately show any committed state at or after its
@@ -251,7 +254,7 @@ def check(
     and no spurious-entry scan runs.
     """
     target = get_target(fs_name)
-    fs = target.mount(crash_image)
+    fs = target.mount(crash_image, memo)
     if isinstance(fs, Unmountable):
         diff = [DiffEntry("unmountable", expected="mountable file system", actual=fs.reason)]
         return Verdict(
@@ -355,11 +358,15 @@ class RunFlags:
 
 
 def run_workload(
-    workload: Workload, fs_name: str, flags: RunFlags | None = None
+    workload: Workload,
+    fs_name: str,
+    flags: RunFlags | None = None,
+    memo: MountMemo | None = None,
 ) -> list[Verdict]:
-    """Profile once, then test crash states. Default mode tests only the final
-    checkpoint: campaigns run shorter sequences first, so earlier checkpoints
-    repeat already-explored workloads."""
+    """Profile once, then test crash states, mounting them through ``memo``
+    when given. Default mode tests only the final checkpoint: campaigns run
+    shorter sequences first, so earlier checkpoints repeat already-explored
+    workloads."""
     flags = flags or RunFlags()
     try:
         prof = profile(workload, fs_name)
@@ -371,19 +378,19 @@ def run_workload(
         return []  # no persistence point, so nothing to test
 
     checkpoints = range(1, n + 1) if (flags.all_checkpoints or flags.subset) else [n]
-    verdicts = [check_state(prof, _checkpoint_state(prof, k)) for k in checkpoints]
+    verdicts = [check_state(prof, _checkpoint_state(prof, k), memo) for k in checkpoints]
     if flags.subset:
-        verdicts.extend(_subset_verdicts(prof, flags))
+        verdicts.extend(_subset_verdicts(prof, flags, memo))
     return verdicts
 
 
-def _subset_verdicts(prof: Profile, flags: RunFlags) -> list[Verdict]:
+def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> list[Verdict]:
     epochs = split_epochs(prof.io_log)
     prefixes = (
         prefix_state(prof.base_image, epochs, p, flags.granularity) for p in range(len(epochs))
     )
     return [
-        check_state(prof, build_subset_state(prefix, kept))
+        check_state(prof, build_subset_state(prefix, kept), memo)
         for prefix in prefixes
         for kept in enumerate_target_subsets(prefix, flags.seed)
     ]
@@ -393,7 +400,7 @@ def _checkpoint_state(prof: Profile, k: int) -> CrashState:
     return CrashState(replay(prof.base_image, prof.io_log, checkpoint=k), checkpoint_id=k)
 
 
-def check_state(prof: Profile, state: CrashState) -> Verdict:
+def check_state(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Verdict:
     """Check one crash state against the oracle of the last checkpoint it
     contains (the freshly formatted file system before the first). A subset
     state may also match any later oracle."""
@@ -408,6 +415,7 @@ def check_state(prof: Profile, state: CrashState) -> Verdict:
         prof.fs_name,
         descriptor=state.descriptor(),
         later_views=later_views,
+        memo=memo,
     )
 
 

@@ -7,6 +7,7 @@ from crashlab.fsops import FallocFlag, FsOp, FsOpKind, PersistKind
 from crashlab.fstarget import (
     BUG_SEEDS,
     FsError,
+    MountMemo,
     SoundFs,
     TARGETS,
     Unmountable,
@@ -422,6 +423,98 @@ def test_recovery_idempotent_across_remounts():
     assert sorted(fs_b.state_view().entries) == sorted(fs_a.state_view().entries)
 
 
+# -- mount memo ------------------------------------------------------------------------
+
+
+def crash_image(target=SoundFs):
+    """A crash state holding committed journal transactions and one
+    uncommitted file."""
+    fs = fresh_fs(target)
+    fs.apply(op("mkdir", path="A"), 0)
+    fs.apply(op("creat", path="A/foo"), 1)
+    fs.apply(op("write", path="A/foo", start=0, end=8192), 2)
+    fs.apply(op("link", path="A/foo", path2="bar"), 3)
+    fs.persist(PersistKind.FSYNC, "A/foo")
+    fs.apply(FsOp(FsOpKind.XATTR, path="bar", attr="user.k", value="v", variant="setxattr"), 4)
+    fs.persist(PersistKind.SYNC)
+    fs.apply(op("creat", path="lost"), 5)
+    return fs.device.snapshot()
+
+
+def test_memo_mounts_of_one_image_are_independent():
+    image = crash_image()
+    memo = MountMemo()
+    first = SoundFs.mount(image, memo)
+    second = SoundFs.mount(image, memo)
+    assert len(memo.states) == 1
+    before = second.state_view().entries
+    assert first.state_view().entries == before
+
+    first.apply(op("creat", path="A/probe_chk"), 9)
+    first.apply(FsOp(FsOpKind.XATTR, path="bar", attr="user.k", variant="removexattr"), 9)
+    assert "A/probe_chk" in first.state_view().entries
+    assert second.state_view().entries == before
+    second.apply(op("write", path="A/other", start=0, end=4096), 10)  # rebuilds its view
+    assert "A/probe_chk" not in second.state_view().entries
+    assert second.state_view().entries["bar"] == before["bar"]
+    assert "A/other" not in first.state_view().entries
+    first.persist(PersistKind.FSYNC, "A/probe_chk")
+    assert "A/probe_chk" in SoundFs.mount(first.device.snapshot()).state_view().entries
+
+    third = SoundFs.mount(image, memo)
+    assert third.state_view().entries == before
+    assert "A/probe_chk" not in SoundFs.mount(third.device.snapshot()).state_view().entries
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_memo_hit_equals_a_plain_mount(target):
+    image = crash_image(target)
+    plain = target.mount(image)
+    memo = MountMemo()
+    target.mount(image, memo)
+    hit = target.mount(image, memo)
+    assert type(hit) is target
+    assert hit.state_view() == plain.state_view()
+    assert set(vars(hit)) == set(vars(plain))
+    # the stored view is dropped at the first change, and the rest follows it
+    for fs in (plain, hit):
+        fs.apply(op("write", path="bar", start=8192, end=12288), 10)
+        fs.persist(PersistKind.FSYNC, "bar")
+    assert hit.state_view() == plain.state_view()
+    assert image_bytes(hit.device.snapshot()) == image_bytes(plain.device.snapshot())
+
+
+def test_memo_keeps_an_unmountable_reason():
+    image = DiskImage(DEV, b"\x5a" * DEV, {})
+    memo = MountMemo()
+    plain = SoundFs.mount(image)
+    assert SoundFs.mount(image, memo) == plain
+    assert SoundFs.mount(image, memo) == plain
+    assert len(memo.states) == 1
+
+
+def test_memo_keys_each_target_apart():
+    image = crash_image()
+    memo = MountMemo()
+    sound = SoundFs.mount(image, memo)
+    buggy = TARGETS["bugfs-b1"].mount(image, memo)
+    assert type(sound) is SoundFs and type(buggy) is TARGETS["bugfs-b1"]
+    assert type(SoundFs.mount(image, memo)) is SoundFs
+    assert len(memo.states) == 2
+
+
+def test_memo_never_holds_more_than_its_bound():
+    memo = MountMemo()
+    zeroed = DiskImage.zeroed(DEV)
+    for i in range(MountMemo.LIMIT + 50):
+        # a distinct superblock on each image: every mount is a new entry
+        image = zeroed.with_writes([(0, i.to_bytes(4, "little") * (BLOCK_SIZE // 4))])
+        assert isinstance(SoundFs.mount(image, memo), Unmountable)
+        assert len(memo.states) <= MountMemo.LIMIT
+    # emptied at the bound, so only the images mounted since are held
+    assert len(memo.states) == len(memo.values) == 50
+
+
 # -- allocation ----------------------------------------------------------------------
 
 
@@ -440,6 +533,7 @@ def test_mounted_soundfs_holds_only_file_system_state():
         "_dirty_dirs",
         "_bitmap_dirty",
         "_pending_data",
+        "_view",
     }
 
 
