@@ -10,7 +10,9 @@ verdict: it mounts the state so recovery runs and compares it against the
 oracle of the last checkpoint the state contains, but only for entities the
 persistence calls made durable (``_update_persisted``). Campaigns, replay
 (``state_for`` rebuilds the state a report names) and the corpus all go
-through it.
+through it. A campaign recovers each distinct crash image once per worker
+partition (the memo in ``SoundFs.mount``); every state is still compared
+and probed on a file system of its own.
 """
 
 from __future__ import annotations
