@@ -69,8 +69,13 @@ class CampaignConfig:
     def validate(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not self.seq:
+            raise ValueError("seq names no sequence length")
         if self.corpus is not None and self.index_range is not None:
             raise ValueError("corpus campaigns take no generator index range")
+        start, end = self.index_range or (0, None)
+        if start < 0 or (end is not None and end < start):
+            raise ValueError(f"index range {start}:{end} needs 0 <= START <= END")
         if self.corpus is not None:
             _check_corpus_dir(self.corpus)
         if self.granularity not in GRANULARITIES:
@@ -168,6 +173,9 @@ def _run_tier(config: CampaignConfig, flags, tier) -> dict[int, list[Verdict]]:
 def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResult:
     config.validate()
     known = report.load_known_bugs(config.known_bugs) if config.known_bugs else set()
+    out_dir = Path(config.out) if config.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)  # before the run, so a bad --out fails fast
     t0 = time.monotonic()
     flags = config.run_flags()
     tiers = _collect_tiers(config)
@@ -233,9 +241,7 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
     res.elapsed = time.monotonic() - t0
     res.exit_code = EXIT_OK if not res.new_groups else EXIT_BUGS
 
-    if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:
         report.write_reports(out_dir / "reports.jsonl", res.reports)
         (out_dir / "errors.jsonl").write_text(
             "".join(json.dumps(e, sort_keys=True) + "\n" for e in res.errors), encoding="utf-8"
@@ -390,90 +396,99 @@ def run_mapped_corpus(corpus_dir) -> list[tuple[str, CorpusRow]]:
 # -- argument parsing --------------------------------------------------------------
 
 
-def _add_campaign_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fs", default=None, help="file system target name")
-    p.add_argument("--seq", type=int, nargs="+", default=None, choices=(1, 2, 3))
-    p.add_argument("--ops", default=None, help="comma-separated op kinds")
-    p.add_argument("--files", default=None, help="comma-separated file set override")
-    p.add_argument("--dirs", default=None, help="comma-separated dir set override")
-    p.add_argument("--corpus", default=None, help="run corpus dir instead of generating")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--all-checkpoints", action="store_true", default=None)
-    p.add_argument("--subset", action="store_true", default=None)
-    p.add_argument("--granularity", choices=GRANULARITIES, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--known-bugs", default=None, help="known-bug database file")
-    p.add_argument("--out", default=None, help="report output directory")
-    p.add_argument("--no-group", action="store_true", default=None)
-    p.add_argument("--range", default=None, help="campaign index range START:END")
-    p.add_argument("--config", default=None, help="JSON config file (flags win)")
+def _expect(kind):
+    # exactly ``kind``: JSON true is no int, and "false" is no switch
+    def convert(value):
+        if type(value) is not kind:
+            raise ValueError(f"expected {kind.__name__}, got {json.dumps(value)}")
+        return value
+
+    return convert
 
 
-def _read_config(path) -> dict:
-    """The JSON object of a config file; its keys are the flag names with
-    underscores."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            values = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise ValueError(f"config file {path}: {e}") from None
-    if not isinstance(values, dict):
-        raise ValueError(f"config file {path}: expected a JSON object")
-    return values
+def _names(value) -> tuple[str, ...]:
+    if isinstance(value, str):
+        return tuple(v.strip() for v in value.split(",") if v.strip())
+    return tuple(map(_expect(str), _expect(list)(value)))
+
+
+def _index_range(value) -> tuple[int, int | None]:
+    start, _, end = _expect(str)(value).partition(":")
+    return (int(start or 0), int(end) if end else None)
+
+
+# each campaign setting, named as its flag with underscores, and its conversion
+_SETTINGS = {
+    "fs": _expect(str),
+    "seq": lambda value: tuple(map(_expect(int), _expect(list)(value))),
+    "ops": _names,
+    "files": _names,
+    "dirs": _names,
+    "corpus": _expect(str),
+    "workers": _expect(int),
+    "all_checkpoints": _expect(bool),
+    "subset": _expect(bool),
+    "granularity": _expect(str),
+    "seed": _expect(int),
+    "known_bugs": _expect(str),
+    "out": _expect(str),
+    "no_group": _expect(bool),
+    "range": _index_range,
+}
 
 
 def _config_from_args(args) -> CampaignConfig:
-    file_values = _read_config(args.config) if args.config else {}
-
-    def pick(name, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return default
-
-    rng = pick("range", None)
-    index_range = None
-    if rng:
-        start_s, _, end_s = str(rng).partition(":")
-        index_range = (int(start_s or 0), int(end_s) if end_s else None)
-
-    def names(name):
-        value = pick(name, None)
-        if isinstance(value, str):
-            return tuple(v.strip() for v in value.split(",") if v.strip())
-        return None if value is None else tuple(value)
-
-    try:
-        return CampaignConfig(
-            fs=pick("fs", "soundfs"),
-            seq=tuple(int(s) for s in pick("seq", [1])),
-            ops=names("ops"),
-            files=names("files"),
-            dirs=names("dirs"),
-            corpus=pick("corpus", None),
-            workers=int(pick("workers", 1)),
-            all_checkpoints=bool(pick("all_checkpoints", False)),
-            subset=bool(pick("subset", False)),
-            granularity=pick("granularity", "op"),
-            seed=int(pick("seed", 0)),
-            known_bugs=pick("known_bugs", None),
-            out=pick("out", None),
-            no_group=bool(pick("no_group", False)),
-            index_range=index_range,
-        )
-    except TypeError as e:
-        # argparse types every flag, so a value of the wrong type is the file's
-        raise ValueError(f"config file {args.config}: {e}") from None
+    """The config file's settings overridden by the explicit flags, each
+    converted once; CampaignConfig's defaults fill in the rest."""
+    path = getattr(args, "config", None)
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    sources = [(flags, "--")]
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                values = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise ValueError(f"config file {path}: {e}") from None
+        if not isinstance(values, dict):
+            raise ValueError(f"config file {path}: expected a JSON object")
+        sources.insert(0, (values, f"config file {path}: "))
+    settings = {}
+    for values, where in sources:
+        for key, value in values.items():
+            if key not in _SETTINGS:
+                raise ValueError(f"{where}unknown key {key!r}")
+            try:
+                settings["index_range" if key == "range" else key] = _SETTINGS[key](value)
+            except ValueError as e:
+                raise ValueError(f"{where}{key}: {e}") from None
+    return CampaignConfig(**settings)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="crashlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_campaign = sub.add_parser("campaign", help="generate and crash-test workloads")
-    _add_campaign_args(p_campaign)
+    # every campaign flag defaults to SUPPRESS, so only explicit flags reach
+    # _config_from_args and CampaignConfig's defaults fill in the rest
+    p = sub.add_parser(
+        "campaign", help="generate and crash-test workloads", argument_default=argparse.SUPPRESS
+    )
+    p.add_argument("--fs", help="file system target name")
+    p.add_argument("--seq", type=int, nargs="+", choices=(1, 2, 3))
+    p.add_argument("--ops", help="comma-separated op kinds")
+    p.add_argument("--files", help="comma-separated file set override")
+    p.add_argument("--dirs", help="comma-separated dir set override")
+    p.add_argument("--corpus", help="run corpus dir instead of generating")
+    p.add_argument("--workers", type=int)
+    p.add_argument("--all-checkpoints", action="store_true")
+    p.add_argument("--subset", action="store_true")
+    p.add_argument("--granularity", choices=GRANULARITIES)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--known-bugs", help="known-bug database file")
+    p.add_argument("--out", help="report output directory")
+    p.add_argument("--no-group", action="store_true")
+    p.add_argument("--range", help="campaign index range START:END")
+    p.add_argument("--config", help="JSON config file (flags win)")
 
     p_replay = sub.add_parser("replay", help="re-run one emitted bug report")
     p_replay.add_argument("report_file")
@@ -489,42 +504,26 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-
-    if args.command == "campaign":
-        try:
-            config = _config_from_args(args)
-            result = run_campaign(config)
-        except (ValueError, ace.GenerationError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        return result.exit_code
-
-    if args.command == "replay":
-        try:
+    # bad input of any subcommand exits 2, never 1, which means new bug groups
+    try:
+        if args.command == "campaign":
+            return run_campaign(_config_from_args(args)).exit_code
+        if args.command == "replay":
             replay_report(args.report_file, args.index)
-        except (ValueError, FileNotFoundError, ace.GenerationError, HarnessError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        return EXIT_OK
-
-    if args.command == "corpus":
+            return EXIT_OK
         corpus_dir = args.dir or default_corpus_dir()
-        try:
-            get_target(args.fs)
-            _check_corpus_dir(corpus_dir)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        rows = run_corpus(corpus_dir, args.fs)
-        ok = all(r.match for r in rows)
+        get_target(args.fs)
+        _check_corpus_dir(corpus_dir)
+        ok = all(r.match for r in run_corpus(corpus_dir, args.fs))
         if args.mapped:
             for variant, r in run_mapped_corpus(corpus_dir):
                 status = "ok " if r.match else "FAIL"
                 print(f"{status} {r.file} on {variant}: expected={r.expected} observed={r.observed}")
                 ok = ok and r.match
         return EXIT_OK if ok else EXIT_BUGS
-
-    return EXIT_CONFIG
+    except (OSError, ValueError, ace.GenerationError, HarnessError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

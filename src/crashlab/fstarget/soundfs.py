@@ -268,7 +268,9 @@ class SoundFs:
             if len(memo.states) >= MountMemo.LIMIT:
                 memo.states.clear()
                 memo.values.clear()
-            # mount and key the interned copy, so the entry holds no block twice
+            # mount and key the interned copy, so the entry holds no block
+            # twice: the lookup key holds the image's own block objects, equal
+            # to the interned ones but not the same
             image = image.interned(memo.values)
             fs = cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
             mounted = fs if isinstance(fs, Unmountable) else _MountedState(fs, memo)
@@ -301,8 +303,8 @@ class SoundFs:
 
     def _reset_pending(self) -> None:
         """Start with nothing pending; variants add their bookkeeping here."""
+        # inodes and directory entry blocks the next commit writes
         self._dirty_inodes: set[int] = set()
-        self._dirty_dirs: set[int] = set()
         self._bitmap_dirty = False
         self._pending_data: dict[int, set[int]] = {}
 
@@ -645,8 +647,7 @@ class SoundFs:
         node.blocks = [self._alloc_block()]
         node.content = None
         dirn.entries[name] = node.ino
-        self._dirty_dirs.add(dirn.ino)
-        self._dirty_dirs.add(node.ino)
+        self._dirty_inodes.add(dirn.ino)
 
     def _ensure_file(self, path: str, truncate: bool = False) -> Inode:
         """The file at ``path``, created when missing; creat truncates."""
@@ -656,7 +657,7 @@ class SoundFs:
         if ino is None:
             node = self._alloc_ino(KIND_FILE)
             dirn.entries[name] = node.ino
-            self._dirty_dirs.add(dirn.ino)
+            self._dirty_inodes.add(dirn.ino)
             return node
         node = self.inodes[ino]
         if node.kind == KIND_DIR:
@@ -727,8 +728,7 @@ class SoundFs:
         dirn = self._require_parent_dir(dparent, dst)
         dirn.entries[dname] = sino
         snode.nlink += 1
-        self._dirty_dirs.add(dirn.ino)
-        self._dirty_inodes.add(sino)
+        self._dirty_inodes.update((dirn.ino, sino))
 
     def _op_symlink(self, target: str, linkpath: str) -> None:
         parent, name, ino = self._resolve(linkpath, follow=False)
@@ -739,7 +739,7 @@ class SoundFs:
         node.target = target
         node.size = len(target.encode())
         dirn.entries[name] = node.ino
-        self._dirty_dirs.add(dirn.ino)
+        self._dirty_inodes.add(dirn.ino)
 
     def _op_rename(self, src: str, dst: str) -> None:
         sparent, sname, sino = self._resolve(src, follow=False)
@@ -770,9 +770,7 @@ class SoundFs:
         srcdir = self.inodes[sparent]
         del srcdir.entries[sname]
         dirn.entries[dname] = sino
-        self._dirty_dirs.add(sparent)
-        self._dirty_dirs.add(dirn.ino)
-        self._dirty_inodes.add(sino)
+        self._dirty_inodes.update((sparent, dirn.ino, sino))
 
     def _is_descendant(self, dir_ino: int, ancestor: int) -> bool:
         if dir_ino == ancestor:
@@ -796,9 +794,8 @@ class SoundFs:
             raise FsError("EISDIR", f"{path} is a directory")
         dirn = self.inodes[parent]
         del dirn.entries[name]
-        self._dirty_dirs.add(parent)
         node.nlink -= 1
-        self._dirty_inodes.add(ino)
+        self._dirty_inodes.update((parent, ino))
         if node.nlink == 0:
             self._free_inode(node)
 
@@ -824,7 +821,7 @@ class SoundFs:
             raise FsError("EBUSY", "cannot remove the root directory")
         dirn = self.inodes[parent]
         del dirn.entries[name]
-        self._dirty_dirs.add(parent)
+        self._dirty_inodes.add(parent)
         self._free_inode(node)
 
     def _op_truncate(self, path: str, size: int) -> None:
@@ -933,7 +930,7 @@ class SoundFs:
 
     def _commit(self, trigger: str, target_ino: int | None) -> None:
         self._view = None
-        skip = self._skip_data_flush_inos(trigger) if trigger not in ("sync", "unmount") else set()
+        skip = self._skip_data_flush_inos(trigger)
         deferred: dict[int, set[int]] = {}
         for ino, blocks in sorted(self._pending_data.items()):
             if ino in skip:
@@ -946,11 +943,7 @@ class SoundFs:
 
         eff = _EffectiveState(self)
         self._adjust_effective(eff, trigger, target_ino)
-        tombstones = (
-            self._tombstones_for_commit(trigger)
-            if trigger not in ("sync", "unmount")
-            else []
-        )
+        tombstones = self._tombstones_for_commit(trigger)
         images = eff.block_images()
 
         if images or tombstones:
@@ -958,7 +951,6 @@ class SoundFs:
         else:
             self.device.flush()
         self._dirty_inodes.clear()
-        self._dirty_dirs.clear()
         self._bitmap_dirty = False
         self._after_commit(trigger)
 
@@ -966,8 +958,18 @@ class SoundFs:
         geo = self.geo
         n = len(images)
         needed = 1 + n + 1
+        if needed > geo.journal_blocks:
+            raise FsError(
+                "ENOSPC",
+                f"transaction of {needed} blocks exceeds the {geo.journal_blocks}-block journal",
+            )
         if self._journal_pos + needed > geo.journal_start + geo.journal_blocks:
-            raise FsError("ENOSPC", "journal full")
+            # Wrap: FLUSH makes every earlier transaction's home writes durable
+            # before the journal head is overwritten. Recovery stops at the
+            # first transaction id that does not increase, so the stale ones
+            # left after the new head are never replayed.
+            self.device.flush()
+            self._journal_pos = geo.journal_start
         hdr = bytearray(
             _JHDR.pack(JOURNAL_HDR_MAGIC, self._next_txn, n, len(tombstones))
         )
@@ -1141,7 +1143,7 @@ class _EffectiveState:
         self.sizes: dict[int, int] = {}
         self.blocks: dict[int, list[int]] = {}
         self.dir_entries: dict[int, dict[str, int]] = {}
-        for ino in sorted(fs._dirty_inodes | fs._dirty_dirs):
+        for ino in sorted(fs._dirty_inodes):
             node = fs.inodes.get(ino)
             if node is None:
                 continue
@@ -1155,27 +1157,22 @@ class _EffectiveState:
         fs = self.fs
         images: list[tuple[int, bytes]] = []
 
-        dirty_dir_inos = sorted(
-            ino for ino in (fs._dirty_dirs | set(self.dir_entries)) if ino in fs.inodes
-        )
-        for ino in dirty_dir_inos:
+        for ino, entries in sorted(self.dir_entries.items()):
             node = fs.inodes[ino]
-            if node.kind != KIND_DIR or not node.blocks:
+            if not node.blocks:
                 continue
-            entries = self.dir_entries.get(ino, dict(node.entries))
             packed = _pack_dir(entries)
             self.sizes[ino] = len(packed)
             images.append((node.blocks[0], packed.ljust(BLOCK_SIZE, b"\0")))
 
         # Only dirty slots are repacked; clean inodes keep their last committed
         # on-disk bytes (in-memory dir sizes are not maintained between commits).
-        dirty_inos = fs._dirty_inodes | fs._dirty_dirs | set(self.dir_entries)
-        table_blocks = sorted({ino // INODES_PER_BLOCK for ino in dirty_inos})
+        table_blocks = sorted({ino // INODES_PER_BLOCK for ino in fs._dirty_inodes})
         for tb in table_blocks:
             raw = bytearray(fs.device.read_block(fs.geo.itable_start + tb))
             for slot in range(INODES_PER_BLOCK):
                 ino = tb * INODES_PER_BLOCK + slot
-                if ino not in dirty_inos:
+                if ino not in fs._dirty_inodes:
                     continue
                 node = fs.inodes.get(ino)
                 if not fs.alloc_inos >> ino & 1 or node is None:

@@ -64,8 +64,7 @@ class LinkLossFs(SoundFs):
         keep = trigger in _BUGGY_TRIGGERS
         self._link_pending = [p for p in self._link_pending if keep and p[2] in self.inodes]
         for dir_ino, _name, ino in self._link_pending:
-            self._dirty_dirs.add(dir_ino)
-            self._dirty_inodes.add(ino)
+            self._dirty_inodes.update((dir_ino, ino))
 
 
 class RenameNonAtomicFs(SoundFs):
@@ -112,11 +111,7 @@ class RenameNonAtomicFs(SoundFs):
         keep = trigger in _BUGGY_TRIGGERS
         self._rename_pending = [p for p in self._rename_pending if keep and p[4] in self.inodes]
         for src_dir, _sn, dst_dir, _dn, ino in self._rename_pending:
-            if src_dir in self.inodes:
-                self._dirty_dirs.add(src_dir)
-            if dst_dir in self.inodes:
-                self._dirty_dirs.add(dst_dir)
-            self._dirty_inodes.add(ino)
+            self._dirty_inodes.update(i for i in (src_dir, dst_dir, ino) if i in self.inodes)
 
 
 class FallocBeyondEofLossFs(SoundFs):

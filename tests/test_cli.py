@@ -266,13 +266,18 @@ def test_config_validation():
         CampaignConfig(corpus="/tmp/x", index_range=(0, 5)).validate()
     with pytest.raises(ValueError, match="granularity"):
         CampaignConfig(granularity="bytes").validate()
+    with pytest.raises(ValueError, match="seq"):
+        CampaignConfig(seq=()).validate()
+    for index_range in ((9, 3), (-1, 3), (-1, None)):
+        with pytest.raises(ValueError, match="index range"):
+            CampaignConfig(index_range=index_range).validate()
 
 
 def test_cli_main_campaign_and_config_file(tmp_path):
     cfg = {
         "fs": "bugfs-b6",
         "seq": [2],
-        "ops": "unlink,creat",
+        "ops": ["unlink", "creat"],
         "files": "foo,bar",
         "dirs": "",
         "out": str(tmp_path / "out"),
@@ -284,6 +289,18 @@ def test_cli_main_campaign_and_config_file(tmp_path):
     # flag wins over config file
     code = main(["campaign", "--config", str(cfg_path), "--fs", "soundfs"])
     assert code == 0
+
+
+def test_config_file_switch_is_honoured_and_flags_win(tmp_path):
+    """The file's switch tests every checkpoint (171 verdicts for 100
+    workloads, 85 for 50); an explicit --range overrides the file's."""
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps({"seq": [2], "range": "0:100", "all_checkpoints": True}))
+    for extra, workloads, verdicts in (([], 100, 171), (["--range", "0:50"], 50, 85)):
+        out = tmp_path / str(workloads)
+        assert main(["campaign", "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["workloads"], summary["verdicts"]) == (workloads, verdicts)
 
 
 @pytest.mark.parametrize(
@@ -301,6 +318,20 @@ def test_cli_main_campaign_and_config_file(tmp_path):
         (None, ["corpus", "--fs", "nosuchfs"], "unknown file system target 'nosuchfs'"),
         (None, ["corpus", "--dir", "{f}"], "corpus directory {f} does not exist"),
         (None, ["campaign", "--corpus", "{f}"], "corpus directory {f} does not exist"),
+        (
+            '{"all-checkpoints": true}',
+            ["campaign", "--config", "{f}"],
+            "config file {f}: unknown key 'all-checkpoints'",
+        ),
+        (
+            '{"subset": "false"}',
+            ["campaign", "--config", "{f}"],
+            'config file {f}: subset: expected bool, got "false"',
+        ),
+        (None, ["campaign", "--range", "9:3"], "index range 9:3"),
+        ("{}", ["campaign", "--range", "0:1", "--out", "{f}"], "File exists: '{f}'"),
+        (None, ["campaign", "--range", "0:1", "--known-bugs", "{d}"], "Is a directory: '{d}'"),
+        (None, ["corpus", "--dir", "{d}"], "Is a directory: '{d}/x.wl'"),
     ],
     ids=[
         "config-missing",
@@ -311,16 +342,25 @@ def test_cli_main_campaign_and_config_file(tmp_path):
         "corpus-unknown-fs",
         "corpus-missing-dir",
         "campaign-missing-corpus",
+        "config-unknown-key",
+        "config-switch-string",
+        "range-reversed",
+        "out-is-a-file",
+        "known-bugs-is-a-dir",
+        "corpus-wl-is-a-dir",
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, text, args, message):
-    """Exit 1 means new bug groups, so bad input must not end in a traceback."""
+    """Exit 1 means new bug groups, so bad input must not end in a traceback.
+    ``{d}`` is a directory holding ``input.json`` (``{f}``, when ``text`` is
+    given) and a directory named ``x.wl``."""
     f = tmp_path / "input.json"
     if text is not None:
         f.write_text(text)
-    assert main([a.format(f=f) for a in args]) == 2
+    (tmp_path / "x.wl").mkdir()
+    assert main([a.format(f=f, d=tmp_path) for a in args]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message.format(f=f) in err
+    assert err.startswith("error: ") and message.format(f=f, d=tmp_path) in err
 
 
 def _b3_subset_config(**kw):

@@ -423,6 +423,36 @@ def test_recovery_idempotent_across_remounts():
     assert sorted(fs_b.state_view().entries) == sorted(fs_a.state_view().entries)
 
 
+@pytest.mark.parametrize(
+    "dsl, commits",
+    [
+        ("creat foo\n" + "write (0-4K) foo\nfsync foo\n" * 200, 200),
+        ("".join(f"creat f{i}\nfsync f{i}\n" for i in range(60)), 60),
+    ],
+    ids=["200-write-fsync", "60-creat-fsync"],
+)
+def test_journal_wraps_at_its_end(dsl, commits):
+    """Each commit journals at least three blocks, so these fill the
+    256-block journal and restart at its head; every checkpoint crash state
+    still recovers to its oracle."""
+    from crashlab import ace
+    from crashlab.harness import RunFlags, run_workload
+
+    verdicts = run_workload(ace.parse(dsl), "soundfs", RunFlags(all_checkpoints=True))
+    assert len(verdicts) == commits
+    assert [v for v in verdicts if v.outcome != "pass"] == []
+
+
+def test_transaction_larger_than_the_journal_is_enospc():
+    fs = fresh_fs(size=64 * BLOCK_SIZE)
+    assert fs.geo.journal_blocks == 16
+    for i in range(10):  # ten entry blocks, the root's, two table blocks, two bitmaps
+        fs.apply(op("mkdir", path=f"d{i}"), i)
+    with pytest.raises(FsError, match="transaction of 17 blocks exceeds the 16-block journal") as e:
+        fs.persist(PersistKind.SYNC)
+    assert e.value.code == "ENOSPC"
+
+
 # -- mount memo ------------------------------------------------------------------------
 
 
@@ -464,6 +494,19 @@ def test_memo_mounts_of_one_image_are_independent():
     third = SoundFs.mount(image, memo)
     assert third.state_view().entries == before
     assert "A/probe_chk" not in SoundFs.mount(third.device.snapshot()).state_view().entries
+
+
+def test_memo_keys_hold_the_interned_blocks():
+    """Two images with equal blocks in distinct objects: each stored key
+    holds the memo's interned blocks, so no entry holds a block twice."""
+    memo = MountMemo()
+    last_block = DEV // BLOCK_SIZE - 1
+    second = crash_image().with_writes([(last_block * BLOCK_SIZE // 512, b"x" * BLOCK_SIZE)])
+    for image in (crash_image(), second):
+        SoundFs.mount(image, memo)
+    assert len(memo.states) == 2
+    blocks = [x for _cls, key in memo.states for x in key[2:] if type(x) is bytes]
+    assert len(blocks) > 2 and all(memo.values[b] is b for b in blocks)
 
 
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
@@ -530,7 +573,6 @@ def test_mounted_soundfs_holds_only_file_system_state():
         "alloc_blocks",
         "inodes",
         "_dirty_inodes",
-        "_dirty_dirs",
         "_bitmap_dirty",
         "_pending_data",
         "_view",

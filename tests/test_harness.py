@@ -480,6 +480,15 @@ def test_journal_atomicity_under_subset_mode():
             assert paths in allowed, (state.descriptor(), paths)
 
 
+def test_subset_mode_across_a_journal_wrap():
+    """100 commits fill the journal, so some subset states hold the FLUSH
+    before the wrap and the new transactions at the journal head."""
+    w = parse("creat foo\n" + "write (0-4K) foo\nfsync foo\n" * 100)
+    vs = run_workload(w, "soundfs", RunFlags(subset=True))
+    assert len(vs) == 2054
+    assert all(v.outcome == "pass" for v in vs)
+
+
 def test_subset_mode_samples_large_epochs():
     """Epochs of [7, 1, 11, 1, 4] op units: epoch 2 is past the exhaustive
     bound, so its 64 subsets are sampled from the seed. The verdict list is
