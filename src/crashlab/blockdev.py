@@ -188,10 +188,16 @@ class Device:
     def snapshot(self) -> DiskImage:
         return DiskImage(self.size_bytes, self._base, dict(self._overlay))
 
-    def fork(self) -> "Device":
-        """A non-logging copy of the current image; a replica runs on it
-        when oracle capture must unmount one (``SoundFs.clean_view``)."""
-        return Device(self.size_bytes, self.snapshot(), log_io=False)
+    def copy(self) -> "Device":
+        """An independent device with this one's image, log and checkpoint
+        count. A profile forked where two workloads part continues on one,
+        and a replica that oracle capture unmounts runs on one
+        (``SoundFs.clean_view``)."""
+        dev = Device.__new__(Device)
+        dev.__dict__.update(vars(self))
+        dev._overlay = dict(self._overlay)
+        dev.log = list(self.log)
+        return dev
 
 
 def split_epochs(log: list[IoRecord]) -> list[Epoch]:

@@ -25,6 +25,7 @@ from .fsops import FsOpKind
 from .fstarget import MountMemo, get_target
 from .harness import (
     HarnessError,
+    PrefixFork,
     RunFlags,
     Verdict,
     check_state,
@@ -122,12 +123,18 @@ class CampaignResult:
 
 
 def _run_partition(args):
-    """Run one worker's workloads. Its crash states share one mount memo,
-    so an image that recurs within the partition (often across sibling
-    workloads) is recovered once; the verdicts do not depend on it."""
+    """Run one worker's workloads, a contiguous run of the tier. Each
+    profile leaves a fork for the next workload where the two part, and
+    the crash states share one mount memo, so a prefix or an image that
+    recurs across sibling workloads is run or recovered once; the verdicts
+    depend on neither."""
     fs_name, flags, items = args
-    memo = MountMemo()
-    return [(idx, run_workload(workload, fs_name, flags, memo)) for idx, workload in items]
+    memo, fork = MountMemo(), PrefixFork()
+    following = [workload for _idx, workload in items[1:]] + [None]
+    return [
+        (idx, run_workload(workload, fs_name, flags, memo, fork, nxt))
+        for (idx, workload), nxt in zip(items, following)
+    ]
 
 
 def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
@@ -156,7 +163,10 @@ def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
 
 
 def _run_tier(config: CampaignConfig, flags, tier) -> dict[int, list[Verdict]]:
-    partitions = [tier[wk :: config.workers] for wk in range(config.workers)]
+    # contiguous chunks keep sibling workloads, and so their shared prefixes
+    # and images, in one partition
+    cuts = [len(tier) * wk // config.workers for wk in range(config.workers + 1)]
+    partitions = [tier[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     results: dict[int, list[Verdict]] = {}
     if config.workers == 1:
         for idx, verdicts in _run_partition((config.fs, flags, partitions[0])):
@@ -412,6 +422,15 @@ def _names(value) -> tuple[str, ...]:
     return tuple(map(_expect(str), _expect(list)(value)))
 
 
+def _op_kinds(value) -> tuple[str, ...]:
+    names = _names(value)
+    known = [kind.value for kind in FsOpKind]
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown op kind {name!r}; choose from {', '.join(known)}")
+    return names
+
+
 def _index_range(value) -> tuple[int, int | None]:
     start, _, end = _expect(str)(value).partition(":")
     return (int(start or 0), int(end) if end else None)
@@ -421,7 +440,7 @@ def _index_range(value) -> tuple[int, int | None]:
 _SETTINGS = {
     "fs": _expect(str),
     "seq": lambda value: tuple(map(_expect(int), _expect(list)(value))),
-    "ops": _names,
+    "ops": _op_kinds,
     "files": _names,
     "dirs": _names,
     "corpus": _expect(str),

@@ -20,7 +20,6 @@ survive a clean unmount (see ``variants``).
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import struct
@@ -132,6 +131,20 @@ class Inode:
         self.blocks: list[int] = []  # per 4K file block; 0 = hole
         self.entries: dict[str, int] = {}  # dirs: name -> ino
         self.content: bytearray | None = bytearray() if kind == KIND_FILE else None
+
+    def copy(self) -> "Inode":
+        """An independent copy: the containers and the content are copied."""
+        node = Inode.__new__(Inode)
+        node.ino = self.ino
+        node.kind = self.kind
+        node.nlink = self.nlink
+        node.size = self.size
+        node.target = self.target
+        node.xattrs = dict(self.xattrs)
+        node.blocks = list(self.blocks)
+        node.entries = dict(self.entries)
+        node.content = None if self.content is None else bytearray(self.content)
+        return node
 
 
 def _pack_xattrs(xattrs: dict[str, str]) -> bytes:
@@ -268,6 +281,7 @@ class SoundFs:
             if len(memo.states) >= MountMemo.LIMIT:
                 memo.states.clear()
                 memo.values.clear()
+                memo.probes.clear()
             # mount and key the interned copy, so the entry holds no block
             # twice: the lookup key holds the image's own block objects, equal
             # to the interned ones but not the same
@@ -298,7 +312,10 @@ class SoundFs:
             raise ValueError("superblock size does not match device")
         self._journal_pos, self._next_txn = self._recover()
         self._load_state()
-        self._view = None
+        # the memo's frozen record this file system still equals: set by a
+        # memo mount, dropped at the first apply or commit. Its view is the
+        # state view, and it keys the memo's probe outcomes.
+        self.memo_record = None
         self._reset_pending()
 
     def _reset_pending(self) -> None:
@@ -602,7 +619,7 @@ class SoundFs:
     def apply(self, op: FsOp, op_index: int = 0) -> None:
         from ..fsops import pattern_bytes
 
-        self._view = None
+        self.memo_record = None
         kind = op.kind
         if kind is FsOpKind.CREAT:
             self._op_creat(op.path)
@@ -886,13 +903,26 @@ class SoundFs:
         self._commit("unmount", None)
         return self.device.snapshot()
 
+    def fork(self, device: Device) -> "SoundFs":
+        """An independent copy of this file system on ``device``, which holds
+        its image. Inodes and the pending-data sets are copied; every other
+        list, set or dict attribute is copied one level deep, as the
+        variants' bookkeeping holds only immutable items. The geometry, the
+        memo record and the ints are shared."""
+        fs = type(self).__new__(type(self))
+        fs.__dict__ = {
+            name: value.copy() if isinstance(value, (list, set, dict)) else value
+            for name, value in vars(self).items()
+        }
+        fs.device = device
+        fs.inodes = {ino: node.copy() for ino, node in self.inodes.items()}
+        fs._pending_data = {ino: set(idx) for ino, idx in self._pending_data.items()}
+        return fs
+
     def replicate(self) -> "SoundFs":
-        """An independent copy on a non-logging fork of the device; the
-        geometry is immutable and shared. ``clean_view`` unmounts one when
+        """A fork on a copy of the device; ``clean_view`` unmounts one when
         a commit deferred data."""
-        return copy.deepcopy(
-            self, {id(self.device): self.device.fork(), id(self.geo): self.geo}
-        )
+        return self.fork(self.device.copy())
 
     def clean_view(self) -> FsStateView:
         """The view a clean unmount would leave, without unmounting.
@@ -929,7 +959,7 @@ class SoundFs:
     # -- the commit pipeline ---------------------------------------------------
 
     def _commit(self, trigger: str, target_ino: int | None) -> None:
-        self._view = None
+        self.memo_record = None
         skip = self._skip_data_flush_inos(trigger)
         deferred: dict[int, set[int]] = {}
         for ino, blocks in sorted(self._pending_data.items()):
@@ -1028,8 +1058,8 @@ class SoundFs:
 
     def state_view(self) -> FsStateView:
         """The logical listing; read-only, as a memo mount shares it."""
-        if self._view is not None:
-            return self._view
+        if self.memo_record is not None:
+            return self.memo_record.view
         return self._build_view()
 
     def _build_view(self) -> FsStateView:
@@ -1067,8 +1097,9 @@ class MountMemo:
     partition: a ``_MountedState`` or the ``Unmountable``, keyed by target
     class and exact image content. ``values`` interns block contents and
     record parts, so the memo holds each once (distinct images share most
-    of their blocks, inodes and views). It empties itself when it passes
-    ``LIMIT`` entries."""
+    of their blocks, inodes and views). ``probes`` holds the harness's
+    write-probe outcomes, keyed by record and probed directories. It
+    empties itself when it passes ``LIMIT`` entries."""
 
     # A benchmark campaign holds at most 288 entries; at this bound the full
     # seq-1 --subset tier peaks at 73 MB (72 MB without the memo).
@@ -1077,6 +1108,7 @@ class MountMemo:
     def __init__(self):
         self.states: dict[tuple, "_MountedState | Unmountable"] = {}
         self.values: dict = {}
+        self.probes: dict[tuple, tuple] = {}
 
 
 class _MountedState:
@@ -1124,7 +1156,7 @@ class _MountedState:
             node.entries = dict(entries)
             node.content = None
             fs.inodes[ino] = node
-        fs._view = self.view
+        fs.memo_record = self
         fs._reset_pending()
         return fs
 

@@ -10,9 +10,12 @@ verdict: it mounts the state so recovery runs and compares it against the
 oracle of the last checkpoint the state contains, but only for entities the
 persistence calls made durable (``_update_persisted``). Campaigns, replay
 (``state_for`` rebuilds the state a report names) and the corpus all go
-through it. A campaign recovers each distinct crash image once per worker
-partition (the memo in ``SoundFs.mount``); every state is still compared
-and probed on a file system of its own.
+through it. Within a campaign's worker partition, a profile resumes from
+a fork of the previous workload's run, taken after the steps the two
+share (``PrefixFork``), and each distinct crash image is recovered, and
+each distinct set of directories probed on it, once (the memo in
+``SoundFs.mount``); every state is still compared on a file system of its
+own.
 """
 
 from __future__ import annotations
@@ -136,50 +139,129 @@ def _update_persisted(
         bump(parent_dir(resolved), ENTRY)
 
 
-def profile(workload: Workload, fs_name: str) -> Profile:
-    """Execute once end-to-end, collecting the IO log, per-checkpoint
-    oracle views, and persisted sets."""
-    target = get_target(fs_name)
-    base = mkfs_base_image(fs_name)
-    device = Device(DEFAULT_DEVICE_BYTES, base)
-    fs = target.mount_device(device)
-    if isinstance(fs, Unmountable):
-        raise HarnessError(f"fresh image did not mount: {fs.reason}")
-    base_view = fs.state_view()
+class _Run:
+    """A profile in progress: the file system, its recording device and
+    what the run has collected after the prologue and ``done`` body steps."""
 
-    persisted_now: dict[str, int] = {}
-    persisted: dict[int, dict[str, int]] = {}
-    oracle_views: dict[int, FsStateView] = {}
+    def __init__(self, fs_name: str, prologue) -> None:
+        self.device = Device(DEFAULT_DEVICE_BYTES, mkfs_base_image(fs_name))
+        self.fs = get_target(fs_name).mount_device(self.device)
+        if isinstance(self.fs, Unmountable):
+            raise HarnessError(f"fresh image did not mount: {self.fs.reason}")
+        self.base_view = self.fs.state_view()
+        self.op_index = 0
+        self.done = 0
+        self.persisted_now: dict[str, int] = {}
+        self.persisted: dict[int, dict[str, int]] = {}
+        self.oracle_views: dict[int, FsStateView] = {}
+        for op in prologue:
+            self.fs.apply(op, self.op_index)
+            self.op_index += 1
 
-    op_index = 0
-    try:
-        for op in workload.prologue:
-            fs.apply(op, op_index)
-            op_index += 1
-        for step in workload.steps:
+    def fork(self) -> "_Run":
+        """An independent copy; the views and the per-checkpoint persisted
+        sets are never changed once stored, so they are shared."""
+        run = _Run.__new__(_Run)
+        run.__dict__.update(vars(self))
+        run.device = self.device.copy()
+        run.fs = self.fs.fork(run.device)
+        run.persisted_now = dict(self.persisted_now)
+        run.persisted = dict(self.persisted)
+        run.oracle_views = dict(self.oracle_views)
+        return run
+
+    def advance(self, steps) -> None:
+        fs = self.fs
+        for step in steps:
             if isinstance(step, FsOp):
-                fs.apply(step, op_index)
-                op_index += 1
+                fs.apply(step, self.op_index)
+                self.op_index += 1
             else:
                 fs.persist(step.kind, step.target)
-                cp = device.insert_checkpoint()
+                cp = self.device.insert_checkpoint()
                 # The oracle is the view after a clean unmount. It is the
                 # live view unless the commit deferred data (bugfs-b5),
                 # which gets its blocks only when the unmount writes it.
-                oracle_views[cp] = fs.clean_view()
-                _update_persisted(persisted_now, fs, step, oracle_views[cp])
-                persisted[cp] = dict(persisted_now)
+                self.oracle_views[cp] = fs.clean_view()
+                _update_persisted(self.persisted_now, fs, step, self.oracle_views[cp])
+                self.persisted[cp] = dict(self.persisted_now)
+            self.done += 1
+
+
+class PrefixFork:
+    """One campaign partition's slot for a profile forked where a workload
+    and the one after it part: after the prologue they share and the
+    leading body steps they share. Sibling workloads from one skeleton
+    often differ only in their last steps, so the next profile resumes
+    there instead of replaying the prefix from mkfs."""
+
+    def __init__(self) -> None:
+        self.key: tuple | None = None
+        self.run: _Run | None = None
+
+    def put(self, fs_name: str, workload: Workload, run: _Run) -> None:
+        self.key = (fs_name, workload.prologue, workload.steps[: run.done])
+        self.run = run
+
+    def take(self, fs_name: str, workload: Workload) -> _Run | None:
+        """The held run when ``workload`` starts with its prefix, else None;
+        the slot is emptied either way."""
+        key, run = self.key, self.run
+        self.key = self.run = None
+        if run is None:
+            return None
+        name, prologue, steps = key
+        if name != fs_name or prologue != workload.prologue or workload.steps[: len(steps)] != steps:
+            return None
+        return run
+
+
+def _shared_steps(workload: Workload, following: Workload | None) -> int | None:
+    """How many leading body steps ``following`` shares with ``workload``;
+    None when there is no following workload or the prologues differ."""
+    if following is None or following.prologue != workload.prologue:
+        return None
+    n = 0
+    for mine, theirs in zip(workload.steps, following.steps):
+        if mine != theirs:
+            break
+        n += 1
+    return n
+
+
+def profile(
+    workload: Workload,
+    fs_name: str,
+    fork: PrefixFork | None = None,
+    following: Workload | None = None,
+) -> Profile:
+    """Execute once end-to-end, collecting the IO log, per-checkpoint
+    oracle views, and persisted sets.
+
+    With a partition's ``fork`` slot, the run resumes from the fork held
+    there when ``workload`` starts with its prefix, and it leaves a fork
+    for ``following`` where the two part; a resumed profile equals a fresh
+    one."""
+    run = fork.take(fs_name, workload) if fork is not None else None
+    try:
+        if run is None:
+            run = _Run(fs_name, workload.prologue)
+        shared = _shared_steps(workload, following) if fork is not None else None
+        if shared is not None and shared >= run.done:
+            run.advance(workload.steps[run.done : shared])
+            fork.put(fs_name, workload, run.fork())
+        run.advance(workload.steps[run.done :])
     except FsError as e:
         raise HarnessError(f"workload op failed: {e}") from e
 
     return Profile(
         fs_name=fs_name,
-        io_log=device.log,
-        checkpoint_count=device.checkpoint_count,
-        oracle_views=oracle_views,
-        persisted=persisted,
-        base_image=base,
-        base_view=base_view,
+        io_log=run.device.log,
+        checkpoint_count=run.device.checkpoint_count,
+        oracle_views=run.oracle_views,
+        persisted=run.persisted,
+        base_image=mkfs_base_image(fs_name),
+        base_view=run.base_view,
     )
 
 
@@ -246,8 +328,9 @@ def check(
 ) -> Verdict:
     """Mount the crash state (running recovery) and compare persisted entities
     against the oracle. With a campaign partition's ``memo``, each distinct
-    crash image is recovered and viewed once (``SoundFs.mount``); every
-    state is still mounted, compared and probed on its own file system.
+    crash image is recovered and viewed once (``SoundFs.mount``) and each
+    distinct set of directories probed once on it; every state is still
+    mounted and compared on its own file system.
 
     A subset state comes with ``later_views``. Its crash lands mid-epoch, so
     an entity may legitimately show any committed state at or after its
@@ -293,15 +376,21 @@ def check(
                               actual=crash_view.entries[path].kind)
                 )
 
-    diff.extend(_write_checks(fs, crash_view, persisted_set))
+    diff.extend(_write_checks(fs, crash_view, persisted_set, memo))
 
     if diff:
         return Verdict("bug", crash_descriptor=descriptor, consequence=classify(diff), diff=diff)
     return Verdict("pass", crash_descriptor=descriptor)
 
 
-def _write_checks(fs, crash_view: FsStateView, persisted_set: dict[str, int]):
-    """Recovered directories near persisted entities must still be modifiable."""
+def _write_checks(
+    fs, crash_view: FsStateView, persisted_set: dict[str, int], memo: MountMemo | None = None
+):
+    """Recovered directories near persisted entities must still be modifiable.
+
+    The outcome depends only on the mounted image and the probed
+    directories, so a memo mount's outcomes are kept in ``memo.probes``
+    under its record."""
     dirs: set[str] = set()
     for path in persisted_set:
         entry = crash_view.get(path)
@@ -313,8 +402,12 @@ def _write_checks(fs, crash_view: FsStateView, persisted_set: dict[str, int]):
         parent_entry = crash_view.get(parent)
         if parent == "/" or (parent_entry is not None and parent_entry.kind == "dir"):
             dirs.add(parent)
+    probed = tuple(sorted(dirs))
+    key = None if memo is None or fs.memo_record is None else (fs.memo_record, probed)
+    if key is not None and key in memo.probes:
+        return memo.probes[key]
     diff = []
-    for d in sorted(dirs):
+    for d in probed:
         probe = "probe_chk" if d == "/" else f"{d}/probe_chk"
         if crash_view.get(probe) is not None:
             continue
@@ -348,6 +441,8 @@ def _write_checks(fs, crash_view: FsStateView, persisted_set: dict[str, int]):
                         actual=str(e),
                     )
                 )
+    if key is not None:
+        memo.probes[key] = tuple(diff)
     return diff
 
 
@@ -364,14 +459,17 @@ def run_workload(
     fs_name: str,
     flags: RunFlags | None = None,
     memo: MountMemo | None = None,
+    fork: PrefixFork | None = None,
+    following: Workload | None = None,
 ) -> list[Verdict]:
-    """Profile once, then test crash states, mounting them through ``memo``
-    when given. Default mode tests only the final checkpoint: campaigns run
-    shorter sequences first, so earlier checkpoints repeat already-explored
-    workloads."""
+    """Profile once (resuming from ``fork`` and leaving one there for
+    ``following``, see ``profile``), then test crash states, mounting them
+    through ``memo`` when given. Default mode tests only the final
+    checkpoint: campaigns run shorter sequences first, so earlier
+    checkpoints repeat already-explored workloads."""
     flags = flags or RunFlags()
     try:
-        prof = profile(workload, fs_name)
+        prof = profile(workload, fs_name, fork, following)
     except HarnessError as e:
         return [Verdict("harness_error", crash_descriptor="profile", reason=str(e))]
 

@@ -329,6 +329,12 @@ def test_config_file_switch_is_honoured_and_flags_win(tmp_path):
             'config file {f}: subset: expected bool, got "false"',
         ),
         (None, ["campaign", "--range", "9:3"], "index range 9:3"),
+        (None, ["campaign", "--ops", "creat,nosuchop"], "--ops: unknown op kind 'nosuchop'"),
+        (
+            '{"ops": "nosuchop"}',
+            ["campaign", "--config", "{f}"],
+            "config file {f}: ops: unknown op kind 'nosuchop'",
+        ),
         ("{}", ["campaign", "--range", "0:1", "--out", "{f}"], "File exists: '{f}'"),
         (None, ["campaign", "--range", "0:1", "--known-bugs", "{d}"], "Is a directory: '{d}'"),
         (None, ["corpus", "--dir", "{d}"], "Is a directory: '{d}/x.wl'"),
@@ -345,6 +351,8 @@ def test_config_file_switch_is_honoured_and_flags_win(tmp_path):
         "config-unknown-key",
         "config-switch-string",
         "range-reversed",
+        "ops-unknown-kind",
+        "config-ops-unknown-kind",
         "out-is-a-file",
         "known-bugs-is-a-dir",
         "corpus-wl-is-a-dir",

@@ -1,7 +1,10 @@
 """File systems under test: format, recovery, op semantics, seeded bugs."""
 
+import copy
+
 import pytest
 
+from crashlab import ace
 from crashlab.blockdev import BLOCK_SIZE, Device, DiskImage, replay
 from crashlab.fsops import FallocFlag, FsOp, FsOpKind, PersistKind
 from crashlab.fstarget import (
@@ -14,6 +17,7 @@ from crashlab.fstarget import (
     VARIANTS,
     get_target,
 )
+from crashlab.fstarget.soundfs import Inode
 from image_helper import image_bytes
 
 MiB = 1024 * 1024
@@ -548,6 +552,7 @@ def test_memo_keys_each_target_apart():
 
 def test_memo_never_holds_more_than_its_bound():
     memo = MountMemo()
+    memo.probes["stale"] = ()  # probe outcomes are dropped with the records
     zeroed = DiskImage.zeroed(DEV)
     for i in range(MountMemo.LIMIT + 50):
         # a distinct superblock on each image: every mount is a new entry
@@ -556,9 +561,93 @@ def test_memo_never_holds_more_than_its_bound():
         assert len(memo.states) <= MountMemo.LIMIT
     # emptied at the bound, so only the images mounted since are held
     assert len(memo.states) == len(memo.values) == 50
+    assert memo.probes == {}
 
 
 # -- allocation ----------------------------------------------------------------------
+
+
+# -- fork ----------------------------------------------------------------------------
+
+# Arms every variant's bookkeeping: a commit that keeps some of it, then a
+# hard link, a rename, an extending dwrite, an unlink and recreate of one
+# name and buffered data, all still pending.
+_BUSY = """
+mkdir A
+creat A/foo
+write (0-8K) A/foo
+link A/foo bar
+rename bar baz
+dwrite (0-12K) A/foo
+fsync A/foo
+link A/foo A/qux
+rename baz A/bar
+unlink A/qux
+creat A/qux
+dwrite (0-4K) A/qux
+mwrite (0-4K) A/bar
+write (4-8K) A/bar
+setxattr A/foo user.k v
+"""
+
+
+def busy_fs(target):
+    fs = fresh_fs(target)
+    for i, step in enumerate(ace.parse(_BUSY).steps):
+        if isinstance(step, FsOp):
+            fs.apply(step, i)
+        else:
+            fs.persist(step.kind, step.target)
+    return fs
+
+
+def fs_state(fs) -> dict:
+    """Every attribute of ``fs`` as plain values, copied: inodes as their
+    slot values, the device as its bytes, log and checkpoint count."""
+    out = {}
+    for name, value in vars(fs).items():
+        if name == "inodes":
+            value = {i: tuple(getattr(n, a) for a in Inode.__slots__) for i, n in value.items()}
+        elif name == "device":
+            value = (image_bytes(value.snapshot()), list(value.log), value.checkpoint_count)
+        elif name == "geo":
+            value = vars(value)
+        out[name] = copy.deepcopy(value)
+    return out
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_fork_equals_a_deep_copy(target):
+    fs = busy_fs(target)
+    assert fs._pending_data
+    deep = copy.deepcopy(fs, {id(fs.device): fs.device.copy(), id(fs.geo): fs.geo})
+    forked = fs.fork(fs.device.copy())
+    assert type(forked) is target and forked.geo is fs.geo
+    assert fs_state(forked) == fs_state(deep)
+    for copied in (forked, deep):
+        copied.apply(op("write", path="A/bar", start=0, end=12288), 20)
+        copied.persist(PersistKind.FSYNC, "A/bar")
+        copied.apply(op("rename", path="A/qux", path2="A/foo"), 21)
+        copied.persist(PersistKind.SYNC)
+    assert fs_state(forked) == fs_state(deep)
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_a_fork_leaves_the_original_alone(target):
+    fs = busy_fs(target)
+    before = fs_state(fs)
+    forked = fs.fork(fs.device.copy())
+    forked.apply(op("write", path="A/foo", start=4096, end=16384), 20)
+    forked.apply(FsOp(FsOpKind.XATTR, path="A/foo", attr="user.k", variant="removexattr"), 21)
+    forked.apply(op("mkdir", path="A/B"), 22)
+    forked.apply(op("truncate", path="A/bar", end=100), 23)
+    forked.apply(op("mwrite", path="A/bar", start=8192, end=12288), 23)
+    forked.persist(PersistKind.FSYNC, "A/foo")
+    forked.apply(op("link", path="A/qux", path2="A/B/qux"), 24)
+    forked.persist(PersistKind.SYNC)
+    forked.unmount_clean()
+    assert fs_state(fs) == before
+    assert len(forked.device.log) > len(fs.device.log)
 
 
 def test_mounted_soundfs_holds_only_file_system_state():
@@ -575,7 +664,7 @@ def test_mounted_soundfs_holds_only_file_system_state():
         "_dirty_inodes",
         "_bitmap_dirty",
         "_pending_data",
-        "_view",
+        "memo_record",
     }
 
 

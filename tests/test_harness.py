@@ -12,11 +12,13 @@ from crashlab.ace import Bounds, parse
 from crashlab.blockdev import BLOCK_SIZE, Device, replay, split_epochs
 from crashlab.crashgen import build_subset_state, enumerate_target_subsets, prefix_state
 from crashlab.fsops import FsOp, FsOpKind, PersistKind
-from crashlab.fstarget import SoundFs, TARGETS, Unmountable, get_target
+from crashlab.fstarget import MountMemo, SoundFs, TARGETS, Unmountable, get_target
 from crashlab.harness import (
     ENTRY,
     FULL,
     DEFAULT_DEVICE_BYTES,
+    HarnessError,
+    PrefixFork,
     RunFlags,
     check,
     mkfs_base_image,
@@ -264,6 +266,67 @@ def test_profile_replicates_only_where_a_commit_deferred_data(monkeypatch):
     assert prof.oracle_views[1].entries["foo"].block_count == 8
 
 
+def _profile_record(w, fs_name, *fork_args):
+    """What a profile gives, or its harness error."""
+    try:
+        return profile(w, fs_name, *fork_args)
+    except HarnessError as e:
+        return str(e)
+
+
+def _plain(prof):
+    if isinstance(prof, str):
+        return prof
+    views = {k: v.entries for k, v in prof.oracle_views.items()}
+    return prof.io_log, prof.checkpoint_count, views, prof.persisted, prof.base_view.entries
+
+
+def _sibling_chain(text):
+    """A trigger workload's step prefixes, shortest first, then the workload
+    twice: each one starts with all of the one before it."""
+    w = parse(text)
+    return [dataclasses.replace(w, steps=w.steps[:k]) for k in range(1, len(w.steps))] + [w, w]
+
+
+def test_a_resumed_profile_equals_a_fresh_one():
+    """Profiles run in order through one ``PrefixFork`` slot, as in a
+    campaign partition, resume where the previous workload parted from
+    theirs, and give what a fresh profile gives, also once the later ones
+    have run."""
+    seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)
+    cases = [(name, seq1) for name in sorted(TARGETS)]
+    cases.append(("soundfs", ace.workload_range(Bounds(seq_length=2), 0, 600)))
+    cases.append(("bugfs-b5", _b5_write_rename_slice()))
+    cases += [(name, _sibling_chain(text)) for name, text in _TRIGGERS_THEN_SYNC.items()]
+    for name, workloads in cases:
+        fork = PrefixFork()
+        resumed = 0
+        profiles = []
+        for w, following in zip(workloads, [*workloads[1:], None]):
+            resumed += fork.run is not None
+            profiles.append(_profile_record(w, name, fork, following))
+        assert resumed >= len(workloads) // 2, name
+        for w, prof in zip(workloads, profiles):
+            assert _plain(prof) == _plain(_profile_record(w, name)), (name, ace.serialize(w))
+
+
+def test_a_fork_is_taken_only_by_a_workload_with_its_prefix():
+    """A fork left for one workload is dropped when another comes next: one
+    with other steps, another prologue or another target starts fresh."""
+    a = parse("creat foo\nfsync foo\nlink foo bar\nfsync foo\n")  # bugfs-b1 drops the link
+    others = [
+        ("soundfs", parse("creat foo\nfsync foo\ncreat bar\nfsync bar\n")),
+        ("soundfs", dataclasses.replace(a, prologue=parse("mkdir A\nsync\n").steps[:1])),
+        ("bugfs-b1", a),
+    ]
+    for name, w in others:
+        fork = PrefixFork()
+        profile(a, "soundfs", fork, a)
+        assert fork.run is not None and fork.run.done == len(a.steps)
+        assert _plain(profile(w, name, fork)) == _plain(profile(w, name)), name
+        assert fork.run is None
+
+
 def test_live_view_has_the_oracle_paths_and_kinds():
     """The persisted sets are computed from the oracle view; they may be,
     because it lists the same paths with the same kinds as the live file
@@ -332,6 +395,26 @@ def test_check_unmountable_dominates_and_attaches_fsck():
     v = check(_crash_image(prof, 2), prof.oracle_views[2], prof.persisted[2], "bugfs-b6")
     assert v.is_bug and v.consequence == "unmountable"
     assert v.fsck is not None and v.fsck["mountable"] is False
+
+
+def test_probe_outcomes_are_kept_per_image_and_directories():
+    """A memo probes each image's directories once. With every inode in use
+    the probes fail; an image with one free inode is probed anew."""
+    device = Device(DEFAULT_DEVICE_BYTES, mkfs_base_image("soundfs"))
+    fs = SoundFs.mount_device(device)
+    for i in range(62):  # ino 0 is reserved and ino 1 is the root
+        fs.apply(FsOp(FsOpKind.CREAT, path=f"f{i}"), i)
+    states = []
+    for last in ("f0", "f1"):
+        fs.persist(PersistKind.SYNC)
+        view = fs.state_view()
+        states.append((device.snapshot(), view, {path: FULL for path in view.entries}))
+        fs.apply(FsOp(FsOpKind.UNLINK, path=last), 99)
+    memo = MountMemo()
+    verdicts = [check(*state, "soundfs", memo=memo) for state in [*states, *states]]
+    assert verdicts == [check(*state, "soundfs") for state in [*states, *states]]
+    assert [v.consequence for v in verdicts] == ["unwritable_dir", "", "unwritable_dir", ""]
+    assert len(memo.probes) == 2
 
 
 def test_mutating_non_persisted_file_never_flips_pass_to_bug():
