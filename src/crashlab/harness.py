@@ -159,8 +159,8 @@ class _Run:
             self.op_index += 1
 
     def fork(self) -> "_Run":
-        """An independent copy; the views and the per-checkpoint persisted
-        sets are never changed once stored, so they are shared."""
+        """An independent copy. Stored oracle views and per-checkpoint
+        persisted sets are never changed, so the copy shares them."""
         run = _Run.__new__(_Run)
         run.__dict__.update(vars(self))
         run.device = self.device.copy()
@@ -247,6 +247,7 @@ def profile(
         if run is None:
             run = _Run(fs_name, workload.prologue)
         shared = _shared_steps(workload, following) if fork is not None else None
+        # a run resumed past the point where ``following`` parts leaves none
         if shared is not None and shared >= run.done:
             run.advance(workload.steps[run.done : shared])
             fork.put(fs_name, workload, run.fork())
