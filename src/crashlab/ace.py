@@ -449,6 +449,13 @@ def expand_params(skeleton: Skeleton, bounds: Bounds):
     it; an op whose effect cannot be satisfied is dropped. The states after
     each op give the persistence choices, and the last one the prologue.
     """
+    for ops, states in _groups(skeleton, bounds):
+        yield ops, tuple(states[-1].prologue), _persistence_choices(ops, states)
+
+
+def _groups(skeleton: Skeleton, bounds: Bounds):
+    """``(ops, states)`` of each parameter group: its body ops and the
+    symbolic state each op left, in stream order."""
     return _expand(skeleton, bounds, _SymState(bounds), (), ())
 
 
@@ -461,7 +468,7 @@ def _expand(skeleton: Skeleton, bounds: Bounds, st: _SymState, ops: tuple, state
             continue
         body, after = ops + (op,), states + (child,)
         if len(body) == len(skeleton.ops):
-            yield body, tuple(child.prologue), _persistence_choices(body, after)
+            yield body, after
         else:
             yield from _expand(skeleton, bounds, child, body, after)
 
@@ -501,6 +508,17 @@ def _persistence_choices(
     return slot_choices
 
 
+def _body_count(ops: tuple[FsOp, ...], states: tuple[_SymState, ...]) -> int:
+    """``prod(len(c) for c in _persistence_choices(ops, states))``, counted
+    from the states without building any choice."""
+    referenced = _referenced_paths(ops)
+    last = len(ops) - 1
+    return math.prod(
+        (i != last) + 2 * sum(st.resolve(t) is not None for t in referenced) + 1
+        for i, st in enumerate(states)
+    )
+
+
 def _weave(ops: tuple[FsOp, ...], combo: tuple[PersistOp | None, ...]) -> tuple[Step, ...]:
     steps: list[Step] = []
     for op, pp in zip(ops, combo):
@@ -525,22 +543,25 @@ def _workloads_from(bounds: Bounds, start: int):
     """The workload stream from index ``start`` on.
 
     Each (skeleton, params) group holds exactly prod(len(choices)) bodies, so
-    a group that ends before ``start`` is skipped by its count alone. No body
-    is ever rejected: every persistence target offered exists and resolves in
-    the state its op left, and the group's ops were all applied without error
+    a group that ends before ``start`` is skipped by its count alone, taken
+    from its symbolic states; its choices are never built. No body is ever
+    rejected: every persistence target offered exists and resolves in the
+    state its op left, and the group's ops were all applied without error
     when the prologue was built.
     """
     index = 0
     for skeleton in gen_skeletons(bounds):
-        for ops, prologue, choices in expand_params(skeleton, bounds):
-            count = math.prod(len(c) for c in choices)
-            if index + count <= start:
-                index += count
-                continue
-            combos = itertools.product(*choices)
+        for ops, states in _groups(skeleton, bounds):
+            if index < start:
+                count = _body_count(ops, states)
+                if index + count <= start:
+                    index += count
+                    continue
+            combos = itertools.product(*_persistence_choices(ops, states))
             if index < start:
                 combos = itertools.islice(combos, start - index, None)
                 index = start
+            prologue = tuple(states[-1].prologue)
             for combo in combos:
                 yield Workload(prologue, _weave(ops, combo), skeleton, index)
                 index += 1
@@ -557,9 +578,9 @@ def generate_workloads(bounds: Bounds, stats: GenerationStats | None = None):
 def count_workloads(bounds: Bounds) -> int:
     """Length of the workload stream, counted by group without building any."""
     return sum(
-        math.prod(len(c) for c in choices)
+        _body_count(ops, states)
         for skeleton in gen_skeletons(bounds)
-        for _ops, _prologue, choices in expand_params(skeleton, bounds)
+        for ops, states in _groups(skeleton, bounds)
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
@@ -123,11 +124,13 @@ class CampaignResult:
 
 
 def _run_partition(args):
-    """Run one worker's workloads, a contiguous run of the tier. Each
-    profile leaves a fork for the next workload where the two part, and
-    the crash states share one mount memo, so a prefix or an image that
-    recurs across sibling workloads is run or recovered once; the verdicts
-    depend on neither."""
+    """Run one partition's workloads, a contiguous run of the tier, in
+    whichever process calls it: the campaign process for the first
+    partition, a pool worker for the others. Each profile leaves a fork
+    for the next workload where the two part, and the crash states share
+    one mount memo, so a prefix or an image that recurs across sibling
+    workloads is run or recovered once; the verdicts depend on neither.
+    Nothing outlives the call."""
     fs_name, flags, items = args
     memo, fork = MountMemo(), PrefixFork()
     following = [workload for _idx, workload in items[1:]] + [None]
@@ -163,21 +166,24 @@ def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
 
 
 def _run_tier(config: CampaignConfig, flags, tier) -> dict[int, list[Verdict]]:
-    # contiguous chunks keep sibling workloads, and so their shared prefixes
-    # and images, in one partition
+    """Verdicts by campaign index for one tier, run in ``config.workers``
+    processes.
+
+    The tier is cut into ``config.workers`` contiguous partitions, which
+    keeps sibling workloads, and so their shared prefixes and images, in
+    one partition; empty ones are dropped. The calling process submits
+    every partition but the first to a pool with one worker each, then runs
+    the first itself, so no process idles while the others work. With one
+    partition (or none) no pool is made."""
     cuts = [len(tier) * wk // config.workers for wk in range(config.workers + 1)]
-    partitions = [tier[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    results: dict[int, list[Verdict]] = {}
-    if config.workers == 1:
-        for idx, verdicts in _run_partition((config.fs, flags, partitions[0])):
-            results[idx] = verdicts
-        return results
-    payloads = [(config.fs, flags, part) for part in partitions if part]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-        for chunk in pool.map(_run_partition, payloads):
-            for idx, verdicts in chunk:
-                results[idx] = verdicts
-    return results
+    payloads = [(config.fs, flags, tier[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    own, others = payloads[:1], payloads[1:]
+    with (
+        concurrent.futures.ProcessPoolExecutor(len(others)) if others else contextlib.nullcontext()
+    ) as pool:
+        futures = [pool.submit(_run_partition, payload) for payload in others]
+        chunks = [_run_partition(payload) for payload in own] + [f.result() for f in futures]
+    return {idx: verdicts for chunk in chunks for idx, verdicts in chunk}
 
 
 def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResult:

@@ -391,6 +391,22 @@ def test_every_generated_body_resolves():
     assert stats.emitted == bodies and stats.rejected == 0
 
 
+@pytest.mark.parametrize(
+    "bounds, total",
+    [(Bounds(seq_length=1), 1415), (Bounds(seq_length=2, files=("foo", "bar"), dirs=()), 97804)],
+    ids=["seq1", "seq2-foo-bar"],
+)
+def test_body_count_matches_the_built_choices(bounds, total):
+    """The seek and count_workloads count a group from its symbolic states
+    without building its persistence choices; the count must be the number
+    of bodies those choices give."""
+    for skeleton in gen_skeletons(bounds):
+        for ops, states in ace._groups(skeleton, bounds):
+            built = ace._persistence_choices(ops, states)
+            assert ace._body_count(ops, states) == _body_count(built), ops
+    assert ace.count_workloads(bounds) == total
+
+
 def test_stream_digest_is_pinned():
     """The generator's output, as (index, DSL), over seq 1 and two seq-2
     slices; any change to the stream changes this digest."""

@@ -1,5 +1,6 @@
 """Campaign runner, replay, and corpus commands."""
 
+import dataclasses
 import json
 
 import pytest
@@ -505,3 +506,24 @@ def test_partition_independence_worker_counts(tmp_path):
     _, files1 = _report_files(tmp_path, "w1", workers=1)
     _, files4 = _report_files(tmp_path, "w4", workers=4)
     assert files1 == files4
+
+
+@pytest.mark.parametrize(
+    "config, workers",
+    [
+        (_b6_config(index_range=(1_000_000, 1_000_010)), 2),
+        (CampaignConfig(seq=(1, 2), index_range=(1400, 1420)), 4),
+        (CampaignConfig(seq=(1,), index_range=(0, 2)), 4),
+    ],
+    ids=["past-the-tier-end", "across-the-tier-boundary", "fewer-workloads-than-workers"],
+)
+def test_fan_out_edge_cases_match_one_worker(tmp_path, config, workers):
+    """An empty tier, or one with fewer non-empty partitions than workers,
+    runs without a pool of zero workers and writes the 1-worker files."""
+    files = []
+    for n in (1, workers):
+        out = tmp_path / f"w{n}"
+        run_campaign(dataclasses.replace(config, workers=n, out=str(out)), quiet=True)
+        names = ("reports.jsonl", "groups.json", "summary.json", "errors.jsonl")
+        files.append([(out / name).read_bytes() for name in names])
+    assert files[0] == files[1]
