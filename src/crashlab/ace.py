@@ -6,8 +6,10 @@ symbolic pass per (skeleton, params) group applies each op to a symbolic
 state; that pass alone decides validity, and the states it leaves after each
 op give the group's persistence choices and its dependency prologue. The
 output stream is deterministic and index-addressable: workload i is
-reconstructible from (Bounds, i). Seeking to i costs one body count per
-group before it, not one workload per index.
+reconstructible from (Bounds, i). Seeking to i still runs the symbolic pass
+of every group before it, but counts each one's bodies from the states that
+pass left: no persistence choice and no workload of a skipped group is
+built.
 
 Symmetry rule: for an operation taking two file-path arguments from the same
 directory (link, symlink, rename), the two argument orders describe the same
