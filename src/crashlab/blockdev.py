@@ -5,7 +5,8 @@ to its 4096 bytes). This module is the only code that knows that format:
 every write into an overlay goes through ``_write`` and every block read
 through ``_read_block``, whether it serves the live ``Device``, a log replay
 or a crash state built with ``DiskImage.with_writes``; a mount memo keys
-images by ``content_key``. IO stays
+images by ``content_key`` and splits a recovered image's journal blocks off
+and back on (``split``, ``with_blocks``). IO stays
 sector-addressed: a write that does not cover whole blocks (a sector-granular
 crash-state unit) is merged into the blocks it touches.
 
@@ -107,6 +108,20 @@ class DiskImage:
         gives a different key: a missed match, never a wrong one."""
         flat = [x for item in sorted(self._overlay.items()) for x in item]
         return (self.size_bytes, self._base, *flat)
+
+    def split(self, lo: int, hi: int) -> tuple["DiskImage", dict[int, bytes]]:
+        """This image without the overlay blocks numbered in [lo, hi), and
+        those blocks; ``with_blocks`` grafts them back."""
+        rest: dict[int, bytes] = {}
+        cut: dict[int, bytes] = {}
+        for n, data in self._overlay.items():
+            (cut if lo <= n < hi else rest)[n] = data
+        return DiskImage(self.size_bytes, self._base, rest), cut
+
+    def with_blocks(self, blocks: dict[int, bytes]) -> "DiskImage":
+        """A new image: this one with whole ``blocks`` (block number to its
+        4096 bytes) laid over it."""
+        return DiskImage(self.size_bytes, self._base, {**self._overlay, **blocks})
 
     def interned(self, table: dict) -> "DiskImage":
         """This image with each overlay block replaced by the equal bytes

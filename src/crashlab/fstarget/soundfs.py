@@ -55,6 +55,9 @@ _DIRENT = struct.Struct("<HxB")  # ino, pad, name length; the name follows
 _JHDR = struct.Struct("<8sQII")
 _JCOMMIT = struct.Struct("<8sQ32s")
 
+# what a malformed image raises while it is recovered or loaded
+_MOUNT_ERRORS = (ValueError, FsError, struct.error, IndexError, UnicodeDecodeError)
+
 
 class Geometry:
     """The layout of a device of ``total_blocks`` blocks and the superblock
@@ -268,55 +271,88 @@ class SoundFs:
 
     @classmethod
     def mount(cls, image: DiskImage, memo: "MountMemo | None" = None) -> "SoundFs | Unmountable":
-        """Mount a crash image: recovery runs on a private device. A mount
-        is a pure function of the target and the image's bytes, so with a
-        ``memo`` each distinct image is recovered, validated and viewed
-        once; a repeat gets a fresh, independent file system built from the
-        frozen record, whose ``state_view`` is the stored one until the
+        """Mount a crash image: recovery runs on a private device, then the
+        state is loaded and validated (``mount_device``). A mount is a pure
+        function of the target and the image's bytes, and after recovery
+        nothing reads the journal (``_load_state``). So with a ``memo``,
+        recovery runs once per distinct image, and the load, validation and
+        view once per distinct recovered state: the blocks outside the
+        journal, the journal position and the next transaction id. A repeat
+        gets a fresh, independent file system built from the frozen record
+        and the image's own recovered journal blocks, byte for byte what a
+        plain mount gives; its ``state_view`` is the stored one until the
         first ``apply`` or commit."""
         if memo is None:
             return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
-        mounted = memo.states.get((cls, image.content_key()))
-        if mounted is None:
+        entry = memo.states.get((cls, image.content_key()))
+        if entry is None:
             if len(memo.states) >= MountMemo.LIMIT:
-                memo.states.clear()
-                memo.values.clear()
-                memo.probes.clear()
-            # mount and key the interned copy, so the entry holds no block
+                memo.clear()
+            # recover and key the interned copy, so the entry holds no block
             # twice: the lookup key holds the image's own block objects, equal
             # to the interned ones but not the same
             image = image.interned(memo.values)
-            fs = cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
-            mounted = fs if isinstance(fs, Unmountable) else _MountedState(fs, memo)
-            memo.states[(cls, image.content_key())] = mounted
-        if isinstance(mounted, Unmountable):
-            return mounted
-        return mounted.thaw(cls)
+            entry = cls._memo_entry(image, memo)
+            memo.states[(cls, image.content_key())] = entry
+        record, journal = entry
+        if isinstance(record, Unmountable):
+            return record
+        return record.thaw(cls, journal)
+
+    @classmethod
+    def _memo_entry(cls, image: DiskImage, memo: "MountMemo") -> tuple:
+        """Recover a new image; its record (loaded now if no earlier image
+        recovered to the same state) and its recovered journal blocks."""
+        fs = cls._recovered(Device(image.size_bytes, base=image, log_io=False))
+        if isinstance(fs, Unmountable):
+            return fs, None
+        rest, journal = fs.device.snapshot().split(fs.geo.journal_start, fs.geo.data_start)
+        rest = rest.interned(memo.values)
+        key = (cls, rest.content_key(), fs._journal_pos, fs._next_txn)
+        record = memo.records.get(key)
+        if record is None:
+            fs = fs._loaded()
+            record = fs if isinstance(fs, Unmountable) else _MountedState(fs, rest, memo)
+            memo.records[key] = record
+        return record, journal
 
     @classmethod
     def mount_device(cls, device: Device) -> "SoundFs | Unmountable":
+        """Mount the image ``device`` holds, recovering onto it."""
+        fs = cls._recovered(device)
+        return fs if isinstance(fs, Unmountable) else fs._loaded()
+
+    @classmethod
+    def _recovered(cls, device: Device) -> "SoundFs | Unmountable":
+        """The first mount phase: the geometry from the superblock, then the
+        journal's committed transactions replayed onto ``device``."""
         fs = cls.__new__(cls)
+        fs.device = device
         try:
-            fs._init_from_device(device)
-        except (ValueError, FsError, struct.error, IndexError, UnicodeDecodeError) as e:
+            fs.geo = Geometry.parse_superblock(device.read_block(0))
+            if fs.geo.total_blocks * BLOCK_SIZE != device.size_bytes:
+                raise ValueError("superblock size does not match device")
+            fs._journal_pos, fs._next_txn = fs._recover()
+        except _MOUNT_ERRORS as e:
             return Unmountable(str(e))
-        problem = fs._validate()
-        if problem is not None:
-            return Unmountable(problem)
         return fs
 
-    def _init_from_device(self, device: Device) -> None:
-        self.device = device
-        self.geo = Geometry.parse_superblock(device.read_block(0))
-        if self.geo.total_blocks * BLOCK_SIZE != device.size_bytes:
-            raise ValueError("superblock size does not match device")
-        self._journal_pos, self._next_txn = self._recover()
-        self._load_state()
+    def _loaded(self) -> "SoundFs | Unmountable":
+        """The second mount phase: the bitmaps and the tree loaded from the
+        recovered device and validated."""
+        try:
+            self._load_state()
+        except _MOUNT_ERRORS as e:
+            return Unmountable(str(e))
+        problem = self._validate()
+        if problem is not None:
+            return Unmountable(problem)
         # the memo's frozen record this file system still equals: set by a
         # memo mount, dropped at the first apply or commit. Its view is the
         # state view, and it keys the memo's probe outcomes.
         self.memo_record = None
         self._reset_pending()
+        return self
 
     def _reset_pending(self) -> None:
         """Start with nothing pending; variants add their bookkeeping here."""
@@ -413,6 +449,10 @@ class SoundFs:
     # -- state loading -------------------------------------------------------
 
     def _load_state(self) -> None:
+        """Load the bitmaps and the inodes, with each directory's entries.
+        The entry block of a directory that has entries, and every non-zero
+        file block, must lie in the data region, so nothing after recovery
+        reads the journal (an empty directory's entry block is never read)."""
         geo = self.geo
         self.alloc_inos = _unpack_bitmap(
             self.device.read_block(geo.inode_bitmap_block), INODE_COUNT
@@ -427,12 +467,25 @@ class SoundFs:
             node = _decode_inode(ino, self._read_inode_raw(ino))
             if node.kind == KIND_FREE:
                 raise ValueError(f"allocated inode {ino} has free kind")
-            if node.kind == KIND_DIR:
-                data = self.device.read_block(node.blocks[0]) if node.blocks else b""
-                node.entries = _unpack_dir(data, node.size)
+            if node.kind == KIND_DIR and node.size:
+                block = node.blocks[0] if node.blocks else 0
+                self._check_pointer(ino, block)
+                node.entries = _unpack_dir(self.device.read_block(block), node.size)
+            elif node.kind == KIND_FILE:
+                for block in node.blocks:
+                    if block:
+                        self._check_pointer(ino, block)
             self.inodes[ino] = node
         if ROOT_INO not in self.inodes or self.inodes[ROOT_INO].kind != KIND_DIR:
             raise ValueError("missing root directory")
+
+    def _check_pointer(self, ino: int, block: int) -> None:
+        geo = self.geo
+        if not geo.data_start <= block < geo.total_blocks:
+            raise ValueError(
+                f"inode {ino} block pointer {block} lies outside the data region "
+                f"[{geo.data_start}, {geo.total_blocks})"
+            )
 
     def _validate(self) -> str | None:
         """Structural consistency of the recovered tree; None when sound."""
@@ -1093,36 +1146,47 @@ class SoundFs:
 
 
 class MountMemo:
-    """What mounting each distinct crash image gave, for one campaign
-    partition: a ``_MountedState`` or the ``Unmountable``, keyed by target
-    class and exact image content. ``values`` interns block contents and
-    record parts, so the memo holds each once (distinct images share most
-    of their blocks, inodes and views). ``probes`` holds the harness's
-    write-probe outcomes, keyed by record and probed directories. It
-    empties itself when it passes ``LIMIT`` entries."""
+    """What mounting crash images gave, for one campaign partition, in two
+    tables. ``states`` maps target class and exact image content to the
+    image's record and its recovered journal blocks (None when recovery
+    failed). ``records`` maps target class, recovered content outside the
+    journal, journal position and next transaction id to a
+    ``_MountedState`` or the ``Unmountable``; images that differ only in
+    journal blocks recovery ignores share one. ``values`` interns block
+    contents and record parts, so the memo holds each once (distinct images
+    share most of their blocks, inodes and views). ``probes`` holds the
+    harness's write-probe outcomes, keyed by record and probed directories.
+    It empties itself when ``states`` reaches ``LIMIT`` entries."""
 
-    # A benchmark campaign holds at most 288 entries; at this bound the full
-    # seq-1 --subset tier peaks at 73 MB (72 MB without the memo).
+    # A benchmark campaign holds at most 288 images and 88 records; at this
+    # bound the full seq-1 --subset tier peaks at 60 MB.
     LIMIT = 1024
 
     def __init__(self):
-        self.states: dict[tuple, "_MountedState | Unmountable"] = {}
+        self.states: dict[tuple, tuple] = {}
+        self.records: dict[tuple, "_MountedState | Unmountable"] = {}
         self.values: dict = {}
         self.probes: dict[tuple, tuple] = {}
 
+    def clear(self) -> None:
+        self.states.clear()
+        self.records.clear()
+        self.values.clear()
+        self.probes.clear()
+
 
 class _MountedState:
-    """A frozen mounted file system: the recovered image (recovery copies
-    the image's journal blocks home, so it shares their interned bytes),
-    the journal position, the bitmaps, plain-tuple inode records and the
-    view."""
+    """A frozen mounted file system: the recovered image without its
+    journal blocks (recovery copies the journal's blocks home, so it shares
+    their interned bytes), the journal position, the bitmaps, plain-tuple
+    inode records and the view."""
 
     __slots__ = ("image", "geo", "journal_pos", "next_txn", "alloc_inos", "alloc_blocks",
                  "inodes", "view")
 
-    def __init__(self, fs: SoundFs, memo: MountMemo):
+    def __init__(self, fs: SoundFs, image: DiskImage, memo: MountMemo):
         intern = memo.values.setdefault
-        self.image = fs.device.snapshot()
+        self.image = image
         self.geo = fs.geo
         self.journal_pos = fs._journal_pos
         self.next_txn = fs._next_txn
@@ -1137,9 +1201,12 @@ class _MountedState:
         view = fs._build_view()
         self.view = intern(tuple(view.entries.items()), view)
 
-    def thaw(self, cls) -> SoundFs:
+    def thaw(self, cls, journal: dict[int, bytes]) -> SoundFs:
+        """A file system on this record's image with ``journal``, one
+        image's recovered journal blocks, grafted back."""
         fs = cls.__new__(cls)
-        fs.device = Device(self.image.size_bytes, base=self.image, log_io=False)
+        image = self.image.with_blocks(journal)
+        fs.device = Device(image.size_bytes, base=image, log_io=False)
         fs.geo = self.geo
         fs._journal_pos = self.journal_pos
         fs._next_txn = self.next_txn

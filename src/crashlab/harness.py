@@ -12,10 +12,10 @@ persistence calls made durable (``_update_persisted``). Campaigns, replay
 (``state_for`` rebuilds the state a report names) and the corpus all go
 through it. Within a campaign's worker partition, a profile resumes from
 a fork of the previous workload's run, taken after the steps the two
-share (``PrefixFork``), and each distinct crash image is recovered, and
-each distinct set of directories probed on it, once (the memo in
-``SoundFs.mount``); every state is still compared on a file system of its
-own.
+share (``PrefixFork``). Each distinct crash image is recovered once, each
+distinct recovered file system loaded and viewed once, and each distinct
+set of directories probed once on it (the memo in ``SoundFs.mount``);
+every state is still mounted and compared on a file system of its own.
 """
 
 from __future__ import annotations
@@ -323,15 +323,15 @@ def check(
     persisted_set: dict[str, int],
     fs_name: str,
     *,
-    descriptor: str = "",
     later_views: list[FsStateView] | None = None,
     memo: MountMemo | None = None,
 ) -> Verdict:
     """Mount the crash state (running recovery) and compare persisted entities
     against the oracle. With a campaign partition's ``memo``, each distinct
-    crash image is recovered and viewed once (``SoundFs.mount``) and each
-    distinct set of directories probed once on it; every state is still
-    mounted and compared on its own file system.
+    crash image is recovered once, each distinct recovered file system
+    loaded and viewed once (``SoundFs.mount``) and each distinct set of
+    directories probed once on it; every state is still mounted and
+    compared on its own file system.
 
     A subset state comes with ``later_views``. Its crash lands mid-epoch, so
     an entity may legitimately show any committed state at or after its
@@ -343,13 +343,7 @@ def check(
     fs = target.mount(crash_image, memo)
     if isinstance(fs, Unmountable):
         diff = [DiffEntry("unmountable", expected="mountable file system", actual=fs.reason)]
-        return Verdict(
-            "bug",
-            crash_descriptor=descriptor,
-            consequence="unmountable",
-            diff=diff,
-            fsck=target.fsck(fs),
-        )
+        return Verdict("bug", consequence="unmountable", diff=diff, fsck=target.fsck(fs))
 
     crash_view = fs.state_view()
     diff: list[DiffEntry] = []
@@ -380,8 +374,8 @@ def check(
     diff.extend(_write_checks(fs, crash_view, persisted_set, memo))
 
     if diff:
-        return Verdict("bug", crash_descriptor=descriptor, consequence=classify(diff), diff=diff)
-    return Verdict("pass", crash_descriptor=descriptor)
+        return Verdict("bug", consequence=classify(diff), diff=diff)
+    return Verdict("pass")
 
 
 def _write_checks(
@@ -504,20 +498,23 @@ def _checkpoint_state(prof: Profile, k: int) -> CrashState:
 def check_state(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Verdict:
     """Check one crash state against the oracle of the last checkpoint it
     contains (the freshly formatted file system before the first). A subset
-    state may also match any later oracle."""
+    state may also match any later oracle. Only a bug verdict names its
+    state (``crash_descriptor``): nothing reads a passing one's."""
     cp = state.checkpoint_id
     later_views = None
     if state.subset is not None:
         later_views = [prof.oracle_views[j] for j in range(cp + 1, prof.checkpoint_count + 1)]
-    return check(
+    verdict = check(
         state.image,
         prof.oracle_views.get(cp, prof.base_view),
         prof.persisted.get(cp, {}),
         prof.fs_name,
-        descriptor=state.descriptor(),
         later_views=later_views,
         memo=memo,
     )
+    if verdict.is_bug:
+        verdict.crash_descriptor = state.descriptor()
+    return verdict
 
 
 def state_for(prof: Profile, descriptor: str) -> CrashState:

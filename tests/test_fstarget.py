@@ -17,7 +17,7 @@ from crashlab.fstarget import (
     VARIANTS,
     get_target,
 )
-from crashlab.fstarget.soundfs import Inode
+from crashlab.fstarget.soundfs import Geometry, Inode, _decode_inode, _encode_inode
 from image_helper import image_bytes
 
 MiB = 1024 * 1024
@@ -508,27 +508,155 @@ def test_memo_keys_hold_the_interned_blocks():
     second = crash_image().with_writes([(last_block * BLOCK_SIZE // 512, b"x" * BLOCK_SIZE)])
     for image in (crash_image(), second):
         SoundFs.mount(image, memo)
-    assert len(memo.states) == 2
-    blocks = [x for _cls, key in memo.states for x in key[2:] if type(x) is bytes]
-    assert len(blocks) > 2 and all(memo.values[b] is b for b in blocks)
+    assert len(memo.states) == len(memo.records) == 2
+    keys = [key for _cls, key in memo.states]
+    keys += [key for _cls, key, _journal_pos, _next_txn in memo.records]
+    blocks = [x for key in keys for x in key[2:] if type(x) is bytes]
+    assert len(blocks) > 4 and all(memo.values[b] is b for b in blocks)
+
+
+def mount_state(fs) -> dict:
+    """What a mount gives, as plain values: every attribute but the memo
+    record, the inodes without the file contents read so far, and the
+    device as its bytes, log and checkpoint count."""
+    out = {}
+    for name, value in vars(fs).items():
+        if name == "inodes":
+            slots = [a for a in Inode.__slots__ if a != "content"]
+            value = {i: tuple(getattr(n, a) for a in slots) for i, n in value.items()}
+        elif name == "device":
+            value = (image_bytes(value.snapshot()), value.log, value.checkpoint_count)
+        elif name == "geo":
+            value = vars(value)
+        if name != "memo_record":
+            out[name] = value
+    return out
+
+
+def assert_like_a_plain_mount(fs, image):
+    """``fs``, mounted from ``image`` through a memo, is what a plain mount
+    of ``image`` is: in its attributes and device bytes, in its view, and
+    after the same write and commit."""
+    plain = type(fs).mount(image)
+    assert mount_state(fs) == mount_state(plain)
+    assert fs.state_view() == plain.state_view()
+    for mounted in (fs, plain):
+        mounted.apply(op("write", path="bar", start=8192, end=12288), 10)
+        mounted.persist(PersistKind.FSYNC, "bar")
+    assert mount_state(fs) == mount_state(plain)
+    assert fs.state_view() == plain.state_view()
 
 
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
 def test_memo_hit_equals_a_plain_mount(target):
     image = crash_image(target)
-    plain = target.mount(image)
     memo = MountMemo()
     target.mount(image, memo)
     hit = target.mount(image, memo)
     assert type(hit) is target
-    assert hit.state_view() == plain.state_view()
-    assert set(vars(hit)) == set(vars(plain))
-    # the stored view is dropped at the first change, and the rest follows it
-    for fs in (plain, hit):
-        fs.apply(op("write", path="bar", start=8192, end=12288), 10)
-        fs.persist(PersistKind.FSYNC, "bar")
-    assert hit.state_view() == plain.state_view()
-    assert image_bytes(hit.device.snapshot()) == image_bytes(plain.device.snapshot())
+    assert_like_a_plain_mount(hit, image)
+
+
+def geometry(image) -> Geometry:
+    return Geometry.for_blocks(image.size_bytes // BLOCK_SIZE)
+
+
+def write_block(image, block, data):
+    return image.with_writes([(block * BLOCK_SIZE // 512, data)])
+
+
+def journaled_again(image, target, entries, txn_id):
+    """``image`` with one more committed transaction, numbered ``txn_id``,
+    that journals ``entries`` metadata blocks unchanged: replaying it moves
+    the journal position and the next transaction id, and no block outside
+    the journal."""
+    fs = target.mount_device(Device(DEV, image))
+    homes = [fs.geo.inode_bitmap_block, fs.geo.block_bitmap_block][:entries]
+    fs._next_txn = txn_id
+    fs._write_txn([(home, fs.device.read_block(home)) for home in homes], [])
+    return fs.device.snapshot()
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_memo_shares_a_record_across_dead_journal_blocks(target):
+    """Recovery never reaches the last journal block here, so an image with
+    other bytes there recovers to the same file system: one record, and
+    each mount still gets its own image's journal blocks."""
+    image = crash_image(target)
+    dead = write_block(image, geometry(image).data_start - 1, b"\x5a" * BLOCK_SIZE)
+    memo = MountMemo()
+    mounts = [(target.mount(i, memo), i) for i in (image, dead, dead, image)]
+    assert len(memo.records) == 1 and len(memo.states) == 2
+    for fs, i in mounts:
+        assert_like_a_plain_mount(fs, i)
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_memo_keeps_apart_what_recovery_leaves_apart(target):
+    """A record is shared only by images that recover to the same blocks
+    outside the journal, journal position and next transaction id."""
+    image = crash_image(target)
+    n = target.mount(image)._next_txn
+    once = journaled_again(image, target, 1, n)
+    replay_end = target.mount(once)._journal_pos
+    images = [
+        once,
+        write_block(once, DEV // BLOCK_SIZE - 1, b"x" * BLOCK_SIZE),  # a data block
+        write_block(once, replay_end - 1, bytes(BLOCK_SIZE)),  # its commit lost
+        journaled_again(image, target, 2, n),  # the same next id, a later position
+        journaled_again(image, target, 1, n + 5),  # the same position, a later id
+    ]
+    memo = MountMemo()
+    for i in images:
+        assert_like_a_plain_mount(target.mount(i, memo), i)
+    assert len(memo.records) == len(memo.states) == len(images)
+
+
+def with_block_pointer(image, path, index, block):
+    """``image`` recovered, with block pointer ``index`` of ``path``'s inode
+    set to ``block`` and the journal emptied; the inode number and the
+    image."""
+    fs = SoundFs.mount_device(Device(DEV, image))
+    ino = fs.resolve_ino(path)
+    node = _decode_inode(ino, fs._read_inode_raw(ino))
+    node.blocks[index] = block
+    raw = _encode_inode(node.kind, node.nlink, node.size, node.target, node.xattrs, node.blocks)
+    fs._write_inode_raw(ino, raw)
+    fs.device.write_block(fs.geo.journal_start, bytes(BLOCK_SIZE))
+    return ino, fs.device.snapshot()
+
+
+def test_pointers_outside_the_data_region_are_unmountable():
+    """A file block in the journal, or a lost entry block of a directory
+    with entries (pointer 0, the superblock), leaves nothing to read: the
+    image does not mount, plain or through the memo, and the reason names
+    the inode and the pointer. Images that differ only in dead journal
+    blocks share the record."""
+    image = crash_image()
+    geo = geometry(image)
+    memo = MountMemo()
+    for path, index, block in (("A/foo", 1, geo.journal_start + 1), ("A", 0, 0)):
+        ino, bad = with_block_pointer(image, path, index, block)
+        dead = write_block(bad, geo.data_start - 1, b"\x5a" * BLOCK_SIZE)
+        plain = SoundFs.mount(bad)
+        assert plain == Unmountable(
+            f"inode {ino} block pointer {block} lies outside the data region "
+            f"[{geo.data_start}, {geo.total_blocks})"
+        )
+        assert [SoundFs.mount(i, memo) for i in (bad, dead, bad)] == [plain] * 3
+        assert SoundFs.mount(dead) == plain
+    assert len(memo.records) == 2 and len(memo.states) == 4
+
+
+def test_an_empty_directory_never_reads_its_entry_block():
+    """bugfs-b3 journals an fdatasync'd directory without its entry block;
+    an empty one still mounts, as an empty directory with no blocks."""
+    from crashlab.harness import profile
+
+    w = ace.parse("mkdir A\nfdatasync A\n")
+    prof = profile(w, "bugfs-b3")
+    fs = get_target("bugfs-b3").mount(replay(prof.base_image, prof.io_log, checkpoint=1))
+    assert fs.state_view().entries["A"].block_count == 0
 
 
 def test_memo_keeps_an_unmountable_reason():
@@ -552,7 +680,8 @@ def test_memo_keys_each_target_apart():
 
 def test_memo_never_holds_more_than_its_bound():
     memo = MountMemo()
-    memo.probes["stale"] = ()  # probe outcomes are dropped with the records
+    memo.probes["stale"] = ()  # probe outcomes and records are dropped with the images
+    memo.records["stale"] = Unmountable("stale")
     zeroed = DiskImage.zeroed(DEV)
     for i in range(MountMemo.LIMIT + 50):
         # a distinct superblock on each image: every mount is a new entry
@@ -561,7 +690,7 @@ def test_memo_never_holds_more_than_its_bound():
         assert len(memo.states) <= MountMemo.LIMIT
     # emptied at the bound, so only the images mounted since are held
     assert len(memo.states) == len(memo.values) == 50
-    assert memo.probes == {}
+    assert memo.probes == {} and memo.records == {}
 
 
 # -- allocation ----------------------------------------------------------------------
@@ -827,7 +956,7 @@ def test_dwrite_size_bug_arms_on_a_reused_inode_number():
         "dwrite (0-4K) bar\nfsync bar\n"
     )
     assert [(v.crash_descriptor, v.consequence) for v in run_workload(w, "bugfs-b4", flags)] == [
-        ("checkpoint=1", ""),
+        ("", ""),  # checkpoint 1 passes
         ("checkpoint=2", "metadata_mismatch(size)"),
     ]
     assert all(v.outcome == "pass" for v in run_workload(w, "soundfs", flags))

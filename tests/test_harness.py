@@ -7,7 +7,7 @@ import random
 import time
 
 
-from crashlab import ace
+from crashlab import ace, harness
 from crashlab.ace import Bounds, parse
 from crashlab.blockdev import BLOCK_SIZE, Device, replay, split_epochs
 from crashlab.crashgen import build_subset_state, enumerate_target_subsets, prefix_state
@@ -498,17 +498,42 @@ def test_spurious_entry_detected():
 # -- run_workload ----------------------------------------------------------------
 
 
-def test_default_mode_tests_only_final_checkpoint():
+def _checked(monkeypatch, *args):
+    """``run_workload(*args)``'s verdicts and the descriptors of the crash
+    states it checked, in order."""
+    checked = []
+    real = harness.check_state
+
+    def recording(prof, state, memo=None):
+        checked.append(state.descriptor())
+        return real(prof, state, memo)
+
+    monkeypatch.setattr(harness, "check_state", recording)
+    return run_workload(*args), checked
+
+
+def test_default_mode_tests_only_final_checkpoint(monkeypatch):
     w = parse("creat foo\nfsync foo\ncreat bar\nfsync bar\n")
-    vs = run_workload(w, "soundfs")
+    vs, checked = _checked(monkeypatch, w, "soundfs")
     assert len(vs) == 1
-    assert vs[0].crash_descriptor == "checkpoint=2"
+    assert checked == ["checkpoint=2"]
 
 
-def test_all_checkpoints_mode():
+def test_all_checkpoints_mode(monkeypatch):
     w = parse("creat foo\nfsync foo\ncreat bar\nfsync bar\n")
-    vs = run_workload(w, "soundfs", RunFlags(all_checkpoints=True))
-    assert [v.crash_descriptor for v in vs] == ["checkpoint=1", "checkpoint=2"]
+    vs, checked = _checked(monkeypatch, w, "soundfs", RunFlags(all_checkpoints=True))
+    assert len(vs) == 2
+    assert checked == ["checkpoint=1", "checkpoint=2"]
+
+
+def test_only_a_bug_verdict_names_its_crash_state():
+    """A passing verdict's descriptor is never read, so it is not built."""
+    w = parse("creat foo\nlink foo bar\nsync\nunlink bar\ncreat bar\nfsync bar\n")
+    flags = RunFlags(all_checkpoints=True)
+    assert [(v.outcome, v.crash_descriptor) for v in run_workload(w, "bugfs-b6", flags)] == [
+        ("pass", ""),
+        ("bug", "checkpoint=2"),
+    ]
 
 
 def test_verdicts_deterministic_across_reruns():
@@ -572,17 +597,17 @@ def test_subset_mode_across_a_journal_wrap():
     assert all(v.outcome == "pass" for v in vs)
 
 
-def test_subset_mode_samples_large_epochs():
+def test_subset_mode_samples_large_epochs(monkeypatch):
     """Epochs of [7, 1, 11, 1, 4] op units: epoch 2 is past the exhaustive
     bound, so its 64 subsets are sampled from the seed. The verdict list is
     pinned: 2 checkpoints + 128 + 2 + 64 + 2 + 16 subset states."""
     w = parse(
         "mkdir A\nmkdir B\ncreat A/foo\nfdatasync A/foo\ncreat B/foo\nfdatasync A/foo\n"
     )
-    vs = run_workload(w, "soundfs", RunFlags(subset=True, seed=7))
+    vs, checked = _checked(monkeypatch, w, "soundfs", RunFlags(subset=True, seed=7))
     assert len(vs) == 214
     assert all(v.outcome == "pass" for v in vs)
-    digest = hashlib.sha256("\n".join(v.crash_descriptor for v in vs).encode()).hexdigest()
+    digest = hashlib.sha256("\n".join(checked).encode()).hexdigest()
     assert digest == "709f3435c1391c458443c47320083701f0bd55ab011553400fd232f7d518b0a9"
 
 
