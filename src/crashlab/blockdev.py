@@ -18,6 +18,7 @@ log by the crash-state generator. Reads are never logged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SECTOR_SIZE = 512
 BLOCK_SIZE = 4096
@@ -39,11 +40,10 @@ class ReplayError(BlockDevError):
     """Replay cut point does not exist in the log."""
 
 
-@dataclass(frozen=True)
-class IoRecord:
+class IoRecord(NamedTuple):
     """One logged request: a write when ``data`` is non-empty (with ``fua``
     for a FUA write), a FLUSH, or a checkpoint marker when ``checkpoint_id``
-    is set."""
+    is set. A named tuple, as a commit logs about a dozen of them."""
 
     sector: int = 0
     data: bytes = b""
@@ -180,9 +180,17 @@ class Device:
         _write(self._base, self._overlay, sector, data)
 
     def write_block(self, block_no: int, data: bytes, *, fua: bool = False) -> None:
+        """``write`` of one whole block, with ``write``'s checks and log
+        record, cut to what a whole block needs."""
         if len(data) != BLOCK_SIZE:
             raise OutOfBoundsError("write_block wants exactly one block")
-        self.write(block_no * (BLOCK_SIZE // SECTOR_SIZE), data, fua=fua)
+        if block_no < 0 or (block_no + 1) * BLOCK_SIZE > self.size_bytes:
+            raise OutOfBoundsError(f"block {block_no} out of bounds")
+        data = bytes(data)
+        sector = block_no * (BLOCK_SIZE // SECTOR_SIZE)
+        if self._log_io:
+            self.log.append(IoRecord(sector, data, fua=fua))
+        _write(self._base, self._overlay, sector, data)
 
     def flush(self) -> None:
         if self._log_io:

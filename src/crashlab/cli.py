@@ -126,18 +126,26 @@ class CampaignResult:
 def _run_partition(args):
     """Run one partition's workloads, a contiguous run of the tier, in
     whichever process calls it: the campaign process for the first
-    partition, a pool worker for the others. Each profile leaves a fork
-    for the next workload where the two part, and the crash states share
-    one mount memo, so a prefix or an image that recurs across sibling
-    workloads is run or recovered once; the verdicts depend on neither.
-    Nothing outlives the call."""
+    partition, a pool worker for the others.
+
+    A verdict depends only on the workload's body, the target and the
+    flags, so each distinct body (prologue and steps) is run once: a later
+    workload with the same body, which the generator emits under another
+    index, gets the first one's verdicts. Each profile leaves a fork for
+    the next distinct workload where the two part, and the crash states
+    share one mount memo, so a prefix or an image that recurs across
+    sibling workloads is run or recovered once; the verdicts depend on
+    neither. Nothing outlives the call."""
     fs_name, flags, items = args
     memo, fork = MountMemo(), PrefixFork()
-    following = [workload for _idx, workload in items[1:]] + [None]
-    return [
-        (idx, run_workload(workload, fs_name, flags, memo, fork, nxt))
-        for (idx, workload), nxt in zip(items, following)
-    ]
+    by_body: dict[tuple, Workload] = {}  # body -> the first workload with it
+    ran_as = [by_body.setdefault((w.prologue, w.steps), w) for _idx, w in items]
+    distinct = list(by_body.values())
+    verdicts = {
+        id(workload): run_workload(workload, fs_name, flags, memo, fork, nxt)
+        for workload, nxt in zip(distinct, distinct[1:] + [None])
+    }
+    return [(idx, verdicts[id(first)]) for (idx, _w), first in zip(items, ran_as)]
 
 
 def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:

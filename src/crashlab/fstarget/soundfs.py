@@ -1246,6 +1246,11 @@ class _EffectiveState:
             node = fs.inodes.get(ino)
             if node is None:
                 continue
+            if node.kind == KIND_DIR and node.blocks == [0]:
+                # bugfs-b3 can leave an empty directory's entry-block pointer
+                # at 0, the superblock: give it a block before its entries
+                # are written
+                node.blocks[0] = fs._alloc_block()
             self.nlink[ino] = node.nlink
             self.sizes[ino] = node.size
             self.blocks[ino] = list(node.blocks)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 # Consequence classes, most severe first; exactly one class per report.
 DOMINANCE = (
@@ -74,7 +74,8 @@ class BugReport:
         return (self.skeleton, self.consequence)
 
     def to_json(self) -> str:
-        payload = {"schema": 1, **asdict(self)}
+        # vars, not asdict, which deep-copies every diff entry
+        payload = {"schema": 1, **vars(self)}
         return json.dumps(payload, sort_keys=True)
 
     @classmethod

@@ -66,6 +66,25 @@ def test_out_of_bounds_write_rejected():
     assert dev.log == []
 
 
+def test_write_block_checks_bounds_and_logs_as_write():
+    dev = Device(1 * MiB)
+    last = 1 * MiB // BLOCK_SIZE - 1
+    for block in (-1, last + 1):
+        with pytest.raises(OutOfBoundsError):
+            dev.write_block(block, b"\1" * BLOCK_SIZE)
+    with pytest.raises(OutOfBoundsError):
+        dev.write_block(0, b"\1" * SECTOR_SIZE)
+    assert dev.log == []
+    by_sector = Device(1 * MiB)
+    for block, fua in ((0, False), (last, True), (3, False)):
+        payload = bytearray([block % 251 + 1]) * BLOCK_SIZE
+        dev.write_block(block, payload, fua=fua)
+        by_sector.write(block * (BLOCK_SIZE // SECTOR_SIZE), payload, fua=fua)
+    assert dev.log == by_sector.log
+    assert all(type(rec.data) is bytes for rec in dev.log)
+    assert image_bytes(dev.snapshot()) == image_bytes(by_sector.snapshot())
+
+
 def test_checkpoint_ids_count_up_and_records_are_empty():
     dev = Device(1 * MiB)
     assert dev.insert_checkpoint() == 1

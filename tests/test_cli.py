@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from crashlab import ace, report
+from crashlab import ace, cli, report
 from crashlab.cli import (
     CampaignConfig,
     _collect_tiers,
+    _run_partition,
     corpus_variant_map,
     default_corpus_dir,
     main,
@@ -17,6 +18,7 @@ from crashlab.cli import (
     run_corpus,
     run_mapped_corpus,
 )
+from crashlab.harness import RunFlags, run_workload
 
 
 def _b6_config(**kw):
@@ -529,3 +531,52 @@ def test_fan_out_edge_cases_match_one_worker(tmp_path, config, workers):
         names = ("reports.jsonl", "groups.json", "summary.json", "errors.jsonl")
         files.append([(out / name).read_bytes() for name in names])
     assert files[0] == files[1]
+
+
+def _counted_runs(monkeypatch) -> list:
+    """The workloads ``_run_partition`` runs, in order, from now on."""
+    ran = []
+
+    def counting(workload, *args):
+        ran.append(workload)
+        return run_workload(workload, *args)
+
+    monkeypatch.setattr(cli, "run_workload", counting)
+    return ran
+
+
+@pytest.mark.parametrize(
+    "config, duplicates",
+    [
+        (CampaignConfig(seq=(1,), subset=True, index_range=(590, 640)), 10),
+        (CampaignConfig(fs="bugfs-b3", seq=(1,), ops=("falloc",)), 130),
+    ],
+    ids=["soundfs-subset", "bugfs-b3-falloc"],
+)
+def test_a_partition_runs_each_distinct_body_once(monkeypatch, config, duplicates):
+    """A workload whose body (prologue and steps) an earlier one in the
+    partition had gets that one's verdicts, which equal its own run's with
+    no mount memo and no prefix fork."""
+    (tier,) = _collect_tiers(config)
+    flags = config.run_flags()
+    alone = [(idx, run_workload(workload, config.fs, flags)) for idx, workload in tier]
+    ran = _counted_runs(monkeypatch)
+    assert _run_partition((config.fs, flags, tier)) == alone
+    bodies = [(workload.prologue, workload.steps) for _idx, workload in tier]
+    assert len(ran) == len(set(bodies)) == len(tier) - duplicates
+    assert [(w.prologue, w.steps) for w in ran] == list(dict.fromkeys(bodies))
+
+
+def test_equal_steps_after_another_prologue_run_again(monkeypatch):
+    """The body includes the prologue: a workload with a seq-1 workload's
+    steps after another prologue runs, and gets its own verdicts."""
+    (tier,) = _collect_tiers(CampaignConfig(seq=(1,)))
+    idx, workload = next(
+        (i, w) for i, w in tier if not w.prologue and ace.serialize(w).startswith("mkdir A\n")
+    )
+    twin = dataclasses.replace(workload, prologue=workload.steps[:1])
+    ran = _counted_runs(monkeypatch)
+    got = _run_partition(("soundfs", RunFlags(), [(idx, workload), (idx + 1, twin)]))
+    assert ran == [workload, twin]
+    assert got == [(idx, run_workload(workload, "soundfs")), (idx + 1, run_workload(twin, "soundfs"))]
+    assert got[1][1][0].outcome == "harness_error"  # the body's mkdir A finds A there

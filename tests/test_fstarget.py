@@ -659,6 +659,25 @@ def test_an_empty_directory_never_reads_its_entry_block():
     assert fs.state_view().entries["A"].block_count == 0
 
 
+def test_a_directory_without_an_entry_block_gets_one_before_a_commit():
+    """The empty directory bugfs-b3 leaves with entry-block pointer 0 gets
+    a fresh entry block when a later commit writes its entries, so the
+    commit does not overwrite the superblock."""
+    from crashlab.harness import profile
+
+    prof = profile(ace.parse("mkdir A\nfdatasync A\n"), "bugfs-b3")
+    fs = get_target("bugfs-b3").mount(replay(prof.base_image, prof.io_log, checkpoint=1))
+    dir_ino = fs.resolve_ino("A")
+    assert fs.inodes[dir_ino].blocks == [0]
+    fs.apply(op("creat", path="A/x"))
+    fs.persist(PersistKind.SYNC)
+    assert fs.device.read_block(0) == image_bytes(prof.base_image)[:BLOCK_SIZE]
+    again = get_target("bugfs-b3").mount(fs.device.snapshot())
+    assert not isinstance(again, Unmountable)
+    assert fs.geo.data_start <= again.inodes[dir_ino].blocks[0] < fs.geo.total_blocks
+    assert again.state_view().entries.keys() == fs.state_view().entries.keys() >= {"A", "A/x"}
+
+
 def test_memo_keeps_an_unmountable_reason():
     image = DiskImage(DEV, b"\x5a" * DEV, {})
     memo = MountMemo()

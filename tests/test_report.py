@@ -204,3 +204,24 @@ def test_bug_report_jsonl_roundtrip(tmp_path):
     write_reports(path, reports)
     loaded = read_reports(path)
     assert loaded == reports
+
+
+def test_bug_report_json_line_is_pinned():
+    """The report line, diff and fsck included, stays byte for byte what it
+    was when the payload was built with ``dataclasses.asdict``."""
+    rep = _report("unlink-creat", "unmountable", 7)
+    rep.diff = [
+        {"category": "unmountable", "path": "", "field": "", "expected": "mountable file system",
+         "actual": "inode 3 link count 2 does not match 1 directory references"}
+    ]
+    rep.fsck = {"mountable": False, "repairable": True, "issues": ["inode 3 link count 2"]}
+    assert rep.to_json() == (
+        '{"bounds": "", "consequence": "unmountable", "crash_descriptor": "checkpoint=1", '
+        '"diff": [{"actual": "inode 3 link count 2 does not match 1 directory references", '
+        '"category": "unmountable", "expected": "mountable file system", "field": "", "path": ""}], '
+        '"fs_format_version": 1, "fs_target": "bugfs-b1", "fsck": {"issues": ["inode 3 link count 2"], '
+        '"mountable": false, "repairable": true}, "schema": 1, "seed": 0, "seed_id": "", '
+        '"skeleton": "unlink-creat", "workload_dsl": "creat foo\\nfsync foo\\n---crash---\\n", '
+        '"workload_index": 7}'
+    )
+    assert BugReport.from_json(rep.to_json()) == rep
