@@ -443,18 +443,6 @@ def _candidates(kind: FsOpKind, st: _SymState, bounds: Bounds) -> list[FsOp]:
     raise GenerationError(f"no candidates for {kind}")
 
 
-def expand_params(skeleton: Skeleton, bounds: Bounds):
-    """Yield ``(ops, prologue, choices)`` for each valid parameterization of
-    ``skeleton``, in stream order.
-
-    Each op is applied to a clone of the symbolic state left by the op before
-    it; an op whose effect cannot be satisfied is dropped. The states after
-    each op give the persistence choices, and the last one the prologue.
-    """
-    for ops, states in _groups(skeleton, bounds):
-        yield ops, tuple(states[-1].prologue), _persistence_choices(ops, states)
-
-
 def _groups(skeleton: Skeleton, bounds: Bounds):
     """``(ops, states)`` of each parameter group: its body ops and the
     symbolic state each op left, in stream order."""
@@ -490,34 +478,37 @@ def _referenced_paths(ops: tuple[FsOp, ...]) -> list[str]:
     return sorted(seen)
 
 
+def _live_targets(ops: tuple[FsOp, ...], states: tuple[_SymState, ...]) -> list[list[str]]:
+    """The persistence targets offered after each op: the referenced paths
+    that exist and resolve in the symbolic state the op left. Both the
+    choices and the seek's count come from this one list."""
+    referenced = _referenced_paths(ops)
+    return [[t for t in referenced if st.resolve(t) is not None] for st in states]
+
+
 def _persistence_choices(
     ops: tuple[FsOp, ...], states: tuple[_SymState, ...]
 ) -> list[list[PersistOp | None]]:
-    """The persistence points offered after each op, given the symbolic state
-    the op left: {none, fsync(t), fdatasync(t), sync}, where a live target t
-    is a referenced path that exists and resolves. The final op always gets a
+    """The persistence points offered after each op: {none, fsync(t),
+    fdatasync(t), sync} for each live target t. The final op always gets a
     persistence point, so a workload is never a truncated copy of a shorter
     one."""
-    referenced = _referenced_paths(ops)
-    slot_choices: list[list[PersistOp | None]] = []
-    for i, st in enumerate(states):
-        live_targets = [t for t in referenced if st.resolve(t) is not None]
-        choices: list[PersistOp | None] = [] if i == len(ops) - 1 else [None]
-        choices += [PersistOp(PersistKind.FSYNC, t) for t in live_targets]
-        choices += [PersistOp(PersistKind.FDATASYNC, t) for t in live_targets]
-        choices.append(PersistOp(PersistKind.SYNC))
-        slot_choices.append(choices)
-    return slot_choices
+    last = len(ops) - 1
+    return [
+        ([] if i == last else [None])
+        + [PersistOp(PersistKind.FSYNC, t) for t in live]
+        + [PersistOp(PersistKind.FDATASYNC, t) for t in live]
+        + [PersistOp(PersistKind.SYNC)]
+        for i, live in enumerate(_live_targets(ops, states))
+    ]
 
 
 def _body_count(ops: tuple[FsOp, ...], states: tuple[_SymState, ...]) -> int:
     """``prod(len(c) for c in _persistence_choices(ops, states))``, counted
-    from the states without building any choice."""
-    referenced = _referenced_paths(ops)
+    from the live targets without building any choice."""
     last = len(ops) - 1
     return math.prod(
-        (i != last) + 2 * sum(st.resolve(t) is not None for t in referenced) + 1
-        for i, st in enumerate(states)
+        (i != last) + 2 * len(live) + 1 for i, live in enumerate(_live_targets(ops, states))
     )
 
 

@@ -13,7 +13,6 @@ import concurrent.futures
 import contextlib
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -73,6 +72,8 @@ class CampaignConfig:
             raise ValueError("workers must be >= 1")
         if not self.seq:
             raise ValueError("seq names no sequence length")
+        if self.ops is not None and not self.ops:
+            raise ValueError("ops names no op kind")
         if self.corpus is not None and self.index_range is not None:
             raise ValueError("corpus campaigns take no generator index range")
         start, end = self.index_range or (0, None)
@@ -86,7 +87,7 @@ class CampaignConfig:
 
     def bounds_for(self, seq_length: int) -> Bounds:
         kwargs = {"seq_length": seq_length}
-        if self.ops:
+        if self.ops is not None:
             kwargs["allowed_ops"] = tuple(FsOpKind(o) for o in self.ops)
         if self.files is not None:
             kwargs["files"] = tuple(self.files)
@@ -128,24 +129,35 @@ def _run_partition(args):
     whichever process calls it: the campaign process for the first
     partition, a pool worker for the others.
 
+    Returns ``(verdict_count, findings)``: the number of verdicts its
+    workloads gave, and ``(campaign index, workload, verdict)`` for each bug
+    or harness-error verdict, in index order; no passing verdict is kept.
+    Callers unpack the tuple by position, which holds when a wrapper ships
+    it back as a list.
+
     A verdict depends only on the workload's body, the target and the
     flags, so each distinct body (prologue and steps) is run once: a later
     workload with the same body, which the generator emits under another
-    index, gets the first one's verdicts. Each profile leaves a fork for
-    the next distinct workload where the two part, and the crash states
-    share one mount memo, so a prefix or an image that recurs across
-    sibling workloads is run or recovered once; the verdicts depend on
-    neither. Nothing outlives the call."""
+    index, gets the first one's verdicts under its own index and workload.
+    Each profile leaves a fork for the next distinct workload where the two
+    part, and the crash states share one mount memo, so a prefix or an image
+    that recurs across sibling workloads is run or recovered once; the
+    verdicts depend on neither. Nothing outlives the call."""
     fs_name, flags, items = args
     memo, fork = MountMemo(), PrefixFork()
     by_body: dict[tuple, Workload] = {}  # body -> the first workload with it
     ran_as = [by_body.setdefault((w.prologue, w.steps), w) for _idx, w in items]
     distinct = list(by_body.values())
-    verdicts = {
-        id(workload): run_workload(workload, fs_name, flags, memo, fork, nxt)
-        for workload, nxt in zip(distinct, distinct[1:] + [None])
-    }
-    return [(idx, verdicts[id(first)]) for (idx, _w), first in zip(items, ran_as)]
+    kept = {}  # id of a distinct body's workload -> (verdict count, non-pass verdicts)
+    for workload, nxt in zip(distinct, distinct[1:] + [None]):
+        verdicts = run_workload(workload, fs_name, flags, memo, fork, nxt)
+        kept[id(workload)] = len(verdicts), [v for v in verdicts if v.outcome != "pass"]
+    count, findings = 0, []
+    for (idx, workload), first in zip(items, ran_as):
+        verdict_count, found = kept[id(first)]
+        count += verdict_count
+        findings += [(idx, workload, verdict) for verdict in found]
+    return count, findings
 
 
 def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
@@ -173,9 +185,10 @@ def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
     return tiers
 
 
-def _run_tier(config: CampaignConfig, flags, tier) -> dict[int, list[Verdict]]:
-    """Verdicts by campaign index for one tier, run in ``config.workers``
-    processes.
+def _run_tier(config: CampaignConfig, flags, tier) -> tuple[int, list]:
+    """One tier's ``(verdict_count, findings)``, as ``_run_partition`` gives
+    them, run in ``config.workers`` processes. The partitions are contiguous,
+    so their findings, concatenated, stay in index order.
 
     The tier is cut into ``config.workers`` contiguous partitions, which
     keeps sibling workloads, and so their shared prefixes and images, in
@@ -191,7 +204,7 @@ def _run_tier(config: CampaignConfig, flags, tier) -> dict[int, list[Verdict]]:
     ) as pool:
         futures = [pool.submit(_run_partition, payload) for payload in others]
         chunks = [_run_partition(payload) for payload in own] + [f.result() for f in futures]
-    return {idx: verdicts for chunk in chunks for idx, verdicts in chunk}
+    return sum(chunk[0] for chunk in chunks), [f for chunk in chunks for f in chunk[1]]
 
 
 def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResult:
@@ -203,41 +216,31 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
     t0 = time.monotonic()
     flags = config.run_flags()
     tiers = _collect_tiers(config)
-    workloads: dict[int, Workload] = {}
-    results: dict[int, list[Verdict]] = {}
-    for tier in tiers:
-        workloads.update(tier)
-        results.update(_run_tier(config, flags, tier))
-
-    res = CampaignResult(exit_code=EXIT_OK, total_workloads=len(workloads))
+    res = CampaignResult(exit_code=EXIT_OK, total_workloads=sum(map(len, tiers)))
     target = get_target(config.fs)
-    debug_seed = (
-        target.BUG_SEED.id
-        if os.environ.get("CRASHLAB_DEBUG") and target.BUG_SEED is not None
-        else ""
-    )
     bounds_desc = (
         f"corpus:{config.corpus}"
         if config.corpus
         else ";".join(config.bounds_for(s).describe() for s in sorted(set(config.seq)))
     )
-    for idx in sorted(results):
-        for verdict in results[idx]:
-            res.total_verdicts += 1
+    for tier in tiers:
+        verdict_count, findings = _run_tier(config, flags, tier)
+        res.total_verdicts += verdict_count
+        for idx, workload, verdict in findings:
             if verdict.outcome == "harness_error":
                 res.errors.append(
                     {
                         "workload_index": idx,
                         "reason": verdict.reason,
-                        "workload_dsl": ace.serialize(workloads[idx]),
+                        "workload_dsl": ace.serialize(workload),
                     }
                 )
-            elif verdict.is_bug:
+            else:
                 res.bug_verdicts += 1
                 res.reports.append(
                     report.BugReport(
-                        workload_dsl=ace.serialize(workloads[idx]),
-                        skeleton=str(workloads[idx].skeleton),
+                        workload_dsl=ace.serialize(workload),
+                        skeleton=str(workload.skeleton),
                         crash_descriptor=verdict.crash_descriptor,
                         consequence=verdict.consequence,
                         diff=[vars(d) for d in verdict.diff],
@@ -247,7 +250,6 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
                         bounds=bounds_desc,
                         seed=config.seed,
                         fsck=verdict.fsck,
-                        seed_id=debug_seed,
                     )
                 )
 
@@ -335,10 +337,9 @@ def _per_class_counts(reports: list[report.BugReport]) -> dict[str, int]:
 
 def replay_report(path, index: int, *, quiet: bool = False) -> Verdict:
     reports = report.read_reports(path)
-    try:
-        rep = reports[index]
-    except IndexError:
+    if not 0 <= index < len(reports):
         raise ValueError(f"report file has {len(reports)} entries; no index {index}")
+    rep = reports[index]
     target = get_target(rep.fs_target)
     if target.FORMAT_VERSION != rep.fs_format_version:
         raise ValueError(

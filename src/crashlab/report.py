@@ -68,7 +68,7 @@ class BugReport:
     bounds: str = ""
     seed: int = 0
     fsck: dict | None = None  # structural-check report, unmountable states only
-    seed_id: str = ""  # instrumented variant id, debug builds only
+    seed_id: str = ""  # kept in the schema; campaigns leave it empty
 
     def key(self) -> tuple[str, str]:
         return (self.skeleton, self.consequence)

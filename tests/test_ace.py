@@ -15,7 +15,6 @@ from crashlab.ace import (
     UnsatisfiableBody,
     _apply_effect,
     _SymState,
-    expand_params,
     gen_skeletons,
     generate_workloads,
     parse,
@@ -66,15 +65,15 @@ def test_empty_allowed_ops_rejected():
 
 def _bodies(skeleton, bounds):
     """The op tuples of the skeleton's parameter groups, in stream order."""
-    return [ops for ops, _prologue, _choices in expand_params(skeleton, bounds)]
+    return [ops for ops, _states in ace._groups(skeleton, bounds)]
 
 
 def _group(ops, bounds):
     """(prologue, choices) of the parameter group whose ops are ``ops``."""
     skeleton = Skeleton(tuple(op.kind for op in ops))
-    for group_ops, prologue, choices in expand_params(skeleton, bounds):
+    for group_ops, states in ace._groups(skeleton, bounds):
         if group_ops == ops:
-            return prologue, choices
+            return tuple(states[-1].prologue), ace._persistence_choices(ops, states)
     raise AssertionError(f"no parameter group {ops}")
 
 
@@ -378,11 +377,7 @@ def test_every_generated_body_resolves():
     no body of the group is rejected; each emitted workload must replay
     symbolically from its own prologue."""
     bounds = Bounds(seq_length=1)
-    bodies = sum(
-        _body_count(choices)
-        for skeleton in gen_skeletons(bounds)
-        for _ops, _prologue, choices in expand_params(skeleton, bounds)
-    )
+    bodies = ace.count_workloads(bounds)
     stats = GenerationStats()
     workloads = list(generate_workloads(bounds, stats))
     for w in workloads:

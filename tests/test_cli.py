@@ -273,6 +273,8 @@ def test_config_validation():
         CampaignConfig(granularity="bytes").validate()
     with pytest.raises(ValueError, match="seq"):
         CampaignConfig(seq=()).validate()
+    with pytest.raises(ValueError, match="ops"):
+        CampaignConfig(ops=()).validate()
     for index_range in ((9, 3), (-1, 3), (-1, None)):
         with pytest.raises(ValueError, match="index range"):
             CampaignConfig(index_range=index_range).validate()
@@ -308,6 +310,22 @@ def test_config_file_switch_is_honoured_and_flags_win(tmp_path):
         assert (summary["workloads"], summary["verdicts"]) == (workloads, verdicts)
 
 
+# one well-formed report line; a replay index other than 0 names no report
+_REPORT_LINE = json.dumps(
+    dict(
+        schema=1,
+        workload_dsl="creat foo\nsync\n",
+        skeleton="creat",
+        crash_descriptor="checkpoint=1",
+        consequence="missing_file",
+        diff=[],
+        fs_target="soundfs",
+        fs_format_version=1,
+        workload_index=0,
+    )
+)
+
+
 @pytest.mark.parametrize(
     "text, args, message",
     [
@@ -320,6 +338,8 @@ def test_config_file_switch_is_honoured_and_flags_win(tmp_path):
             "known-bug file {f}: ",
         ),
         ('{"schema": 1, "workload_dsl": "creat foo\\n"}\n', ["replay", "{f}", "0"], "{f}:1: "),
+        (_REPORT_LINE, ["replay", "{f}", "-1"], "report file has 1 entries; no index -1"),
+        (_REPORT_LINE, ["replay", "{f}", "1"], "report file has 1 entries; no index 1"),
         (None, ["corpus", "--fs", "nosuchfs"], "unknown file system target 'nosuchfs'"),
         (None, ["corpus", "--dir", "{f}"], "corpus directory {f} does not exist"),
         (None, ["campaign", "--corpus", "{f}"], "corpus directory {f} does not exist"),
@@ -335,6 +355,8 @@ def test_config_file_switch_is_honoured_and_flags_win(tmp_path):
         ),
         (None, ["campaign", "--range", "9:3"], "index range 9:3"),
         (None, ["campaign", "--ops", "creat,nosuchop"], "--ops: unknown op kind 'nosuchop'"),
+        (None, ["campaign", "--ops", ""], "ops names no op kind"),
+        ('{"ops": []}', ["campaign", "--config", "{f}"], "ops names no op kind"),
         (
             '{"ops": "nosuchop"}',
             ["campaign", "--config", "{f}"],
@@ -350,6 +372,8 @@ def test_config_file_switch_is_honoured_and_flags_win(tmp_path):
         "config-array",
         "known-bug-entry",
         "report-fields",
+        "replay-negative-index",
+        "replay-index-past-the-end",
         "corpus-unknown-fs",
         "corpus-missing-dir",
         "campaign-missing-corpus",
@@ -357,6 +381,8 @@ def test_config_file_switch_is_honoured_and_flags_win(tmp_path):
         "config-switch-string",
         "range-reversed",
         "ops-unknown-kind",
+        "ops-empty",
+        "config-ops-empty",
         "config-ops-unknown-kind",
         "out-is-a-file",
         "known-bugs-is-a-dir",
@@ -556,12 +582,20 @@ def _counted_runs(monkeypatch) -> list:
 def test_a_partition_runs_each_distinct_body_once(monkeypatch, config, duplicates):
     """A workload whose body (prologue and steps) an earlier one in the
     partition had gets that one's verdicts, which equal its own run's with
-    no mount memo and no prefix fork."""
+    no mount memo and no prefix fork. The partition returns their count and
+    each index's non-pass verdicts, duplicates included."""
     (tier,) = _collect_tiers(config)
     flags = config.run_flags()
-    alone = [(idx, run_workload(workload, config.fs, flags)) for idx, workload in tier]
+    alone = [(idx, workload, run_workload(workload, config.fs, flags)) for idx, workload in tier]
     ran = _counted_runs(monkeypatch)
-    assert _run_partition((config.fs, flags, tier)) == alone
+    count, findings = _run_partition((config.fs, flags, tier))
+    assert count == sum(len(verdicts) for _idx, _w, verdicts in alone)
+    assert findings == [
+        (idx, workload, v)
+        for idx, workload, verdicts in alone
+        for v in verdicts
+        if v.outcome != "pass"
+    ]
     bodies = [(workload.prologue, workload.steps) for _idx, workload in tier]
     assert len(ran) == len(set(bodies)) == len(tier) - duplicates
     assert [(w.prologue, w.steps) for w in ran] == list(dict.fromkeys(bodies))
@@ -569,14 +603,23 @@ def test_a_partition_runs_each_distinct_body_once(monkeypatch, config, duplicate
 
 def test_equal_steps_after_another_prologue_run_again(monkeypatch):
     """The body includes the prologue: a workload with a seq-1 workload's
-    steps after another prologue runs, and gets its own verdicts."""
+    steps after another prologue runs, and gets its own verdicts: the first
+    passes, so only the twin's harness error comes back."""
     (tier,) = _collect_tiers(CampaignConfig(seq=(1,)))
     idx, workload = next(
         (i, w) for i, w in tier if not w.prologue and ace.serialize(w).startswith("mkdir A\n")
     )
     twin = dataclasses.replace(workload, prologue=workload.steps[:1])
     ran = _counted_runs(monkeypatch)
-    got = _run_partition(("soundfs", RunFlags(), [(idx, workload), (idx + 1, twin)]))
+    count, findings = _run_partition(("soundfs", RunFlags(), [(idx, workload), (idx + 1, twin)]))
     assert ran == [workload, twin]
-    assert got == [(idx, run_workload(workload, "soundfs")), (idx + 1, run_workload(twin, "soundfs"))]
-    assert got[1][1][0].outcome == "harness_error"  # the body's mkdir A finds A there
+    assert count == len(run_workload(workload, "soundfs")) + len(run_workload(twin, "soundfs"))
+    assert findings == [(idx + 1, twin, v) for v in run_workload(twin, "soundfs")]
+    assert findings[0][2].outcome == "harness_error"  # the body's mkdir A finds A there
+
+
+def test_an_all_passing_partition_returns_no_findings():
+    """Passing verdicts are counted, never returned."""
+    config = CampaignConfig(seq=(2,), index_range=(0, 150))
+    (tier,) = _collect_tiers(config)
+    assert _run_partition((config.fs, config.run_flags(), tier)) == (150, [])
