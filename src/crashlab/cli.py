@@ -166,7 +166,9 @@ def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
 
     A workload's campaign index is its generator index plus the full sizes of
     the shorter tiers, so each workload has one index whatever the range, and
-    ``--range`` selects by it."""
+    ``--range`` selects by it. Bounds that give a tier no workload at all
+    are a config error, as such a campaign would test nothing and pass; a
+    ``--range`` past a tier's end selects none on purpose."""
     if config.corpus is not None:
         corpus_dir = Path(config.corpus)
         files = sorted(corpus_dir.glob("*.wl"))
@@ -179,7 +181,12 @@ def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
         bounds = config.bounds_for(seq_length)
         lo = max(start - base, 0)
         hi = None if end is None else max(end - base, 0)
-        tiers.append([(base + w.index, w) for w in ace.workload_range(bounds, lo, hi)])
+        tier = [(base + w.index, w) for w in ace.workload_range(bounds, lo, hi)]
+        if not tier and config.index_range is None:
+            raise ValueError(
+                f"bounds {bounds.describe()};dirs={','.join(bounds.dirs)} give no workload"
+            )
+        tiers.append(tier)
         if n + 1 < len(seqs):
             base += ace.count_workloads(bounds)
     return tiers

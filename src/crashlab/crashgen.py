@@ -60,12 +60,14 @@ class CrashState:
 
     image: DiskImage
     checkpoint_id: int = 0  # 0 = before any persistence point
-    subset: SubsetDescriptor | None = None
+    # a subset state's SubsetDescriptor fields: prefix epoch count, kept
+    # unit indices and granularity; the descriptor is built when asked for
+    subset: tuple[int, tuple[int, ...], str] | None = None
 
     def descriptor(self) -> str:
         if self.subset is None:
             return f"checkpoint={self.checkpoint_id}"
-        return self.subset.serialize()
+        return SubsetDescriptor(*self.subset).serialize()
 
 
 def _atomic_units(epoch: Epoch, granularity: str) -> list[tuple[int, bytes]]:
@@ -144,8 +146,9 @@ def enumerate_target_subsets(prefix: PrefixState, seed: int = 0):
 
 
 def build_subset_state(prefix: PrefixState, kept: tuple[int, ...]) -> CrashState:
-    """The prefix image + the kept target units, in order."""
-    subset = SubsetDescriptor(prefix.prefix_count, tuple(kept), prefix.granularity)
+    """The prefix image + the kept target units, in order. ``kept`` is
+    strictly increasing, as ``enumerate_target_subsets`` and
+    ``SubsetDescriptor.parse`` give it."""
     units = prefix.units
     if kept and not 0 <= kept[0] <= kept[-1] < len(units):
         raise CrashGenError(
@@ -154,5 +157,5 @@ def build_subset_state(prefix: PrefixState, kept: tuple[int, ...]) -> CrashState
     return CrashState(
         prefix.image.with_writes(units[i] for i in kept),
         checkpoint_id=prefix.checkpoint_id,
-        subset=subset,
+        subset=(prefix.prefix_count, tuple(kept), prefix.granularity),
     )

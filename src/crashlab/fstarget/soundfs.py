@@ -277,11 +277,15 @@ class SoundFs:
         nothing reads the journal (``_load_state``). So with a ``memo``,
         recovery runs once per distinct image, and the load, validation and
         view once per distinct recovered state: the blocks outside the
-        journal, the journal position and the next transaction id. A repeat
-        gets a fresh, independent file system built from the frozen record
-        and the image's own recovered journal blocks, byte for byte what a
-        plain mount gives; its ``state_view`` is the stored one until the
-        first ``apply`` or commit."""
+        journal, the journal position and the next transaction id. Every
+        memo mount returns a file system that holds only the frozen record
+        and the image's own recovered journal blocks: its ``state_view`` is
+        the stored view until the first ``apply`` or commit, and the first
+        call that reads its live state (``apply``, ``persist``,
+        ``unmount_clean``, ``fork``, ``replicate``, ``clean_view``,
+        ``paths_of_ino``, ``resolve_ino``) builds it (``_thaw``), byte for
+        byte what a plain mount gives. A state that is only viewed never
+        builds one, and its other attributes do not exist until then."""
         if memo is None:
             return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
         entry = memo.states.get((cls, image.content_key()))
@@ -294,10 +298,27 @@ class SoundFs:
             image = image.interned(memo.values)
             entry = cls._memo_entry(image, memo)
             memo.states[(cls, image.content_key())] = entry
-        record, journal = entry
+        record = entry[0]
         if isinstance(record, Unmountable):
             return record
-        return record.thaw(cls, journal)
+        fs = cls.__new__(cls)
+        fs.memo_record = record
+        fs._frozen = entry  # the record and this image's recovered journal blocks
+        return fs
+
+    def _thaw(self) -> None:
+        """Build a memo mount's live state, unless it has been built: the
+        record's image with this image's journal blocks grafted back, and
+        nothing pending. ``memo_record`` is left as it is.
+
+        The public methods call this explicitly. A ``__getattr__`` hook
+        would catch any read, but CPython then stops specializing attribute
+        reads on every instance of the class, which slows the profile's ops
+        and commits: they read attributes in their inner loops."""
+        frozen = self.__dict__.pop("_frozen", None)
+        if frozen is not None:
+            record, journal = frozen
+            record.thaw(self, journal)
 
     @classmethod
     def _memo_entry(cls, image: DiskImage, memo: "MountMemo") -> tuple:
@@ -672,6 +693,7 @@ class SoundFs:
     def apply(self, op: FsOp, op_index: int = 0) -> None:
         from ..fsops import pattern_bytes
 
+        self._thaw()
         self.memo_record = None
         kind = op.kind
         if kind is FsOpKind.CREAT:
@@ -944,6 +966,7 @@ class SoundFs:
     # -- persistence ---------------------------------------------------------
 
     def persist(self, kind: PersistKind, target: str | None = None) -> None:
+        self._thaw()
         target_ino = None
         if kind is not PersistKind.SYNC:
             _, _, target_ino = self._resolve(target, follow=True)
@@ -953,6 +976,7 @@ class SoundFs:
 
     def unmount_clean(self) -> DiskImage:
         """Flush everything pending and return the quiesced image."""
+        self._thaw()
         self._commit("unmount", None)
         return self.device.snapshot()
 
@@ -962,6 +986,7 @@ class SoundFs:
         list, set or dict attribute is copied one level deep, as the
         variants' bookkeeping holds only immutable items. The geometry, the
         memo record and the ints are shared."""
+        self._thaw()
         fs = type(self).__new__(type(self))
         fs.__dict__ = {
             name: value.copy() if isinstance(value, (list, set, dict)) else value
@@ -975,6 +1000,7 @@ class SoundFs:
     def replicate(self) -> "SoundFs":
         """A fork on a copy of the device; ``clean_view`` unmounts one when
         a commit deferred data."""
+        self._thaw()
         return self.fork(self.device.copy())
 
     def clean_view(self) -> FsStateView:
@@ -988,6 +1014,7 @@ class SoundFs:
         view reads. So with no data pending the live view is that view. After a commit data stays pending only where a
         variant skipped its flush (bugfs-b5's ``_skip_data_flush_inos``);
         then a replica is unmounted and viewed instead."""
+        self._thaw()
         if not self._pending_data:
             return self.state_view()
         replica = self.replicate()
@@ -1123,9 +1150,11 @@ class SoundFs:
         return view
 
     def paths_of_ino(self, ino: int) -> list[str]:
+        self._thaw()
         return sorted(p for p, i in self._walk_paths() if i == ino)
 
     def resolve_ino(self, path: str) -> int | None:
+        self._thaw()
         try:
             _, _, ino = self._resolve(path, follow=True)
         except FsError:
@@ -1155,8 +1184,10 @@ class MountMemo:
     journal blocks recovery ignores share one. ``values`` interns block
     contents and record parts, so the memo holds each once (distinct images
     share most of their blocks, inodes and views). ``probes`` holds the
-    harness's write-probe outcomes, keyed by record and probed directories.
-    It empties itself when ``states`` reaches ``LIMIT`` entries."""
+    harness's write-probe outcomes, keyed by record and probed directories,
+    so a repeat is compared on the stored view and builds a file system of
+    its own only when a probe must write (``SoundFs.mount``). It empties
+    itself when ``states`` reaches ``LIMIT`` entries."""
 
     # A benchmark campaign holds at most 288 images and 88 records; at this
     # bound the full seq-1 --subset tier peaks at 60 MB.
@@ -1179,7 +1210,9 @@ class _MountedState:
     """A frozen mounted file system: the recovered image without its
     journal blocks (recovery copies the journal's blocks home, so it shares
     their interned bytes), the journal position, the bitmaps, plain-tuple
-    inode records and the view."""
+    inode records and the view. A memo mount answers ``state_view`` from
+    the view and is thawed from the rest only when it needs its live
+    state."""
 
     __slots__ = ("image", "geo", "journal_pos", "next_txn", "alloc_inos", "alloc_blocks",
                  "inodes", "view")
@@ -1201,10 +1234,9 @@ class _MountedState:
         view = fs._build_view()
         self.view = intern(tuple(view.entries.items()), view)
 
-    def thaw(self, cls, journal: dict[int, bytes]) -> SoundFs:
-        """A file system on this record's image with ``journal``, one
-        image's recovered journal blocks, grafted back."""
-        fs = cls.__new__(cls)
+    def thaw(self, fs: SoundFs, journal: dict[int, bytes]) -> None:
+        """Give ``fs`` this record's state, on this record's image with
+        ``journal``, one image's recovered journal blocks, grafted back."""
         image = self.image.with_blocks(journal)
         fs.device = Device(image.size_bytes, base=image, log_io=False)
         fs.geo = self.geo
@@ -1223,9 +1255,7 @@ class _MountedState:
             node.entries = dict(entries)
             node.content = None
             fs.inodes[ino] = node
-        fs.memo_record = self
         fs._reset_pending()
-        return fs
 
 
 class _EffectiveState:

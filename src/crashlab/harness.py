@@ -14,8 +14,9 @@ through it. Within a campaign's worker partition, a profile resumes from
 a fork of the previous workload's run, taken after the steps the two
 share (``PrefixFork``). Each distinct crash image is recovered once, each
 distinct recovered file system loaded and viewed once, and each distinct
-set of directories probed once on it (the memo in ``SoundFs.mount``);
-every state is still mounted and compared on a file system of its own.
+set of directories probed once on it (the memo in ``SoundFs.mount``). A
+repeat is compared on the stored view; a file system of its own is built
+only when a probe must write.
 """
 
 from __future__ import annotations
@@ -330,8 +331,8 @@ def check(
     against the oracle. With a campaign partition's ``memo``, each distinct
     crash image is recovered once, each distinct recovered file system
     loaded and viewed once (``SoundFs.mount``) and each distinct set of
-    directories probed once on it; every state is still mounted and
-    compared on its own file system.
+    directories probed once on it. A repeat is compared on the stored view,
+    and a file system of its own is built only when a probe must write.
 
     A subset state comes with ``later_views``. Its crash lands mid-epoch, so
     an entity may legitimately show any committed state at or after its
@@ -385,7 +386,9 @@ def _write_checks(
 
     The outcome depends only on the mounted image and the probed
     directories, so a memo mount's outcomes are kept in ``memo.probes``
-    under its record."""
+    under its record. A stored outcome is returned without touching the
+    file system; otherwise the first ``apply`` builds the memo mount's
+    live state, once."""
     dirs: set[str] = set()
     for path in persisted_set:
         entry = crash_view.get(path)

@@ -402,6 +402,18 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, text, args, m
     assert err.startswith("error: ") and message.format(f=f, d=tmp_path) in err
 
 
+def test_bounds_that_give_no_workload_are_a_config_error(capsys):
+    """Bounds that leave no op a candidate would run nothing and exit 0 like
+    a clean campaign, so they exit 2 naming the bounds. With ``--range``
+    the campaign selects no workload, as a range past a tier's end does,
+    and exits 0."""
+    args = ["campaign", "--seq", "1", "2", "--ops", "creat", "--files", "", "--dirs", ""]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: bounds seq=1;ops=creat;files=;dirs= give no workload\n"
+    assert main([*args, "--range", "0:10"]) == 0
+    assert "] 0 workloads, 0 verdicts" in capsys.readouterr().out
+
+
 def _b3_subset_config(**kw):
     # one falloc workload whose 34 bug reports are nearly all subset states
     return CampaignConfig(

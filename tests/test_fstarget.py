@@ -497,7 +497,8 @@ def test_memo_mounts_of_one_image_are_independent():
 
     third = SoundFs.mount(image, memo)
     assert third.state_view().entries == before
-    assert "A/probe_chk" not in SoundFs.mount(third.device.snapshot()).state_view().entries
+    # a memo mount has no device until a call needs its live state
+    assert "A/probe_chk" not in SoundFs.mount(third.unmount_clean()).state_view().entries
 
 
 def test_memo_keys_hold_the_interned_blocks():
@@ -518,7 +519,9 @@ def test_memo_keys_hold_the_interned_blocks():
 def mount_state(fs) -> dict:
     """What a mount gives, as plain values: every attribute but the memo
     record, the inodes without the file contents read so far, and the
-    device as its bytes, log and checkpoint count."""
+    device as its bytes, log and checkpoint count. A memo mount's live
+    state is built first, so every attribute is there."""
+    fs._thaw()
     out = {}
     for name, value in vars(fs).items():
         if name == "inodes":
@@ -555,6 +558,63 @@ def test_memo_hit_equals_a_plain_mount(target):
     hit = target.mount(image, memo)
     assert type(hit) is target
     assert_like_a_plain_mount(hit, image)
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_a_viewed_memo_mount_builds_no_file_system(monkeypatch, target):
+    """A memo hit whose probe outcome is stored is checked without a single
+    ``Inode`` or ``Device`` being made, and gives the plain mount's
+    verdict; ``check`` reads only its view and its record."""
+    from crashlab import harness
+    from crashlab.fstarget import soundfs
+
+    prof = harness.profile(
+        ace.parse("mkdir A\ncreat A/foo\nwrite (0-8K) A/foo\nfsync A/foo\n"), target.NAME
+    )
+    state = harness._checkpoint_state(prof, prof.checkpoint_count)
+    memo = MountMemo()
+    first = harness.check_state(prof, state, memo)
+    assert len(memo.probes) == 1
+    made = []
+    for module, name in ((soundfs, "Inode"), (soundfs, "Device")):
+        cls = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _cls=cls, _n=name, **kw: made.append(_n) or _cls(*a, **kw)
+        )
+    hit = target.mount(state.image, memo)
+    view = hit.state_view()
+    again = harness.check_state(prof, state, memo)
+    assert made == [] and "_frozen" in vars(hit)
+    monkeypatch.undo()
+    assert again == first == harness.check_state(prof, state)
+    assert view == target.mount(state.image).state_view()
+
+
+# each reads a file system's live state first through the method it names
+_LAZY_CALLS = {
+    "apply": lambda fs, image: (fs.apply(op("creat", path="A/new"), 9), mount_state(fs)),
+    "fork": lambda fs, image: mount_state(fs.fork(Device(image.size_bytes, image))),
+    "replicate": lambda fs, image: mount_state(fs.replicate()),
+    "clean_view": lambda fs, image: fs.clean_view(),
+    "persist": lambda fs, image: (fs.persist(PersistKind.FSYNC, "bar"), mount_state(fs)),
+    "unmount_clean": lambda fs, image: image_bytes(fs.unmount_clean()),
+    "paths_of_ino": lambda fs, image: [fs.paths_of_ino(ino) for ino in range(1, 6)],
+    "resolve_ino": lambda fs, image: [fs.resolve_ino(p) for p in ("A", "A/foo", "bar", "lost")],
+}
+
+
+@pytest.mark.parametrize("call", _LAZY_CALLS.values(), ids=_LAZY_CALLS.keys())
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_a_memo_mount_thaws_at_the_first_call_that_reads_its_state(target, call):
+    """Each call on a memo mount that has built nothing yet gives what the
+    same call on a plain mount gives, and builds its live state."""
+    image = crash_image(target)
+    memo = MountMemo()
+    target.mount(image, memo)
+    hit = target.mount(image, memo)
+    assert "_frozen" in vars(hit) and "inodes" not in vars(hit)
+    assert call(hit, image) == call(target.mount(image), image)
+    assert "_frozen" not in vars(hit)
 
 
 def geometry(image) -> Geometry:
