@@ -6,9 +6,9 @@ every write into an overlay goes through ``_write`` and every block read
 through ``_read_block``, whether it serves the live ``Device``, a log replay
 or a crash state built with ``DiskImage.with_writes``; a mount memo keys
 images by ``content_key`` and splits a recovered image's journal blocks off
-and back on (``split``, ``with_blocks``). IO stays
-sector-addressed: a write that does not cover whole blocks (a sector-granular
-crash-state unit) is merged into the blocks it touches.
+and back on (``split``, ``with_blocks``). The device writes whole blocks,
+but the log stays sector-addressed: a write that does not cover whole blocks
+(a sector-granular crash-state unit) is merged into the blocks it touches.
 
 The device applies writes eagerly to its current image; durability
 distinctions (what survives a power cut) are reconstructed later from the
@@ -168,20 +168,8 @@ class Device:
 
     # -- IO path --
 
-    def write(self, sector: int, data: bytes, *, fua: bool = False) -> None:
-        data = bytes(data)
-        length = len(data)
-        if length == 0 or length % SECTOR_SIZE != 0:
-            raise OutOfBoundsError("IO length must be a positive multiple of the sector size")
-        if sector < 0 or sector * SECTOR_SIZE + length > self.size_bytes:
-            raise OutOfBoundsError(f"IO at sector {sector} length {length} out of bounds")
-        if self._log_io:
-            self.log.append(IoRecord(sector, data, fua=fua))
-        _write(self._base, self._overlay, sector, data)
-
     def write_block(self, block_no: int, data: bytes, *, fua: bool = False) -> None:
-        """``write`` of one whole block, with ``write``'s checks and log
-        record, cut to what a whole block needs."""
+        """Write one whole block and log it as a write of its sectors."""
         if len(data) != BLOCK_SIZE:
             raise OutOfBoundsError("write_block wants exactly one block")
         if block_no < 0 or (block_no + 1) * BLOCK_SIZE > self.size_bytes:

@@ -28,7 +28,7 @@ from .harness import (
     PrefixFork,
     RunFlags,
     Verdict,
-    check_state,
+    check,
     profile,
     run_workload,
     state_for,
@@ -74,6 +74,11 @@ class CampaignConfig:
             raise ValueError("seq names no sequence length")
         if self.ops is not None and not self.ops:
             raise ValueError("ops names no op kind")
+        for setting in ("ops", "files", "dirs"):
+            names = getattr(self, setting) or ()
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValueError(f"{setting} names {name!r} twice")
         if self.corpus is not None and self.index_range is not None:
             raise ValueError("corpus campaigns take no generator index range")
         start, end = self.index_range or (0, None)
@@ -355,7 +360,7 @@ def replay_report(path, index: int, *, quiet: bool = False) -> Verdict:
             "refusing to replay"
         )
     prof = profile(ace.parse(rep.workload_dsl), rep.fs_target)
-    verdict = check_state(prof, state_for(prof, rep.crash_descriptor))
+    verdict = check(prof, state_for(prof, rep.crash_descriptor))
     if not quiet:
         print(f"workload:\n{rep.workload_dsl}")
         print(f"crash point: {rep.crash_descriptor}")

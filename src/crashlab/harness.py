@@ -1,18 +1,19 @@
 """Workload profiling and the one crash-state pipeline.
 
-A profile run executes the workload once on a recording device, inserting a
-checkpoint after every persistence call and capturing an oracle at each one:
-the view the file system would show after a clean unmount (``clean_view``:
-the live view, or an unmounted replica's when the commit deferred data).
-Crash states are rebuilt from the log: at a checkpoint by replay, mid-epoch
-by the crash generator's subsets. ``check_state`` turns any of them into a
-verdict: it mounts the state so recovery runs and compares it against the
-oracle of the last checkpoint the state contains, but only for entities the
-persistence calls made durable (``_update_persisted``). Campaigns, replay
-(``state_for`` rebuilds the state a report names) and the corpus all go
-through it. Within a campaign's worker partition, a profile resumes from
-a fork of the previous workload's run, taken after the steps the two
-share (``PrefixFork``). Each distinct crash image is recovered once, each
+A ``Profile`` is the run that executes the workload once on a recording
+device, inserting a checkpoint after every persistence call and capturing
+an oracle at each one: the view the file system would show after a clean
+unmount (``clean_view``: the live view, or an unmounted replica's when the
+commit deferred data). Crash states are rebuilt from its log: at a
+checkpoint by replay, mid-epoch by the crash generator's subsets.
+``check(prof, state)`` turns any of them into a verdict: it mounts the
+state so recovery runs and compares it against the oracle of the last
+checkpoint the state contains, but only for entities the persistence calls
+made durable (``_update_persisted``). Campaigns, replay (``state_for``
+rebuilds the state a report names) and the corpus all go through it.
+Within a campaign's worker partition, a profile resumes from a fork of the
+previous workload's run, taken after the steps the two share
+(``PrefixFork``). Each distinct crash image is recovered once, each
 distinct recovered file system loaded and viewed once, and each distinct
 set of directories probed once on it (the memo in ``SoundFs.mount``). A
 repeat is compared on the stored view; a file system of its own is built
@@ -67,17 +68,6 @@ class Verdict:
     @property
     def is_bug(self) -> bool:
         return self.outcome == "bug"
-
-
-@dataclass
-class Profile:
-    fs_name: str
-    io_log: list[IoRecord]
-    checkpoint_count: int
-    oracle_views: dict[int, FsStateView]
-    persisted: dict[int, dict[str, int]]
-    base_image: DiskImage
-    base_view: FsStateView
 
 
 _mkfs_cache: dict[str, DiskImage] = {}
@@ -140,12 +130,15 @@ def _update_persisted(
         bump(parent_dir(resolved), ENTRY)
 
 
-class _Run:
-    """A profile in progress: the file system, its recording device and
-    what the run has collected after the prologue and ``done`` body steps."""
+class Profile:
+    """A workload's profile run: the file system, its recording device (the
+    IO log and checkpoint count) and, after the prologue and ``done`` body
+    steps, the oracle view and the persisted set at each checkpoint."""
 
     def __init__(self, fs_name: str, prologue) -> None:
-        self.device = Device(DEFAULT_DEVICE_BYTES, mkfs_base_image(fs_name))
+        self.fs_name = fs_name
+        self.base_image = mkfs_base_image(fs_name)
+        self.device = Device(DEFAULT_DEVICE_BYTES, self.base_image)
         self.fs = get_target(fs_name).mount_device(self.device)
         if isinstance(self.fs, Unmountable):
             raise HarnessError(f"fresh image did not mount: {self.fs.reason}")
@@ -159,10 +152,18 @@ class _Run:
             self.fs.apply(op, self.op_index)
             self.op_index += 1
 
-    def fork(self) -> "_Run":
+    @property
+    def io_log(self) -> list[IoRecord]:
+        return self.device.log
+
+    @property
+    def checkpoint_count(self) -> int:
+        return self.device.checkpoint_count
+
+    def fork(self) -> "Profile":
         """An independent copy. Stored oracle views and per-checkpoint
         persisted sets are never changed, so the copy shares them."""
-        run = _Run.__new__(_Run)
+        run = Profile.__new__(Profile)
         run.__dict__.update(vars(self))
         run.device = self.device.copy()
         run.fs = self.fs.fork(run.device)
@@ -198,13 +199,13 @@ class PrefixFork:
 
     def __init__(self) -> None:
         self.key: tuple | None = None
-        self.run: _Run | None = None
+        self.run: Profile | None = None
 
-    def put(self, fs_name: str, workload: Workload, run: _Run) -> None:
+    def put(self, fs_name: str, workload: Workload, run: Profile) -> None:
         self.key = (fs_name, workload.prologue, workload.steps[: run.done])
         self.run = run
 
-    def take(self, fs_name: str, workload: Workload) -> _Run | None:
+    def take(self, fs_name: str, workload: Workload) -> Profile | None:
         """The held run when ``workload`` starts with its prefix, else None;
         the slot is emptied either way."""
         key, run = self.key, self.run
@@ -236,8 +237,8 @@ def profile(
     fork: PrefixFork | None = None,
     following: Workload | None = None,
 ) -> Profile:
-    """Execute once end-to-end, collecting the IO log, per-checkpoint
-    oracle views, and persisted sets.
+    """Run ``workload`` once end to end and return the run: its IO log,
+    per-checkpoint oracle views and persisted sets.
 
     With a partition's ``fork`` slot, the run resumes from the fork held
     there when ``workload`` starts with its prefix, and it leaves a fork
@@ -246,7 +247,7 @@ def profile(
     run = fork.take(fs_name, workload) if fork is not None else None
     try:
         if run is None:
-            run = _Run(fs_name, workload.prologue)
+            run = Profile(fs_name, workload.prologue)
         shared = _shared_steps(workload, following) if fork is not None else None
         # a run resumed past the point where ``following`` parts leaves none
         if shared is not None and shared >= run.done:
@@ -255,16 +256,7 @@ def profile(
         run.advance(workload.steps[run.done :])
     except FsError as e:
         raise HarnessError(f"workload op failed: {e}") from e
-
-    return Profile(
-        fs_name=fs_name,
-        io_log=run.device.log,
-        checkpoint_count=run.device.checkpoint_count,
-        oracle_views=run.oracle_views,
-        persisted=run.persisted,
-        base_image=mkfs_base_image(fs_name),
-        base_view=run.base_view,
-    )
+    return run
 
 
 def _entry_diff(path, level, expected, actual, *, compare_data: bool):
@@ -318,38 +310,40 @@ def _entry_diff(path, level, expected, actual, *, compare_data: bool):
     return diff
 
 
-def check(
-    crash_image: DiskImage,
-    oracle_view: FsStateView,
-    persisted_set: dict[str, int],
-    fs_name: str,
-    *,
-    later_views: list[FsStateView] | None = None,
-    memo: MountMemo | None = None,
-) -> Verdict:
-    """Mount the crash state (running recovery) and compare persisted entities
-    against the oracle. With a campaign partition's ``memo``, each distinct
-    crash image is recovered once, each distinct recovered file system
-    loaded and viewed once (``SoundFs.mount``) and each distinct set of
-    directories probed once on it. A repeat is compared on the stored view,
-    and a file system of its own is built only when a probe must write.
+def check(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Verdict:
+    """Mount one crash state of ``prof`` (running recovery) and compare it
+    against the oracle of the last checkpoint it contains (the freshly
+    formatted file system before the first), for the entities the
+    persistence calls made durable by then. Only a bug verdict names its
+    state (``crash_descriptor``): nothing reads a passing one's.
 
-    A subset state comes with ``later_views``. Its crash lands mid-epoch, so
-    an entity may legitimately show any committed state at or after its
-    persistence point: it must match the checkpoint oracle or one of the
-    later oracles, metadata only (in-place data overwrites are legally torn),
-    and no spurious-entry scan runs.
+    With a campaign partition's ``memo``, each distinct crash image is
+    recovered once, each distinct recovered file system loaded and viewed
+    once (``SoundFs.mount``) and each distinct set of directories probed
+    once on it. A repeat is compared on the stored view, and a file system
+    of its own is built only when a probe must write.
+
+    A subset state's crash lands mid-epoch, so an entity may legitimately
+    show any committed state at or after its persistence point: it must
+    match the checkpoint oracle or one of the later oracles, metadata only
+    (in-place data overwrites are legally torn), and no spurious-entry scan
+    runs.
     """
-    target = get_target(fs_name)
-    fs = target.mount(crash_image, memo)
+    cp = state.checkpoint_id
+    oracle_view = prof.oracle_views.get(cp, prof.base_view)
+    persisted_set = prof.persisted.get(cp, {})
+    target = get_target(prof.fs_name)
+    fs = target.mount(state.image, memo)
     if isinstance(fs, Unmountable):
         diff = [DiffEntry("unmountable", expected="mountable file system", actual=fs.reason)]
-        return Verdict("bug", consequence="unmountable", diff=diff, fsck=target.fsck(fs))
+        return Verdict("bug", state.descriptor(), "unmountable", diff, fsck=target.fsck(fs))
 
     crash_view = fs.state_view()
     diff: list[DiffEntry] = []
-    subset = later_views is not None
-    candidates = [oracle_view, *(later_views or ())]
+    subset = state.subset is not None
+    candidates = [oracle_view]
+    if subset:
+        candidates += [prof.oracle_views[j] for j in range(cp + 1, prof.checkpoint_count + 1)]
 
     for path in sorted(persisted_set):
         level = persisted_set[path]
@@ -375,7 +369,7 @@ def check(
     diff.extend(_write_checks(fs, crash_view, persisted_set, memo))
 
     if diff:
-        return Verdict("bug", consequence=classify(diff), diff=diff)
+        return Verdict("bug", state.descriptor(), classify(diff), diff)
     return Verdict("pass")
 
 
@@ -476,7 +470,7 @@ def run_workload(
         return []  # no persistence point, so nothing to test
 
     checkpoints = range(1, n + 1) if (flags.all_checkpoints or flags.subset) else [n]
-    verdicts = [check_state(prof, _checkpoint_state(prof, k), memo) for k in checkpoints]
+    verdicts = [check(prof, _checkpoint_state(prof, k), memo) for k in checkpoints]
     if flags.subset:
         verdicts.extend(_subset_verdicts(prof, flags, memo))
     return verdicts
@@ -488,7 +482,7 @@ def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> 
         prefix_state(prof.base_image, epochs, p, flags.granularity) for p in range(len(epochs))
     )
     return [
-        check_state(prof, build_subset_state(prefix, kept), memo)
+        check(prof, build_subset_state(prefix, kept), memo)
         for prefix in prefixes
         for kept in enumerate_target_subsets(prefix, flags.seed)
     ]
@@ -496,28 +490,6 @@ def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> 
 
 def _checkpoint_state(prof: Profile, k: int) -> CrashState:
     return CrashState(replay(prof.base_image, prof.io_log, checkpoint=k), checkpoint_id=k)
-
-
-def check_state(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Verdict:
-    """Check one crash state against the oracle of the last checkpoint it
-    contains (the freshly formatted file system before the first). A subset
-    state may also match any later oracle. Only a bug verdict names its
-    state (``crash_descriptor``): nothing reads a passing one's."""
-    cp = state.checkpoint_id
-    later_views = None
-    if state.subset is not None:
-        later_views = [prof.oracle_views[j] for j in range(cp + 1, prof.checkpoint_count + 1)]
-    verdict = check(
-        state.image,
-        prof.oracle_views.get(cp, prof.base_view),
-        prof.persisted.get(cp, {}),
-        prof.fs_name,
-        later_views=later_views,
-        memo=memo,
-    )
-    if verdict.is_bug:
-        verdict.crash_descriptor = state.descriptor()
-    return verdict
 
 
 def state_for(prof: Profile, descriptor: str) -> CrashState:

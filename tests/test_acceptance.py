@@ -10,7 +10,7 @@ import random
 import time
 
 from crashlab.ace import Bounds, gen_skeletons, generate_workloads, serialize
-from crashlab.blockdev import Device, DiskImage, split_epochs
+from crashlab.blockdev import DiskImage, IoRecord, split_epochs
 from crashlab.cli import (
     CampaignConfig,
     corpus_variant_map,
@@ -273,11 +273,8 @@ def test_acceptance_regression_corpus():
 
 def test_acceptance_crash_state_exhaustiveness():
     size = 16 * 1024
-    dev = Device(size)
-    for i in range(4):
-        dev.write(i * 2, bytes([0x20 + i]) * 512)
     base = DiskImage.zeroed(size)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs([IoRecord(i * 2, bytes([0x20 + i]) * 512) for i in range(4)])
     images = {}
     pre = prefix_state(base, epochs, 0)
     for kept in enumerate_target_subsets(pre):
@@ -296,11 +293,11 @@ def test_acceptance_crash_state_exhaustiveness():
     order_ok = True
     trials = 0
     for _ in range(1000):
-        dev = Device(size)
+        log = []
         for i in range(rng.randint(2, 4)):
             sec = rng.randrange(0, 6)
-            dev.write(sec, bytes([0x30 + i]) * (512 * rng.randint(1, 2)))
-        epochs = split_epochs(dev.log)
+            log.append(IoRecord(sec, bytes([0x30 + i]) * (512 * rng.randint(1, 2))))
+        epochs = split_epochs(log)
         units = [(r.sector, r.data) for r in epochs[0].records]
         pre = prefix_state(base, epochs, 0)
         for kept in enumerate_target_subsets(pre):

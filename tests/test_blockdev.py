@@ -11,6 +11,7 @@ from crashlab.blockdev import (
     DiskImage,
     Device,
     GeometryError,
+    IoRecord,
     OutOfBoundsError,
     replay,
     split_epochs,
@@ -43,7 +44,7 @@ def test_create_device_bad_sizes():
 
 def test_write_applies_to_current_image():
     dev = Device(4 * MiB)
-    dev.write(0, b"\xab" * 4096)
+    dev.write_block(0, b"\xab" * 4096)
     assert dev.read_block(0) == b"\xab" * 4096
 
 
@@ -55,17 +56,6 @@ def test_flush_only_record_leaves_image_unchanged():
     assert len(dev.log) == 1
 
 
-def test_out_of_bounds_write_rejected():
-    dev = Device(1 * MiB)
-    with pytest.raises(OutOfBoundsError):
-        dev.write(1 * MiB // SECTOR_SIZE, b"\0" * 512)
-    with pytest.raises(OutOfBoundsError):
-        dev.write(0, b"\0" * 100)  # not sector-multiple
-    with pytest.raises(OutOfBoundsError):
-        dev.write(0, b"")
-    assert dev.log == []
-
-
 def test_write_block_checks_bounds_and_logs_as_write():
     dev = Device(1 * MiB)
     last = 1 * MiB // BLOCK_SIZE - 1
@@ -75,20 +65,21 @@ def test_write_block_checks_bounds_and_logs_as_write():
     with pytest.raises(OutOfBoundsError):
         dev.write_block(0, b"\1" * SECTOR_SIZE)
     assert dev.log == []
-    by_sector = Device(1 * MiB)
+    want = []
     for block, fua in ((0, False), (last, True), (3, False)):
         payload = bytearray([block % 251 + 1]) * BLOCK_SIZE
         dev.write_block(block, payload, fua=fua)
-        by_sector.write(block * (BLOCK_SIZE // SECTOR_SIZE), payload, fua=fua)
-    assert dev.log == by_sector.log
+        want.append(IoRecord(block * (BLOCK_SIZE // SECTOR_SIZE), bytes(payload), fua=fua))
+    assert dev.log == want
     assert all(type(rec.data) is bytes for rec in dev.log)
-    assert image_bytes(dev.snapshot()) == image_bytes(by_sector.snapshot())
+    written = DiskImage.zeroed(1 * MiB).with_writes((rec.sector, rec.data) for rec in want)
+    assert image_bytes(dev.snapshot()) == image_bytes(written)
 
 
 def test_checkpoint_ids_count_up_and_records_are_empty():
     dev = Device(1 * MiB)
     assert dev.insert_checkpoint() == 1
-    dev.write(0, b"\x01" * 512)
+    dev.write_block(0, b"\x01" * BLOCK_SIZE)
     assert dev.insert_checkpoint() == 2
     cps = [r for r in dev.log if r.checkpoint_id is not None]
     assert [r.checkpoint_id for r in cps] == [1, 2]
@@ -104,17 +95,16 @@ def test_checkpoint_ids_count_up_and_records_are_empty():
 
 def _mklog(symbols):
     """Build a log from symbols: W (write), F (flush), U (fua write), C (checkpoint)."""
-    dev = Device(1 * MiB)
+    log, checkpoints = [], 0
     for i, sym in enumerate(symbols):
-        if sym == "W":
-            dev.write(i, bytes([i + 1]) * 512)
+        if sym in "WU":
+            log.append(IoRecord(i, bytes([i + 1]) * 512, fua=sym == "U"))
         elif sym == "F":
-            dev.flush()
-        elif sym == "U":
-            dev.write(i, bytes([i + 1]) * 512, fua=True)
+            log.append(IoRecord(flush=True))
         elif sym == "C":
-            dev.insert_checkpoint()
-    return dev.log
+            checkpoints += 1
+            log.append(IoRecord(checkpoint_id=checkpoints))
+    return log
 
 
 def _oracle_epochs(symbols):
@@ -196,24 +186,18 @@ def test_replay_empty_log_is_identity():
 
 
 def test_replay_to_checkpoint_deterministic():
-    dev = Device(1 * MiB)
-    dev.write(0, b"\x01" * 512)
-    dev.flush()
-    dev.insert_checkpoint()
-    dev.write(8, b"\x02" * 512)
+    log = _mklog("WFC")
+    log.append(IoRecord(8, b"\x02" * 512))
     base = DiskImage.zeroed(1 * MiB)
-    a = replay(base, dev.log, checkpoint=1)
-    b = replay(base, dev.log, checkpoint=1)
+    a = replay(base, log, checkpoint=1)
+    b = replay(base, log, checkpoint=1)
     assert image_bytes(a) == image_bytes(b)
     assert image_bytes(a)[4096:8192] == bytes(4096)  # post-checkpoint write excluded
 
 
 def test_replay_last_writer_wins():
-    dev = Device(1 * MiB)
-    dev.write(0, b"\x01" * 512)
-    dev.write(0, b"\x02" * 512)
-    dev.insert_checkpoint()
-    out = replay(DiskImage.zeroed(1 * MiB), dev.log, checkpoint=1)
+    log = [IoRecord(0, b"\x01" * 512), IoRecord(0, b"\x02" * 512), IoRecord(checkpoint_id=1)]
+    out = replay(DiskImage.zeroed(1 * MiB), log, checkpoint=1)
     assert image_bytes(out)[:512] == b"\x02" * 512
 
 
@@ -225,11 +209,9 @@ def test_replay_unknown_checkpoint():
 
 
 def test_replay_does_not_mutate_base():
-    dev = Device(1 * MiB)
-    dev.write(0, b"\x09" * 512)
-    dev.insert_checkpoint()
+    log = [IoRecord(0, b"\x09" * 512), IoRecord(checkpoint_id=1)]
     base = DiskImage.zeroed(1 * MiB)
-    out = replay(base, dev.log, checkpoint=1)
+    out = replay(base, log, checkpoint=1)
     assert image_bytes(out)[:512] == b"\x09" * 512
     assert image_bytes(base) == bytes(MiB)
 
@@ -239,15 +221,15 @@ def test_replay_does_not_mutate_base():
 
 def test_snapshot_isolated_from_later_writes():
     dev = Device(1 * MiB)
-    dev.write(5, b"\x11" * 512)
+    dev.write_block(5, b"\x11" * BLOCK_SIZE)
     snap = dev.snapshot()
-    dev.write(5, b"\x22" * 512)
-    assert image_bytes(snap)[5 * 512 : 6 * 512] == b"\x11" * 512
+    dev.write_block(5, b"\x22" * BLOCK_SIZE)
+    assert image_bytes(snap)[5 * BLOCK_SIZE : 6 * BLOCK_SIZE] == b"\x11" * BLOCK_SIZE
 
 
 def test_two_snapshots_without_writes_identical():
     dev = Device(1 * MiB)
-    dev.write(1, b"\x33" * 512)
+    dev.write_block(1, b"\x33" * BLOCK_SIZE)
     assert image_bytes(dev.snapshot()) == image_bytes(dev.snapshot())
 
 
@@ -277,14 +259,10 @@ def test_cow_isolation_against_eager_copy_oracle():
         if roll < 0.3:
             snaps.append((dev.snapshot(), bytes(shadow)))
             continue
-        if roll < 0.5:
-            block = rng.randrange(size // BLOCK_SIZE)
-            sec, payload = block * (BLOCK_SIZE // SECTOR_SIZE), rng.randbytes(BLOCK_SIZE)
-            dev.write_block(block, payload)
-        else:
-            sec, payload = _random_write(rng, size)
-            dev.write(sec, payload)
-        shadow[sec * SECTOR_SIZE : sec * SECTOR_SIZE + len(payload)] = payload
+        block = rng.randrange(size // BLOCK_SIZE)
+        payload = rng.randbytes(BLOCK_SIZE)
+        dev.write_block(block, payload)
+        shadow[block * BLOCK_SIZE : (block + 1) * BLOCK_SIZE] = payload
     snaps.append((dev.snapshot(), bytes(shadow)))
     for snap, eager in snaps:
         _assert_image_is(snap, eager)

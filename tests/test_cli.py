@@ -275,6 +275,14 @@ def test_config_validation():
         CampaignConfig(seq=()).validate()
     with pytest.raises(ValueError, match="ops"):
         CampaignConfig(ops=()).validate()
+    for config, message in (
+        (CampaignConfig(ops=("creat", "creat")), "ops names 'creat' twice"),
+        (CampaignConfig(ops=("creat", "link", "link")), "ops names 'link' twice"),
+        (CampaignConfig(files=("foo", "bar", "foo")), "files names 'foo' twice"),
+        (CampaignConfig(dirs=("A", "A")), "dirs names 'A' twice"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            config.validate()
     for index_range in ((9, 3), (-1, 3), (-1, None)):
         with pytest.raises(ValueError, match="index range"):
             CampaignConfig(index_range=index_range).validate()
@@ -357,6 +365,9 @@ _REPORT_LINE = json.dumps(
         (None, ["campaign", "--ops", "creat,nosuchop"], "--ops: unknown op kind 'nosuchop'"),
         (None, ["campaign", "--ops", ""], "ops names no op kind"),
         ('{"ops": []}', ["campaign", "--config", "{f}"], "ops names no op kind"),
+        (None, ["campaign", "--ops", "creat,creat"], "ops names 'creat' twice"),
+        (None, ["campaign", "--files", "foo,foo"], "files names 'foo' twice"),
+        ('{"dirs": ["A", "B", "A"]}', ["campaign", "--config", "{f}"], "dirs names 'A' twice"),
         (
             '{"ops": "nosuchop"}',
             ["campaign", "--config", "{f}"],
@@ -383,6 +394,9 @@ _REPORT_LINE = json.dumps(
         "ops-unknown-kind",
         "ops-empty",
         "config-ops-empty",
+        "ops-repeated",
+        "files-repeated",
+        "config-dirs-repeated",
         "config-ops-unknown-kind",
         "out-is-a-file",
         "known-bugs-is-a-dir",
@@ -421,23 +435,40 @@ def _b3_subset_config(**kw):
     )
 
 
+def _b3_sector_config(**kw):
+    # the README's sector slice: 264 bug reports, 260 of them sector subsets
+    return CampaignConfig(
+        fs="bugfs-b3", seq=(1,), ops=("falloc",), subset=True, granularity="sector", seed=7,
+        index_range=(120, 140), **kw
+    )
+
+
 def test_replay_reproduces_consequence_and_diff_hash(tmp_path):
     """Replay gives back each report's consequence, descriptor and full diff,
-    for checkpoint and subset descriptors alike."""
-    for name, config in (("b6", _b6_config), ("b3", _b3_subset_config)):
+    for checkpoint descriptors and for subset descriptors at op and sector
+    granularity alike."""
+    descriptors = {}
+    for name, config, pick in (
+        ("b6", _b6_config, lambda n: (0, n - 1)),
+        ("b3", _b3_subset_config, range),
+        ("b3sector", _b3_sector_config, lambda n: range(1, n, 37)),
+    ):
         out = tmp_path / name
         run_campaign(config(out=str(out)), quiet=True)
         reports = report.read_reports(out / "reports.jsonl")
         assert reports
-        indices = range(len(reports)) if name == "b3" else (0, len(reports) - 1)
-        for idx in indices:
+        descriptors[name] = [r.crash_descriptor for r in reports]
+        for idx in pick(len(reports)):
             verdict = replay_report(out / "reports.jsonl", idx, quiet=True)
             assert verdict.consequence == reports[idx].consequence
             assert verdict.crash_descriptor == reports[idx].crash_descriptor
             assert [vars(d) for d in verdict.diff] == reports[idx].diff
-    descriptors = [r.crash_descriptor for r in reports]
-    assert len(descriptors) == 34
-    assert sum(d.startswith("prefix=") for d in descriptors) == 33
+    assert len(descriptors["b3"]) == 34
+    assert sum(d.startswith("prefix=") for d in descriptors["b3"]) == 33
+    sector = descriptors["b3sector"]
+    assert len(sector) == 264
+    assert sum(d.endswith(";gran=sector") for d in sector) == 260
+    assert all(sector[idx].endswith(";gran=sector") for idx in range(1, 264, 37))
 
 
 @pytest.mark.parametrize(

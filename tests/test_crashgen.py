@@ -6,8 +6,8 @@ import pytest
 
 from crashlab.blockdev import (
     SECTOR_SIZE,
-    Device,
     DiskImage,
+    IoRecord,
     replay,
     split_epochs,
 )
@@ -22,10 +22,11 @@ from crashlab.crashgen import (
 from image_helper import image_bytes
 
 SIZE = 64 * 1024
+FLUSH = IoRecord(flush=True)
 
 
-def _device():
-    return Device(SIZE)
+def _cp(k):
+    return IoRecord(checkpoint_id=k)
 
 
 def _subsets(epochs, prefix, granularity="op", seed=0):
@@ -34,25 +35,15 @@ def _subsets(epochs, prefix, granularity="op", seed=0):
 
 
 def test_one_crash_state_per_checkpoint():
-    dev = _device()
-    dev.write(0, b"\x01" * 512)
-    dev.flush()
-    dev.insert_checkpoint()
-    dev.write(1, b"\x02" * 512)
-    dev.flush()
-    dev.insert_checkpoint()
+    log = [IoRecord(0, b"\x01" * 512), FLUSH, _cp(1), IoRecord(1, b"\x02" * 512), FLUSH, _cp(2)]
     base = DiskImage.zeroed(SIZE)
-    images = [replay(base, dev.log, checkpoint=k) for k in (1, 2)]
+    images = [replay(base, log, checkpoint=k) for k in (1, 2)]
     assert image_bytes(images[0])[512:1024] == bytes(512)
     assert image_bytes(images[1])[512:1024] == b"\x02" * 512
 
 
 def test_states_before_any_checkpoint_belong_to_checkpoint_zero():
-    dev = _device()
-    dev.write(0, b"\x01" * 512)
-    dev.flush()
-    dev.write(1, b"\x02" * 512)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs([IoRecord(0, b"\x01" * 512), FLUSH, IoRecord(1, b"\x02" * 512)])
     base = DiskImage.zeroed(SIZE)
     for prefix in range(len(epochs)):
         pre = prefix_state(base, epochs, prefix)
@@ -66,10 +57,7 @@ def test_states_before_any_checkpoint_belong_to_checkpoint_zero():
 
 
 def test_exhaustive_subset_count_n3():
-    dev = _device()
-    for i in range(3):
-        dev.write(i, bytes([i + 1]) * 512)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs([IoRecord(i, bytes([i + 1]) * 512) for i in range(3)])
     subsets = _subsets(epochs, 0)
     assert len(subsets) == 8
     assert len(set(subsets)) == 8
@@ -77,46 +65,36 @@ def test_exhaustive_subset_count_n3():
 
 
 def test_zero_units_yields_exactly_empty_subset():
-    dev = _device()
-    dev.flush()
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs([FLUSH])
     assert _subsets(epochs, 0) == [()]
 
 
 def test_sector_granularity_unit_count():
     """A write splits into length/512 sector units: 8 units are enumerated
     exhaustively, 16 are sampled."""
-    dev = _device()
-    dev.write(0, b"\x07" * 4096)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs([IoRecord(0, b"\x07" * 4096)])
     # independent arithmetic: one unit per 512-byte slice
     assert 4096 // SECTOR_SIZE == 8
     full = _subsets(epochs, 0, "sector")
     assert len(full) == 2**8
     assert max(len(s) for s in full) == 8
 
-    dev = _device()
-    dev.write(0, b"\x07" * 8192)
-    sampled = _subsets(split_epochs(dev.log), 0, "sector")
+    epochs = split_epochs([IoRecord(0, b"\x07" * 8192)])
+    sampled = _subsets(epochs, 0, "sector")
     assert len(sampled) == len(set(sampled)) == SAMPLE_COUNT
     assert all(0 <= i < 16 for s in sampled for i in s)
-    assert len(_subsets(split_epochs(dev.log), 0, "op")) == 2
+    assert len(_subsets(epochs, 0, "op")) == 2
 
 
 def test_prefix_count_out_of_range():
-    dev = _device()
-    dev.write(0, b"\x01" * 512)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs([IoRecord(0, b"\x01" * 512)])
     with pytest.raises(CrashGenError):
         prefix_state(DiskImage.zeroed(SIZE), epochs, 5)
 
 
 def test_random_mode_reproducible_and_distinct():
     """Eleven units is one past the exhaustive bound: the subsets are sampled."""
-    dev = _device()
-    for i in range(11):
-        dev.write(i, bytes([i + 1]) * 512)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs([IoRecord(i, bytes([i + 1]) * 512) for i in range(11)])
     a = _subsets(epochs, 0, "op", seed=11)
     b = _subsets(epochs, 0, "op", seed=11)
     assert a == b
@@ -127,10 +105,7 @@ def test_random_mode_reproducible_and_distinct():
 
 
 def test_fua_terminator_is_single_unit_in_sector_mode():
-    dev = _device()
-    dev.write(0, b"\x01" * 1024)
-    dev.write(4, b"\x02" * 1024, fua=True)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs([IoRecord(0, b"\x01" * 1024), IoRecord(4, b"\x02" * 1024, fua=True)])
     full = _subsets(epochs, 0, "sector")
     # 2 sector units from the plain write + 1 atomic FUA unit
     assert len(full) == 2**3
@@ -167,37 +142,31 @@ def _eager_subset_oracle(base: DiskImage, epochs, prefix, kept, granularity="op"
 
 
 def test_full_subset_equals_replay_to_epoch_end():
-    dev = _device()
-    dev.write(0, b"\x01" * 512)
-    dev.write(1, b"\x02" * 512)
-    dev.flush()
-    dev.write(2, b"\x03" * 512)
-    dev.insert_checkpoint()
+    log = [
+        IoRecord(0, b"\x01" * 512),
+        IoRecord(1, b"\x02" * 512),
+        FLUSH,
+        IoRecord(2, b"\x03" * 512),
+        _cp(1),
+    ]
     base = DiskImage.zeroed(SIZE)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs(log)
     all_units = tuple(range(len(epochs[1].records)))
     state = build_subset_state(prefix_state(base, epochs, 1), all_units)
-    assert image_bytes(state.image) == image_bytes(replay(base, dev.log, checkpoint=1))
+    assert image_bytes(state.image) == image_bytes(replay(base, log, checkpoint=1))
 
 
 def test_empty_subset_equals_replay_to_prefix_end():
-    dev = _device()
-    dev.write(0, b"\x01" * 512)
-    dev.flush()
-    dev.insert_checkpoint()
-    dev.write(2, b"\x03" * 512)
+    log = [IoRecord(0, b"\x01" * 512), FLUSH, _cp(1), IoRecord(2, b"\x03" * 512)]
     base = DiskImage.zeroed(SIZE)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs(log)
     state = build_subset_state(prefix_state(base, epochs, 1), ())
-    assert image_bytes(state.image) == image_bytes(replay(base, dev.log, checkpoint=1))
+    assert image_bytes(state.image) == image_bytes(replay(base, log, checkpoint=1))
 
 
 def test_two_disjoint_writes_all_four_images_match_oracle():
-    dev = _device()
-    dev.write(0, b"\x01" * 512)
-    dev.write(4, b"\x02" * 512)
     base = DiskImage.zeroed(SIZE)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs([IoRecord(0, b"\x01" * 512), IoRecord(4, b"\x02" * 512)])
     seen = set()
     pre = prefix_state(base, epochs, 0)
     for kept in enumerate_target_subsets(pre):
@@ -212,14 +181,14 @@ def test_order_preservation_on_randomized_overlapping_logs():
     rng = random.Random(1234)
     size = 16 * 1024
     for trial in range(200):
-        dev = Device(size)
+        log = []
         nwrites = rng.randint(2, 4)
         for i in range(nwrites):
             sec = rng.randrange(0, 8)
             nsec = rng.randint(1, 3)
-            dev.write(sec, bytes([0x10 + i]) * (nsec * 512))
+            log.append(IoRecord(sec, bytes([0x10 + i]) * (nsec * 512)))
         base = DiskImage.zeroed(size)
-        epochs = split_epochs(dev.log)
+        epochs = split_epochs(log)
         units = [(r.sector, r.data) for r in epochs[0].records]
         pre = prefix_state(base, epochs, 0)
         for kept in enumerate_target_subsets(pre):
@@ -233,20 +202,21 @@ def test_order_preservation_on_randomized_overlapping_logs():
 
 def test_checkpoint_mode_equivalence_with_subset_mode():
     """A checkpoint state equals prefix=everything-before-it, empty subset."""
-    dev = _device()
-    dev.write(0, b"\x01" * 512)
-    dev.flush()
-    dev.insert_checkpoint()
-    dev.write(1, b"\x02" * 512)
-    dev.write(2, b"\x03" * 512, fua=True)
-    dev.insert_checkpoint()
-    dev.write(3, b"\x04" * 512)
+    log = [
+        IoRecord(0, b"\x01" * 512),
+        FLUSH,
+        _cp(1),
+        IoRecord(1, b"\x02" * 512),
+        IoRecord(2, b"\x03" * 512, fua=True),
+        _cp(2),
+        IoRecord(3, b"\x04" * 512),
+    ]
     base = DiskImage.zeroed(SIZE)
-    epochs = split_epochs(dev.log)
+    epochs = split_epochs(log)
     # checkpoint 1 sits after epoch 0; checkpoint 2 after epoch 1
     for k, prefix in ((1, 1), (2, 2)):
         sub = build_subset_state(prefix_state(base, epochs, prefix), ())
-        assert image_bytes(sub.image) == image_bytes(replay(base, dev.log, checkpoint=k))
+        assert image_bytes(sub.image) == image_bytes(replay(base, log, checkpoint=k))
         assert sub.checkpoint_id == k
 
 
@@ -256,20 +226,19 @@ def test_prefix_durability():
     rng = random.Random(55)
     size = 16 * 1024
     for _ in range(30):
-        dev = Device(size)
+        log, cp = [], 0
         for i in range(rng.randint(3, 8)):
             if rng.random() < 0.3:
-                dev.flush()
-                dev.insert_checkpoint()
+                cp += 1
+                log += [FLUSH, _cp(cp)]
             else:
-                dev.write(rng.randrange(0, 16), bytes([0x40 + i]) * 512)
-        dev.flush()
-        dev.insert_checkpoint()
+                log.append(IoRecord(rng.randrange(0, 16), bytes([0x40 + i]) * 512))
+        log += [FLUSH, _cp(cp + 1)]
         base = DiskImage.zeroed(size)
-        epochs = split_epochs(dev.log)
+        epochs = split_epochs(log)
         for prefix in range(len(epochs)):
             # checkpoint k follows the flush that ends epoch k - 1
-            want = replay(base, dev.log, checkpoint=prefix) if prefix else base
+            want = replay(base, log, checkpoint=prefix) if prefix else base
             target_secs = set()
             for rec in epochs[prefix].all_records():
                 if rec.data:

@@ -497,7 +497,9 @@ def test_memo_mounts_of_one_image_are_independent():
 
     third = SoundFs.mount(image, memo)
     assert third.state_view().entries == before
-    # a memo mount has no device until a call needs its live state
+    # a memo mount has no device until its first apply, which gives it its own
+    assert "device" not in vars(third)
+    third.apply(op("creat", path="C"), 11)
     assert "A/probe_chk" not in SoundFs.mount(third.unmount_clean()).state_view().entries
 
 
@@ -519,9 +521,7 @@ def test_memo_keys_hold_the_interned_blocks():
 def mount_state(fs) -> dict:
     """What a mount gives, as plain values: every attribute but the memo
     record, the inodes without the file contents read so far, and the
-    device as its bytes, log and checkpoint count. A memo mount's live
-    state is built first, so every attribute is there."""
-    fs._thaw()
+    device as its bytes, log and checkpoint count."""
     out = {}
     for name, value in vars(fs).items():
         if name == "inodes":
@@ -538,13 +538,14 @@ def mount_state(fs) -> dict:
 
 def assert_like_a_plain_mount(fs, image):
     """``fs``, mounted from ``image`` through a memo, is what a plain mount
-    of ``image`` is: in its attributes and device bytes, in its view, and
-    after the same write and commit."""
+    of ``image`` is: in its view, in its attributes and device bytes once
+    the same write has built its live state, and after a commit."""
     plain = type(fs).mount(image)
-    assert mount_state(fs) == mount_state(plain)
     assert fs.state_view() == plain.state_view()
     for mounted in (fs, plain):
         mounted.apply(op("write", path="bar", start=8192, end=12288), 10)
+    assert mount_state(fs) == mount_state(plain)
+    for mounted in (fs, plain):
         mounted.persist(PersistKind.FSYNC, "bar")
     assert mount_state(fs) == mount_state(plain)
     assert fs.state_view() == plain.state_view()
@@ -573,7 +574,7 @@ def test_a_viewed_memo_mount_builds_no_file_system(monkeypatch, target):
     )
     state = harness._checkpoint_state(prof, prof.checkpoint_count)
     memo = MountMemo()
-    first = harness.check_state(prof, state, memo)
+    first = harness.check(prof, state, memo)
     assert len(memo.probes) == 1
     made = []
     for module, name in ((soundfs, "Inode"), (soundfs, "Device")):
@@ -583,38 +584,41 @@ def test_a_viewed_memo_mount_builds_no_file_system(monkeypatch, target):
         )
     hit = target.mount(state.image, memo)
     view = hit.state_view()
-    again = harness.check_state(prof, state, memo)
+    again = harness.check(prof, state, memo)
     assert made == [] and "_frozen" in vars(hit)
     monkeypatch.undo()
-    assert again == first == harness.check_state(prof, state)
+    assert again == first == harness.check(prof, state)
     assert view == target.mount(state.image).state_view()
 
 
-# each reads a file system's live state first through the method it names
-_LAZY_CALLS = {
-    "apply": lambda fs, image: (fs.apply(op("creat", path="A/new"), 9), mount_state(fs)),
+# each reads a file system's live state through the method it names
+_LIVE_CALLS = {
+    "apply": lambda fs, image: mount_state(fs),
     "fork": lambda fs, image: mount_state(fs.fork(Device(image.size_bytes, image))),
     "replicate": lambda fs, image: mount_state(fs.replicate()),
     "clean_view": lambda fs, image: fs.clean_view(),
     "persist": lambda fs, image: (fs.persist(PersistKind.FSYNC, "bar"), mount_state(fs)),
     "unmount_clean": lambda fs, image: image_bytes(fs.unmount_clean()),
-    "paths_of_ino": lambda fs, image: [fs.paths_of_ino(ino) for ino in range(1, 6)],
-    "resolve_ino": lambda fs, image: [fs.resolve_ino(p) for p in ("A", "A/foo", "bar", "lost")],
+    "paths_of_ino": lambda fs, image: [fs.paths_of_ino(ino) for ino in range(1, 7)],
+    "resolve_ino": lambda fs, image: [fs.resolve_ino(p) for p in ("A", "A/foo", "A/new", "lost")],
 }
 
 
-@pytest.mark.parametrize("call", _LAZY_CALLS.values(), ids=_LAZY_CALLS.keys())
+@pytest.mark.parametrize("call", _LIVE_CALLS.values(), ids=_LIVE_CALLS.keys())
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
 def test_a_memo_mount_thaws_at_the_first_call_that_reads_its_state(target, call):
-    """Each call on a memo mount that has built nothing yet gives what the
-    same call on a plain mount gives, and builds its live state."""
+    """A memo mount that has built nothing yet answers only ``state_view``
+    until its first ``apply``, which builds its live state. After that
+    each call gives what the same call on a plain mount gives."""
     image = crash_image(target)
     memo = MountMemo()
     target.mount(image, memo)
-    hit = target.mount(image, memo)
+    hit, plain = target.mount(image, memo), target.mount(image)
     assert "_frozen" in vars(hit) and "inodes" not in vars(hit)
-    assert call(hit, image) == call(target.mount(image), image)
+    for fs in (hit, plain):
+        fs.apply(op("creat", path="A/new"), 9)
     assert "_frozen" not in vars(hit)
+    assert call(hit, image) == call(plain, image)
 
 
 def geometry(image) -> Geometry:
@@ -1009,14 +1013,12 @@ def test_beyond_eof_loss_exact_sector_counts():
     """known_02 on bugfs-b3: 8K persisted data plus 8K fallocated beyond EOF
     should survive as 32 sectors; the bug recovers only 16."""
     from crashlab import ace
-    from crashlab.blockdev import replay as replay_log
     from crashlab.cli import default_corpus_dir
-    from crashlab.harness import check, profile
+    from crashlab.harness import check, profile, state_for
 
     w = ace.parse_file(default_corpus_dir() / "known_02.wl")
     prof = profile(w, "bugfs-b3")
-    image = replay_log(prof.base_image, prof.io_log, checkpoint=2)
-    v = check(image, prof.oracle_views[2], prof.persisted[2], "bugfs-b3")
+    v = check(prof, state_for(prof, "checkpoint=2"))
     assert v.is_bug and v.consequence == "metadata_mismatch(block_count)"
     entry = next(d for d in v.diff if d.field == "block_count")
     assert (entry.expected, entry.actual) == ("32", "16")

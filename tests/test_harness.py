@@ -10,7 +10,12 @@ import time
 from crashlab import ace, harness
 from crashlab.ace import Bounds, parse
 from crashlab.blockdev import BLOCK_SIZE, Device, replay, split_epochs
-from crashlab.crashgen import build_subset_state, enumerate_target_subsets, prefix_state
+from crashlab.crashgen import (
+    CrashState,
+    build_subset_state,
+    enumerate_target_subsets,
+    prefix_state,
+)
 from crashlab.fsops import FsOp, FsOpKind, PersistKind
 from crashlab.fstarget import MountMemo, SoundFs, TARGETS, Unmountable, get_target
 from crashlab.harness import (
@@ -24,6 +29,7 @@ from crashlab.harness import (
     mkfs_base_image,
     profile,
     run_workload,
+    state_for,
 )
 from image_helper import image_bytes
 
@@ -373,18 +379,22 @@ def _crash_image(prof, k):
     return replay(prof.base_image, prof.io_log, checkpoint=k)
 
 
+def _check_at(prof, k):
+    return check(prof, state_for(prof, f"checkpoint={k}"))
+
+
 def test_check_pass_on_soundfs():
     w = parse("creat foo\nlink foo bar\nsync\n")
     prof = profile(w, "soundfs")
-    v = check(_crash_image(prof, 1), prof.oracle_views[1], prof.persisted[1], "soundfs")
+    v = _check_at(prof, 1)
     assert v.outcome == "pass"
 
 
 def test_check_detects_missing_persisted_file():
     w = parse("mkdir A\nmkdir B\ncreat A/foo\nlink A/foo B/foo\nfsync B/foo\n")
     prof = profile(w, "bugfs-b1")
-    v = check(_crash_image(prof, 1), prof.oracle_views[1], prof.persisted[1], "bugfs-b1")
-    assert v.is_bug
+    v = _check_at(prof, 1)
+    assert v.is_bug and v.crash_descriptor == "checkpoint=1"
     assert v.consequence == "file_missing"
     assert any(d.category == "missing" and d.path == "B/foo" for d in v.diff)
 
@@ -392,27 +402,23 @@ def test_check_detects_missing_persisted_file():
 def test_check_unmountable_dominates_and_attaches_fsck():
     w = parse("creat foo\nlink foo bar\nsync\nunlink bar\ncreat bar\nfsync bar\n")
     prof = profile(w, "bugfs-b6")
-    v = check(_crash_image(prof, 2), prof.oracle_views[2], prof.persisted[2], "bugfs-b6")
+    v = _check_at(prof, 2)
     assert v.is_bug and v.consequence == "unmountable"
+    assert v.crash_descriptor == "checkpoint=2"
     assert v.fsck is not None and v.fsck["mountable"] is False
 
 
 def test_probe_outcomes_are_kept_per_image_and_directories():
     """A memo probes each image's directories once. With every inode in use
     the probes fail; an image with one free inode is probed anew."""
-    device = Device(DEFAULT_DEVICE_BYTES, mkfs_base_image("soundfs"))
-    fs = SoundFs.mount_device(device)
-    for i in range(62):  # ino 0 is reserved and ino 1 is the root
-        fs.apply(FsOp(FsOpKind.CREAT, path=f"f{i}"), i)
-    states = []
-    for last in ("f0", "f1"):
-        fs.persist(PersistKind.SYNC)
-        view = fs.state_view()
-        states.append((device.snapshot(), view, {path: FULL for path in view.entries}))
-        fs.apply(FsOp(FsOpKind.UNLINK, path=last), 99)
+    # ino 0 is reserved and ino 1 is the root
+    creats = "".join(f"creat f{i}\n" for i in range(62))
+    prof = profile(parse(creats + "sync\nunlink f0\nsync\n"), "soundfs")
+    assert all(level == FULL for k in (1, 2) for level in prof.persisted[k].values())
+    states = [state_for(prof, f"checkpoint={k}") for k in (1, 2)]
     memo = MountMemo()
-    verdicts = [check(*state, "soundfs", memo=memo) for state in [*states, *states]]
-    assert verdicts == [check(*state, "soundfs") for state in [*states, *states]]
+    verdicts = [check(prof, state, memo) for state in [*states, *states]]
+    assert verdicts == [check(prof, state) for state in [*states, *states]]
     assert [v.consequence for v in verdicts] == ["unwritable_dir", "", "unwritable_dir", ""]
     assert len(memo.probes) == 2
 
@@ -423,7 +429,7 @@ def test_mutating_non_persisted_file_never_flips_pass_to_bug():
     w = parse("write (0-4K) bar\nwrite (0-4K) foo\nfsync foo\n")
     prof = profile(w, "soundfs")
     image = _crash_image(prof, 1)
-    assert check(image, prof.oracle_views[1], prof.persisted[1], "soundfs").outcome == "pass"
+    assert _check_at(prof, 1).outcome == "pass"
     assert "bar" not in prof.persisted[1]
 
     # locate bar's data block in the recovered image and corrupt it
@@ -432,8 +438,7 @@ def test_mutating_non_persisted_file_never_flips_pass_to_bug():
     block = fs.inodes[bar_ino].blocks[0]
     dev = Device(image.size_bytes, image)
     dev.write_block(block, b"\x66" * 4096)
-    mutated = dev.snapshot()
-    v = check(mutated, prof.oracle_views[1], prof.persisted[1], "soundfs")
+    v = check(prof, CrashState(dev.snapshot(), checkpoint_id=1))
     assert v.outcome == "pass"
 
 
@@ -453,44 +458,30 @@ def test_mutation_fuzz_over_random_non_persisted_targets():
         block = rng.choice([b for b in node.blocks if b])
         dev = Device(image.size_bytes, image)
         dev.write_block(block, bytes([rng.randrange(256)]) * 4096)
-        v = check(dev.snapshot(), prof.oracle_views[1], prof.persisted[1], "soundfs")
+        v = check(prof, CrashState(dev.snapshot(), checkpoint_id=1))
         assert v.outcome == "pass", (path, v.diff)
 
 
 def test_checker_soundness_on_clean_shutdown_all_targets():
     """A cleanly unmounted image checks clean against its own oracle for every
-    target, buggy ones included."""
+    target, buggy ones included; the closing sync persists every entity."""
     text = (
         "mkdir A\nwrite (0-8K) A/foo\nlink A/foo A/bar\nfsync A/foo\n"
-        "rename A/bar A/baz\nfsync A/baz\n"
+        "rename A/bar A/baz\nfsync A/baz\nsync\n"
     )
     w = parse(text)
     for name in sorted(TARGETS):
-        target = get_target(name)
-        dev = Device(DEFAULT_DEVICE_BYTES, mkfs_base_image(name))
-        fs = target.mount_device(dev)
-        idx = 0
-        for op in w.prologue:
-            fs.apply(op, idx)
-            idx += 1
-        for step in w.steps:
-            if isinstance(step, FsOp):
-                fs.apply(step, idx)
-                idx += 1
-            else:
-                fs.persist(step.kind, step.target)
-        final_image = fs.unmount_clean()
-        oracle_fs = target.mount(final_image)
-        oracle_view = oracle_fs.state_view()
-        persisted = {path: FULL for path in oracle_view.entries}
-        v = check(final_image, oracle_view, persisted, name)
+        prof = profile(w, name)
+        k = prof.checkpoint_count
+        assert all(prof.persisted[k][path] == FULL for path in prof.oracle_views[k].entries)
+        v = check(prof, CrashState(prof.fs.unmount_clean(), checkpoint_id=k))
         assert v.outcome == "pass", (name, v.diff)
 
 
 def test_spurious_entry_detected():
     w = parse("creat foo\nrename foo bar\nfsync bar\n")
     prof = profile(w, "bugfs-b2")
-    v = check(_crash_image(prof, 1), prof.oracle_views[1], prof.persisted[1], "bugfs-b2")
+    v = _check_at(prof, 1)
     assert v.is_bug and v.consequence == "spurious_entry"
     assert any(d.category == "spurious" and d.path == "foo" for d in v.diff)
 
@@ -502,13 +493,13 @@ def _checked(monkeypatch, *args):
     """``run_workload(*args)``'s verdicts and the descriptors of the crash
     states it checked, in order."""
     checked = []
-    real = harness.check_state
+    real = harness.check
 
     def recording(prof, state, memo=None):
         checked.append(state.descriptor())
         return real(prof, state, memo)
 
-    monkeypatch.setattr(harness, "check_state", recording)
+    monkeypatch.setattr(harness, "check", recording)
     return run_workload(*args), checked
 
 
