@@ -114,7 +114,6 @@ class CampaignResult:
     exit_code: int
     total_workloads: int = 0
     total_verdicts: int = 0
-    bug_verdicts: int = 0
     # one {"workload_index", "reason", "workload_dsl"} dict per harness error
     errors: list[dict] = field(default_factory=list)
     reports: list[report.BugReport] = field(default_factory=list)
@@ -123,6 +122,10 @@ class CampaignResult:
     suppressed_reports: int = 0
     group_hash: str = ""
     elapsed: float = 0.0
+
+    @property
+    def bug_verdicts(self) -> int:
+        return len(self.reports)
 
     @property
     def harness_errors(self) -> int:
@@ -248,7 +251,6 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
                     }
                 )
             else:
-                res.bug_verdicts += 1
                 res.reports.append(
                     report.BugReport(
                         workload_dsl=ace.serialize(workload),

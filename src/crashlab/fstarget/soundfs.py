@@ -25,7 +25,7 @@ import hashlib
 import struct
 
 from ..blockdev import BLOCK_SIZE, Device, DiskImage
-from ..fsops import FallocFlag, FsOp, FsOpKind, PersistKind
+from ..fsops import FallocFlag, FsOp, FsOpKind, PersistKind, pattern_bytes
 from .base import FsError, FsStateView, Unmountable, ViewEntry
 
 MAGIC = b"SOUNDFS1"
@@ -281,10 +281,10 @@ class SoundFs:
         memo mount returns a file system that holds only the frozen record
         and the image's own recovered journal blocks. It answers
         ``state_view`` from the stored view until its first ``apply``,
-        which builds its live state (``_thaw``), byte for byte what a plain
-        mount gives; only after that may any other method be called. A
-        state that is only viewed never builds one, and its other
-        attributes do not exist until then."""
+        which makes it a fork of the record's file system on its own image
+        (``_thaw``), what a plain mount gives; only after that may any
+        other method be called. A state that is only viewed never builds
+        one, and its other attributes do not exist until then."""
         if memo is None:
             return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
         entry = memo.states.get((cls, image.content_key()))
@@ -306,9 +306,9 @@ class SoundFs:
         return fs
 
     def _thaw(self) -> None:
-        """Build a memo mount's live state, unless it has been built: the
-        record's image with this image's journal blocks grafted back, and
-        nothing pending. ``memo_record`` is left as it is.
+        """Build a memo mount's live state, unless it has been built: a fork
+        of the record's file system, on the record's image with this
+        image's journal blocks grafted back.
 
         Only ``apply`` calls this: a memo mount answers ``state_view`` until
         its first ``apply``, and the checker calls nothing else on it (the
@@ -316,10 +316,11 @@ class SoundFs:
         CPython then stops specializing attribute reads on every instance
         of the class, which slows the profile's ops and commits: they read
         attributes in their inner loops."""
-        frozen = self.__dict__.pop("_frozen", None)
+        frozen = self.__dict__.get("_frozen")
         if frozen is not None:
             record, journal = frozen
-            record.thaw(self, journal)
+            image = record.image.with_blocks(journal)
+            self.__dict__ = vars(record.fs.fork(Device(image.size_bytes, base=image, log_io=False)))
 
     @classmethod
     def _memo_entry(cls, image: DiskImage, memo: "MountMemo") -> tuple:
@@ -334,7 +335,7 @@ class SoundFs:
         record = memo.records.get(key)
         if record is None:
             fs = fs._loaded()
-            record = fs if isinstance(fs, Unmountable) else _MountedState(fs, rest, memo)
+            record = fs if isinstance(fs, Unmountable) else _MountedState(fs, rest)
             memo.records[key] = record
         return record, journal
 
@@ -692,8 +693,6 @@ class SoundFs:
     # -- operations ----------------------------------------------------------
 
     def apply(self, op: FsOp, op_index: int = 0) -> None:
-        from ..fsops import pattern_bytes
-
         self._thaw()
         self.memo_record = None
         kind = op.kind
@@ -1008,9 +1007,11 @@ class SoundFs:
         ``block_count``. Every other part of ``_commit``, and every
         variant's ``_after_commit("unmount")``, writes only to the device,
         the dirty sets or the variant's own bookkeeping, none of which the
-        view reads. So with no data pending the live view is that view. After a commit data stays pending only where a
-        variant skipped its flush (bugfs-b5's ``_skip_data_flush_inos``);
-        then a replica is unmounted and viewed instead."""
+        view reads. So with no data pending the live view is that view.
+
+        After a commit, data stays pending only where a variant skipped its
+        flush (bugfs-b5's ``_skip_data_flush_inos``); then a replica is
+        unmounted and viewed instead."""
         if not self._pending_data:
             return self.state_view()
         replica = self.replicate()
@@ -1176,16 +1177,17 @@ class MountMemo:
     journal, journal position and next transaction id to a
     ``_MountedState`` or the ``Unmountable``; images that differ only in
     journal blocks recovery ignores share one. ``values`` interns block
-    contents and record parts, so the memo holds each once (distinct images
-    share most of their blocks, inodes and views). ``probes`` holds the
-    harness's write-probe outcomes, keyed by record and probed directories,
-    so a repeat is compared on the stored view and builds a file system of
-    its own only when a probe must write (``SoundFs.mount``). It empties
-    itself when ``states`` reaches ``LIMIT`` entries."""
+    contents, so the memo holds each once (distinct images share most of
+    their blocks). ``probes`` holds the harness's write-probe outcomes,
+    keyed by record and probed directories, so a repeat is compared on the
+    stored view and builds a file system of its own only when a probe must
+    write (``SoundFs.mount``). It empties itself when ``states`` reaches
+    ``LIMIT`` entries."""
 
-    # A benchmark campaign holds at most 288 images and 88 records; at this
-    # bound an in-process run of the full seq-1 --subset tier peaks at
-    # 25 MB ru_maxrss (Python 3.11, 2-core x86-64).
+    # A benchmark campaign, run as one partition, holds at most 288 images
+    # (seq1-subset) and 88 records (bughunt), for seeds 0-10; at this bound
+    # an in-process run of the full seq-1 --subset tier peaks at 25 MB
+    # ru_maxrss (Python 3.11, 2-core x86-64).
     LIMIT = 1024
 
     def __init__(self):
@@ -1202,55 +1204,22 @@ class MountMemo:
 
 
 class _MountedState:
-    """A frozen mounted file system: the recovered image without its
-    journal blocks (recovery copies the journal's blocks home, so it shares
-    their interned bytes), the journal position, the bitmaps, plain-tuple
-    inode records and the view. A memo mount answers ``state_view`` from
-    the view and is thawed from the rest only when it needs its live
-    state."""
+    """A frozen mounted file system: the loaded file system, the recovered
+    image without its journal blocks (recovery copies the journal's blocks
+    home, so it shares their interned bytes) and the view, which a memo
+    mount answers ``state_view`` from. Nothing changes the file system
+    after this: a thaw forks it onto a device of its own and reads file
+    data from there, so it keeps no device and no file content."""
 
-    __slots__ = ("image", "geo", "journal_pos", "next_txn", "alloc_inos", "alloc_blocks",
-                 "inodes", "view")
+    __slots__ = ("fs", "image", "view")
 
-    def __init__(self, fs: SoundFs, image: DiskImage, memo: MountMemo):
-        intern = memo.values.setdefault
-        self.image = image
-        self.geo = fs.geo
-        self.journal_pos = fs._journal_pos
-        self.next_txn = fs._next_txn
-        self.alloc_inos = intern(fs.alloc_inos, fs.alloc_inos)
-        self.alloc_blocks = intern(fs.alloc_blocks, fs.alloc_blocks)
-        inodes = tuple(
-            (n.ino, n.kind, n.nlink, n.size, n.target, tuple(n.xattrs.items()),
-             tuple(n.blocks), tuple(n.entries.items()))
-            for n in fs.inodes.values()
-        )
-        self.inodes = intern(inodes, inodes)
-        view = fs._build_view()
-        self.view = intern(tuple(view.entries.items()), view)
-
-    def thaw(self, fs: SoundFs, journal: dict[int, bytes]) -> None:
-        """Give ``fs`` this record's state, on this record's image with
-        ``journal``, one image's recovered journal blocks, grafted back."""
-        image = self.image.with_blocks(journal)
-        fs.device = Device(image.size_bytes, base=image, log_io=False)
-        fs.geo = self.geo
-        fs._journal_pos = self.journal_pos
-        fs._next_txn = self.next_txn
-        fs.alloc_inos = self.alloc_inos
-        fs.alloc_blocks = self.alloc_blocks
-        fs.inodes = {}
-        for ino, kind, nlink, size, target, xattrs, blocks, entries in self.inodes:
-            node = Inode(ino, kind)
-            node.nlink = nlink
-            node.size = size
-            node.target = target
-            node.xattrs = dict(xattrs)
-            node.blocks = list(blocks)
-            node.entries = dict(entries)
+    def __init__(self, fs: SoundFs, image: DiskImage):
+        self.view = fs._build_view()
+        for node in fs.inodes.values():
             node.content = None
-            fs.inodes[ino] = node
-        fs._reset_pending()
+        fs.device = None
+        self.fs = fs
+        self.image = image
 
 
 class _EffectiveState:

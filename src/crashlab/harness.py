@@ -395,7 +395,7 @@ def _write_checks(
         if parent == "/" or (parent_entry is not None and parent_entry.kind == "dir"):
             dirs.add(parent)
     probed = tuple(sorted(dirs))
-    key = None if memo is None or fs.memo_record is None else (fs.memo_record, probed)
+    key = None if memo is None else (fs.memo_record, probed)
     if key is not None and key in memo.probes:
         return memo.probes[key]
     diff = []

@@ -475,32 +475,53 @@ def crash_image(target=SoundFs):
     return fs.device.snapshot()
 
 
-def test_memo_mounts_of_one_image_are_independent():
-    image = crash_image()
+# Arms every variant's bookkeeping on a crash_image mount: a hard link (b1),
+# renames (b2, b5), a size-extending dwrite (b4), an unlink and recreate of
+# one name (b6), and buffered data.
+_ARMING = """
+link A/foo A/l
+rename A/l A/m
+dwrite (8-16K) A/foo
+unlink A/m
+creat A/m
+mwrite (0-4K) A/m
+"""
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_memo_mounts_of_one_image_are_independent(target):
+    """Memo mounts of one image share nothing an op changes, the variants'
+    bookkeeping included."""
+    image = crash_image(target)
     memo = MountMemo()
-    first = SoundFs.mount(image, memo)
-    second = SoundFs.mount(image, memo)
+    first = target.mount(image, memo)
+    second = target.mount(image, memo)
     assert len(memo.states) == 1
     before = second.state_view().entries
     assert first.state_view().entries == before
 
     first.apply(op("creat", path="A/probe_chk"), 9)
     first.apply(FsOp(FsOpKind.XATTR, path="bar", attr="user.k", variant="removexattr"), 9)
+    for i, step in enumerate(ace.parse(_ARMING).steps):
+        first.apply(step, 10 + i)
     assert "A/probe_chk" in first.state_view().entries
     assert second.state_view().entries == before
-    second.apply(op("write", path="A/other", start=0, end=4096), 10)  # rebuilds its view
+    second.apply(op("write", path="A/other", start=0, end=4096), 20)  # rebuilds its view
     assert "A/probe_chk" not in second.state_view().entries
     assert second.state_view().entries["bar"] == before["bar"]
     assert "A/other" not in first.state_view().entries
-    first.persist(PersistKind.FSYNC, "A/probe_chk")
-    assert "A/probe_chk" in SoundFs.mount(first.device.snapshot()).state_view().entries
 
-    third = SoundFs.mount(image, memo)
+    # a third mount, while the others hold uncommitted changes
+    third = target.mount(image, memo)
     assert third.state_view().entries == before
     # a memo mount has no device until its first apply, which gives it its own
     assert "device" not in vars(third)
-    third.apply(op("creat", path="C"), 11)
-    assert "A/probe_chk" not in SoundFs.mount(third.unmount_clean()).state_view().entries
+    assert_like_a_plain_mount(third, image)
+    first.persist(PersistKind.SYNC)
+    assert "A/probe_chk" in target.mount(first.device.snapshot()).state_view().entries
+    assert "A/probe_chk" not in target.mount(third.unmount_clean()).state_view().entries
+    # and a fourth, after the others committed
+    assert_like_a_plain_mount(target.mount(image, memo), image)
 
 
 def test_memo_keys_hold_the_interned_blocks():
@@ -559,6 +580,26 @@ def test_memo_hit_equals_a_plain_mount(target):
     hit = target.mount(image, memo)
     assert type(hit) is target
     assert_like_a_plain_mount(hit, image)
+
+
+class _ReplayEndFs(SoundFs):
+    """SoundFS that keeps, from recovery, the journal slot its replay
+    stopped at."""
+
+    def _recover(self):
+        self.replay_end, next_txn = super()._recover()
+        return self.replay_end, next_txn
+
+
+def test_a_memo_mount_keeps_what_recovery_sets():
+    """State a target sets while it recovers is on a memo mount too, as it
+    is on a plain mount, once the first ``apply`` has built it."""
+    image = crash_image(_ReplayEndFs)
+    memo = MountMemo()
+    _ReplayEndFs.mount(image, memo)
+    hit = _ReplayEndFs.mount(image, memo)
+    assert_like_a_plain_mount(hit, image)
+    assert hit.replay_end == _ReplayEndFs.mount(image).replay_end > geometry(image).journal_start
 
 
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
