@@ -707,8 +707,12 @@ def parse(text: str) -> Workload:
 
 
 def parse_file(path) -> Workload:
+    """Parse a DSL file; a parse error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            return parse(fh.read())
+        except ParseError as e:
+            raise GenerationError(f"{path}: {e}") from None
 
 
 def corpus_annotations(text: str) -> dict[str, str]:

@@ -44,9 +44,12 @@ def default_corpus_dir() -> Path:
 
 
 def _check_corpus_dir(path) -> None:
-    # a mistyped path would otherwise run no workloads and exit 0
+    # a mistyped path, or a directory with no entry, would otherwise run no
+    # workloads and exit 0
     if not Path(path).is_dir():
         raise ValueError(f"corpus directory {path} does not exist")
+    if not any(Path(path).glob("*.wl")):
+        raise ValueError(f"corpus directory {path} holds no *.wl file")
 
 
 @dataclass

@@ -7,7 +7,8 @@ reproducibly from a seed. The prefix image is built once per target epoch
 (``prefix_state``), and each state is that image with its kept units applied
 through ``DiskImage.with_writes``, so this module never sees the image
 format. Checkpoint states are plain log replays and need nothing from
-this module beyond ``CrashState``.
+this module beyond ``CrashState`` and the descriptor format, which
+``CrashState.descriptor`` writes and ``parse_descriptor`` reads.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .blockdev import SECTOR_SIZE, DiskImage, Epoch
 EXHAUSTIVE_UNITS = 10
 SAMPLE_COUNT = 64
 GRANULARITIES = ("op", "sector")
+_CHECKPOINT = "checkpoint="  # a checkpoint state's descriptor, before its number
 
 
 class CrashGenError(Exception):
@@ -54,6 +56,14 @@ class SubsetDescriptor:
             raise CrashGenError("expected prefix=P;kept=I,J,...;gran=op|sector") from None
 
 
+def parse_descriptor(text: str) -> "int | SubsetDescriptor":
+    """Read a crash descriptor, as ``CrashState.descriptor`` writes it: the
+    checkpoint number of ``checkpoint=K``, else a ``SubsetDescriptor``."""
+    if text.startswith(_CHECKPOINT):
+        return int(text[len(_CHECKPOINT):])
+    return SubsetDescriptor.parse(text)
+
+
 @dataclass
 class CrashState:
     """A disk image representing storage contents at a simulated power loss."""
@@ -66,7 +76,7 @@ class CrashState:
 
     def descriptor(self) -> str:
         if self.subset is None:
-            return f"checkpoint={self.checkpoint_id}"
+            return f"{_CHECKPOINT}{self.checkpoint_id}"
         return SubsetDescriptor(*self.subset).serialize()
 
 

@@ -242,6 +242,9 @@ class SoundFs:
     # them (delayed allocation); dwrite always bypasses the delay.
     DELAYED_DATA = False
 
+    # A memo mount's record (``mount``); a live file system has none.
+    memo_record = None
+
     # -- formatting ----------------------------------------------------------
 
     @classmethod
@@ -278,57 +281,40 @@ class SoundFs:
         recovery runs once per distinct image, and the load, validation and
         view once per distinct recovered state: the blocks outside the
         journal, the journal position and the next transaction id. Every
-        memo mount returns a file system that holds only the frozen record
-        and the image's own recovered journal blocks. It answers
-        ``state_view`` from the stored view until its first ``apply``,
-        which makes it a fork of the record's file system on its own image
-        (``_thaw``), what a plain mount gives; only after that may any
-        other method be called. A state that is only viewed never builds
-        one, and its other attributes do not exist until then."""
+        mount of one image through the memo returns one object, which is
+        never changed: the ``Unmountable``, or a memo mount that holds only
+        its ``memo_record`` and the image's recovered journal blocks. It
+        answers only ``state_view``; ``thaw`` gives a live file system."""
         if memo is None:
             return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
-        entry = memo.states.get((cls, image.content_key()))
-        if entry is None:
+        mounted = memo.states.get((cls, image.content_key()))
+        if mounted is None:
             if len(memo.states) >= MountMemo.LIMIT:
                 memo.clear()
             # recover and key the interned copy, so the entry holds no block
             # twice: the lookup key holds the image's own block objects, equal
             # to the interned ones but not the same
             image = image.interned(memo.values)
-            entry = cls._memo_entry(image, memo)
-            memo.states[(cls, image.content_key())] = entry
-        record = entry[0]
-        if isinstance(record, Unmountable):
-            return record
-        fs = cls.__new__(cls)
-        fs.memo_record = record
-        fs._frozen = entry  # the record and this image's recovered journal blocks
-        return fs
+            mounted = memo.states[(cls, image.content_key())] = cls._memo_entry(image, memo)
+        return mounted
 
-    def _thaw(self) -> None:
-        """Build a memo mount's live state, unless it has been built: a fork
-        of the record's file system, on the record's image with this
-        image's journal blocks grafted back.
-
-        Only ``apply`` calls this: a memo mount answers ``state_view`` until
-        its first ``apply``, and the checker calls nothing else on it (the
-        write probes). A ``__getattr__`` hook would catch any read, but
-        CPython then stops specializing attribute reads on every instance
-        of the class, which slows the profile's ops and commits: they read
-        attributes in their inner loops."""
-        frozen = self.__dict__.get("_frozen")
-        if frozen is not None:
-            record, journal = frozen
-            image = record.image.with_blocks(journal)
-            self.__dict__ = vars(record.fs.fork(Device(image.size_bytes, base=image, log_io=False)))
+    def thaw(self) -> "SoundFs":
+        """A new live file system equal to a plain mount of this memo mount's
+        image: a fork of the record's file system onto the record's image
+        with this image's journal blocks grafted back. It is an explicit
+        call, not a ``__getattr__`` hook, which would stop CPython from
+        specializing attribute reads on every instance of the class."""
+        record = self.memo_record
+        image = record.image.with_blocks(self._journal)
+        return record.fs.fork(Device(image.size_bytes, base=image, log_io=False))
 
     @classmethod
-    def _memo_entry(cls, image: DiskImage, memo: "MountMemo") -> tuple:
-        """Recover a new image; its record (loaded now if no earlier image
-        recovered to the same state) and its recovered journal blocks."""
+    def _memo_entry(cls, image: DiskImage, memo: "MountMemo") -> "SoundFs | Unmountable":
+        """Recover a new image and return its memo mount, on a record that
+        is loaded now if no earlier image recovered to the same state."""
         fs = cls._recovered(Device(image.size_bytes, base=image, log_io=False))
         if isinstance(fs, Unmountable):
-            return fs, None
+            return fs
         rest, journal = fs.device.snapshot().split(fs.geo.journal_start, fs.geo.data_start)
         rest = rest.interned(memo.values)
         key = (cls, rest.content_key(), fs._journal_pos, fs._next_txn)
@@ -337,7 +323,11 @@ class SoundFs:
             fs = fs._loaded()
             record = fs if isinstance(fs, Unmountable) else _MountedState(fs, rest)
             memo.records[key] = record
-        return record, journal
+        if isinstance(record, Unmountable):
+            return record
+        mounted = cls.__new__(cls)
+        mounted.memo_record, mounted._journal = record, journal
+        return mounted
 
     @classmethod
     def mount_device(cls, device: Device) -> "SoundFs | Unmountable":
@@ -370,10 +360,6 @@ class SoundFs:
         problem = self._validate()
         if problem is not None:
             return Unmountable(problem)
-        # the memo's frozen record this file system still equals: set by a
-        # memo mount, dropped at the first apply or commit. Its view is the
-        # state view, and it keys the memo's probe outcomes.
-        self.memo_record = None
         self._reset_pending()
         return self
 
@@ -693,8 +679,6 @@ class SoundFs:
     # -- operations ----------------------------------------------------------
 
     def apply(self, op: FsOp, op_index: int = 0) -> None:
-        self._thaw()
-        self.memo_record = None
         kind = op.kind
         if kind is FsOpKind.CREAT:
             self._op_creat(op.path)
@@ -982,8 +966,8 @@ class SoundFs:
         """An independent copy of this file system on ``device``, which holds
         its image. Inodes and the pending-data sets are copied; every other
         list, set or dict attribute is copied one level deep, as the
-        variants' bookkeeping holds only immutable items. The geometry, the
-        memo record and the ints are shared."""
+        variants' bookkeeping holds only immutable items. The geometry and
+        the ints are shared."""
         fs = type(self).__new__(type(self))
         fs.__dict__ = {
             name: value.copy() if isinstance(value, (list, set, dict)) else value
@@ -1036,7 +1020,6 @@ class SoundFs:
     # -- the commit pipeline ---------------------------------------------------
 
     def _commit(self, trigger: str, target_ino: int | None) -> None:
-        self.memo_record = None
         skip = self._skip_data_flush_inos(trigger)
         deferred: dict[int, set[int]] = {}
         for ino, blocks in sorted(self._pending_data.items()):
@@ -1172,17 +1155,14 @@ class SoundFs:
 class MountMemo:
     """What mounting crash images gave, for one campaign partition, in two
     tables. ``states`` maps target class and exact image content to the
-    image's record and its recovered journal blocks (None when recovery
-    failed). ``records`` maps target class, recovered content outside the
-    journal, journal position and next transaction id to a
+    image's memo mount (``SoundFs.mount``), or the ``Unmountable`` when
+    recovery failed. ``records`` maps target class, recovered content
+    outside the journal, journal position and next transaction id to a
     ``_MountedState`` or the ``Unmountable``; images that differ only in
     journal blocks recovery ignores share one. ``values`` interns block
     contents, so the memo holds each once (distinct images share most of
-    their blocks). ``probes`` holds the harness's write-probe outcomes,
-    keyed by record and probed directories, so a repeat is compared on the
-    stored view and builds a file system of its own only when a probe must
-    write (``SoundFs.mount``). It empties itself when ``states`` reaches
-    ``LIMIT`` entries."""
+    their blocks). It empties itself when ``states`` reaches ``LIMIT``
+    entries."""
 
     # A benchmark campaign, run as one partition, holds at most 288 images
     # (seq1-subset) and 88 records (bughunt), for seeds 0-10; at this bound
@@ -1191,27 +1171,27 @@ class MountMemo:
     LIMIT = 1024
 
     def __init__(self):
-        self.states: dict[tuple, tuple] = {}
+        self.states: dict[tuple, "SoundFs | Unmountable"] = {}
         self.records: dict[tuple, "_MountedState | Unmountable"] = {}
         self.values: dict = {}
-        self.probes: dict[tuple, tuple] = {}
 
     def clear(self) -> None:
         self.states.clear()
         self.records.clear()
         self.values.clear()
-        self.probes.clear()
 
 
 class _MountedState:
     """A frozen mounted file system: the loaded file system, the recovered
     image without its journal blocks (recovery copies the journal's blocks
-    home, so it shares their interned bytes) and the view, which a memo
-    mount answers ``state_view`` from. Nothing changes the file system
-    after this: a thaw forks it onto a device of its own and reads file
-    data from there, so it keeps no device and no file content."""
+    home, so it shares their interned bytes), the view, which a memo mount
+    answers ``state_view`` from, and ``probes``, the harness's write-probe
+    outcomes on it, keyed by the probed directories. Nothing changes the
+    file system after this: a thaw forks it onto a device of its own and
+    reads file data from there, so it keeps no device and no file
+    content."""
 
-    __slots__ = ("fs", "image", "view")
+    __slots__ = ("fs", "image", "view", "probes")
 
     def __init__(self, fs: SoundFs, image: DiskImage):
         self.view = fs._build_view()
@@ -1220,6 +1200,7 @@ class _MountedState:
         fs.device = None
         self.fs = fs
         self.image = image
+        self.probes: dict[tuple[str, ...], tuple] = {}
 
 
 class _EffectiveState:

@@ -10,14 +10,14 @@ checkpoint by replay, mid-epoch by the crash generator's subsets.
 state so recovery runs and compares it against the oracle of the last
 checkpoint the state contains, but only for entities the persistence calls
 made durable (``_update_persisted``). Campaigns, replay (``state_for``
-rebuilds the state a report names) and the corpus all go through it.
-Within a campaign's worker partition, a profile resumes from a fork of the
-previous workload's run, taken after the steps the two share
-(``PrefixFork``). Each distinct crash image is recovered once, each
-distinct recovered file system loaded and viewed once, and each distinct
-set of directories probed once on it (the memo in ``SoundFs.mount``). A
-repeat is compared on the stored view; a file system of its own is built
-only when a probe must write.
+rebuilds the state a report names) and the corpus all go through it, and
+it mounts every state through a ``MountMemo``: each distinct crash image
+is recovered once, each distinct recovered file system loaded and viewed
+once, and each distinct set of directories probed once on it. A repeat is
+compared on the stored view; a live file system is thawed from the memo
+mount only when a probe must write. Within a campaign's worker partition,
+the memo is shared, and a profile resumes from a fork of the previous
+workload's run, taken after the steps the two share (``PrefixFork``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .crashgen import (
     SubsetDescriptor,
     build_subset_state,
     enumerate_target_subsets,
+    parse_descriptor,
     prefix_state,
 )
 from .fsops import FsOp, FsOpKind, PersistKind, PersistOp, parent_dir
@@ -93,7 +94,11 @@ def _update_persisted(
     data and size-related metadata; fsync of a file persists its data,
     metadata, all of its hard links and its parent's entry for it; fsync of
     a directory persists it and its children's entries. ``view`` is the
-    oracle view at this checkpoint; only its paths and kinds are read."""
+    oracle view at this checkpoint; only its paths and kinds are read.
+
+    A subset state (``check``) does not enforce all of these yet: it
+    compares no file data, so an fsync'd file's data goes unchecked there,
+    and it runs no scan for spurious entries (ROADMAP item 4)."""
 
     def bump(path: str, level: int) -> None:
         if persisted.get(path, 0) < level:
@@ -317,11 +322,11 @@ def check(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Ve
     persistence calls made durable by then. Only a bug verdict names its
     state (``crash_descriptor``): nothing reads a passing one's.
 
-    With a campaign partition's ``memo``, each distinct crash image is
+    The state mounts through ``memo``, a campaign partition's, or a fresh
+    ``MountMemo`` when none is given: each distinct crash image is
     recovered once, each distinct recovered file system loaded and viewed
     once (``SoundFs.mount``) and each distinct set of directories probed
-    once on it. A repeat is compared on the stored view, and a file system
-    of its own is built only when a probe must write.
+    once on it (``_write_checks``).
 
     A subset state's crash lands mid-epoch, so an entity may legitimately
     show any committed state at or after its persistence point: it must
@@ -333,7 +338,7 @@ def check(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Ve
     oracle_view = prof.oracle_views.get(cp, prof.base_view)
     persisted_set = prof.persisted.get(cp, {})
     target = get_target(prof.fs_name)
-    fs = target.mount(state.image, memo)
+    fs = target.mount(state.image, memo or MountMemo())
     if isinstance(fs, Unmountable):
         diff = [DiffEntry("unmountable", expected="mountable file system", actual=fs.reason)]
         return Verdict("bug", state.descriptor(), "unmountable", diff, fsck=target.fsck(fs))
@@ -366,23 +371,21 @@ def check(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Ve
                               actual=crash_view.entries[path].kind)
                 )
 
-    diff.extend(_write_checks(fs, crash_view, persisted_set, memo))
+    diff.extend(_write_checks(fs, crash_view, persisted_set))
 
     if diff:
         return Verdict("bug", state.descriptor(), classify(diff), diff)
     return Verdict("pass")
 
 
-def _write_checks(
-    fs, crash_view: FsStateView, persisted_set: dict[str, int], memo: MountMemo | None = None
-):
+def _write_checks(fs, crash_view: FsStateView, persisted_set: dict[str, int]):
     """Recovered directories near persisted entities must still be modifiable.
 
-    The outcome depends only on the mounted image and the probed
-    directories, so a memo mount's outcomes are kept in ``memo.probes``
-    under its record. A stored outcome is returned without touching the
-    file system; otherwise the first ``apply`` builds the memo mount's
-    live state, once."""
+    The outcome depends only on the recovered file system and the probed
+    directories, so it is kept on the memo mount's record, keyed by the
+    probed directories. A stored outcome is returned without touching a
+    file system; otherwise the probes run on a live file system thawed
+    from the memo mount, which stays as it was."""
     dirs: set[str] = set()
     for path in persisted_set:
         entry = crash_view.get(path)
@@ -395,20 +398,19 @@ def _write_checks(
         if parent == "/" or (parent_entry is not None and parent_entry.kind == "dir"):
             dirs.add(parent)
     probed = tuple(sorted(dirs))
-    key = None if memo is None else (fs.memo_record, probed)
-    if key is not None and key in memo.probes:
-        return memo.probes[key]
+    probes = fs.memo_record.probes
+    if probed in probes:
+        return probes[probed]
+    live = fs.thaw() if probed else None
     diff = []
     for d in probed:
         probe = "probe_chk" if d == "/" else f"{d}/probe_chk"
         if crash_view.get(probe) is not None:
             continue
         try:
-            fs.apply(FsOp(FsOpKind.CREAT, path=probe), _PROBE_INDEX)
-            fs.apply(
-                FsOp(FsOpKind.WRITE, path=probe, start=0, end=4096), _PROBE_INDEX
-            )
-            fs.apply(FsOp(FsOpKind.UNLINK, path=probe), _PROBE_INDEX)
+            live.apply(FsOp(FsOpKind.CREAT, path=probe), _PROBE_INDEX)
+            live.apply(FsOp(FsOpKind.WRITE, path=probe, start=0, end=4096), _PROBE_INDEX)
+            live.apply(FsOp(FsOpKind.UNLINK, path=probe), _PROBE_INDEX)
         except FsError as e:
             diff.append(
                 DiffEntry(
@@ -422,8 +424,8 @@ def _write_checks(
         entry = crash_view.get(d)
         if d != "/" and entry is not None and entry.size == 0:
             try:
-                fs.apply(FsOp(FsOpKind.RMDIR, path=d), _PROBE_INDEX)
-                fs.apply(FsOp(FsOpKind.MKDIR, path=d), _PROBE_INDEX)
+                live.apply(FsOp(FsOpKind.RMDIR, path=d), _PROBE_INDEX)
+                live.apply(FsOp(FsOpKind.MKDIR, path=d), _PROBE_INDEX)
             except FsError as e:
                 diff.append(
                     DiffEntry(
@@ -433,9 +435,8 @@ def _write_checks(
                         actual=str(e),
                     )
                 )
-    if key is not None:
-        memo.probes[key] = tuple(diff)
-    return diff
+    probes[probed] = tuple(diff)
+    return probes[probed]
 
 
 @dataclass
@@ -496,15 +497,13 @@ def state_for(prof: Profile, descriptor: str) -> CrashState:
     """Rebuild the crash state a report's descriptor names. Raises ValueError
     when the descriptor does not fit the profiled workload."""
     try:
-        if descriptor.startswith("checkpoint="):
-            k = int(descriptor[len("checkpoint="):])
-            if not 1 <= k <= prof.checkpoint_count:
-                raise ValueError(f"the workload has {prof.checkpoint_count} checkpoints")
-            return _checkpoint_state(prof, k)
-        sub = SubsetDescriptor.parse(descriptor)
-        prefix = prefix_state(
-            prof.base_image, split_epochs(prof.io_log), sub.prefix_epoch_count, sub.granularity
-        )
-        return build_subset_state(prefix, sub.kept_indices)
+        crash = parse_descriptor(descriptor)
+        if isinstance(crash, SubsetDescriptor):
+            epochs, gran = split_epochs(prof.io_log), crash.granularity
+            prefix = prefix_state(prof.base_image, epochs, crash.prefix_epoch_count, gran)
+            return build_subset_state(prefix, crash.kept_indices)
+        if not 1 <= crash <= prof.checkpoint_count:
+            raise ValueError(f"the workload has {prof.checkpoint_count} checkpoints")
+        return _checkpoint_state(prof, crash)
     except (ValueError, CrashGenError) as e:
         raise ValueError(f"crash descriptor {descriptor!r}: {e}") from None

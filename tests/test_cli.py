@@ -351,6 +351,12 @@ _REPORT_LINE = json.dumps(
         (None, ["corpus", "--fs", "nosuchfs"], "unknown file system target 'nosuchfs'"),
         (None, ["corpus", "--dir", "{f}"], "corpus directory {f} does not exist"),
         (None, ["campaign", "--corpus", "{f}"], "corpus directory {f} does not exist"),
+        (None, ["corpus", "--dir", "{d}/x.wl"], "corpus directory {d}/x.wl holds no *.wl file"),
+        (
+            None,
+            ["campaign", "--corpus", "{d}/x.wl"],
+            "corpus directory {d}/x.wl holds no *.wl file",
+        ),
         (
             '{"all-checkpoints": true}',
             ["campaign", "--config", "{f}"],
@@ -388,6 +394,8 @@ _REPORT_LINE = json.dumps(
         "corpus-unknown-fs",
         "corpus-missing-dir",
         "campaign-missing-corpus",
+        "corpus-empty-dir",
+        "campaign-empty-corpus",
         "config-unknown-key",
         "config-switch-string",
         "range-reversed",
@@ -406,7 +414,7 @@ _REPORT_LINE = json.dumps(
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, text, args, message):
     """Exit 1 means new bug groups, so bad input must not end in a traceback.
     ``{d}`` is a directory holding ``input.json`` (``{f}``, when ``text`` is
-    given) and a directory named ``x.wl``."""
+    given) and an empty directory named ``x.wl``."""
     f = tmp_path / "input.json"
     if text is not None:
         f.write_text(text)
@@ -414,6 +422,14 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, text, args, m
     assert main([a.format(f=f, d=tmp_path) for a in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(f=f, d=tmp_path) in err
+
+
+def test_a_corpus_campaign_names_the_file_that_does_not_parse(tmp_path, capsys):
+    (tmp_path / "a.wl").write_text("creat foo\nfsync foo\n")
+    (tmp_path / "b.wl").write_text("creat foo\nfrobnicate foo\n")
+    assert main(["campaign", "--corpus", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'b.wl'}: line 2: unknown operation 'frobnicate'\n"
 
 
 def test_bounds_that_give_no_workload_are_a_config_error(capsys):

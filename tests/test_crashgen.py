@@ -14,9 +14,11 @@ from crashlab.blockdev import (
 from crashlab.crashgen import (
     SAMPLE_COUNT,
     CrashGenError,
+    CrashState,
     SubsetDescriptor,
     build_subset_state,
     enumerate_target_subsets,
+    parse_descriptor,
     prefix_state,
 )
 from image_helper import image_bytes
@@ -262,6 +264,11 @@ def test_descriptor_roundtrip():
     assert SubsetDescriptor.parse(d.serialize()) == d
     empty = SubsetDescriptor(0, ())
     assert SubsetDescriptor.parse(empty.serialize()) == empty
+    # parse_descriptor reads both kinds a crash state writes
+    image = DiskImage.zeroed(SIZE)
+    assert parse_descriptor(CrashState(image, checkpoint_id=3).descriptor()) == 3
+    subset = CrashState(image, checkpoint_id=1, subset=(2, (0, 3, 5), "sector"))
+    assert parse_descriptor(subset.descriptor()) == d
 
 
 def test_descriptor_rejects_unordered():

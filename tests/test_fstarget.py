@@ -490,12 +490,12 @@ mwrite (0-4K) A/m
 
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
 def test_memo_mounts_of_one_image_are_independent(target):
-    """Memo mounts of one image share nothing an op changes, the variants'
-    bookkeeping included."""
+    """File systems thawed from one image's memo mount share nothing an op
+    changes, the variants' bookkeeping included."""
     image = crash_image(target)
     memo = MountMemo()
-    first = target.mount(image, memo)
-    second = target.mount(image, memo)
+    mounted = target.mount(image, memo)
+    first, second = mounted.thaw(), target.mount(image, memo).thaw()
     assert len(memo.states) == 1
     before = second.state_view().entries
     assert first.state_view().entries == before
@@ -511,12 +511,11 @@ def test_memo_mounts_of_one_image_are_independent(target):
     assert second.state_view().entries["bar"] == before["bar"]
     assert "A/other" not in first.state_view().entries
 
-    # a third mount, while the others hold uncommitted changes
-    third = target.mount(image, memo)
-    assert third.state_view().entries == before
-    # a memo mount has no device until its first apply, which gives it its own
-    assert "device" not in vars(third)
-    assert_like_a_plain_mount(third, image)
+    # a third thaw, while the others hold uncommitted changes
+    assert mounted.state_view().entries == before
+    # the memo mount holds no device; each thaw gets its own
+    assert "device" not in vars(mounted)
+    third = assert_like_a_plain_mount(mounted, image)
     first.persist(PersistKind.SYNC)
     assert "A/probe_chk" in target.mount(first.device.snapshot()).state_view().entries
     assert "A/probe_chk" not in target.mount(third.unmount_clean()).state_view().entries
@@ -540,36 +539,37 @@ def test_memo_keys_hold_the_interned_blocks():
 
 
 def mount_state(fs) -> dict:
-    """What a mount gives, as plain values: every attribute but the memo
-    record, the inodes without the file contents read so far, and the
-    device as its bytes, log and checkpoint count."""
-    out = {}
-    for name, value in vars(fs).items():
-        if name == "inodes":
-            slots = [a for a in Inode.__slots__ if a != "content"]
-            value = {i: tuple(getattr(n, a) for a in slots) for i, n in value.items()}
-        elif name == "device":
-            value = (image_bytes(value.snapshot()), value.log, value.checkpoint_count)
-        elif name == "geo":
-            value = vars(value)
-        if name != "memo_record":
-            out[name] = value
+    """What a mount gives, as plain values: every attribute, with the inodes
+    without the file contents read so far, and the device as its bytes, log
+    and checkpoint count."""
+    out = dict(vars(fs))
+    slots = [a for a in Inode.__slots__ if a != "content"]
+    out["inodes"] = {i: tuple(getattr(n, a) for a in slots) for i, n in fs.inodes.items()}
+    out["device"] = (image_bytes(fs.device.snapshot()), fs.device.log, fs.device.checkpoint_count)
+    out["geo"] = vars(fs.geo)
     return out
 
 
-def assert_like_a_plain_mount(fs, image):
-    """``fs``, mounted from ``image`` through a memo, is what a plain mount
-    of ``image`` is: in its view, in its attributes and device bytes once
-    the same write has built its live state, and after a commit."""
-    plain = type(fs).mount(image)
+def assert_like_a_plain_mount(mounted, image):
+    """``mounted``, the memo mount of ``image``, shows a plain mount's view,
+    and a file system thawed from it is what a plain mount of ``image`` is:
+    in its view, and in its attributes and device bytes after the same
+    write and after a commit. The memo mount stays as it was; the thawed
+    file system is returned."""
+    plain = type(mounted).mount(image)
+    assert mounted.state_view() == plain.state_view()
+    fs = mounted.thaw()
     assert fs.state_view() == plain.state_view()
-    for mounted in (fs, plain):
-        mounted.apply(op("write", path="bar", start=8192, end=12288), 10)
+    for live in (fs, plain):
+        live.apply(op("write", path="bar", start=8192, end=12288), 10)
     assert mount_state(fs) == mount_state(plain)
-    for mounted in (fs, plain):
-        mounted.persist(PersistKind.FSYNC, "bar")
+    for live in (fs, plain):
+        live.persist(PersistKind.FSYNC, "bar")
     assert mount_state(fs) == mount_state(plain)
     assert fs.state_view() == plain.state_view()
+    assert set(vars(mounted)) == {"memo_record", "_journal"}
+    assert mounted.state_view() == type(mounted).mount(image).state_view()
+    return fs
 
 
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
@@ -592,14 +592,15 @@ class _ReplayEndFs(SoundFs):
 
 
 def test_a_memo_mount_keeps_what_recovery_sets():
-    """State a target sets while it recovers is on a memo mount too, as it
-    is on a plain mount, once the first ``apply`` has built it."""
+    """State a target sets while it recovers is on a file system thawed
+    from a memo mount too, as it is on a plain mount."""
     image = crash_image(_ReplayEndFs)
     memo = MountMemo()
     _ReplayEndFs.mount(image, memo)
     hit = _ReplayEndFs.mount(image, memo)
     assert_like_a_plain_mount(hit, image)
-    assert hit.replay_end == _ReplayEndFs.mount(image).replay_end > geometry(image).journal_start
+    assert hit.thaw().replay_end == _ReplayEndFs.mount(image).replay_end
+    assert hit.thaw().replay_end > geometry(image).journal_start
 
 
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
@@ -616,7 +617,7 @@ def test_a_viewed_memo_mount_builds_no_file_system(monkeypatch, target):
     state = harness._checkpoint_state(prof, prof.checkpoint_count)
     memo = MountMemo()
     first = harness.check(prof, state, memo)
-    assert len(memo.probes) == 1
+    assert len(target.mount(state.image, memo).memo_record.probes) == 1
     made = []
     for module, name in ((soundfs, "Inode"), (soundfs, "Device")):
         cls = getattr(module, name)
@@ -626,10 +627,38 @@ def test_a_viewed_memo_mount_builds_no_file_system(monkeypatch, target):
     hit = target.mount(state.image, memo)
     view = hit.state_view()
     again = harness.check(prof, state, memo)
-    assert made == [] and "_frozen" in vars(hit)
+    assert made == [] and set(vars(hit)) == {"memo_record", "_journal"}
     monkeypatch.undo()
     assert again == first == harness.check(prof, state)
     assert view == target.mount(state.image).state_view()
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_a_memo_mount_is_one_read_only_object(target):
+    """Every mount of one image through a memo returns one object, which a
+    check that probes leaves as it was; each thaw of it is a file system of
+    its own."""
+    from crashlab import harness
+
+    prof = harness.profile(
+        ace.parse("mkdir A\ncreat A/foo\nwrite (0-8K) A/foo\nfsync A/foo\n"), target.NAME
+    )
+    state = harness._checkpoint_state(prof, prof.checkpoint_count)
+    memo = MountMemo()
+    mounted = target.mount(state.image, memo)
+    assert target.mount(state.image, memo) is mounted
+    assert set(vars(mounted)) == {"memo_record", "_journal"}
+    harness.check(prof, state, memo)
+    assert list(mounted.memo_record.probes) == [("/", "A")]
+    assert set(vars(mounted)) == {"memo_record", "_journal"}
+    assert target.mount(state.image, memo) is mounted
+
+    first, second = mounted.thaw(), mounted.thaw()
+    before = mount_state(second)
+    first.apply(op("creat", path="A/x"), 9)
+    first.persist(PersistKind.SYNC)
+    assert "A/x" in first.state_view().entries
+    assert mount_state(second) == before == mount_state(mounted.thaw())
 
 
 # each reads a file system's live state through the method it names
@@ -648,18 +677,21 @@ _LIVE_CALLS = {
 @pytest.mark.parametrize("call", _LIVE_CALLS.values(), ids=_LIVE_CALLS.keys())
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
 def test_a_memo_mount_thaws_at_the_first_call_that_reads_its_state(target, call):
-    """A memo mount that has built nothing yet answers only ``state_view``
-    until its first ``apply``, which builds its live state. After that
-    each call gives what the same call on a plain mount gives."""
+    """A memo mount holds only its record and journal blocks, and answers
+    only ``state_view``. A file system thawed from it gives, after the same
+    ``apply``, what each call on a plain mount gives, and the memo mount
+    stays as it was."""
     image = crash_image(target)
     memo = MountMemo()
     target.mount(image, memo)
     hit, plain = target.mount(image, memo), target.mount(image)
-    assert "_frozen" in vars(hit) and "inodes" not in vars(hit)
-    for fs in (hit, plain):
+    assert set(vars(hit)) == {"memo_record", "_journal"}
+    live = hit.thaw()
+    for fs in (live, plain):
         fs.apply(op("creat", path="A/new"), 9)
-    assert "_frozen" not in vars(hit)
-    assert call(hit, image) == call(plain, image)
+    assert call(live, image) == call(plain, image)
+    assert set(vars(hit)) == {"memo_record", "_journal"}
+    assert hit.state_view() == target.mount(image).state_view()
 
 
 def geometry(image) -> Geometry:
@@ -804,8 +836,7 @@ def test_memo_keys_each_target_apart():
 
 def test_memo_never_holds_more_than_its_bound():
     memo = MountMemo()
-    memo.probes["stale"] = ()  # probe outcomes and records are dropped with the images
-    memo.records["stale"] = Unmountable("stale")
+    memo.records["stale"] = Unmountable("stale")  # records are dropped with the images
     zeroed = DiskImage.zeroed(DEV)
     for i in range(MountMemo.LIMIT + 50):
         # a distinct superblock on each image: every mount is a new entry
@@ -814,7 +845,7 @@ def test_memo_never_holds_more_than_its_bound():
         assert len(memo.states) <= MountMemo.LIMIT
     # emptied at the bound, so only the images mounted since are held
     assert len(memo.states) == len(memo.values) == 50
-    assert memo.probes == {} and memo.records == {}
+    assert memo.records == {}
 
 
 # -- allocation ----------------------------------------------------------------------
@@ -917,7 +948,6 @@ def test_mounted_soundfs_holds_only_file_system_state():
         "_dirty_inodes",
         "_bitmap_dirty",
         "_pending_data",
-        "memo_record",
     }
 
 

@@ -420,7 +420,7 @@ def test_probe_outcomes_are_kept_per_image_and_directories():
     verdicts = [check(prof, state, memo) for state in [*states, *states]]
     assert verdicts == [check(prof, state) for state in [*states, *states]]
     assert [v.consequence for v in verdicts] == ["unwritable_dir", "", "unwritable_dir", ""]
-    assert len(memo.probes) == 2
+    assert [len(record.probes) for record in memo.records.values()] == [1, 1]
 
 
 def test_mutating_non_persisted_file_never_flips_pass_to_bug():
