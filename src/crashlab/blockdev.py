@@ -12,12 +12,13 @@ but the log stays sector-addressed: a write that does not cover whole blocks
 
 The device applies writes eagerly to its current image; durability
 distinctions (what survives a power cut) are reconstructed later from the
-log by the crash-state generator. Reads are never logged.
+log by the crash-state generator. Reads are never logged. The log holds
+only writes and FLUSHes: a checkpoint is a position in it and an epoch a
+range of positions (``split_epochs``), so every crash state is a cut of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 SECTOR_SIZE = 512
@@ -36,20 +37,15 @@ class OutOfBoundsError(BlockDevError):
     """IO request touches sectors beyond the end of the device."""
 
 
-class ReplayError(BlockDevError):
-    """Replay cut point does not exist in the log."""
-
-
 class IoRecord(NamedTuple):
     """One logged request: a write when ``data`` is non-empty (with ``fua``
-    for a FUA write), a FLUSH, or a checkpoint marker when ``checkpoint_id``
-    is set. A named tuple, as a commit logs about a dozen of them."""
+    for a FUA write), else a FLUSH. A named tuple, as a commit logs about a
+    dozen of them."""
 
     sector: int = 0
     data: bytes = b""
     flush: bool = False
     fua: bool = False
-    checkpoint_id: int | None = None
 
 
 def _write(base: bytes, overlay: dict[int, bytes], sector: int, data: bytes) -> None:
@@ -131,26 +127,10 @@ class DiskImage:
         return DiskImage(self.size_bytes, self._base, overlay)
 
 
-@dataclass
-class Epoch:
-    """A run of write records terminated by a FLUSH or FUA request.
-
-    ``checkpoints`` holds the ids of the checkpoints logged inside the epoch;
-    a checkpoint right after the terminator belongs to it and closes it.
-    """
-
-    records: list[IoRecord] = field(default_factory=list)
-    terminator: IoRecord | None = None
-    checkpoints: list[int] = field(default_factory=list)
-
-    def all_records(self) -> list[IoRecord]:
-        if self.terminator is None:
-            return list(self.records)
-        return self.records + [self.terminator]
-
-
 class Device:
-    """Recording block device confined to a single worker."""
+    """Recording block device confined to a single worker. ``log`` holds
+    the writes and FLUSHes it was sent; ``checkpoints[k - 1]`` is the log
+    position (the number of records before it) of checkpoint ``k``."""
 
     def __init__(self, size_bytes: int, base: DiskImage | None = None, *, log_io: bool = True):
         if size_bytes <= 0 or size_bytes % SECTOR_SIZE != 0:
@@ -164,7 +144,7 @@ class Device:
         self._overlay = dict(base._overlay)
         self._log_io = log_io
         self.log: list[IoRecord] = []
-        self.checkpoint_count = 0
+        self.checkpoints: list[int] = []
 
     # -- IO path --
 
@@ -185,9 +165,9 @@ class Device:
             self.log.append(IoRecord(flush=True))
 
     def insert_checkpoint(self) -> int:
-        self.checkpoint_count += 1
-        self.log.append(IoRecord(checkpoint_id=self.checkpoint_count))
-        return self.checkpoint_count
+        """Mark the log's end as the next checkpoint; return its number."""
+        self.checkpoints.append(len(self.log))
+        return len(self.checkpoints)
 
     # -- reads (never logged) --
 
@@ -200,47 +180,34 @@ class Device:
         return DiskImage(self.size_bytes, self._base, dict(self._overlay))
 
     def copy(self) -> "Device":
-        """An independent device with this one's image, log and checkpoint
-        count. A profile forked where two workloads part continues on one,
-        and a replica that oracle capture unmounts runs on one
+        """An independent device with this one's image, log and checkpoints.
+        A profile forked where two workloads part continues on one, and a
+        replica that oracle capture unmounts runs on one
         (``SoundFs.clean_view``)."""
         dev = Device.__new__(Device)
         dev.__dict__.update(vars(self))
         dev._overlay = dict(self._overlay)
         dev.log = list(self.log)
+        dev.checkpoints = list(self.checkpoints)
         return dev
 
 
-def split_epochs(log: list[IoRecord]) -> list[Epoch]:
-    """Partition the write/flush stream into flush-terminated epochs.
-
-    Checkpoint records are not epoch members; their ids annotate the epoch
-    they fall inside.
-    """
-    epochs: list[Epoch] = []
-    cur = Epoch()
-    for rec in log:
-        if rec.checkpoint_id is None and cur.terminator is not None:
-            epochs.append(cur)
-            cur = Epoch()
-        if rec.checkpoint_id is not None:
-            cur.checkpoints.append(rec.checkpoint_id)
-            if cur.terminator is not None:
-                epochs.append(cur)
-                cur = Epoch()
-        elif rec.flush or rec.fua:
-            cur.terminator = rec
-        else:
-            cur.records.append(rec)
-    if cur.records or cur.terminator is not None or cur.checkpoints:
-        epochs.append(cur)
+def split_epochs(log: list[IoRecord]) -> list[range]:
+    """Partition the log into epochs, as ranges of log positions: an epoch
+    ends after each FLUSH or FUA write, and the records after the last one
+    form a final, unterminated epoch."""
+    epochs: list[range] = []
+    start = 0
+    for i, rec in enumerate(log):
+        if rec.flush or rec.fua:
+            epochs.append(range(start, i + 1))
+            start = i + 1
+    if start < len(log):
+        epochs.append(range(start, len(log)))
     return epochs
 
 
-def replay(base: DiskImage, log: list[IoRecord], *, checkpoint: int) -> DiskImage:
-    """Apply every write record logged before checkpoint ``checkpoint`` to
+def replay(base: DiskImage, log: list[IoRecord], end: int) -> DiskImage:
+    """Apply the writes among the first ``end`` records of ``log`` to
     ``base``. Pure: the input image is never modified."""
-    cut = next((i for i, rec in enumerate(log) if rec.checkpoint_id == checkpoint), None)
-    if cut is None:
-        raise ReplayError(f"unknown checkpoint id {checkpoint}")
-    return base.with_writes((rec.sector, rec.data) for rec in log[:cut] if rec.data)
+    return base.with_writes((rec.sector, rec.data) for rec in log[:end] if rec.data)

@@ -390,24 +390,26 @@ class CorpusRow:
     match: bool
 
 
-def _corpus_row(path: Path, fs_name: str) -> CorpusRow:
-    """Run one DSL file in all-checkpoints mode; the expected consequence for
-    this target comes from a `# consequence[<fs>]:` header (default none)."""
+def _corpus_row(path: Path, fs_name: str, memo: MountMemo) -> CorpusRow:
+    """Run one DSL file in all-checkpoints mode, mounting its crash states
+    through ``memo``; the expected consequence for this target comes from a
+    `# consequence[<fs>]:` header (default none)."""
     text = path.read_text(encoding="utf-8")
     expected = ace.corpus_annotations(text).get(f"consequence[{fs_name}]", "none")
     try:
         workload = ace.parse(text)
     except ace.ParseError as e:
         return CorpusRow(path.name, expected, f"parse_error: {e}", False)
-    verdicts = run_workload(workload, fs_name, RunFlags(all_checkpoints=True))
+    verdicts = run_workload(workload, fs_name, RunFlags(all_checkpoints=True), memo)
     # the first failing verdict's consequence, or "harness_error"
     observed = next((v.consequence or v.outcome for v in verdicts if v.outcome != "pass"), "none")
     return CorpusRow(path.name, expected, observed, expected == observed)
 
 
 def run_corpus(corpus_dir, fs_name: str, *, quiet: bool = False) -> list[CorpusRow]:
-    """Run every DSL file of the corpus on ``fs_name``."""
-    rows = [_corpus_row(path, fs_name) for path in sorted(Path(corpus_dir).glob("*.wl"))]
+    """Run every DSL file of the corpus on ``fs_name``, through one mount memo."""
+    memo = MountMemo()
+    rows = [_corpus_row(path, fs_name, memo) for path in sorted(Path(corpus_dir).glob("*.wl"))]
     if not quiet:
         width = max((len(r.file) for r in rows), default=10)
         for r in rows:
@@ -428,9 +430,11 @@ def corpus_variant_map(corpus_dir) -> dict[str, tuple[str, str]]:
 
 
 def run_mapped_corpus(corpus_dir) -> list[tuple[str, CorpusRow]]:
-    """(variant, row) for each mapped entry, run once on its buggy variant."""
+    """(variant, row) for each mapped entry, run once on its buggy variant,
+    through one mount memo."""
+    memo = MountMemo()
     return [
-        (variant, _corpus_row(Path(corpus_dir) / fname, variant))
+        (variant, _corpus_row(Path(corpus_dir) / fname, variant, memo))
         for fname, (variant, _expected) in corpus_variant_map(corpus_dir).items()
     ]
 

@@ -1,22 +1,24 @@
-"""Crash-state construction from a base image and an IO log's epochs.
+"""Crash-state construction from a base image and the cuts of an IO log.
 
-A subset-mode state is every fully durable leading epoch plus an ordered
+A checkpoint state is the log replayed up to that checkpoint's position. A
+subset-mode state is every fully durable leading epoch plus an ordered
 subset of the target epoch's write units (whole records, or 512-byte
 sectors). Small epochs are enumerated exhaustively; larger ones are sampled
 reproducibly from a seed. The prefix image is built once per target epoch
 (``prefix_state``), and each state is that image with its kept units applied
 through ``DiskImage.with_writes``, so this module never sees the image
-format. Checkpoint states are plain log replays and need nothing from
-this module beyond ``CrashState`` and the descriptor format, which
+format. A state's coordinates (the checkpoint number, or the prefix epoch
+count, kept unit indices and granularity) are its descriptor, which
 ``CrashState.descriptor`` writes and ``parse_descriptor`` reads.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .blockdev import SECTOR_SIZE, DiskImage, Epoch
+from .blockdev import SECTOR_SIZE, DiskImage, IoRecord, replay
 
 # Target epochs with at most this many units are enumerated exhaustively;
 # larger ones yield SAMPLE_COUNT subsets drawn from the seed.
@@ -26,42 +28,24 @@ GRANULARITIES = ("op", "sector")
 _CHECKPOINT = "checkpoint="  # a checkpoint state's descriptor, before its number
 
 
-class CrashGenError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class SubsetDescriptor:
-    prefix_epoch_count: int
-    kept_indices: tuple[int, ...]
-    granularity: str = "op"  # "op" | "sector"
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.kept_indices, self.kept_indices[1:])):
-            raise CrashGenError("kept_indices must be strictly increasing")
-        if self.granularity not in GRANULARITIES:
-            raise CrashGenError(f"unknown granularity {self.granularity!r}")
-
-    def serialize(self) -> str:
-        kept = ",".join(str(i) for i in self.kept_indices)
-        return f"prefix={self.prefix_epoch_count};kept={kept};gran={self.granularity}"
-
-    @classmethod
-    def parse(cls, text: str) -> "SubsetDescriptor":
-        try:
-            parts = dict(kv.split("=", 1) for kv in text.split(";"))
-            kept = tuple(int(i) for i in parts["kept"].split(",") if i != "")
-            return cls(int(parts["prefix"]), kept, parts["gran"])
-        except (ValueError, KeyError):
-            raise CrashGenError("expected prefix=P;kept=I,J,...;gran=op|sector") from None
-
-
-def parse_descriptor(text: str) -> "int | SubsetDescriptor":
+def parse_descriptor(text: str) -> "int | tuple[int, tuple[int, ...], str]":
     """Read a crash descriptor, as ``CrashState.descriptor`` writes it: the
-    checkpoint number of ``checkpoint=K``, else a ``SubsetDescriptor``."""
+    checkpoint number of ``checkpoint=K``, else a subset state's ``subset``
+    coordinates. Raises ValueError for any other text, such as unordered
+    kept indices or an unknown granularity."""
     if text.startswith(_CHECKPOINT):
         return int(text[len(_CHECKPOINT):])
-    return SubsetDescriptor.parse(text)
+    try:
+        parts = dict(kv.split("=", 1) for kv in text.split(";"))
+        kept = tuple(int(i) for i in parts["kept"].split(",") if i != "")
+        prefix, granularity = int(parts["prefix"]), parts["gran"]
+    except (ValueError, KeyError):
+        raise ValueError("expected prefix=P;kept=I,J,...;gran=op|sector") from None
+    if any(b <= a for a, b in zip(kept, kept[1:])):
+        raise ValueError("kept indices must be strictly increasing")
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    return prefix, kept, granularity
 
 
 @dataclass
@@ -70,25 +54,26 @@ class CrashState:
 
     image: DiskImage
     checkpoint_id: int = 0  # 0 = before any persistence point
-    # a subset state's SubsetDescriptor fields: prefix epoch count, kept
-    # unit indices and granularity; the descriptor is built when asked for
+    # a subset state's prefix epoch count, kept unit indices and granularity
     subset: tuple[int, tuple[int, ...], str] | None = None
 
     def descriptor(self) -> str:
         if self.subset is None:
             return f"{_CHECKPOINT}{self.checkpoint_id}"
-        return SubsetDescriptor(*self.subset).serialize()
+        prefix, kept, granularity = self.subset
+        return f"prefix={prefix};kept={','.join(map(str, kept))};gran={granularity}"
 
 
-def _atomic_units(epoch: Epoch, granularity: str) -> list[tuple[int, bytes]]:
+def _atomic_units(log: list[IoRecord], epoch: range, granularity: str) -> list[tuple[int, bytes]]:
     """Flatten the target epoch into droppable (sector, payload) units.
 
     At op granularity each write record is one unit. At sector granularity
-    records split into 512-byte units, except a FUA terminator, whose payload
-    is all-or-nothing (the device persists it as a unit).
+    records split into 512-byte units, except a FUA write, which ends its
+    epoch and whose payload is all-or-nothing (the device persists it as a
+    unit).
     """
     units: list[tuple[int, bytes]] = []
-    for rec in epoch.all_records():
+    for rec in log[epoch.start : epoch.stop]:
         if not rec.data:
             continue
         if granularity == "op" or rec.fua:
@@ -115,20 +100,27 @@ class PrefixState:
 
 
 def prefix_state(
-    base: DiskImage, epochs: list[Epoch], prefix_count: int, granularity: str = "op"
+    base: DiskImage,
+    log: list[IoRecord],
+    checkpoints: list[int],
+    epochs: list[range],
+    prefix_count: int,
+    granularity: str = "op",
 ) -> PrefixState:
-    """base + all records of the first ``prefix_count`` epochs, with the
-    next epoch as the target."""
+    """base + the writes of the first ``prefix_count`` of the ``epochs`` of
+    ``log``, with the next epoch as the target. The prefix contains the
+    checkpoints at or before the target's start (``checkpoints`` holds their
+    log positions), so one right after a terminator counts for the prefix
+    ending there. None sits at position 0, before every epoch: each
+    persistence call logs a commit or a FLUSH before its checkpoint."""
     if not 0 <= prefix_count < len(epochs):
-        raise CrashGenError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
-    prefix = epochs[:prefix_count]
+        raise ValueError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
+    target = epochs[prefix_count]
     return PrefixState(
-        base.with_writes(
-            (rec.sector, rec.data) for ep in prefix for rec in ep.all_records() if rec.data
-        ),
+        replay(base, log, target.start),
         prefix_count,
-        max((cp for ep in prefix for cp in ep.checkpoints), default=0),
-        _atomic_units(epochs[prefix_count], granularity),
+        bisect_right(checkpoints, target.start),
+        _atomic_units(log, target, granularity),
         granularity,
     )
 
@@ -158,10 +150,10 @@ def enumerate_target_subsets(prefix: PrefixState, seed: int = 0):
 def build_subset_state(prefix: PrefixState, kept: tuple[int, ...]) -> CrashState:
     """The prefix image + the kept target units, in order. ``kept`` is
     strictly increasing, as ``enumerate_target_subsets`` and
-    ``SubsetDescriptor.parse`` give it."""
+    ``parse_descriptor`` give it."""
     units = prefix.units
     if kept and not 0 <= kept[0] <= kept[-1] < len(units):
-        raise CrashGenError(
+        raise ValueError(
             f"kept units out of range; epoch {prefix.prefix_count} has {len(units)} units"
         )
     return CrashState(

@@ -32,7 +32,6 @@ class BugSeed:
     trigger: str  # operation pattern that arms the bug
     consequence_class: str
     min_seq: int  # smallest core-op sequence length that can reveal it
-    mirrors: tuple[str, ...] = ()  # regression corpus entries it reproduces
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ INODE_COUNT = 64
 INODE_TABLE_BLOCKS = INODE_COUNT // INODES_PER_BLOCK
 
 KIND_FREE, KIND_FILE, KIND_DIR, KIND_SYMLINK = 0, 1, 2, 3
-_KIND_NAMES = {KIND_FILE: "file", KIND_DIR: "dir", KIND_SYMLINK: "symlink"}
 
 ROOT_INO = 1
 MAX_PTRS = 166

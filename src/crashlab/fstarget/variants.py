@@ -39,7 +39,6 @@ class LinkLossFs(SoundFs):
         trigger="link followed by fsync/fdatasync",
         consequence_class="file_missing",
         min_seq=1,
-        mirrors=("new_05",),
     )
 
     def _reset_pending(self):
@@ -79,7 +78,6 @@ class RenameNonAtomicFs(SoundFs):
         trigger="rename followed by fsync/fdatasync",
         consequence_class="spurious_entry",
         min_seq=1,
-        mirrors=("new_02",),
     )
 
     def _reset_pending(self):
@@ -125,7 +123,6 @@ class FallocBeyondEofLossFs(SoundFs):
         trigger="falloc keep_size beyond EOF followed by fdatasync",
         consequence_class="metadata_mismatch(block_count)",
         min_seq=1,
-        mirrors=("known_02",),
     )
 
     def _adjust_effective(self, eff, trigger, target_ino):
@@ -151,7 +148,6 @@ class DirectWriteSizeZeroFs(SoundFs):
         trigger="size-extending dwrite followed by fsync/fdatasync",
         consequence_class="metadata_mismatch(size)",
         min_seq=1,
-        mirrors=("known_04",),
     )
 
     def _reset_pending(self):
@@ -201,7 +197,6 @@ class RenameBeforeDataFs(SoundFs):
         trigger="buffered write and rename of the same file, then fsync",
         consequence_class="data_mismatch",
         min_seq=2,
-        mirrors=(),
     )
     DELAYED_DATA = True
 
@@ -242,7 +237,6 @@ class UnlinkReplayBrickFs(SoundFs):
         trigger="unlink then creat of the same name, then fsync",
         consequence_class="unmountable",
         min_seq=2,
-        mirrors=("known_05",),
     )
 
     def _reset_pending(self):

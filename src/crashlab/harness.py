@@ -4,8 +4,9 @@ A ``Profile`` is the run that executes the workload once on a recording
 device, inserting a checkpoint after every persistence call and capturing
 an oracle at each one: the view the file system would show after a clean
 unmount (``clean_view``: the live view, or an unmounted replica's when the
-commit deferred data). Crash states are rebuilt from its log: at a
-checkpoint by replay, mid-epoch by the crash generator's subsets.
+commit deferred data). Crash states are cuts of its IO log: at a
+checkpoint, the log replayed up to the checkpoint's position; mid-epoch,
+the crash generator's subsets.
 ``check(prof, state)`` turns any of them into a verdict: it mounts the
 state so recovery runs and compares it against the oracle of the last
 checkpoint the state contains, but only for entities the persistence calls
@@ -28,14 +29,11 @@ from .ace import Workload
 from .blockdev import (
     Device,
     DiskImage,
-    IoRecord,
     replay,
     split_epochs,
 )
 from .crashgen import (
-    CrashGenError,
     CrashState,
-    SubsetDescriptor,
     build_subset_state,
     enumerate_target_subsets,
     parse_descriptor,
@@ -137,8 +135,9 @@ def _update_persisted(
 
 class Profile:
     """A workload's profile run: the file system, its recording device (the
-    IO log and checkpoint count) and, after the prologue and ``done`` body
-    steps, the oracle view and the persisted set at each checkpoint."""
+    IO log and the checkpoints' positions in it) and, after the prologue and
+    ``done`` body steps, the oracle view and the persisted set at each
+    checkpoint."""
 
     def __init__(self, fs_name: str, prologue) -> None:
         self.fs_name = fs_name
@@ -156,14 +155,6 @@ class Profile:
         for op in prologue:
             self.fs.apply(op, self.op_index)
             self.op_index += 1
-
-    @property
-    def io_log(self) -> list[IoRecord]:
-        return self.device.log
-
-    @property
-    def checkpoint_count(self) -> int:
-        return self.device.checkpoint_count
 
     def fork(self) -> "Profile":
         """An independent copy. Stored oracle views and per-checkpoint
@@ -348,7 +339,7 @@ def check(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Ve
     subset = state.subset is not None
     candidates = [oracle_view]
     if subset:
-        candidates += [prof.oracle_views[j] for j in range(cp + 1, prof.checkpoint_count + 1)]
+        candidates += [view for j, view in prof.oracle_views.items() if j > cp]
 
     for path in sorted(persisted_set):
         level = persisted_set[path]
@@ -466,7 +457,7 @@ def run_workload(
     except HarnessError as e:
         return [Verdict("harness_error", crash_descriptor="profile", reason=str(e))]
 
-    n = prof.checkpoint_count
+    n = len(prof.device.checkpoints)
     if n == 0:
         return []  # no persistence point, so nothing to test
 
@@ -477,11 +468,14 @@ def run_workload(
     return verdicts
 
 
+def _prefix_state(prof: Profile, epochs: list[range], p: int, granularity: str):
+    device = prof.device
+    return prefix_state(prof.base_image, device.log, device.checkpoints, epochs, p, granularity)
+
+
 def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> list[Verdict]:
-    epochs = split_epochs(prof.io_log)
-    prefixes = (
-        prefix_state(prof.base_image, epochs, p, flags.granularity) for p in range(len(epochs))
-    )
+    epochs = split_epochs(prof.device.log)
+    prefixes = (_prefix_state(prof, epochs, p, flags.granularity) for p in range(len(epochs)))
     return [
         check(prof, build_subset_state(prefix, kept), memo)
         for prefix in prefixes
@@ -490,7 +484,8 @@ def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> 
 
 
 def _checkpoint_state(prof: Profile, k: int) -> CrashState:
-    return CrashState(replay(prof.base_image, prof.io_log, checkpoint=k), checkpoint_id=k)
+    end = prof.device.checkpoints[k - 1]
+    return CrashState(replay(prof.base_image, prof.device.log, end), checkpoint_id=k)
 
 
 def state_for(prof: Profile, descriptor: str) -> CrashState:
@@ -498,12 +493,12 @@ def state_for(prof: Profile, descriptor: str) -> CrashState:
     when the descriptor does not fit the profiled workload."""
     try:
         crash = parse_descriptor(descriptor)
-        if isinstance(crash, SubsetDescriptor):
-            epochs, gran = split_epochs(prof.io_log), crash.granularity
-            prefix = prefix_state(prof.base_image, epochs, crash.prefix_epoch_count, gran)
-            return build_subset_state(prefix, crash.kept_indices)
-        if not 1 <= crash <= prof.checkpoint_count:
-            raise ValueError(f"the workload has {prof.checkpoint_count} checkpoints")
+        if isinstance(crash, tuple):
+            p, kept, granularity = crash
+            prefix = _prefix_state(prof, split_epochs(prof.device.log), p, granularity)
+            return build_subset_state(prefix, kept)
+        if not 1 <= crash <= len(prof.device.checkpoints):
+            raise ValueError(f"the workload has {len(prof.device.checkpoints)} checkpoints")
         return _checkpoint_state(prof, crash)
-    except (ValueError, CrashGenError) as e:
+    except ValueError as e:
         raise ValueError(f"crash descriptor {descriptor!r}: {e}") from None

@@ -274,14 +274,14 @@ def test_acceptance_regression_corpus():
 def test_acceptance_crash_state_exhaustiveness():
     size = 16 * 1024
     base = DiskImage.zeroed(size)
-    epochs = split_epochs([IoRecord(i * 2, bytes([0x20 + i]) * 512) for i in range(4)])
+    log = [IoRecord(i * 2, bytes([0x20 + i]) * 512) for i in range(4)]
     images = {}
-    pre = prefix_state(base, epochs, 0)
+    pre = prefix_state(base, log, [], split_epochs(log), 0)
     for kept in enumerate_target_subsets(pre):
         state = build_subset_state(pre, kept)
         # eager oracle: apply kept writes directly
         buf = bytearray(size)
-        units = [(r.sector, r.data) for r in epochs[0].records]
+        units = [(r.sector, r.data) for r in log]
         for idx in kept:
             sec, data = units[idx]
             buf[sec * 512 : sec * 512 + len(data)] = data
@@ -297,9 +297,8 @@ def test_acceptance_crash_state_exhaustiveness():
         for i in range(rng.randint(2, 4)):
             sec = rng.randrange(0, 6)
             log.append(IoRecord(sec, bytes([0x30 + i]) * (512 * rng.randint(1, 2))))
-        epochs = split_epochs(log)
-        units = [(r.sector, r.data) for r in epochs[0].records]
-        pre = prefix_state(base, epochs, 0)
+        units = [(r.sector, r.data) for r in log]
+        pre = prefix_state(base, log, [], split_epochs(log), 0)
         for kept in enumerate_target_subsets(pre):
             image = build_subset_state(pre, kept).image
             expect = bytearray(size)

@@ -77,44 +77,42 @@ def test_write_block_checks_bounds_and_logs_as_write():
 
 
 def test_checkpoint_ids_count_up_and_records_are_empty():
+    """A checkpoint is a log position: it adds no record to the log, leaves
+    the image as it is, and a copied device holds its own list."""
     dev = Device(1 * MiB)
-    assert dev.insert_checkpoint() == 1
     dev.write_block(0, b"\x01" * BLOCK_SIZE)
+    assert dev.insert_checkpoint() == 1
+    dev.flush()
     assert dev.insert_checkpoint() == 2
-    cps = [r for r in dev.log if r.checkpoint_id is not None]
-    assert [r.checkpoint_id for r in cps] == [1, 2]
-    assert all(r.data == b"" and not (r.flush or r.fua) for r in cps)
-    assert dev.checkpoint_count == 2
+    assert dev.checkpoints == [1, 2]
+    assert [rec.flush for rec in dev.log] == [False, True]
     img_before = image_bytes(dev.snapshot())
-    dev.insert_checkpoint()
+    copy = dev.copy()
+    assert dev.insert_checkpoint() == 3
+    assert dev.checkpoints == [1, 2, 2] and len(dev.log) == 2
     assert image_bytes(dev.snapshot()) == img_before
+    assert copy.checkpoints == [1, 2]
 
 
 # -- epoch splitting -----------------------------------------------------------
 
 
 def _mklog(symbols):
-    """Build a log from symbols: W (write), F (flush), U (fua write), C (checkpoint)."""
-    log, checkpoints = [], 0
+    """Build a log from symbols: W (write), F (flush), U (fua write)."""
+    log = []
     for i, sym in enumerate(symbols):
         if sym in "WU":
             log.append(IoRecord(i, bytes([i + 1]) * 512, fua=sym == "U"))
-        elif sym == "F":
+        else:
             log.append(IoRecord(flush=True))
-        elif sym == "C":
-            checkpoints += 1
-            log.append(IoRecord(checkpoint_id=checkpoints))
     return log
 
 
 def _oracle_epochs(symbols):
-    """Independent hand-rule: an epoch ends at each F or U; checkpoints are
-    annotations, not members."""
+    """Independent hand-rule: an epoch ends at each F or U."""
     epochs = []
     cur = []
     for sym in symbols:
-        if sym == "C":
-            continue
         cur.append(sym)
         if sym in ("F", "U"):
             epochs.append(cur)
@@ -127,15 +125,8 @@ def _oracle_epochs(symbols):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_split_epochs_matches_hand_enumerated_oracle(n):
     for symbols in itertools.product("WFU", repeat=n):
-        log = _mklog(symbols)
-        got = split_epochs(log)
-        want = _oracle_epochs(symbols)
-        assert len(got) == len(want), symbols
-        for g, w in zip(got, want):
-            terminated = w[-1] in ("F", "U")
-            body = w[:-1] if terminated else w
-            assert len(g.records) == len(body), symbols
-            assert (g.terminator is not None) == terminated, symbols
+        got = split_epochs(_mklog(symbols))
+        assert [[symbols[i] for i in ep] for ep in got] == _oracle_epochs(symbols), symbols
 
 
 def test_split_epochs_empty_log():
@@ -143,35 +134,22 @@ def test_split_epochs_empty_log():
 
 
 def test_single_fua_write_is_its_own_terminator():
-    log = _mklog(["U"])
-    epochs = split_epochs(log)
-    assert len(epochs) == 1
-    assert epochs[0].records == []
-    assert epochs[0].terminator is not None
-    assert epochs[0].terminator.fua
-
-
-def test_checkpoint_after_terminator_closes_its_epoch():
-    """A checkpoint right after a FLUSH or FUA belongs to that epoch and closes
-    it; a second checkpoint opens the next epoch."""
-    epochs = split_epochs(_mklog("WFCCWCUC"))
-    assert [len(ep.records) for ep in epochs] == [1, 1]
-    assert [ep.terminator.flush for ep in epochs] == [True, False]
-    assert [ep.checkpoints for ep in epochs] == [[1], [2, 3, 4]]
-    assert [ep.checkpoints for ep in split_epochs(_mklog("CWC"))] == [[1, 2]]
+    assert split_epochs(_mklog("U")) == [range(0, 1)]
+    assert split_epochs(_mklog("WUW")) == [range(0, 2), range(2, 3)]
 
 
 def test_epoch_partition_covers_whole_log():
+    """The epochs cut the log in order, each one ending at its only FLUSH
+    or FUA write, except an unterminated last epoch."""
     rng = random.Random(7)
     for _ in range(50):
-        symbols = rng.choices("WWFUC", k=rng.randint(0, 12))
-        log = _mklog(symbols)
+        log = _mklog(rng.choices("WWFU", k=rng.randint(0, 12)))
         epochs = split_epochs(log)
-        flat = [id(r) for ep in epochs for r in ep.all_records()]
-        expect = [id(r) for r in log if r.checkpoint_id is None]
-        assert flat == expect
-        cps = [cp for ep in epochs for cp in ep.checkpoints]
-        assert cps == [r.checkpoint_id for r in log if r.checkpoint_id is not None]
+        assert [i for ep in epochs for i in ep] == list(range(len(log)))
+        for n, ep in enumerate(epochs):
+            ends = [log[i].flush or log[i].fua for i in ep]
+            assert not any(ends[:-1])
+            assert ends[-1] or n == len(epochs) - 1
 
 
 # -- replay ---------------------------------------------------------------------
@@ -181,37 +159,32 @@ def test_replay_empty_log_is_identity():
     base = DiskImage(MiB, b"\x55" * MiB, {})
     dev = Device(MiB, base)
     dev.insert_checkpoint()
-    out = replay(base, dev.log, checkpoint=1)
+    out = replay(base, dev.log, dev.checkpoints[0])
     assert image_bytes(out) == image_bytes(base)
 
 
 def test_replay_to_checkpoint_deterministic():
-    log = _mklog("WFC")
+    log = _mklog("WF")
     log.append(IoRecord(8, b"\x02" * 512))
     base = DiskImage.zeroed(1 * MiB)
-    a = replay(base, log, checkpoint=1)
-    b = replay(base, log, checkpoint=1)
+    a = replay(base, log, 2)
+    b = replay(base, log, 2)
     assert image_bytes(a) == image_bytes(b)
+    assert image_bytes(a)[:512] == b"\x01" * 512
     assert image_bytes(a)[4096:8192] == bytes(4096)  # post-checkpoint write excluded
+    assert image_bytes(replay(base, log, 3))[4096:4608] == b"\x02" * 512
 
 
 def test_replay_last_writer_wins():
-    log = [IoRecord(0, b"\x01" * 512), IoRecord(0, b"\x02" * 512), IoRecord(checkpoint_id=1)]
-    out = replay(DiskImage.zeroed(1 * MiB), log, checkpoint=1)
+    log = [IoRecord(0, b"\x01" * 512), IoRecord(0, b"\x02" * 512)]
+    out = replay(DiskImage.zeroed(1 * MiB), log, 2)
     assert image_bytes(out)[:512] == b"\x02" * 512
 
 
-def test_replay_unknown_checkpoint():
-    from crashlab.blockdev import ReplayError
-
-    with pytest.raises(ReplayError):
-        replay(DiskImage.zeroed(1 * MiB), [], checkpoint=3)
-
-
 def test_replay_does_not_mutate_base():
-    log = [IoRecord(0, b"\x09" * 512), IoRecord(checkpoint_id=1)]
+    log = [IoRecord(0, b"\x09" * 512)]
     base = DiskImage.zeroed(1 * MiB)
-    out = replay(base, log, checkpoint=1)
+    out = replay(base, log, 1)
     assert image_bytes(out)[:512] == b"\x09" * 512
     assert image_bytes(base) == bytes(MiB)
 

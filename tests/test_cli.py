@@ -491,12 +491,19 @@ def test_replay_reproduces_consequence_and_diff_hash(tmp_path):
     "descriptor, message",
     [
         ("checkpoint=9", "has 1 checkpoints"),
+        # a checkpoint is a log position, and checkpoints[-1] would exist
+        ("checkpoint=0", "has 1 checkpoints"),
+        ("checkpoint=-1", "has 1 checkpoints"),
         ("prefix=7;kept=0;gran=op", "log has 3 epochs"),
         ("prefix=1;kept=5;gran=op", "has 1 units"),
+        ("prefix=1;kept=3,1;gran=op", "strictly increasing"),
         ("bogus", "expected prefix=P;kept="),
         ("prefix=0;kept=;gran=bytes", "unknown granularity"),
     ],
-    ids=["checkpoint", "prefix", "kept", "bogus", "granularity"],
+    ids=[
+        "checkpoint", "checkpoint-zero", "checkpoint-negative", "prefix", "kept", "unordered",
+        "bogus", "granularity",
+    ],
 )
 def test_replay_rejects_descriptor_that_does_not_fit(tmp_path, capsys, descriptor, message):
     out = tmp_path / "out"

@@ -209,7 +209,7 @@ def test_mount_crash_state_at_any_checkpoint_succeeds():
     fs.persist(PersistKind.SYNC)
     live.insert_checkpoint()
     for k in (1, 2):
-        image = replay(base, live.log, checkpoint=k)
+        image = replay(base, live.log, live.checkpoints[k - 1])
         assert not isinstance(SoundFs.mount(image), Unmountable)
 
 
@@ -541,11 +541,11 @@ def test_memo_keys_hold_the_interned_blocks():
 def mount_state(fs) -> dict:
     """What a mount gives, as plain values: every attribute, with the inodes
     without the file contents read so far, and the device as its bytes, log
-    and checkpoint count."""
+    and checkpoints."""
     out = dict(vars(fs))
     slots = [a for a in Inode.__slots__ if a != "content"]
     out["inodes"] = {i: tuple(getattr(n, a) for a in slots) for i, n in fs.inodes.items()}
-    out["device"] = (image_bytes(fs.device.snapshot()), fs.device.log, fs.device.checkpoint_count)
+    out["device"] = (image_bytes(fs.device.snapshot()), fs.device.log, fs.device.checkpoints)
     out["geo"] = vars(fs.geo)
     return out
 
@@ -614,7 +614,7 @@ def test_a_viewed_memo_mount_builds_no_file_system(monkeypatch, target):
     prof = harness.profile(
         ace.parse("mkdir A\ncreat A/foo\nwrite (0-8K) A/foo\nfsync A/foo\n"), target.NAME
     )
-    state = harness._checkpoint_state(prof, prof.checkpoint_count)
+    state = harness._checkpoint_state(prof, len(prof.device.checkpoints))
     memo = MountMemo()
     first = harness.check(prof, state, memo)
     assert len(target.mount(state.image, memo).memo_record.probes) == 1
@@ -643,7 +643,7 @@ def test_a_memo_mount_is_one_read_only_object(target):
     prof = harness.profile(
         ace.parse("mkdir A\ncreat A/foo\nwrite (0-8K) A/foo\nfsync A/foo\n"), target.NAME
     )
-    state = harness._checkpoint_state(prof, prof.checkpoint_count)
+    state = harness._checkpoint_state(prof, len(prof.device.checkpoints))
     memo = MountMemo()
     mounted = target.mount(state.image, memo)
     assert target.mount(state.image, memo) is mounted
@@ -792,7 +792,8 @@ def test_an_empty_directory_never_reads_its_entry_block():
 
     w = ace.parse("mkdir A\nfdatasync A\n")
     prof = profile(w, "bugfs-b3")
-    fs = get_target("bugfs-b3").mount(replay(prof.base_image, prof.io_log, checkpoint=1))
+    image = replay(prof.base_image, prof.device.log, prof.device.checkpoints[0])
+    fs = get_target("bugfs-b3").mount(image)
     assert fs.state_view().entries["A"].block_count == 0
 
 
@@ -803,7 +804,8 @@ def test_a_directory_without_an_entry_block_gets_one_before_a_commit():
     from crashlab.harness import profile
 
     prof = profile(ace.parse("mkdir A\nfdatasync A\n"), "bugfs-b3")
-    fs = get_target("bugfs-b3").mount(replay(prof.base_image, prof.io_log, checkpoint=1))
+    image = replay(prof.base_image, prof.device.log, prof.device.checkpoints[0])
+    fs = get_target("bugfs-b3").mount(image)
     dir_ino = fs.resolve_ino("A")
     assert fs.inodes[dir_ino].blocks == [0]
     fs.apply(op("creat", path="A/x"))
@@ -887,13 +889,13 @@ def busy_fs(target):
 
 def fs_state(fs) -> dict:
     """Every attribute of ``fs`` as plain values, copied: inodes as their
-    slot values, the device as its bytes, log and checkpoint count."""
+    slot values, the device as its bytes, log and checkpoints."""
     out = {}
     for name, value in vars(fs).items():
         if name == "inodes":
             value = {i: tuple(getattr(n, a) for a in Inode.__slots__) for i, n in value.items()}
         elif name == "device":
-            value = (image_bytes(value.snapshot()), list(value.log), value.checkpoint_count)
+            value = (image_bytes(value.snapshot()), list(value.log), list(value.checkpoints))
         elif name == "geo":
             value = vars(value)
         out[name] = copy.deepcopy(value)
@@ -1037,19 +1039,23 @@ def test_get_target_unknown():
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.NAME)
 def test_bug_seed_live_and_isolated(variant):
-    """Each seed's mirrored corpus workload triggers exactly its declared
-    class on the variant, and SoundFS passes the same workload."""
+    """Each seed's corpus workload (the entry whose ``# variant:`` header
+    names it) triggers exactly its declared class on the variant, and
+    SoundFS passes the same workload."""
     from crashlab import ace
-    from crashlab.cli import default_corpus_dir
+    from crashlab.cli import corpus_variant_map, default_corpus_dir
     from crashlab.harness import RunFlags, run_workload
 
     seed = variant.BUG_SEED
-    if not seed.mirrors:
+    mapped = corpus_variant_map(default_corpus_dir())
+    entries = [name for name, (target, _) in mapped.items() if target == variant.NAME]
+    if not entries:
         # campaign-only seed: use its trigger shape directly
+        assert variant.NAME == "bugfs-b5"
         text = "creat foo\nwrite (0-4K) foo\nrename foo bar\nfsync bar\n"
         workload = ace.parse(text)
     else:
-        workload = ace.parse_file(default_corpus_dir() / f"{seed.mirrors[0]}.wl")
+        workload = ace.parse_file(default_corpus_dir() / entries[0])
     flags = RunFlags(all_checkpoints=True)
     buggy = run_workload(workload, variant.NAME, flags)
     assert any(
@@ -1140,7 +1146,7 @@ def test_fsck_reports_on_unmountable():
 
     w = ace.parse("creat foo\nlink foo bar\nsync\nunlink bar\ncreat bar\nfsync bar\n")
     prof = profile(w, "bugfs-b6")
-    image = replay_log(prof.base_image, prof.io_log, checkpoint=2)
+    image = replay_log(prof.base_image, prof.device.log, prof.device.checkpoints[1])
     target = get_target("bugfs-b6")
     mounted = target.mount(image)
     assert isinstance(mounted, Unmountable)

@@ -37,10 +37,12 @@ from image_helper import image_bytes
 def test_two_persistence_points_two_checkpoints_two_oracles():
     w = parse("creat foo\nfsync foo\ncreat bar\nfsync bar\n")
     prof = profile(w, "soundfs")
-    assert prof.checkpoint_count == 2
+    assert len(prof.device.checkpoints) == 2
     assert sorted(prof.oracle_views) == [1, 2]
     assert sorted(prof.persisted) == [1, 2]
-    assert [r.checkpoint_id for r in prof.io_log if r.checkpoint_id] == [1, 2]
+    # each persistence call logs its commit before its checkpoint
+    first, second = prof.device.checkpoints
+    assert 0 < first < second == len(prof.device.log)
 
 
 def test_persisted_set_includes_parent_dirent():
@@ -70,14 +72,14 @@ def test_persisted_set_monotone_for_sync():
 
 def test_profiling_deterministic_io_log():
     w = parse("mkdir A\nwrite (0-8K) A/foo\nfsync A/foo\nrename A/foo A/bar\nsync\n")
-    a = profile(w, "soundfs").io_log
-    b = profile(w, "soundfs").io_log
+    a = profile(w, "soundfs").device.log
+    b = profile(w, "soundfs").device.log
     assert a == b
 
 
 def test_profile_determinism_across_seq1_sample():
     for w in itertools.islice(ace.generate_workloads(Bounds(seq_length=1)), 40):
-        assert profile(w, "soundfs").io_log == profile(w, "soundfs").io_log
+        assert profile(w, "soundfs").device.log == profile(w, "soundfs").device.log
 
 
 def test_oracle_checkpoint_alignment():
@@ -169,7 +171,7 @@ def test_oracle_fork_strategy_equals_restart_strategy():
     lost = unmountable = 0
     for name, w in cases:
         prof = profile(w, name)
-        assert prof.checkpoint_count == len(prof.oracle_views) > 0
+        assert len(prof.device.checkpoints) == len(prof.oracle_views) > 0
         for k, view in prof.oracle_views.items():
             restart = _clean_restart_view(w, name, k)
             path = _b3_lost_path(w, prof, k)
@@ -227,7 +229,7 @@ def test_oracle_capture_leaves_the_live_run_alone():
     for name, w in cases:
         for fs, _ in _live_run(w, name):
             pass
-        assert profile(w, name).io_log == fs.device.log, (name, ace.serialize(w))
+        assert profile(w, name).device.log == fs.device.log, (name, ace.serialize(w))
 
 
 def test_clean_view_equals_the_unmounted_replica_view():
@@ -259,7 +261,7 @@ def test_profile_replicates_only_where_a_commit_deferred_data(monkeypatch):
     replicate = SoundFs.replicate
 
     def counting(fs):
-        at.append(fs.device.checkpoint_count)
+        at.append(len(fs.device.checkpoints))
         return replicate(fs)
 
     monkeypatch.setattr(SoundFs, "replicate", counting)
@@ -267,7 +269,7 @@ def test_profile_replicates_only_where_a_commit_deferred_data(monkeypatch):
         profile(w, "soundfs")
     assert at == []
     prof = profile(parse(_TRIGGERS_THEN_SYNC["bugfs-b5"]), "bugfs-b5")
-    assert prof.checkpoint_count == 2
+    assert len(prof.device.checkpoints) == 2
     assert at == [1]
     assert prof.oracle_views[1].entries["foo"].block_count == 8
 
@@ -284,7 +286,7 @@ def _plain(prof):
     if isinstance(prof, str):
         return prof
     views = {k: v.entries for k, v in prof.oracle_views.items()}
-    return prof.io_log, prof.checkpoint_count, views, prof.persisted, prof.base_view.entries
+    return prof.device.log, prof.device.checkpoints, views, prof.persisted, prof.base_view.entries
 
 
 def _sibling_chain(text):
@@ -376,7 +378,7 @@ def test_mkfs_base_image_keeps_only_nonzero_blocks():
 
 
 def _crash_image(prof, k):
-    return replay(prof.base_image, prof.io_log, checkpoint=k)
+    return replay(prof.base_image, prof.device.log, prof.device.checkpoints[k - 1])
 
 
 def _check_at(prof, k):
@@ -472,7 +474,7 @@ def test_checker_soundness_on_clean_shutdown_all_targets():
     w = parse(text)
     for name in sorted(TARGETS):
         prof = profile(w, name)
-        k = prof.checkpoint_count
+        k = len(prof.device.checkpoints)
         assert all(prof.persisted[k][path] == FULL for path in prof.oracle_views[k].entries)
         v = check(prof, CrashState(prof.fs.unmount_clean(), checkpoint_id=k))
         assert v.outcome == "pass", (name, v.diff)
@@ -567,10 +569,11 @@ def test_journal_atomicity_under_subset_mode():
     w = parse("creat foo\nwrite (0-8K) foo\nfsync foo\ncreat bar\nfsync bar\n")
     prof = profile(w, "soundfs")
     allowed = [set(v.entries) for v in (prof.base_view, *prof.oracle_views.values())]
-    epochs = split_epochs(prof.io_log)
+    log, checkpoints = prof.device.log, prof.device.checkpoints
+    epochs = split_epochs(log)
     # every epoch has at most 10 units, so each is enumerated exhaustively
     for prefix in range(len(epochs)):
-        pre = prefix_state(prof.base_image, epochs, prefix)
+        pre = prefix_state(prof.base_image, log, checkpoints, epochs, prefix)
         for kept in enumerate_target_subsets(pre):
             state = build_subset_state(pre, kept)
             fs = SoundFs.mount(state.image)
