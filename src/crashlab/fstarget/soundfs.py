@@ -57,6 +57,16 @@ _JCOMMIT = struct.Struct("<8sQ32s")
 # what a malformed image raises while it is recovered or loaded
 _MOUNT_ERRORS = (ValueError, FsError, struct.error, IndexError, UnicodeDecodeError)
 
+# the commit path, whose SoundFS versions ignore which call triggered it
+_CALL_BLIND = (
+    "persist",
+    "_commit",
+    "_skip_data_flush_inos",
+    "_adjust_effective",
+    "_tombstones_for_commit",
+    "_after_commit",
+)
+
 
 class Geometry:
     """The layout of a device of ``total_blocks`` blocks and the superblock
@@ -949,12 +959,26 @@ class SoundFs:
     # -- persistence ---------------------------------------------------------
 
     def persist(self, kind: PersistKind, target: str | None = None) -> None:
-        target_ino = None
-        if kind is not PersistKind.SYNC:
-            _, _, target_ino = self._resolve(target, follow=True)
-            if target_ino is None:
-                raise FsError("ENOENT", f"persistence target {target} missing")
-        self._commit(kind.value, target_ino)
+        self._commit(kind.value, self.persist_target(kind, target))
+
+    def persist_target(self, kind: PersistKind, target: str | None) -> int | None:
+        """The inode a persistence call targets, None for sync. Raises the
+        FsError that ``persist`` raises when the target does not resolve."""
+        if kind is PersistKind.SYNC:
+            return None
+        _, _, target_ino = self._resolve(target, follow=True)
+        if target_ino is None:
+            raise FsError("ENOENT", f"persistence target {target} missing")
+        return target_ino
+
+    @classmethod
+    def commit_ignores_call(cls) -> bool:
+        """Whether a commit of this class leaves the same device and file
+        system whichever persistence call triggers it. SoundFS's own
+        ``persist``, ``_commit`` and policy hooks ignore the trigger and the
+        target and make everything pending durable, so this holds exactly
+        when the class keeps all of them. Every variant overrides a hook."""
+        return all(getattr(cls, name) is getattr(SoundFs, name) for name in _CALL_BLIND)
 
     def unmount_clean(self) -> DiskImage:
         """Flush everything pending and return the quiesced image."""

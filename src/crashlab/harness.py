@@ -19,6 +19,9 @@ compared on the stored view; a live file system is thawed from the memo
 mount only when a probe must write. Within a campaign's worker partition,
 the memo is shared, and a profile resumes from a fork of the previous
 workload's run, taken after the steps the two share (``PrefixFork``).
+Siblings that differ only in their final persistence call run its commit
+once when the target's commit ignores which call triggered it (SoundFS);
+each still computes its own persisted set (``profile``).
 """
 
 from __future__ import annotations
@@ -152,13 +155,21 @@ class Profile:
         self.persisted_now: dict[str, int] = {}
         self.persisted: dict[int, dict[str, int]] = {}
         self.oracle_views: dict[int, FsStateView] = {}
+        # None until this state is forked; then the list its forks share,
+        # which holds the first final commit run from it (``_persist``)
+        self.final_commit: list | None = None
         for op in prologue:
             self.fs.apply(op, self.op_index)
             self.op_index += 1
 
     def fork(self) -> "Profile":
         """An independent copy. Stored oracle views and per-checkpoint
-        persisted sets are never changed, so the copy shares them."""
+        persisted sets are never changed, so the copy shares them. The copy
+        also shares ``final_commit`` with this run and with every other fork
+        of this state, until it advances: a workload whose last step is a
+        persistence call stores its commit there or adopts a stored one."""
+        if self.final_commit is None:
+            self.final_commit = []
         run = Profile.__new__(Profile)
         run.__dict__.update(vars(self))
         run.device = self.device.copy()
@@ -168,22 +179,46 @@ class Profile:
         run.oracle_views = dict(self.oracle_views)
         return run
 
-    def advance(self, steps) -> None:
-        fs = self.fs
-        for step in steps:
+    def advance(self, steps, end: int) -> None:
+        """Run the workload body ``steps`` from ``done`` up to ``end``."""
+        last = len(steps) - 1
+        while self.done < end:
+            step = steps[self.done]
             if isinstance(step, FsOp):
-                fs.apply(step, self.op_index)
+                self.fs.apply(step, self.op_index)
                 self.op_index += 1
             else:
-                fs.persist(step.kind, step.target)
-                cp = self.device.insert_checkpoint()
-                # The oracle is the view after a clean unmount. It is the
-                # live view unless the commit deferred data (bugfs-b5),
-                # which gets its blocks only when the unmount writes it.
-                self.oracle_views[cp] = fs.clean_view()
-                _update_persisted(self.persisted_now, fs, step, self.oracle_views[cp])
+                view = self._persist(step, self.done == last)
+                cp = len(self.device.checkpoints)
+                self.oracle_views[cp] = view
+                _update_persisted(self.persisted_now, self.fs, step, view)
                 self.persisted[cp] = dict(self.persisted_now)
             self.done += 1
+            self.final_commit = None
+
+    def _persist(self, step: PersistOp, final: bool) -> FsStateView:
+        """Commit ``step``, insert its checkpoint and return the oracle view
+        there.
+
+        The body's ``final`` step is never followed by another, so when the
+        target's commit ignores the call (``commit_ignores_call``), forks of
+        one state share it: the first to get here stores its post-commit
+        device, file system and view in ``final_commit``, and the others
+        check their target as ``persist`` does, then adopt those read-only."""
+        shared = self.final_commit if final and self.fs.commit_ignores_call() else None
+        if shared:
+            self.fs.persist_target(step.kind, step.target)
+            self.device, self.fs, view = shared[0]
+            return view
+        self.fs.persist(step.kind, step.target)
+        self.device.insert_checkpoint()
+        # The oracle is the view after a clean unmount. It is the live view
+        # unless the commit deferred data (bugfs-b5), which gets its blocks
+        # only when the unmount writes it.
+        view = self.fs.clean_view()
+        if shared is not None:
+            shared.append((self.device, self.fs, view))
+        return view
 
 
 class PrefixFork:
@@ -239,7 +274,16 @@ def profile(
     With a partition's ``fork`` slot, the run resumes from the fork held
     there when ``workload`` starts with its prefix, and it leaves a fork
     for ``following`` where the two part; a resumed profile equals a fresh
-    one."""
+    one.
+
+    Siblings that share every step but a final persistence call resume
+    from forks of one state. On a target whose commit ignores the call
+    (SoundFS), they share that commit: the first runs it, and the others
+    adopt its post-commit device, file system and oracle view read-only,
+    computing only their own persisted set. The final step is the last
+    one, so nothing advances an adopted run; a fork of it copies the device
+    and file system as any fork does. Without a ``fork`` slot (``replay``,
+    the corpus) no state is forked, and every commit runs."""
     run = fork.take(fs_name, workload) if fork is not None else None
     try:
         if run is None:
@@ -247,9 +291,9 @@ def profile(
         shared = _shared_steps(workload, following) if fork is not None else None
         # a run resumed past the point where ``following`` parts leaves none
         if shared is not None and shared >= run.done:
-            run.advance(workload.steps[run.done : shared])
+            run.advance(workload.steps, shared)
             fork.put(fs_name, workload, run.fork())
-        run.advance(workload.steps[run.done :])
+        run.advance(workload.steps, len(workload.steps))
     except FsError as e:
         raise HarnessError(f"workload op failed: {e}") from e
     return run

@@ -6,6 +6,7 @@ import itertools
 import random
 import time
 
+import pytest
 
 from crashlab import ace, harness
 from crashlab.ace import Bounds, parse
@@ -333,6 +334,120 @@ def test_a_fork_is_taken_only_by_a_workload_with_its_prefix():
         assert fork.run is not None and fork.run.done == len(a.steps)
         assert _plain(profile(w, name, fork)) == _plain(profile(w, name)), name
         assert fork.run is None
+
+
+def _count_commits(monkeypatch) -> list[int]:
+    """A one-item list that counts the commits run from now on: calls of
+    ``SoundFs.persist``, which every variant inherits."""
+    commits = [0]
+    persist = SoundFs.persist
+
+    def counted(self, *args):
+        commits[0] += 1
+        return persist(self, *args)
+
+    monkeypatch.setattr(SoundFs, "persist", counted)
+    return commits
+
+
+def _commits_and_persistence_steps(monkeypatch, fs_name, workloads):
+    """Profile ``workloads`` in order through one ``PrefixFork``, as a
+    campaign partition does; count the commits run and the persistence
+    steps run (a resumed profile skips the steps of its prefix), each of
+    which updates the persisted set once."""
+    commits = _count_commits(monkeypatch)
+    steps = 0
+    update_persisted = harness._update_persisted
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return update_persisted(*args)
+
+    monkeypatch.setattr(harness, "_update_persisted", counted)
+    fork = PrefixFork()
+    for w, following in zip(workloads, [*workloads[1:], None]):
+        profile(w, fs_name, fork, following)
+    return commits[0], steps
+
+
+def test_siblings_share_their_final_soundfs_commit(monkeypatch):
+    """Seq-2 siblings that differ only in their final persistence call run
+    one SoundFS commit between them; bugfs-b5, whose commit depends on the
+    call, runs one per persistence step."""
+    seq2 = list(ace.workload_range(Bounds(seq_length=2), 0, 100))
+    commits, steps = _commits_and_persistence_steps(monkeypatch, "soundfs", seq2)
+    assert commits < steps / 2, (commits, steps)
+    b5 = list(_b5_write_rename_slice())
+    commits, steps = _commits_and_persistence_steps(monkeypatch, "bugfs-b5", b5)
+    assert commits == steps
+
+
+class _AfterCommitFs(SoundFs):
+    """SoundFS with only its ``_after_commit`` hook overridden."""
+
+    NAME = "after-commit-fs"
+
+    def _after_commit(self, trigger):
+        super()._after_commit(trigger)
+
+
+def test_a_class_that_overrides_a_commit_hook_never_shares(monkeypatch):
+    """Whether a commit may be shared is derived from the class: a subclass
+    that overrides a single commit hook runs every commit, as every seeded
+    variant does, and its profiles still equal fresh ones."""
+    assert SoundFs.commit_ignores_call()
+    assert not any(cls.commit_ignores_call() for cls in TARGETS.values() if cls is not SoundFs)
+    assert not _AfterCommitFs.commit_ignores_call()
+    monkeypatch.setitem(TARGETS, _AfterCommitFs.NAME, _AfterCommitFs)
+    monkeypatch.setattr(harness, "_mkfs_cache", {})
+    seq2 = list(ace.workload_range(Bounds(seq_length=2), 0, 100))
+    commits, steps = _commits_and_persistence_steps(monkeypatch, _AfterCommitFs.NAME, seq2)
+    assert commits == steps
+    for w in seq2[:20]:
+        assert _plain(profile(w, _AfterCommitFs.NAME)) == _plain(profile(w, "soundfs"))
+
+
+def test_a_sibling_with_a_missing_target_fails_as_a_fresh_profile_does(monkeypatch):
+    """A sibling that would adopt a shared commit checks its target first,
+    as ``persist`` does, and gives a fresh profile's harness error."""
+    first, second = parse("creat foo\nfsync foo\n"), parse("creat foo\nfsync bar\n")
+    with pytest.raises(HarnessError) as fresh:
+        profile(second, "soundfs")
+    commits = _count_commits(monkeypatch)
+    fork = PrefixFork()
+    profile(first, "soundfs", fork, second)
+    assert fork.run is not None and fork.run.final_commit
+    with pytest.raises(HarnessError) as shared:
+        profile(second, "soundfs", fork)
+    assert commits == [1]
+    assert str(shared.value) == str(fresh.value)
+
+
+def test_replay_equals_applying_the_records_sector_by_sector():
+    """``replay`` lays a device's whole-block writes over the base as they
+    are, the last writer of a block winning. On the log of every seq-1
+    profile and of seq-2 profiles, whose second commit rewrites blocks of
+    the first, it equals ``with_writes`` of the same records at every
+    checkpoint."""
+    workloads = [
+        *ace.workload_range(Bounds(seq_length=1), 0, None),
+        *ace.workload_range(Bounds(seq_length=2), 0, 200),
+    ]
+    rewritten = 0
+    for w in workloads:
+        try:
+            prof = profile(w, "soundfs")
+        except HarnessError:
+            continue
+        log = prof.device.log
+        written = [rec.sector for rec in log if rec.data]
+        rewritten += len(set(written)) < len(written)
+        for end in [*prof.device.checkpoints, len(log)]:
+            writes = [(rec.sector, rec.data) for rec in log[:end] if rec.data]
+            expected = prof.base_image.with_writes(writes)
+            assert replay(prof.base_image, log, end).content_key() == expected.content_key()
+    assert rewritten > 0
 
 
 def test_live_view_has_the_oracle_paths_and_kinds():
