@@ -2,15 +2,13 @@
 
 An image is a shared immutable base plus a block overlay (4 KB block number
 to its 4096 bytes). This module is the only code that knows that format:
-every block read goes through ``_read_block``, whether it serves the live
-``Device``, a log replay or a crash state built with
-``DiskImage.with_writes``; a mount memo keys images by ``content_key`` and
-splits a recovered image's journal blocks off and back on (``split``,
-``with_blocks``). The device writes only aligned whole blocks, which the
-device and ``replay`` store into an overlay as they are, but the log stays
-sector-addressed: a write that does not cover whole blocks (a
-sector-granular crash-state unit) goes through ``_write``, which merges it
-into the blocks it touches.
+every write into an overlay goes through ``_write`` and every block read
+through ``_read_block``, whether it serves the live ``Device``, a log replay
+or a crash state built with ``DiskImage.with_writes``; a mount memo keys
+images by ``content_key`` and splits a recovered image's journal blocks off
+and back on (``split``, ``with_blocks``). The device writes whole blocks,
+but the log stays sector-addressed: a write that does not cover whole blocks
+(a sector-granular crash-state unit) is merged into the blocks it touches.
 
 The device applies writes eagerly to its current image; durability
 distinctions (what survives a power cut) are reconstructed later from the
@@ -25,7 +23,6 @@ from typing import NamedTuple
 
 SECTOR_SIZE = 512
 BLOCK_SIZE = 4096
-_SECTORS_PER_BLOCK = BLOCK_SIZE // SECTOR_SIZE
 
 
 class BlockDevError(Exception):
@@ -158,9 +155,10 @@ class Device:
         if block_no < 0 or (block_no + 1) * BLOCK_SIZE > self.size_bytes:
             raise OutOfBoundsError(f"block {block_no} out of bounds")
         data = bytes(data)
+        sector = block_no * (BLOCK_SIZE // SECTOR_SIZE)
         if self._log_io:
-            self.log.append(IoRecord(block_no * _SECTORS_PER_BLOCK, data, fua=fua))
-        self._overlay[block_no] = data
+            self.log.append(IoRecord(sector, data, fua=fua))
+        _write(self._base, self._overlay, sector, data)
 
     def flush(self) -> None:
         if self._log_io:
@@ -211,17 +209,5 @@ def split_epochs(log: list[IoRecord]) -> list[range]:
 
 def replay(base: DiskImage, log: list[IoRecord], end: int) -> DiskImage:
     """Apply the writes among the first ``end`` records of ``log`` to
-    ``base``. Pure: the input image is never modified. A device logs only
-    aligned whole blocks (``Device.write_block``), which are laid over
-    ``base`` as they are, the last writer of a block winning; a log with any
-    other write is applied sector by sector (``DiskImage.with_writes``)."""
-    records = log[:end]
-    blocks: dict[int, bytes] = {}
-    limit = base.size_bytes // BLOCK_SIZE
-    for sector, data, _flush, _fua in records:
-        if data:
-            block_no, rest = divmod(sector, _SECTORS_PER_BLOCK)
-            if rest or len(data) != BLOCK_SIZE or block_no >= limit:
-                return base.with_writes((rec.sector, rec.data) for rec in records if rec.data)
-            blocks[block_no] = data
-    return base.with_blocks(blocks)
+    ``base``. Pure: the input image is never modified."""
+    return base.with_writes((rec.sector, rec.data) for rec in log[:end] if rec.data)

@@ -57,17 +57,6 @@ _JCOMMIT = struct.Struct("<8sQ32s")
 # what a malformed image raises while it is recovered or loaded
 _MOUNT_ERRORS = (ValueError, FsError, struct.error, IndexError, UnicodeDecodeError)
 
-# the commit path, whose SoundFS versions ignore which call triggered it
-_CALL_BLIND = (
-    "persist",
-    "_commit",
-    "_skip_data_flush_inos",
-    "_adjust_effective",
-    "_tombstones_for_commit",
-    "_after_commit",
-)
-
-
 class Geometry:
     """The layout of a device of ``total_blocks`` blocks and the superblock
     mkfs writes for it, packed once; one per device size is shared by every
@@ -974,11 +963,10 @@ class SoundFs:
     @classmethod
     def commit_ignores_call(cls) -> bool:
         """Whether a commit of this class leaves the same device and file
-        system whichever persistence call triggers it. SoundFS's own
-        ``persist``, ``_commit`` and policy hooks ignore the trigger and the
-        target and make everything pending durable, so this holds exactly
-        when the class keeps all of them. Every variant overrides a hook."""
-        return all(getattr(cls, name) is getattr(SoundFs, name) for name in _CALL_BLIND)
+        system whichever persistence call triggers it: SoundFS's own commit
+        makes everything pending durable. A subclass never shares, as it
+        may override any part of the commit path."""
+        return cls is SoundFs
 
     def unmount_clean(self) -> DiskImage:
         """Flush everything pending and return the quiesced image."""

@@ -393,9 +393,9 @@ class _AfterCommitFs(SoundFs):
 
 
 def test_a_class_that_overrides_a_commit_hook_never_shares(monkeypatch):
-    """Whether a commit may be shared is derived from the class: a subclass
-    that overrides a single commit hook runs every commit, as every seeded
-    variant does, and its profiles still equal fresh ones."""
+    """Only SoundFS itself shares a commit: a subclass that overrides a
+    single commit hook runs every commit, as every seeded variant does, and
+    its profiles still equal fresh ones."""
     assert SoundFs.commit_ignores_call()
     assert not any(cls.commit_ignores_call() for cls in TARGETS.values() if cls is not SoundFs)
     assert not _AfterCommitFs.commit_ignores_call()
@@ -422,32 +422,6 @@ def test_a_sibling_with_a_missing_target_fails_as_a_fresh_profile_does(monkeypat
         profile(second, "soundfs", fork)
     assert commits == [1]
     assert str(shared.value) == str(fresh.value)
-
-
-def test_replay_equals_applying_the_records_sector_by_sector():
-    """``replay`` lays a device's whole-block writes over the base as they
-    are, the last writer of a block winning. On the log of every seq-1
-    profile and of seq-2 profiles, whose second commit rewrites blocks of
-    the first, it equals ``with_writes`` of the same records at every
-    checkpoint."""
-    workloads = [
-        *ace.workload_range(Bounds(seq_length=1), 0, None),
-        *ace.workload_range(Bounds(seq_length=2), 0, 200),
-    ]
-    rewritten = 0
-    for w in workloads:
-        try:
-            prof = profile(w, "soundfs")
-        except HarnessError:
-            continue
-        log = prof.device.log
-        written = [rec.sector for rec in log if rec.data]
-        rewritten += len(set(written)) < len(written)
-        for end in [*prof.device.checkpoints, len(log)]:
-            writes = [(rec.sector, rec.data) for rec in log[:end] if rec.data]
-            expected = prof.base_image.with_writes(writes)
-            assert replay(prof.base_image, log, end).content_key() == expected.content_key()
-    assert rewritten > 0
 
 
 def test_live_view_has_the_oracle_paths_and_kinds():
