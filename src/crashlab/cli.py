@@ -150,22 +150,21 @@ def _run_partition(args):
     flags, so each distinct body (prologue and steps) is run once: a later
     workload with the same body, which the generator emits under another
     index, gets the first one's verdicts under its own index and workload.
-    Each profile leaves a fork for the next distinct workload where the two
-    part, and the crash states share one mount memo, so a prefix or an image
-    that recurs across sibling workloads is run or recovered once; the
-    verdicts depend on neither. Nothing outlives the call."""
+    The profiles resume from one stack of frozen runs (``PrefixFork``), and
+    the crash states share one mount memo, so a prefix or an image that
+    recurs across sibling workloads is run or recovered once; the verdicts
+    depend on neither. Nothing outlives the call."""
     fs_name, flags, items = args
     memo, fork = MountMemo(), PrefixFork()
-    by_body: dict[tuple, Workload] = {}  # body -> the first workload with it
-    ran_as = [by_body.setdefault((w.prologue, w.steps), w) for _idx, w in items]
-    distinct = list(by_body.values())
-    kept = {}  # id of a distinct body's workload -> (verdict count, non-pass verdicts)
-    for workload, nxt in zip(distinct, distinct[1:] + [None]):
-        verdicts = run_workload(workload, fs_name, flags, memo, fork, nxt)
-        kept[id(workload)] = len(verdicts), [v for v in verdicts if v.outcome != "pass"]
+    ran: dict[tuple, list] = {}  # body -> [verdict count, non-pass verdicts]
     count, findings = 0, []
-    for (idx, workload), first in zip(items, ran_as):
-        verdict_count, found = kept[id(first)]
+    for idx, workload in items:
+        # one lookup: hashing a body hashes each of its steps
+        kept = ran.setdefault((workload.prologue, workload.steps), [])
+        if not kept:
+            verdicts = run_workload(workload, fs_name, flags, memo, fork)
+            kept += len(verdicts), [v for v in verdicts if v.outcome != "pass"]
+        verdict_count, found = kept
         count += verdict_count
         findings += [(idx, workload, verdict) for verdict in found]
     return count, findings

@@ -135,7 +135,10 @@ def parse_size(text: str) -> int:
         mult, text = 1024, text[:-1]
     elif text.endswith(("M", "m")):
         mult, text = 1024 * 1024, text[:-1]
-    return int(text) * mult
+    size = int(text) * mult
+    if size < 0:
+        raise ValueError(f"negative size {size}")
+    return size
 
 
 def format_range(start: int, end: int) -> str:
@@ -149,7 +152,10 @@ def parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = inner[1:-1].partition("-")
     if not _:
         raise ValueError(f"malformed range {text!r}")
-    return parse_size(lo), parse_size(hi)
+    start, end = parse_size(lo), parse_size(hi)
+    if end < start:
+        raise ValueError(f"range {text!r} ends before it starts")
+    return start, end
 
 
 def pattern_bytes(op_index: int, start: int, end: int) -> bytes:

@@ -371,7 +371,9 @@ class SoundFs:
     # -- journal recovery ----------------------------------------------------
 
     def _recover(self) -> tuple[int, int]:
-        """Replay committed transactions in order; returns (next slot, next id)."""
+        """Replay committed transactions in order; returns (next slot, next id).
+        A header's home list and tombstones are parsed only once its commit
+        block and checksum match: an uncommitted header may hold anything."""
         geo = self.geo
         pos = geo.journal_start
         end = geo.journal_start + geo.journal_blocks
@@ -386,12 +388,6 @@ class SoundFs:
                 break
             if pos + 1 + n_entries + 1 > end:
                 break
-            homes = list(
-                struct.unpack_from(f"<{n_entries}I", hdr_raw, _JHDR.size)
-            )
-            tombstones = self._unpack_tombstones(
-                hdr_raw, _JHDR.size + 4 * n_entries, n_tomb
-            )
             entry_blocks = [
                 self.device.read_block(pos + 1 + i) for i in range(n_entries)
             ]
@@ -405,6 +401,8 @@ class SoundFs:
                 h.update(eb)
             if h.digest() != csum:
                 break
+            homes = struct.unpack_from(f"<{n_entries}I", hdr_raw, _JHDR.size)
+            tombstones = self._unpack_tombstones(hdr_raw, _JHDR.size + 4 * n_entries, n_tomb)
             for home, blk in zip(homes, entry_blocks):
                 self.device.write_block(home, blk)
             for dir_ino, name in tombstones:

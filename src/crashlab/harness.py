@@ -17,8 +17,10 @@ is recovered once, each distinct recovered file system loaded and viewed
 once, and each distinct set of directories probed once on it. A repeat is
 compared on the stored view; a live file system is thawed from the memo
 mount only when a probe must write. Within a campaign's worker partition,
-the memo is shared, and a profile resumes from a fork of the previous
-workload's run, taken after the steps the two share (``PrefixFork``).
+the memo is shared, and the workloads' bodies form a trie of shared step
+prefixes: a stack of frozen runs (``PrefixFork``) holds the last profiled
+workload's state after its prologue and each of its leading steps, and a
+profile resumes from a fork of the deepest one its body starts with.
 Siblings that differ only in their final persistence call run its commit
 once when the target's commit ignores which call triggered it (SoundFS);
 each still computes its own persisted set (``profile``).
@@ -155,9 +157,9 @@ class Profile:
         self.persisted_now: dict[str, int] = {}
         self.persisted: dict[int, dict[str, int]] = {}
         self.oracle_views: dict[int, FsStateView] = {}
-        # None until this state is forked; then the list its forks share,
-        # which holds the first final commit run from it (``_persist``)
-        self.final_commit: list | None = None
+        # shared with this state's forks; holds the first final commit run
+        # from this state (``_persist``)
+        self.final_commit: list = []
         for op in prologue:
             self.fs.apply(op, self.op_index)
             self.op_index += 1
@@ -166,10 +168,8 @@ class Profile:
         """An independent copy. Stored oracle views and per-checkpoint
         persisted sets are never changed, so the copy shares them. The copy
         also shares ``final_commit`` with this run and with every other fork
-        of this state, until it advances: a workload whose last step is a
-        persistence call stores its commit there or adopts a stored one."""
-        if self.final_commit is None:
-            self.final_commit = []
+        of this state, until it takes a step: a workload whose last step is
+        a persistence call stores its commit there or adopts a stored one."""
         run = Profile.__new__(Profile)
         run.__dict__.update(vars(self))
         run.device = self.device.copy()
@@ -179,22 +179,21 @@ class Profile:
         run.oracle_views = dict(self.oracle_views)
         return run
 
-    def advance(self, steps, end: int) -> None:
-        """Run the workload body ``steps`` from ``done`` up to ``end``."""
-        last = len(steps) - 1
-        while self.done < end:
-            step = steps[self.done]
-            if isinstance(step, FsOp):
-                self.fs.apply(step, self.op_index)
-                self.op_index += 1
-            else:
-                view = self._persist(step, self.done == last)
-                cp = len(self.device.checkpoints)
-                self.oracle_views[cp] = view
-                _update_persisted(self.persisted_now, self.fs, step, view)
-                self.persisted[cp] = dict(self.persisted_now)
-            self.done += 1
-            self.final_commit = None
+    def advance(self, steps) -> None:
+        """Run step ``done`` of the workload body ``steps``; the new state
+        gets a fresh ``final_commit`` cell."""
+        step = steps[self.done]
+        if isinstance(step, FsOp):
+            self.fs.apply(step, self.op_index)
+            self.op_index += 1
+        else:
+            view = self._persist(step, self.done == len(steps) - 1)
+            cp = len(self.device.checkpoints)
+            self.oracle_views[cp] = view
+            _update_persisted(self.persisted_now, self.fs, step, view)
+            self.persisted[cp] = dict(self.persisted_now)
+        self.done += 1
+        self.final_commit = []
 
     def _persist(self, step: PersistOp, final: bool) -> FsStateView:
         """Commit ``step``, insert its checkpoint and return the oracle view
@@ -205,10 +204,10 @@ class Profile:
         one state share it: the first to get here stores its post-commit
         device, file system and view in ``final_commit``, and the others
         check their target as ``persist`` does, then adopt those read-only."""
-        shared = self.final_commit if final and self.fs.commit_ignores_call() else None
-        if shared:
+        shared = final and self.fs.commit_ignores_call()
+        if shared and self.final_commit:
             self.fs.persist_target(step.kind, step.target)
-            self.device, self.fs, view = shared[0]
+            self.device, self.fs, view = self.final_commit[0]
             return view
         self.fs.persist(step.kind, step.target)
         self.device.insert_checkpoint()
@@ -216,84 +215,67 @@ class Profile:
         # unless the commit deferred data (bugfs-b5), which gets its blocks
         # only when the unmount writes it.
         view = self.fs.clean_view()
-        if shared is not None:
-            shared.append((self.device, self.fs, view))
+        if shared:
+            self.final_commit.append((self.device, self.fs, view))
         return view
 
 
 class PrefixFork:
-    """One campaign partition's slot for a profile forked where a workload
-    and the one after it part: after the prologue they share and the
-    leading body steps they share. Sibling workloads from one skeleton
-    often differ only in their last steps, so the next profile resumes
-    there instead of replaying the prefix from mkfs."""
+    """One campaign partition's stack of frozen runs: ``runs[d]`` is the
+    state after the prologue and ``d`` body steps of the last workload
+    profiled through it. A partition's workloads form a trie of shared step
+    prefixes, and siblings from one skeleton often differ only in their
+    last steps, so a profile resumes from a fork of the deepest run its body
+    starts with instead of replaying the prefix from mkfs. Nothing advances
+    a run on the stack."""
 
     def __init__(self) -> None:
-        self.key: tuple | None = None
-        self.run: Profile | None = None
+        self.runs: list[Profile] = []
+        self.prologue: tuple = ()
+        self.steps: tuple = ()  # the body of the last workload profiled
 
-    def put(self, fs_name: str, workload: Workload, run: Profile) -> None:
-        self.key = (fs_name, workload.prologue, workload.steps[: run.done])
-        self.run = run
-
-    def take(self, fs_name: str, workload: Workload) -> Profile | None:
-        """The held run when ``workload`` starts with its prefix, else None;
-        the slot is emptied either way."""
-        key, run = self.key, self.run
-        self.key = self.run = None
-        if run is None:
-            return None
-        name, prologue, steps = key
-        if name != fs_name or prologue != workload.prologue or workload.steps[: len(steps)] != steps:
-            return None
-        return run
-
-
-def _shared_steps(workload: Workload, following: Workload | None) -> int | None:
-    """How many leading body steps ``following`` shares with ``workload``;
-    None when there is no following workload or the prologues differ."""
-    if following is None or following.prologue != workload.prologue:
-        return None
-    n = 0
-    for mine, theirs in zip(workload.steps, following.steps):
-        if mine != theirs:
-            break
-        n += 1
-    return n
+    def resume(self, fs_name: str, workload: Workload) -> Profile:
+        """A fork of the deepest run whose steps ``workload``'s body starts
+        with, after dropping the deeper ones. Another target or another
+        prologue empties the stack, which a fresh run then starts."""
+        runs = self.runs
+        if not runs or (runs[0].fs_name, self.prologue) != (fs_name, workload.prologue):
+            runs[:] = [Profile(fs_name, workload.prologue)]
+            self.prologue = workload.prologue
+        depth = 0
+        for mine, theirs in zip(self.steps[: len(runs) - 1], workload.steps):
+            if mine != theirs:
+                break
+            depth += 1
+        del runs[depth + 1 :]
+        self.steps = workload.steps
+        return runs[depth].fork()
 
 
-def profile(
-    workload: Workload,
-    fs_name: str,
-    fork: PrefixFork | None = None,
-    following: Workload | None = None,
-) -> Profile:
+def profile(workload: Workload, fs_name: str, fork: PrefixFork | None = None) -> Profile:
     """Run ``workload`` once end to end and return the run: its IO log,
     per-checkpoint oracle views and persisted sets.
 
-    With a partition's ``fork`` slot, the run resumes from the fork held
-    there when ``workload`` starts with its prefix, and it leaves a fork
-    for ``following`` where the two part; a resumed profile equals a fresh
-    one.
+    With a partition's ``fork`` stack, the run resumes from a fork of the
+    deepest frozen run its body starts with, and as it passes each new
+    depth below its last step it pushes a fork of itself there; a resumed
+    profile equals a fresh one.
 
-    Siblings that share every step but a final persistence call resume
-    from forks of one state. On a target whose commit ignores the call
-    (SoundFS), they share that commit: the first runs it, and the others
-    adopt its post-commit device, file system and oracle view read-only,
-    computing only their own persisted set. The final step is the last
-    one, so nothing advances an adopted run; a fork of it copies the device
-    and file system as any fork does. Without a ``fork`` slot (``replay``,
-    the corpus) no state is forked, and every commit runs."""
-    run = fork.take(fs_name, workload) if fork is not None else None
+    Siblings that share every step but a final persistence call all resume
+    from forks of the run at depth ``len(steps) - 1``. On a target whose
+    commit ignores the call (SoundFS), they share that commit: the first
+    runs it, and the others adopt its post-commit device, file system and
+    oracle view read-only, computing only their own persisted set. Nothing
+    is pushed after the final step, so nothing advances or forks an adopted
+    run. Without a ``fork`` stack (``replay``, the corpus) no state is
+    forked, and every commit runs."""
+    steps = workload.steps
     try:
-        if run is None:
-            run = Profile(fs_name, workload.prologue)
-        shared = _shared_steps(workload, following) if fork is not None else None
-        # a run resumed past the point where ``following`` parts leaves none
-        if shared is not None and shared >= run.done:
-            run.advance(workload.steps, shared)
-            fork.put(fs_name, workload, run.fork())
-        run.advance(workload.steps, len(workload.steps))
+        run = fork.resume(fs_name, workload) if fork else Profile(fs_name, workload.prologue)
+        while run.done < len(steps):
+            run.advance(steps)
+            if fork and run.done < len(steps):
+                fork.runs.append(run.fork())
     except FsError as e:
         raise HarnessError(f"workload op failed: {e}") from e
     return run
@@ -488,16 +470,15 @@ def run_workload(
     flags: RunFlags | None = None,
     memo: MountMemo | None = None,
     fork: PrefixFork | None = None,
-    following: Workload | None = None,
 ) -> list[Verdict]:
-    """Profile once (resuming from ``fork`` and leaving one there for
-    ``following``, see ``profile``), then test crash states, mounting them
-    through ``memo`` when given. Default mode tests only the final
-    checkpoint: campaigns run shorter sequences first, so earlier
-    checkpoints repeat already-explored workloads."""
+    """Profile once (through the ``fork`` stack when given, see
+    ``profile``), then test crash states, mounting them through ``memo``
+    when given. Default mode tests only the final checkpoint: campaigns run
+    shorter sequences first, so earlier checkpoints repeat already-explored
+    workloads."""
     flags = flags or RunFlags()
     try:
-        prof = profile(workload, fs_name, fork, following)
+        prof = profile(workload, fs_name, fork)
     except HarnessError as e:
         return [Verdict("harness_error", crash_descriptor="profile", reason=str(e))]
 

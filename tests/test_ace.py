@@ -287,6 +287,24 @@ def test_parse_unknown_op_reports_line():
     assert e.value.lineno == 1
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("truncate -5 foo", "bad arguments for truncate: negative size -5"),
+        ("write (8K-4K) foo", "bad arguments for write: range '(8K-4K)' ends before it starts"),
+        ("falloc (0--4K) foo", "bad arguments for falloc: negative size -4096"),
+    ],
+    ids=["negative-size", "reversed-range", "negative-range-end"],
+)
+def test_parse_rejects_negative_sizes_and_reversed_ranges(line, message):
+    """A negative size would index a block list from its end, and a
+    reversed range would write nothing yet extend the file."""
+    with pytest.raises(ParseError) as e:
+        parse(f"creat foo\n{line}\n")
+    assert e.value.lineno == 2
+    assert str(e.value) == f"line 2: {message}"
+
+
 def test_parse_ranges_and_flags():
     w = parse("falloc -k (8-16K) foo\nwrite (0-16K) foo\ntruncate 2500 foo\nsync\n")
     ops = w.steps

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from crashlab import ace, cli, report
+from crashlab import ace, cli, harness, report
 from crashlab.cli import (
     CampaignConfig,
     _collect_tiers,
@@ -426,10 +426,15 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, text, args, m
 
 def test_a_corpus_campaign_names_the_file_that_does_not_parse(tmp_path, capsys):
     (tmp_path / "a.wl").write_text("creat foo\nfsync foo\n")
-    (tmp_path / "b.wl").write_text("creat foo\nfrobnicate foo\n")
-    assert main(["campaign", "--corpus", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {tmp_path / 'b.wl'}: line 2: unknown operation 'frobnicate'\n"
+    for line, message in (
+        ("frobnicate foo", "unknown operation 'frobnicate'"),
+        ("truncate -5 foo", "bad arguments for truncate: negative size -5"),
+        ("write (8K-4K) foo", "bad arguments for write: range '(8K-4K)' ends before it starts"),
+    ):
+        (tmp_path / "b.wl").write_text(f"creat foo\n{line}\n")
+        assert main(["campaign", "--corpus", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'b.wl'}: line 2: {message}\n"
 
 
 def test_bounds_that_give_no_workload_are_a_config_error(capsys):
@@ -665,6 +670,38 @@ def test_a_partition_runs_each_distinct_body_once(monkeypatch, config, duplicate
     bodies = [(workload.prologue, workload.steps) for _idx, workload in tier]
     assert len(ran) == len(set(bodies)) == len(tier) - duplicates
     assert [(w.prologue, w.steps) for w in ran] == list(dict.fromkeys(bodies))
+
+
+def _prologue_runs(tier) -> int:
+    """The runs of equal prologues among a tier's distinct bodies, in order."""
+    bodies = dict.fromkeys((w.prologue, w.steps) for _idx, w in tier)
+    prologues = [prologue for prologue, _steps in bodies]
+    return sum(p != q for p, q in zip(prologues, [None, *prologues]))
+
+
+@pytest.mark.parametrize(
+    "ranges, fresh",
+    [([(lo, lo + 100) for lo in range(0, 500, 100)], [3, 3, 3, 1, 2]), ([(0, 5000)], [26])],
+    ids=["seq2-default-unit", "seq2-0-5000"],
+)
+def test_a_partition_starts_from_mkfs_once_per_run_of_one_prologue(monkeypatch, ranges, fresh):
+    """A partition's profiles resume from its stack of frozen runs, so
+    only a workload whose prologue differs from the previous distinct
+    body's builds a profile from mkfs."""
+    built = [0]
+    init = harness.Profile.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        return init(self, *args)
+
+    monkeypatch.setattr(harness.Profile, "__init__", counted)
+    for (lo, hi), want in zip(ranges, fresh, strict=True):
+        config = CampaignConfig(seq=(2,), index_range=(lo, hi))
+        (tier,) = _collect_tiers(config)
+        built[0] = 0
+        run_campaign(config, quiet=True)
+        assert built[0] == _prologue_runs(tier) == want, (lo, hi)
 
 
 def test_equal_steps_after_another_prologue_run_again(monkeypatch):

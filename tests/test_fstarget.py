@@ -17,7 +17,14 @@ from crashlab.fstarget import (
     VARIANTS,
     get_target,
 )
-from crashlab.fstarget.soundfs import Geometry, Inode, _decode_inode, _encode_inode
+from crashlab.fstarget.soundfs import (
+    JOURNAL_HDR_MAGIC,
+    _JHDR,
+    Geometry,
+    Inode,
+    _decode_inode,
+    _encode_inode,
+)
 from image_helper import image_bytes
 
 MiB = 1024 * 1024
@@ -425,6 +432,24 @@ def test_recovery_idempotent_across_remounts():
     img_a = fs_a.device.snapshot()
     fs_b = SoundFs.mount(img_a)
     assert sorted(fs_b.state_view().entries) == sorted(fs_a.state_view().entries)
+
+
+@pytest.mark.parametrize(
+    "tombstone", [b"\x01\x00\x02\xff\xfe", b"\x01\x00\x02fo"], ids=["non-utf8", "ascii"]
+)
+def test_an_uncommitted_header_is_never_parsed(tombstone):
+    """A transaction header with no commit block after it is ignored
+    whatever its tombstones hold: the image mounts to the mkfs image's
+    view. Recovery parses a header's tombstones only once its commit and
+    checksum match."""
+    dev = Device(DEV)
+    SoundFs.mkfs(dev)
+    image = dev.snapshot()
+    header = _JHDR.pack(JOURNAL_HDR_MAGIC, 1, 0, 1) + tombstone  # txn 1, 0 entries, 1 tombstone
+    crafted = write_block(image, geometry(image).journal_start, header.ljust(BLOCK_SIZE, b"\0"))
+    fs = SoundFs.mount(crafted)
+    assert not isinstance(fs, Unmountable), fs
+    assert fs.state_view().entries == SoundFs.mount(image).state_view().entries
 
 
 @pytest.mark.parametrize(

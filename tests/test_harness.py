@@ -275,10 +275,10 @@ def test_profile_replicates_only_where_a_commit_deferred_data(monkeypatch):
     assert prof.oracle_views[1].entries["foo"].block_count == 8
 
 
-def _profile_record(w, fs_name, *fork_args):
+def _profile_record(w, fs_name, fork=None):
     """What a profile gives, or its harness error."""
     try:
-        return profile(w, fs_name, *fork_args)
+        return profile(w, fs_name, fork)
     except HarnessError as e:
         return str(e)
 
@@ -297,43 +297,97 @@ def _sibling_chain(text):
     return [dataclasses.replace(w, steps=w.steps[:k]) for k in range(1, len(w.steps))] + [w, w]
 
 
-def test_a_resumed_profile_equals_a_fresh_one():
-    """Profiles run in order through one ``PrefixFork`` slot, as in a
-    campaign partition, resume where the previous workload parted from
-    theirs, and give what a fresh profile gives, also once the later ones
-    have run."""
+def _count_fresh(monkeypatch) -> list[int]:
+    """A one-item list that counts the profile runs built from mkfs from
+    now on: calls of ``Profile.__init__``."""
+    fresh = [0]
+    init = harness.Profile.__init__
+
+    def counted(self, *args):
+        fresh[0] += 1
+        return init(self, *args)
+
+    monkeypatch.setattr(harness.Profile, "__init__", counted)
+    return fresh
+
+
+def test_a_resumed_profile_equals_a_fresh_one(monkeypatch):
+    """Profiles run in order through one ``PrefixFork`` stack, as in a
+    campaign partition, resume from the deepest state of the previous
+    workload that theirs starts with, and give what a fresh profile gives,
+    also once the later ones have run."""
     seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)
     cases = [(name, seq1) for name in sorted(TARGETS)]
     cases.append(("soundfs", ace.workload_range(Bounds(seq_length=2), 0, 600)))
     cases.append(("bugfs-b5", _b5_write_rename_slice()))
     cases += [(name, _sibling_chain(text)) for name, text in _TRIGGERS_THEN_SYNC.items()]
+    fresh = _count_fresh(monkeypatch)
     for name, workloads in cases:
         fork = PrefixFork()
-        resumed = 0
-        profiles = []
-        for w, following in zip(workloads, [*workloads[1:], None]):
-            resumed += fork.run is not None
-            profiles.append(_profile_record(w, name, fork, following))
-        assert resumed >= len(workloads) // 2, name
+        fresh[0] = 0
+        profiles = [_profile_record(w, name, fork) for w in workloads]
+        assert len(workloads) - fresh[0] >= len(workloads) // 2, name
         for w, prof in zip(workloads, profiles):
             assert _plain(prof) == _plain(_profile_record(w, name)), (name, ace.serialize(w))
 
 
 def test_a_fork_is_taken_only_by_a_workload_with_its_prefix():
-    """A fork left for one workload is dropped when another comes next: one
-    with other steps, another prologue or another target starts fresh."""
+    """A workload resumes from the stack's state after the steps it shares
+    with the previous one, and the deeper states are dropped: one with
+    other steps resumes after the prologue, and one with another prologue
+    or another target starts fresh. Either way the stack then holds its
+    own states, below its last step."""
     a = parse("creat foo\nfsync foo\nlink foo bar\nfsync foo\n")  # bugfs-b1 drops the link
-    others = [
-        ("soundfs", parse("creat foo\nfsync foo\ncreat bar\nfsync bar\n")),
-        ("soundfs", dataclasses.replace(a, prologue=parse("mkdir A\nsync\n").steps[:1])),
-        ("bugfs-b1", a),
+    others = [  # (target, workload, the depth it resumes at; None: fresh)
+        ("soundfs", parse("creat foo\nfsync foo\ncreat bar\nfsync bar\n"), 2),
+        ("soundfs", parse("creat bar\nfsync bar\n"), 0),
+        ("soundfs", dataclasses.replace(a, prologue=parse("mkdir A\nsync\n").steps[:1]), None),
+        ("bugfs-b1", a, None),
     ]
-    for name, w in others:
+    for name, w, depth in others:
         fork = PrefixFork()
-        profile(a, "soundfs", fork, a)
-        assert fork.run is not None and fork.run.done == len(a.steps)
+        profile(a, "soundfs", fork)
+        assert [run.done for run in fork.runs] == list(range(len(a.steps)))
+        before = list(fork.runs)
         assert _plain(profile(w, name, fork)) == _plain(profile(w, name)), name
-        assert fork.run is None
+        assert [run.done for run in fork.runs] == list(range(len(w.steps))), name
+        kept = 0 if depth is None else depth + 1
+        assert fork.runs[:kept] == before[:kept], name
+        assert all(run is not old for run, old in zip(fork.runs[kept:], before[kept:])), name
+
+
+def test_a_workload_resumes_where_it_parts_from_the_previous_one(monkeypatch):
+    """In the sequence (a,b,c), (a,b,d), (a,e,f) the third workload resumes
+    after the prologue and step a, although the second resumed deeper, and
+    runs only its own steps e and f; only the first starts from mkfs."""
+    prologue = "# deps\nmkdir A\n# ops\n"
+    workloads = [
+        parse(prologue + body)
+        for body in (
+            "creat A/foo\ncreat A/bar\nfsync A/foo\n",
+            "creat A/foo\ncreat A/bar\nfsync A/bar\n",
+            "creat A/foo\nmkdir B\nsync\n",
+        )
+    ]
+    fresh = _count_fresh(monkeypatch)
+    steps = []
+    advance = harness.Profile.advance
+
+    def counted(run, body):
+        steps.append(run.done)
+        return advance(run, body)
+
+    monkeypatch.setattr(harness.Profile, "advance", counted)
+    fork = PrefixFork()
+    for w in workloads[:2]:
+        profile(w, "soundfs", fork)
+    after_a = fork.runs[1]
+    del steps[:]
+    third = profile(workloads[2], "soundfs", fork)
+    assert fresh == [1]
+    assert steps == [1, 2]
+    assert fork.runs[1] is after_a
+    assert _plain(third) == _plain(profile(workloads[2], "soundfs"))
 
 
 def _count_commits(monkeypatch) -> list[int]:
@@ -351,8 +405,8 @@ def _count_commits(monkeypatch) -> list[int]:
 
 
 def _commits_and_persistence_steps(monkeypatch, fs_name, workloads):
-    """Profile ``workloads`` in order through one ``PrefixFork``, as a
-    campaign partition does; count the commits run and the persistence
+    """Profile ``workloads`` in order through one ``PrefixFork`` stack, as
+    a campaign partition does; count the commits run and the persistence
     steps run (a resumed profile skips the steps of its prefix), each of
     which updates the persisted set once."""
     commits = _count_commits(monkeypatch)
@@ -366,8 +420,8 @@ def _commits_and_persistence_steps(monkeypatch, fs_name, workloads):
 
     monkeypatch.setattr(harness, "_update_persisted", counted)
     fork = PrefixFork()
-    for w, following in zip(workloads, [*workloads[1:], None]):
-        profile(w, fs_name, fork, following)
+    for w in workloads:
+        profile(w, fs_name, fork)
     return commits[0], steps
 
 
@@ -416,8 +470,8 @@ def test_a_sibling_with_a_missing_target_fails_as_a_fresh_profile_does(monkeypat
         profile(second, "soundfs")
     commits = _count_commits(monkeypatch)
     fork = PrefixFork()
-    profile(first, "soundfs", fork, second)
-    assert fork.run is not None and fork.run.final_commit
+    profile(first, "soundfs", fork)
+    assert fork.runs[len(first.steps) - 1].final_commit
     with pytest.raises(HarnessError) as shared:
         profile(second, "soundfs", fork)
     assert commits == [1]
