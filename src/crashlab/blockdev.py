@@ -15,10 +15,14 @@ distinctions (what survives a power cut) are reconstructed later from the
 log by the crash-state generator. Reads are never logged. The log holds
 only writes and FLUSHes: a checkpoint is a position in it and an epoch a
 range of positions (``split_epochs``), so every crash state is a cut of it.
+The device keeps its image at each checkpoint, and ``replay`` builds a cut
+from the last of those images at or before it, applying only the writes
+logged since: a checkpoint state is that checkpoint's image.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 SECTOR_SIZE = 512
@@ -130,7 +134,8 @@ class DiskImage:
 class Device:
     """Recording block device confined to a single worker. ``log`` holds
     the writes and FLUSHes it was sent; ``checkpoints[k - 1]`` is the log
-    position (the number of records before it) of checkpoint ``k``."""
+    position (the number of records before it) of checkpoint ``k`` and
+    ``images[k - 1]`` the device's image there."""
 
     def __init__(self, size_bytes: int, base: DiskImage | None = None, *, log_io: bool = True):
         if size_bytes <= 0 or size_bytes % SECTOR_SIZE != 0:
@@ -145,6 +150,7 @@ class Device:
         self._log_io = log_io
         self.log: list[IoRecord] = []
         self.checkpoints: list[int] = []
+        self.images: list[DiskImage] = []
 
     # -- IO path --
 
@@ -165,8 +171,10 @@ class Device:
             self.log.append(IoRecord(flush=True))
 
     def insert_checkpoint(self) -> int:
-        """Mark the log's end as the next checkpoint; return its number."""
+        """Mark the log's end as the next checkpoint and keep the image
+        there; return its number."""
         self.checkpoints.append(len(self.log))
+        self.images.append(self.snapshot())
         return len(self.checkpoints)
 
     # -- reads (never logged) --
@@ -180,15 +188,16 @@ class Device:
         return DiskImage(self.size_bytes, self._base, dict(self._overlay))
 
     def copy(self) -> "Device":
-        """An independent device with this one's image, log and checkpoints.
-        A profile forked where two workloads part continues on one, and a
-        replica that oracle capture unmounts runs on one
+        """An independent device with this one's image, log, checkpoints and
+        checkpoint images. A forked profile copies its device before it
+        first writes, and a replica that oracle capture unmounts runs on one
         (``SoundFs.clean_view``)."""
         dev = Device.__new__(Device)
         dev.__dict__.update(vars(self))
         dev._overlay = dict(self._overlay)
         dev.log = list(self.log)
         dev.checkpoints = list(self.checkpoints)
+        dev.images = list(self.images)
         return dev
 
 
@@ -207,7 +216,18 @@ def split_epochs(log: list[IoRecord]) -> list[range]:
     return epochs
 
 
-def replay(base: DiskImage, log: list[IoRecord], end: int) -> DiskImage:
-    """Apply the writes among the first ``end`` records of ``log`` to
-    ``base``. Pure: the input image is never modified."""
-    return base.with_writes((rec.sector, rec.data) for rec in log[:end] if rec.data)
+def replay(
+    base: DiskImage,
+    log: list[IoRecord],
+    checkpoints: list[int],
+    images: list[DiskImage],
+    end: int,
+) -> DiskImage:
+    """The image after the writes among the first ``end`` records of
+    ``log``: the image at the last of the ``checkpoints`` (log positions,
+    with their ``images``) at or before ``end``, or ``base`` before the
+    first, with the writes logged after it applied: none for a cut at a
+    checkpoint. Pure: no input image is modified."""
+    k = bisect_right(checkpoints, end)
+    start, image = (checkpoints[k - 1], images[k - 1]) if k else (0, base)
+    return image.with_writes((rec.sector, rec.data) for rec in log[start:end] if rec.data)

@@ -150,6 +150,10 @@ def _run_partition(args):
     flags, so each distinct body (prologue and steps) is run once: a later
     workload with the same body, which the generator emits under another
     index, gets the first one's verdicts under its own index and workload.
+    Equal bodies have equal op kinds, so one skeleton, and the generator
+    emits each skeleton's workloads in one run: the map of bodies run is
+    emptied whenever the skeleton changes, and holds one skeleton's bodies,
+    not the partition's.
     The profiles resume from one stack of frozen runs (``PrefixFork``), and
     the crash states share one mount memo, so a prefix or an image that
     recurs across sibling workloads is run or recovered once; the verdicts
@@ -157,8 +161,12 @@ def _run_partition(args):
     fs_name, flags, items = args
     memo, fork = MountMemo(), PrefixFork()
     ran: dict[tuple, list] = {}  # body -> [verdict count, non-pass verdicts]
+    skeleton = None
     count, findings = 0, []
     for idx, workload in items:
+        if workload.skeleton != skeleton:
+            skeleton = workload.skeleton
+            ran.clear()
         # one lookup: hashing a body hashes each of its steps
         kept = ran.setdefault((workload.prologue, workload.steps), [])
         if not kept:
@@ -392,14 +400,11 @@ class CorpusRow:
 def _corpus_row(path: Path, fs_name: str, memo: MountMemo) -> CorpusRow:
     """Run one DSL file in all-checkpoints mode, mounting its crash states
     through ``memo``; the expected consequence for this target comes from a
-    `# consequence[<fs>]:` header (default none)."""
-    text = path.read_text(encoding="utf-8")
-    expected = ace.corpus_annotations(text).get(f"consequence[{fs_name}]", "none")
-    try:
-        workload = ace.parse(text)
-    except ace.ParseError as e:
-        return CorpusRow(path.name, expected, f"parse_error: {e}", False)
-    verdicts = run_workload(workload, fs_name, RunFlags(all_checkpoints=True), memo)
+    `# consequence[<fs>]:` header (default none). A file that does not parse
+    is bad input, not a failing row: its error names the file."""
+    annotations = ace.corpus_annotations(path.read_text(encoding="utf-8"))
+    expected = annotations.get(f"consequence[{fs_name}]", "none")
+    verdicts = run_workload(ace.parse_file(path), fs_name, RunFlags(all_checkpoints=True), memo)
     # the first failing verdict's consequence, or "harness_error"
     observed = next((v.consequence or v.outcome for v in verdicts if v.outcome != "pass"), "none")
     return CorpusRow(path.name, expected, observed, expected == observed)

@@ -1,14 +1,15 @@
-"""Crash-state construction from a base image and the cuts of an IO log.
+"""Crash-state construction from checkpoint images and the cuts of an IO log.
 
-A checkpoint state is the log replayed up to that checkpoint's position. A
-subset-mode state is every fully durable leading epoch plus an ordered
-subset of the target epoch's write units (whole records, or 512-byte
-sectors). Small epochs are enumerated exhaustively; larger ones are sampled
-reproducibly from a seed. The prefix image is built once per target epoch
-(``prefix_state``), and each state is that image with its kept units applied
-through ``DiskImage.with_writes``, so this module never sees the image
-format. A state's coordinates (the checkpoint number, or the prefix epoch
-count, kept unit indices and granularity) are its descriptor, which
+A checkpoint state is the device's image at that checkpoint. A subset-mode
+state is every fully durable leading epoch plus an ordered subset of the
+target epoch's write units (whole records, or 512-byte sectors). Small
+epochs are enumerated exhaustively; larger ones are sampled reproducibly
+from a seed. The prefix image is built once per target epoch
+(``prefix_state``), from the last checkpoint image at or before it, and
+each state is that image with its kept units applied through
+``DiskImage.with_writes``, so this module never sees the image format. A
+state's coordinates (the checkpoint number, or the prefix epoch count,
+kept unit indices and granularity) are its descriptor, which
 ``CrashState.descriptor`` writes and ``parse_descriptor`` reads.
 """
 
@@ -103,21 +104,24 @@ def prefix_state(
     base: DiskImage,
     log: list[IoRecord],
     checkpoints: list[int],
+    images: list[DiskImage],
     epochs: list[range],
     prefix_count: int,
     granularity: str = "op",
 ) -> PrefixState:
     """base + the writes of the first ``prefix_count`` of the ``epochs`` of
-    ``log``, with the next epoch as the target. The prefix contains the
-    checkpoints at or before the target's start (``checkpoints`` holds their
-    log positions), so one right after a terminator counts for the prefix
-    ending there. None sits at position 0, before every epoch: each
-    persistence call logs a commit or a FLUSH before its checkpoint."""
+    ``log``, with the next epoch as the target, built by ``replay`` from the
+    last of the checkpoint ``images`` at or before the target. The prefix
+    contains the checkpoints at or before the target's start
+    (``checkpoints`` holds their log positions), so one right after a
+    terminator counts for the prefix ending there. None sits at position 0,
+    before every epoch: each persistence call logs a commit or a FLUSH
+    before its checkpoint."""
     if not 0 <= prefix_count < len(epochs):
         raise ValueError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
     target = epochs[prefix_count]
     return PrefixState(
-        replay(base, log, target.start),
+        replay(base, log, checkpoints, images, target.start),
         prefix_count,
         bisect_right(checkpoints, target.start),
         _atomic_units(log, target, granularity),

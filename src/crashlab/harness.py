@@ -5,8 +5,9 @@ device, inserting a checkpoint after every persistence call and capturing
 an oracle at each one: the view the file system would show after a clean
 unmount (``clean_view``: the live view, or an unmounted replica's when the
 commit deferred data). Crash states are cuts of its IO log: at a
-checkpoint, the log replayed up to the checkpoint's position; mid-epoch,
-the crash generator's subsets.
+checkpoint, the device's image there, which the device keeps; mid-epoch,
+the crash generator's subsets, each built on the image at the last
+checkpoint before its cut with only the writes logged since replayed.
 ``check(prof, state)`` turns any of them into a verdict: it mounts the
 state so recovery runs and compares it against the oracle of the last
 checkpoint the state contains, but only for entities the persistence calls
@@ -20,10 +21,11 @@ mount only when a probe must write. Within a campaign's worker partition,
 the memo is shared, and the workloads' bodies form a trie of shared step
 prefixes: a stack of frozen runs (``PrefixFork``) holds the last profiled
 workload's state after its prologue and each of its leading steps, and a
-profile resumes from a fork of the deepest one its body starts with.
-Siblings that differ only in their final persistence call run its commit
-once when the target's commit ignores which call triggered it (SoundFS);
-each still computes its own persisted set (``profile``).
+profile resumes from a fork of the deepest one its body starts with. A
+fork shares its device and file system until it first writes, and copies
+them then. Siblings that differ only in their final persistence call run
+its commit once when the target's commit ignores which call triggered it
+(SoundFS); each still computes its own persisted set (``profile``).
 """
 
 from __future__ import annotations
@@ -140,9 +142,10 @@ def _update_persisted(
 
 class Profile:
     """A workload's profile run: the file system, its recording device (the
-    IO log and the checkpoints' positions in it) and, after the prologue and
-    ``done`` body steps, the oracle view and the persisted set at each
-    checkpoint."""
+    IO log, the checkpoints' positions in it and the image at each) and,
+    after the prologue and ``done`` body steps, the oracle view and the
+    persisted set at each checkpoint. ``shared`` says whether a fork may
+    still hold the device and file system."""
 
     def __init__(self, fs_name: str, prologue) -> None:
         self.fs_name = fs_name
@@ -152,6 +155,7 @@ class Profile:
         if isinstance(self.fs, Unmountable):
             raise HarnessError(f"fresh image did not mount: {self.fs.reason}")
         self.base_view = self.fs.state_view()
+        self.shared = False
         self.op_index = 0
         self.done = 0
         self.persisted_now: dict[str, int] = {}
@@ -165,15 +169,16 @@ class Profile:
             self.op_index += 1
 
     def fork(self) -> "Profile":
-        """An independent copy. Stored oracle views and per-checkpoint
-        persisted sets are never changed, so the copy shares them. The copy
-        also shares ``final_commit`` with this run and with every other fork
-        of this state, until it takes a step: a workload whose last step is
-        a persistence call stores its commit there or adopts a stored one."""
+        """An independent copy. It shares the device and file system with
+        this run until either writes, which copies them first (``_own``).
+        Stored oracle views and per-checkpoint persisted sets are never
+        changed, so the copy shares them. The copy also shares
+        ``final_commit`` with this run and with every other fork of this
+        state, until it takes a step: a workload whose last step is a
+        persistence call stores its commit there or adopts a stored one."""
         run = Profile.__new__(Profile)
         run.__dict__.update(vars(self))
-        run.device = self.device.copy()
-        run.fs = self.fs.fork(run.device)
+        self.shared = run.shared = True
         run.persisted_now = dict(self.persisted_now)
         run.persisted = dict(self.persisted)
         run.oracle_views = dict(self.oracle_views)
@@ -184,6 +189,7 @@ class Profile:
         gets a fresh ``final_commit`` cell."""
         step = steps[self.done]
         if isinstance(step, FsOp):
+            self._own()
             self.fs.apply(step, self.op_index)
             self.op_index += 1
         else:
@@ -195,6 +201,14 @@ class Profile:
         self.done += 1
         self.final_commit = []
 
+    def _own(self) -> None:
+        """Before this run writes, copy the device and file system it may
+        share with a fork."""
+        if self.shared:
+            self.device = self.device.copy()
+            self.fs = self.fs.fork(self.device)
+            self.shared = False
+
     def _persist(self, step: PersistOp, final: bool) -> FsStateView:
         """Commit ``step``, insert its checkpoint and return the oracle view
         there.
@@ -203,12 +217,15 @@ class Profile:
         target's commit ignores the call (``commit_ignores_call``), forks of
         one state share it: the first to get here stores its post-commit
         device, file system and view in ``final_commit``, and the others
-        check their target as ``persist`` does, then adopt those read-only."""
+        check their target as ``persist`` does, then adopt those read-only,
+        never copying the state they forked from. Nothing advances a run
+        past its final step, so nothing writes to a stored commit."""
         shared = final and self.fs.commit_ignores_call()
         if shared and self.final_commit:
             self.fs.persist_target(step.kind, step.target)
             self.device, self.fs, view = self.final_commit[0]
             return view
+        self._own()
         self.fs.persist(step.kind, step.target)
         self.device.insert_checkpoint()
         # The oracle is the view after a clean unmount. It is the live view
@@ -494,8 +511,10 @@ def run_workload(
 
 
 def _prefix_state(prof: Profile, epochs: list[range], p: int, granularity: str):
-    device = prof.device
-    return prefix_state(prof.base_image, device.log, device.checkpoints, epochs, p, granularity)
+    dev = prof.device
+    return prefix_state(
+        prof.base_image, dev.log, dev.checkpoints, dev.images, epochs, p, granularity
+    )
 
 
 def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> list[Verdict]:
@@ -509,8 +528,12 @@ def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> 
 
 
 def _checkpoint_state(prof: Profile, k: int) -> CrashState:
-    end = prof.device.checkpoints[k - 1]
-    return CrashState(replay(prof.base_image, prof.device.log, end), checkpoint_id=k)
+    """Checkpoint ``k``'s state: its image, through a ``replay`` that
+    applies no logged write. ``perfbench``'s tracer counts one ``replay``
+    per checkpoint state built."""
+    dev = prof.device
+    image = replay(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[k - 1])
+    return CrashState(image, checkpoint_id=k)
 
 
 def state_for(prof: Profile, descriptor: str) -> CrashState:

@@ -276,7 +276,7 @@ def test_acceptance_crash_state_exhaustiveness():
     base = DiskImage.zeroed(size)
     log = [IoRecord(i * 2, bytes([0x20 + i]) * 512) for i in range(4)]
     images = {}
-    pre = prefix_state(base, log, [], split_epochs(log), 0)
+    pre = prefix_state(base, log, [], [], split_epochs(log), 0)
     for kept in enumerate_target_subsets(pre):
         state = build_subset_state(pre, kept)
         # eager oracle: apply kept writes directly
@@ -298,7 +298,7 @@ def test_acceptance_crash_state_exhaustiveness():
             sec = rng.randrange(0, 6)
             log.append(IoRecord(sec, bytes([0x30 + i]) * (512 * rng.randint(1, 2))))
         units = [(r.sector, r.data) for r in log]
-        pre = prefix_state(base, log, [], split_epochs(log), 0)
+        pre = prefix_state(base, log, [], [], split_epochs(log), 0)
         for kept in enumerate_target_subsets(pre):
             image = build_subset_state(pre, kept).image
             expect = bytearray(size)

@@ -159,7 +159,7 @@ def test_replay_empty_log_is_identity():
     base = DiskImage(MiB, b"\x55" * MiB, {})
     dev = Device(MiB, base)
     dev.insert_checkpoint()
-    out = replay(base, dev.log, dev.checkpoints[0])
+    out = replay(base, dev.log, dev.checkpoints, dev.images, dev.checkpoints[0])
     assert image_bytes(out) == image_bytes(base)
 
 
@@ -167,24 +167,56 @@ def test_replay_to_checkpoint_deterministic():
     log = _mklog("WF")
     log.append(IoRecord(8, b"\x02" * 512))
     base = DiskImage.zeroed(1 * MiB)
-    a = replay(base, log, 2)
-    b = replay(base, log, 2)
+    a = replay(base, log, [], [], 2)
+    b = replay(base, log, [], [], 2)
     assert image_bytes(a) == image_bytes(b)
     assert image_bytes(a)[:512] == b"\x01" * 512
     assert image_bytes(a)[4096:8192] == bytes(4096)  # post-checkpoint write excluded
-    assert image_bytes(replay(base, log, 3))[4096:4608] == b"\x02" * 512
+    assert image_bytes(replay(base, log, [], [], 3))[4096:4608] == b"\x02" * 512
+
+
+def test_replay_starts_from_the_last_checkpoint_image_at_or_before_its_cut():
+    """A cut applies only the writes logged after the last checkpoint at or
+    before it, onto that checkpoint's image: an image the log alone never
+    gives shows through, and the writes before it are not applied again. A
+    cut at a checkpoint is its image, and one before the first starts from
+    the base."""
+    log = [IoRecord(0, b"\x01" * 512), IoRecord(8, b"\x02" * 512), IoRecord(16, b"\x03" * 512)]
+    base = DiskImage.zeroed(1 * MiB)
+    first = base.with_writes([(0, b"\x01" * 512)])
+    marked = base.with_writes([(24, b"\x07" * 512)])
+    checkpoints, images = [1, 2], [first, marked]
+    out = image_bytes(replay(base, log, checkpoints, images, 3))
+    blocks = [out[n * 4096 : n * 4096 + 512] for n in range(4)]
+    assert blocks == [bytes(512), bytes(512), b"\x03" * 512, b"\x07" * 512]
+    assert image_bytes(replay(base, log, checkpoints, images, 2)) == image_bytes(marked)
+    assert image_bytes(replay(base, log, checkpoints, images, 1)) == image_bytes(first)
+    assert image_bytes(replay(base, log, checkpoints, images, 0)) == bytes(MiB)
+
+
+def test_insert_checkpoint_keeps_the_image_there():
+    """The image kept at a checkpoint is a snapshot: later writes leave it
+    alone, and a copied device holds its own list."""
+    dev = Device(1 * MiB)
+    dev.write_block(0, b"\x01" * BLOCK_SIZE)
+    dev.insert_checkpoint()
+    dev.write_block(0, b"\x02" * BLOCK_SIZE)
+    copy = dev.copy()
+    dev.insert_checkpoint()
+    assert [image_bytes(im)[:1] for im in dev.images] == [b"\x01", b"\x02"]
+    assert len(copy.images) == 1
 
 
 def test_replay_last_writer_wins():
     log = [IoRecord(0, b"\x01" * 512), IoRecord(0, b"\x02" * 512)]
-    out = replay(DiskImage.zeroed(1 * MiB), log, 2)
+    out = replay(DiskImage.zeroed(1 * MiB), log, [], [], 2)
     assert image_bytes(out)[:512] == b"\x02" * 512
 
 
 def test_replay_does_not_mutate_base():
     log = [IoRecord(0, b"\x09" * 512)]
     base = DiskImage.zeroed(1 * MiB)
-    out = replay(base, log, 1)
+    out = replay(base, log, [], [], 1)
     assert image_bytes(out)[:512] == b"\x09" * 512
     assert image_bytes(base) == bytes(MiB)
 

@@ -562,13 +562,19 @@ def test_run_corpus_empty_dir(tmp_path):
     assert run_corpus(tmp_path, "soundfs", quiet=True) == []
 
 
-def test_run_corpus_parse_errors_reported_rest_continue(tmp_path):
+def test_run_corpus_parse_error_names_the_file(tmp_path, capsys):
+    """A corpus entry that does not parse is bad input, as it is to
+    ``campaign --corpus``: no row is printed, the error names the file and
+    ``corpus`` exits 2, never 1, which means new bug groups."""
     (tmp_path / "bad.wl").write_text("frobnicate foo\n")
     (tmp_path / "good.wl").write_text("creat foo\nfsync foo\n---crash---\n")
-    rows = run_corpus(tmp_path, "soundfs", quiet=True)
-    assert len(rows) == 2
-    assert rows[0].observed.startswith("parse_error")
-    assert rows[1].match
+    message = f"{tmp_path / 'bad.wl'}: line 1: unknown operation 'frobnicate'"
+    with pytest.raises(ace.GenerationError) as e:
+        run_corpus(tmp_path, "soundfs", quiet=True)
+    assert str(e.value) == message
+    for mapped in ([], ["--mapped"]):
+        assert main(["corpus", "--dir", str(tmp_path), *mapped]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_corpus_mapped_variants_reproduce_annotations():
@@ -647,8 +653,9 @@ def _counted_runs(monkeypatch) -> list:
     [
         (CampaignConfig(seq=(1,), subset=True, index_range=(590, 640)), 10),
         (CampaignConfig(fs="bugfs-b3", seq=(1,), ops=("falloc",)), 130),
+        (CampaignConfig(seq=(1,)), 208),
     ],
-    ids=["soundfs-subset", "bugfs-b3-falloc"],
+    ids=["soundfs-subset", "bugfs-b3-falloc", "soundfs-seq1"],
 )
 def test_a_partition_runs_each_distinct_body_once(monkeypatch, config, duplicates):
     """A workload whose body (prologue and steps) an earlier one in the
@@ -670,6 +677,27 @@ def test_a_partition_runs_each_distinct_body_once(monkeypatch, config, duplicate
     bodies = [(workload.prologue, workload.steps) for _idx, workload in tier]
     assert len(ran) == len(set(bodies)) == len(tier) - duplicates
     assert [(w.prologue, w.steps) for w in ran] == list(dict.fromkeys(bodies))
+
+
+def test_a_body_repeated_after_another_skeleton_runs_again(monkeypatch):
+    """The map of bodies run holds one skeleton's bodies: it is emptied
+    when the skeleton changes, so a body repeated after another skeleton's
+    workload runs again. The verdict count and findings stay those of each
+    workload run alone."""
+    config = CampaignConfig(fs="bugfs-b1", seq=(1,), ops=("creat", "link"))
+    (tier,) = _collect_tiers(config)
+    flags = config.run_flags()
+    alone = {idx: run_workload(workload, config.fs, flags) for idx, workload in tier}
+    idx, buggy = next((i, w) for i, w in tier if any(v.is_bug for v in alone[i]))
+    other = next((i, w) for i, w in tier if w.skeleton != buggy.skeleton)
+    items = [(idx, buggy), (idx + 1, buggy), other, (idx + 2, buggy)]
+    ran = _counted_runs(monkeypatch)
+    count, findings = _run_partition((config.fs, flags, items))
+    assert ran == [buggy, other[1], buggy]
+    assert count == 3 * len(alone[idx]) + len(alone[other[0]])
+    assert findings == [
+        (i, w, v) for i, w in items for v in alone[idx if w is buggy else i] if v.outcome != "pass"
+    ]
 
 
 def _prologue_runs(tier) -> int:

@@ -25,7 +25,7 @@ from crashlab.fstarget.soundfs import (
     _decode_inode,
     _encode_inode,
 )
-from image_helper import image_bytes
+from image_helper import fs_state, image_bytes
 
 MiB = 1024 * 1024
 DEV = 4 * MiB
@@ -216,7 +216,7 @@ def test_mount_crash_state_at_any_checkpoint_succeeds():
     fs.persist(PersistKind.SYNC)
     live.insert_checkpoint()
     for k in (1, 2):
-        image = replay(base, live.log, live.checkpoints[k - 1])
+        image = replay(base, live.log, live.checkpoints, live.images, live.checkpoints[k - 1])
         assert not isinstance(SoundFs.mount(image), Unmountable)
 
 
@@ -817,7 +817,8 @@ def test_an_empty_directory_never_reads_its_entry_block():
 
     w = ace.parse("mkdir A\nfdatasync A\n")
     prof = profile(w, "bugfs-b3")
-    image = replay(prof.base_image, prof.device.log, prof.device.checkpoints[0])
+    dev = prof.device
+    image = replay(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[0])
     fs = get_target("bugfs-b3").mount(image)
     assert fs.state_view().entries["A"].block_count == 0
 
@@ -829,7 +830,8 @@ def test_a_directory_without_an_entry_block_gets_one_before_a_commit():
     from crashlab.harness import profile
 
     prof = profile(ace.parse("mkdir A\nfdatasync A\n"), "bugfs-b3")
-    image = replay(prof.base_image, prof.device.log, prof.device.checkpoints[0])
+    dev = prof.device
+    image = replay(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[0])
     fs = get_target("bugfs-b3").mount(image)
     dir_ino = fs.resolve_ino("A")
     assert fs.inodes[dir_ino].blocks == [0]
@@ -910,21 +912,6 @@ def busy_fs(target):
         else:
             fs.persist(step.kind, step.target)
     return fs
-
-
-def fs_state(fs) -> dict:
-    """Every attribute of ``fs`` as plain values, copied: inodes as their
-    slot values, the device as its bytes, log and checkpoints."""
-    out = {}
-    for name, value in vars(fs).items():
-        if name == "inodes":
-            value = {i: tuple(getattr(n, a) for a in Inode.__slots__) for i, n in value.items()}
-        elif name == "device":
-            value = (image_bytes(value.snapshot()), list(value.log), list(value.checkpoints))
-        elif name == "geo":
-            value = vars(value)
-        out[name] = copy.deepcopy(value)
-    return out
 
 
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
@@ -1171,7 +1158,8 @@ def test_fsck_reports_on_unmountable():
 
     w = ace.parse("creat foo\nlink foo bar\nsync\nunlink bar\ncreat bar\nfsync bar\n")
     prof = profile(w, "bugfs-b6")
-    image = replay_log(prof.base_image, prof.device.log, prof.device.checkpoints[1])
+    dev = prof.device
+    image = replay_log(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[1])
     target = get_target("bugfs-b6")
     mounted = target.mount(image)
     assert isinstance(mounted, Unmountable)

@@ -32,7 +32,7 @@ from crashlab.harness import (
     run_workload,
     state_for,
 )
-from image_helper import image_bytes
+from image_helper import fs_state, image_bytes, same_bytes
 
 
 def test_two_persistence_points_two_checkpoints_two_oracles():
@@ -478,6 +478,120 @@ def test_a_sibling_with_a_missing_target_fails_as_a_fresh_profile_does(monkeypat
     assert str(shared.value) == str(fresh.value)
 
 
+def _logged_image(prof, k):
+    """Checkpoint ``k``'s reference image: the mkfs image with every write
+    logged before the checkpoint."""
+    dev = prof.device
+    writes = ((rec.sector, rec.data) for rec in dev.log[: dev.checkpoints[k - 1]] if rec.data)
+    return mkfs_base_image(prof.fs_name).with_writes(writes)
+
+
+def _profiled_through_one_stack(monkeypatch, name, workloads, flags):
+    """Run ``workloads`` as one campaign partition does, through one
+    ``PrefixFork`` stack and mount memo; return the profiles and the crash
+    states ``check`` got."""
+    profiles, states = [], []
+    real_profile, real_check = harness.profile, harness.check
+
+    def profiled(*args):
+        profiles.append(real_profile(*args))
+        return profiles[-1]
+
+    def checked(prof, state, memo=None):
+        states.append((prof, state))
+        return real_check(prof, state, memo)
+
+    monkeypatch.setattr(harness, "profile", profiled)
+    monkeypatch.setattr(harness, "check", checked)
+    fork, memo = PrefixFork(), MountMemo()
+    for w in workloads:
+        run_workload(w, name, flags, memo, fork)
+    monkeypatch.undo()
+    return profiles, states
+
+
+@pytest.mark.parametrize("all_checkpoints", [False, True], ids=["default", "all-checkpoints"])
+def test_checkpoint_images_are_the_logged_writes_on_mkfs(monkeypatch, all_checkpoints):
+    """On every target, each image a device keeps at a checkpoint, and so
+    each checkpoint state ``check`` gets, equals the mkfs image with every
+    write logged before that checkpoint. Seq-2 SoundFS siblings that share
+    a final commit share its device, images included."""
+    seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)[::13]
+    cases = [(name, seq1) for name in sorted(TARGETS)]
+    cases += [(name, _sibling_chain(text)) for name, text in _TRIGGERS_THEN_SYNC.items()]
+    cases.append(("soundfs", ace.workload_range(Bounds(seq_length=2), 0, 200)))
+    cases.append(("bugfs-b5", _b5_write_rename_slice()))
+    flags = RunFlags(all_checkpoints=all_checkpoints)
+    shared = 0
+    for name, workloads in cases:
+        profiles, states = _profiled_through_one_stack(monkeypatch, name, workloads, flags)
+        devices = {id(prof.device): prof for prof in profiles}
+        shared += len(profiles) - len(devices)
+        want = {}
+        for prof in devices.values():
+            dev = prof.device
+            assert len(dev.images) == len(dev.checkpoints), name
+            for k, image in enumerate(dev.images, 1):
+                want[id(dev), k] = _logged_image(prof, k)
+                assert same_bytes(image, want[id(dev), k]), (name, k)
+        counts = [len(p.device.checkpoints) for p in profiles]
+        assert len(states) == sum(counts if all_checkpoints else map(bool, counts)), name
+        for prof, state in states:
+            assert same_bytes(state.image, want[id(prof.device), state.checkpoint_id]), name
+    assert shared > 10
+
+
+def test_a_subset_prefix_from_its_checkpoint_equals_one_from_mkfs():
+    """A subset prefix built from the last checkpoint image before its
+    target epoch equals one built from the mkfs image with no checkpoint
+    image, at op and sector granularity, on every target."""
+    cases = [*_TRIGGERS_THEN_SYNC.items(), ("soundfs", _TRIGGERS_THEN_SYNC["bugfs-b3"])]
+    for name, text in cases:
+        prof = profile(parse(text), name)
+        dev = prof.device
+        epochs = split_epochs(dev.log)
+        for p, granularity in itertools.product(range(len(epochs)), ("op", "sector")):
+            near = prefix_state(
+                prof.base_image, dev.log, dev.checkpoints, dev.images, epochs, p, granularity
+            )
+            far = prefix_state(prof.base_image, dev.log, [], [], epochs, p, granularity)
+            assert same_bytes(near.image, far.image), (name, p)
+            assert near.units == far.units, (name, p)
+
+
+def _held(run) -> tuple:
+    """What a profile run holds, as plain values: its file system's
+    attributes, and so its device's image, log, checkpoints and checkpoint
+    images (``fs_state``); the device it names must be the file system's."""
+    assert run.fs.device is run.device
+    return fs_state(run.fs), run.done, run.op_index
+
+
+def test_a_fork_that_advances_leaves_what_it_shares_alone():
+    """A fork shares its device and file system with the run it was taken
+    from until it first writes. Profiling seq-2 workloads through one stack,
+    each run on the stack holds what a fresh run holds after as many of the
+    workload's steps, and it and each stored final commit (the profile that
+    ran it, and every sibling that adopted it) still hold, after every
+    later profile, what they held then."""
+    fork = PrefixFork()
+    seen = {}  # id -> (run, what it held)
+    adopted = 0
+    for w in ace.workload_range(Bounds(seq_length=2), 0, 100):
+        prof = profile(w, "soundfs", fork)
+        adopted += any(prof.device is run.device for run, _held_then in seen.values())
+        for run in fork.runs:
+            fresh = harness.Profile("soundfs", w.prologue)
+            while fresh.done < run.done:
+                fresh.advance(w.steps)
+            assert _held(run) == _held(fresh), (ace.serialize(w), run.done)
+        for run in (*fork.runs, prof):
+            seen.setdefault(id(run), (run, _held(run)))
+    assert adopted > 5
+    for run, held in seen.values():
+        assert _held(run) == held
+
+
 def test_live_view_has_the_oracle_paths_and_kinds():
     """The persisted sets are computed from the oracle view; they may be,
     because it lists the same paths with the same kinds as the live file
@@ -521,7 +635,8 @@ def test_mkfs_base_image_keeps_only_nonzero_blocks():
 
 
 def _crash_image(prof, k):
-    return replay(prof.base_image, prof.device.log, prof.device.checkpoints[k - 1])
+    dev = prof.device
+    return replay(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[k - 1])
 
 
 def _check_at(prof, k):
@@ -712,11 +827,11 @@ def test_journal_atomicity_under_subset_mode():
     w = parse("creat foo\nwrite (0-8K) foo\nfsync foo\ncreat bar\nfsync bar\n")
     prof = profile(w, "soundfs")
     allowed = [set(v.entries) for v in (prof.base_view, *prof.oracle_views.values())]
-    log, checkpoints = prof.device.log, prof.device.checkpoints
+    log, checkpoints, images = prof.device.log, prof.device.checkpoints, prof.device.images
     epochs = split_epochs(log)
     # every epoch has at most 10 units, so each is enumerated exhaustively
     for prefix in range(len(epochs)):
-        pre = prefix_state(prof.base_image, log, checkpoints, epochs, prefix)
+        pre = prefix_state(prof.base_image, log, checkpoints, images, epochs, prefix)
         for kept in enumerate_target_subsets(pre):
             state = build_subset_state(pre, kept)
             fs = SoundFs.mount(state.image)
