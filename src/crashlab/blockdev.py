@@ -2,11 +2,12 @@
 
 An image is a shared immutable base plus a block overlay (4 KB block number
 to its 4096 bytes). This module is the only code that knows that format:
-every write into an overlay goes through ``_write`` and every block read
-through ``_read_block``, whether it serves the live ``Device``, a log replay
-or a crash state built with ``DiskImage.with_writes``; a mount memo keys
-images by ``content_key`` and splits a recovered image's journal blocks off
-and back on (``split``, ``with_blocks``). The device writes whole blocks,
+every write into an overlay goes through ``_write`` (``with_writes`` stores
+an aligned whole block itself) and every block read through ``_read_block``,
+whether it serves the live ``Device``, a log replay or a crash state built
+with ``DiskImage.with_writes``; a mount memo keys images and their parts by
+``content_key`` and ``part_key`` and splits journal blocks off and back on
+(``split``, ``with_blocks``). The device writes whole blocks,
 but the log stays sector-addressed: a write that does not cover whole blocks
 (a sector-granular crash-state unit) is merged into the blocks it touches.
 
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 SECTOR_SIZE = 512
 BLOCK_SIZE = 4096
+_SECTORS_PER_BLOCK = BLOCK_SIZE // SECTOR_SIZE
 
 
 class BlockDevError(Exception):
@@ -99,15 +101,27 @@ class DiskImage:
         for sector, data in writes:
             if sector * SECTOR_SIZE + len(data) > self.size_bytes:
                 raise OutOfBoundsError(f"write at sector {sector} is beyond this image")
-            _write(base, overlay, sector, data)
+            if len(data) == BLOCK_SIZE and not sector % _SECTORS_PER_BLOCK:
+                overlay[sector // _SECTORS_PER_BLOCK] = data
+            else:
+                _write(base, overlay, sector, data)
         return DiskImage(self.size_bytes, base, overlay)
+
+    def read_block(self, block_no: int) -> bytes:
+        return _read_block(self._base, self._overlay, block_no)
 
     def content_key(self) -> tuple:
         """A hashable value that equals another image's only when both hold
         the same bytes. Equal content over a different base or overlay split
         gives a different key: a missed match, never a wrong one."""
-        flat = [x for item in sorted(self._overlay.items()) for x in item]
-        return (self.size_bytes, self._base, *flat)
+        return self.part_key(self._overlay)
+
+    def part_key(self, blocks: dict[int, bytes]) -> tuple:
+        """``content_key`` of this image's base with only ``blocks`` (block
+        number to its 4096 bytes) laid over it, such as the part ``split``
+        cuts off: it fixes the bytes of every block that part numbers."""
+        numbers = tuple(sorted(blocks))
+        return (self.size_bytes, self._base, numbers, *map(blocks.__getitem__, numbers))
 
     def split(self, lo: int, hi: int) -> tuple["DiskImage", dict[int, bytes]]:
         """This image without the overlay blocks numbered in [lo, hi), and
@@ -161,7 +175,7 @@ class Device:
         if block_no < 0 or (block_no + 1) * BLOCK_SIZE > self.size_bytes:
             raise OutOfBoundsError(f"block {block_no} out of bounds")
         data = bytes(data)
-        sector = block_no * (BLOCK_SIZE // SECTOR_SIZE)
+        sector = block_no * _SECTORS_PER_BLOCK
         if self._log_io:
             self.log.append(IoRecord(sector, data, fua=fua))
         _write(self._base, self._overlay, sector, data)

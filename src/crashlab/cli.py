@@ -397,14 +397,20 @@ class CorpusRow:
     match: bool
 
 
-def _corpus_row(path: Path, fs_name: str, memo: MountMemo) -> CorpusRow:
-    """Run one DSL file in all-checkpoints mode, mounting its crash states
-    through ``memo``; the expected consequence for this target comes from a
-    `# consequence[<fs>]:` header (default none). A file that does not parse
-    is bad input, not a failing row: its error names the file."""
+def _corpus_entries(corpus_dir) -> list[tuple[Path, Workload]]:
+    """Every DSL file of the corpus with its workload, all parsed before any
+    runs, as ``campaign --corpus`` parses them: a file that does not parse
+    is bad input, not a failing row, and its error names the file."""
+    return [(path, ace.parse_file(path)) for path in sorted(Path(corpus_dir).glob("*.wl"))]
+
+
+def _corpus_row(path: Path, workload: Workload, fs_name: str, memo: MountMemo) -> CorpusRow:
+    """Run one corpus entry in all-checkpoints mode, mounting its crash
+    states through ``memo``; the expected consequence for this target comes
+    from a `# consequence[<fs>]:` header (default none)."""
     annotations = ace.corpus_annotations(path.read_text(encoding="utf-8"))
     expected = annotations.get(f"consequence[{fs_name}]", "none")
-    verdicts = run_workload(ace.parse_file(path), fs_name, RunFlags(all_checkpoints=True), memo)
+    verdicts = run_workload(workload, fs_name, RunFlags(all_checkpoints=True), memo)
     # the first failing verdict's consequence, or "harness_error"
     observed = next((v.consequence or v.outcome for v in verdicts if v.outcome != "pass"), "none")
     return CorpusRow(path.name, expected, observed, expected == observed)
@@ -413,7 +419,7 @@ def _corpus_row(path: Path, fs_name: str, memo: MountMemo) -> CorpusRow:
 def run_corpus(corpus_dir, fs_name: str, *, quiet: bool = False) -> list[CorpusRow]:
     """Run every DSL file of the corpus on ``fs_name``, through one mount memo."""
     memo = MountMemo()
-    rows = [_corpus_row(path, fs_name, memo) for path in sorted(Path(corpus_dir).glob("*.wl"))]
+    rows = [_corpus_row(path, w, fs_name, memo) for path, w in _corpus_entries(corpus_dir)]
     if not quiet:
         width = max((len(r.file) for r in rows), default=10)
         for r in rows:
@@ -435,10 +441,11 @@ def corpus_variant_map(corpus_dir) -> dict[str, tuple[str, str]]:
 
 def run_mapped_corpus(corpus_dir) -> list[tuple[str, CorpusRow]]:
     """(variant, row) for each mapped entry, run once on its buggy variant,
-    through one mount memo."""
+    through one mount memo, after every entry parsed."""
     memo = MountMemo()
+    entries = {path.name: (path, workload) for path, workload in _corpus_entries(corpus_dir)}
     return [
-        (variant, _corpus_row(Path(corpus_dir) / fname, variant, memo))
+        (variant, _corpus_row(*entries[fname], variant, memo))
         for fname, (variant, _expected) in corpus_variant_map(corpus_dir).items()
     ]
 

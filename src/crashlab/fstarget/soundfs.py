@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+from typing import NamedTuple
 
 from ..blockdev import BLOCK_SIZE, Device, DiskImage
 from ..fsops import FallocFlag, FsOp, FsOpKind, PersistKind, pattern_bytes
@@ -276,22 +277,23 @@ class SoundFs:
         state is loaded and validated (``mount_device``). A mount is a pure
         function of the target and the image's bytes, and after recovery
         nothing reads the journal (``_load_state``). So with a ``memo``,
-        recovery runs once per distinct image, and the load, validation and
-        view once per distinct recovered state: the blocks outside the
-        journal, the journal position and the next transaction id. Every
+        each distinct image is mounted once (``_memo_entry``): its journal
+        is scanned once per distinct journal, and the load, validation and
+        view run once per distinct recovered state (the blocks outside the
+        journal, the journal position and the next transaction id). Every
         mount of one image through the memo returns one object, which is
         never changed: the ``Unmountable``, or a memo mount that holds only
-        its ``memo_record`` and the image's recovered journal blocks. It
-        answers only ``state_view``; ``thaw`` gives a live file system."""
+        its ``memo_record`` and the image's journal blocks. It answers only
+        ``state_view``; ``thaw`` gives a live file system."""
         if memo is None:
             return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
         mounted = memo.states.get((cls, image.content_key()))
         if mounted is None:
             if len(memo.states) >= MountMemo.LIMIT:
                 memo.clear()
-            # recover and key the interned copy, so the entry holds no block
-            # twice: the lookup key holds the image's own block objects, equal
-            # to the interned ones but not the same
+            # key the interned copy, so the entry holds no block twice: the
+            # lookup key holds the image's own block objects, equal to the
+            # interned ones but not the same
             image = image.interned(memo.values)
             mounted = memo.states[(cls, image.content_key())] = cls._memo_entry(image, memo)
         return mounted
@@ -308,16 +310,40 @@ class SoundFs:
 
     @classmethod
     def _memo_entry(cls, image: DiskImage, memo: "MountMemo") -> "SoundFs | Unmountable":
-        """Recover a new image and return its memo mount, on a record that
-        is loaded now if no earlier image recovered to the same state."""
-        fs = cls._recovered(Device(image.size_bytes, base=image, log_io=False))
-        if isinstance(fs, Unmountable):
-            return fs
-        rest, journal = fs.device.snapshot().split(fs.geo.journal_start, fs.geo.data_start)
-        rest = rest.interned(memo.values)
-        key = (cls, rest.content_key(), fs._journal_pos, fs._next_txn)
+        """The memo mount of a new, interned image, on a record that is
+        loaded now if no earlier image recovered to the same state.
+
+        The journal scan comes from ``memo.plans`` when an image with the
+        same superblock and journal blocks was scanned before. A plan whose
+        recovery only copies home blocks (``_Plan.homes``) fixes the
+        recovered image without running recovery: this image outside the
+        journal with those blocks laid over it. Full recovery, on a device
+        of its own, runs only to load a new record, or when the plan
+        applies tombstones, which read directory blocks outside the
+        journal."""
+        geo = Geometry.for_blocks(image.size_bytes // BLOCK_SIZE)
+        rest, journal = image.split(geo.journal_start, geo.data_start)
+        plan_key = (cls, image.read_block(0), image.part_key(journal))
+        plan = memo.plans.get(plan_key)
+        if plan is None:
+            plan = memo.plans[plan_key] = cls._scan(image, memo.values)
+        if isinstance(plan, Unmountable):
+            return plan
+        fs = None
+        if plan.homes is None:
+            fs = cls._recovered(Device(image.size_bytes, base=image, log_io=False), plan)
+            if isinstance(fs, Unmountable):
+                return fs
+            rest, journal = fs.device.snapshot().split(geo.journal_start, geo.data_start)
+            # the tombstones wrote blocks of their own
+            rest = rest.interned(memo.values)
+        else:
+            rest = rest.with_blocks(plan.homes)
+        key = (cls, rest.content_key(), plan.journal_pos, plan.next_txn)
         record = memo.records.get(key)
         if record is None:
+            if fs is None:
+                fs = cls._recovered(Device(image.size_bytes, base=image, log_io=False), plan)
             fs = fs._loaded()
             record = fs if isinstance(fs, Unmountable) else _MountedState(fs, rest)
             memo.records[key] = record
@@ -334,15 +360,17 @@ class SoundFs:
         return fs if isinstance(fs, Unmountable) else fs._loaded()
 
     @classmethod
-    def _recovered(cls, device: Device) -> "SoundFs | Unmountable":
-        """The first mount phase: the geometry from the superblock, then the
-        journal's committed transactions replayed onto ``device``."""
+    def _recovered(cls, device: Device, plan: "_Plan | None" = None) -> "SoundFs | Unmountable":
+        """The first mount phase, recovery: the journal scan of ``device``
+        (``_scan``; ``plan`` when the caller has it), then its writes
+        applied to ``device`` (``_recover``)."""
+        if plan is None:
+            plan = cls._scan(device)
+        if isinstance(plan, Unmountable):
+            return plan
         fs = cls.__new__(cls)
-        fs.device = device
+        fs.device, fs.geo, fs._plan = device, plan.geo, plan
         try:
-            fs.geo = Geometry.parse_superblock(device.read_block(0))
-            if fs.geo.total_blocks * BLOCK_SIZE != device.size_bytes:
-                raise ValueError("superblock size does not match device")
             fs._journal_pos, fs._next_txn = fs._recover()
         except _MOUNT_ERRORS as e:
             return Unmountable(str(e))
@@ -370,46 +398,80 @@ class SoundFs:
 
     # -- journal recovery ----------------------------------------------------
 
-    def _recover(self) -> tuple[int, int]:
-        """Replay committed transactions in order; returns (next slot, next id).
-        A header's home list and tombstones are parsed only once its commit
-        block and checksum match: an uncommitted header may hold anything."""
-        geo = self.geo
-        pos = geo.journal_start
-        end = geo.journal_start + geo.journal_blocks
+    @classmethod
+    def _scan(
+        cls, source: "Device | DiskImage", values: dict | None = None
+    ) -> "_Plan | Unmountable":
+        """The first step of recovery, which only reads ``source``: the
+        geometry from the superblock, then the committed transactions in
+        order, or the ``Unmountable`` either gives. A header's home list and
+        tombstones are parsed only once its commit block and checksum match:
+        an uncommitted header may hold anything. A home write that lands in
+        the journal is seen by the reads after it, as it is when the writes
+        are applied in order; a tombstone only edits a directory's entry
+        block and inode, never a journal block. ``values``, a memo's intern
+        table, gets the blocks of ``_Plan.homes``."""
+        read = source.read_block
+        in_journal: dict[int, bytes] = {}  # home writes into the journal
+        txns = []
+        homes: dict[int, bytes] | None = {}
         last_txn = 0
-        while pos + 2 <= end:
-            hdr_raw = self.device.read_block(pos)
-            try:
+        try:
+            geo = Geometry.parse_superblock(read(0))
+            if geo.total_blocks * BLOCK_SIZE != source.size_bytes:
+                raise ValueError("superblock size does not match device")
+            journal = range(geo.journal_start, geo.data_start)
+            pos, end = journal.start, journal.stop
+            while pos + 2 <= end:
+                hdr_raw = read(pos)
                 magic, txn_id, n_entries, n_tomb = _JHDR.unpack_from(hdr_raw)
-            except struct.error:
-                break
-            if magic != JOURNAL_HDR_MAGIC or txn_id <= last_txn:
-                break
-            if pos + 1 + n_entries + 1 > end:
-                break
-            entry_blocks = [
-                self.device.read_block(pos + 1 + i) for i in range(n_entries)
-            ]
-            commit_raw = self.device.read_block(pos + 1 + n_entries)
-            cmagic, ctxn, csum = _JCOMMIT.unpack_from(commit_raw)
-            if cmagic != JOURNAL_COMMIT_MAGIC or ctxn != txn_id:
-                break
-            h = hashlib.sha256()
-            h.update(hdr_raw)
-            for eb in entry_blocks:
-                h.update(eb)
-            if h.digest() != csum:
-                break
-            homes = struct.unpack_from(f"<{n_entries}I", hdr_raw, _JHDR.size)
-            tombstones = self._unpack_tombstones(hdr_raw, _JHDR.size + 4 * n_entries, n_tomb)
-            for home, blk in zip(homes, entry_blocks):
+                if magic != JOURNAL_HDR_MAGIC or txn_id <= last_txn:
+                    break
+                if pos + 1 + n_entries + 1 > end:
+                    break
+                entry_blocks = [read(n) for n in range(pos + 1, pos + 1 + n_entries)]
+                cmagic, ctxn, csum = _JCOMMIT.unpack_from(read(pos + 1 + n_entries))
+                if cmagic != JOURNAL_COMMIT_MAGIC or ctxn != txn_id:
+                    break
+                h = hashlib.sha256(hdr_raw)
+                for eb in entry_blocks:
+                    h.update(eb)
+                if h.digest() != csum:
+                    break
+                targets = struct.unpack_from(f"<{n_entries}I", hdr_raw, _JHDR.size)
+                tombstones = cls._unpack_tombstones(hdr_raw, _JHDR.size + 4 * n_entries, n_tomb)
+                writes = list(zip(targets, entry_blocks))
+                txns.append((writes, tombstones))
+                if tombstones:
+                    homes = None
+                for home, blk in writes:
+                    if home in journal:
+                        in_journal[home] = blk
+                        read = functools.partial(_read_through, in_journal, source)
+                        homes = None
+                    elif not 0 < home < geo.total_blocks:
+                        homes = None
+                    elif homes is not None:
+                        homes[home] = blk if values is None else values.setdefault(blk, blk)
+                last_txn = txn_id
+                pos += 1 + n_entries + 1
+        except _MOUNT_ERRORS as e:
+            return Unmountable(str(e))
+        return _Plan(geo, txns, pos, last_txn + 1, homes)
+
+    def _recover(self) -> tuple[int, int]:
+        """The second step of recovery: each committed transaction's home
+        writes, then its tombstones, applied to the device in order, as the
+        scan found them (``_plan``, which this drops); returns (next slot,
+        next id). It writes nothing else, so when no transaction has a
+        tombstone, the writes alone give the recovered image (``_Plan``)."""
+        plan = vars(self).pop("_plan")
+        for writes, tombstones in plan.txns:
+            for home, blk in writes:
                 self.device.write_block(home, blk)
             for dir_ino, name in tombstones:
                 self._recovery_remove_entry(dir_ino, name)
-            last_txn = txn_id
-            pos += 1 + n_entries + 1
-        return pos, last_txn + 1
+        return plan.journal_pos, plan.next_txn
 
     @staticmethod
     def _unpack_tombstones(raw: bytes, offset: int, count: int):
@@ -1161,12 +1223,36 @@ class SoundFs:
         }
 
 
+class _Plan(NamedTuple):
+    """What a journal scan finds (``SoundFs._scan``): the geometry, each
+    committed transaction's ``(home, block)`` writes and tombstones in
+    replay order, the journal slot after the last one and the next
+    transaction id. ``homes`` holds every home write, the last to a block
+    winning, when no transaction has a tombstone and every home lies in the
+    device outside block 0 and the journal; then recovery leaves the image
+    with ``homes`` laid over it. Otherwise it is None."""
+
+    geo: Geometry
+    txns: list
+    journal_pos: int
+    next_txn: int
+    homes: dict | None
+
+
+def _read_through(written: dict[int, bytes], source, block_no: int) -> bytes:
+    """Block ``block_no`` of ``source`` after the ``written`` blocks."""
+    return written.get(block_no) or source.read_block(block_no)
+
+
 class MountMemo:
-    """What mounting crash images gave, for one campaign partition, in two
+    """What mounting crash images gave, for one campaign partition, in three
     tables. ``states`` maps target class and exact image content to the
     image's memo mount (``SoundFs.mount``), or the ``Unmountable`` when
-    recovery failed. ``records`` maps target class, recovered content
-    outside the journal, journal position and next transaction id to a
+    recovery failed. ``plans`` maps target class, superblock and journal
+    blocks (with the image size and base) to the journal scan's ``_Plan``
+    or ``Unmountable``; images that differ only outside the journal share
+    one. ``records`` maps target class, recovered content outside the
+    journal, journal position and next transaction id to a
     ``_MountedState`` or the ``Unmountable``; images that differ only in
     journal blocks recovery ignores share one. ``values`` interns block
     contents, so the memo holds each once (distinct images share most of
@@ -1174,18 +1260,20 @@ class MountMemo:
     entries."""
 
     # A benchmark campaign, run as one partition, holds at most 288 images
-    # (seq1-subset) and 88 records (bughunt), for seeds 0-10; at this bound
-    # an in-process run of the full seq-1 --subset tier peaks at 25 MB
-    # ru_maxrss (Python 3.11, 2-core x86-64).
+    # and 114 plans (seq1-subset) and 88 records (bughunt), for seeds 0-10;
+    # at this bound an in-process run of the full seq-1 --subset tier peaks
+    # at 25 MB ru_maxrss (Python 3.11, 2-core x86-64).
     LIMIT = 1024
 
     def __init__(self):
         self.states: dict[tuple, "SoundFs | Unmountable"] = {}
+        self.plans: dict[tuple, "_Plan | Unmountable"] = {}
         self.records: dict[tuple, "_MountedState | Unmountable"] = {}
         self.values: dict = {}
 
     def clear(self) -> None:
         self.states.clear()
+        self.plans.clear()
         self.records.clear()
         self.values.clear()
 

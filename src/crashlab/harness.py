@@ -14,10 +14,13 @@ checkpoint the state contains, but only for entities the persistence calls
 made durable (``_update_persisted``). Campaigns, replay (``state_for``
 rebuilds the state a report names) and the corpus all go through it, and
 it mounts every state through a ``MountMemo``: each distinct crash image
-is recovered once, each distinct recovered file system loaded and viewed
-once, and each distinct set of directories probed once on it. A repeat is
-compared on the stored view; a live file system is thawed from the memo
-mount only when a probe must write. Within a campaign's worker partition,
+is mounted once, each distinct journal scanned once, each distinct
+recovered file system recovered, loaded and viewed once, and each distinct
+set of directories probed once on it. A repeat is compared on the stored
+view; a live file system is thawed from the memo mount only when a probe
+must write. One workload's subset states that recover to one file system
+at one checkpoint are compared once and share the verdict
+(``_subset_verdicts``). Within a campaign's worker partition,
 the memo is shared, and the workloads' bodies form a trie of shared step
 prefixes: a stack of frozen runs (``PrefixFork``) holds the last profiled
 workload's state after its prologue and each of its leading steps, and a
@@ -30,7 +33,7 @@ its commit once when the target's commit ignores which call triggered it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .ace import Workload
 from .blockdev import (
@@ -349,7 +352,9 @@ def _entry_diff(path, level, expected, actual, *, compare_data: bool):
     return diff
 
 
-def check(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Verdict:
+def check(
+    prof: Profile, state: CrashState, memo: MountMemo | None = None, shared: dict | None = None
+) -> Verdict:
     """Mount one crash state of ``prof`` (running recovery) and compare it
     against the oracle of the last checkpoint it contains (the freshly
     formatted file system before the first), for the entities the
@@ -357,27 +362,46 @@ def check(prof: Profile, state: CrashState, memo: MountMemo | None = None) -> Ve
     state (``crash_descriptor``): nothing reads a passing one's.
 
     The state mounts through ``memo``, a campaign partition's, or a fresh
-    ``MountMemo`` when none is given: each distinct crash image is
-    recovered once, each distinct recovered file system loaded and viewed
-    once (``SoundFs.mount``) and each distinct set of directories probed
-    once on it (``_write_checks``).
+    ``MountMemo`` when none is given: each distinct crash image is mounted
+    once, each distinct journal scanned once, each distinct recovered file
+    system loaded and viewed once (``SoundFs.mount``) and each distinct set
+    of directories probed once on it (``_write_checks``).
 
     A subset state's crash lands mid-epoch, so an entity may legitimately
     show any committed state at or after its persistence point: it must
     match the checkpoint oracle or one of the later oracles, metadata only
     (in-place data overwrites are legally torn), and no spurious-entry scan
-    runs.
+    runs. So its verdict depends only on the recovered state (the memo
+    record, or the ``Unmountable``) and the checkpoint. ``shared``, one
+    workload's table of subset verdicts by those two (``_subset_verdicts``),
+    gives a state whose pair was compared before that verdict under its own
+    descriptor. Every state is still mounted, and viewed when it mounts,
+    once.
     """
-    cp = state.checkpoint_id
-    oracle_view = prof.oracle_views.get(cp, prof.base_view)
-    persisted_set = prof.persisted.get(cp, {})
     target = get_target(prof.fs_name)
     fs = target.mount(state.image, memo or MountMemo())
-    if isinstance(fs, Unmountable):
+    unmountable = isinstance(fs, Unmountable)
+    crash_view = None if unmountable else fs.state_view()
+    if shared is None:
+        return _verdict(prof, state, target, fs, crash_view)
+    key = (fs if unmountable else fs.memo_record, state.checkpoint_id)
+    verdict = shared.get(key)
+    if verdict is None:
+        verdict = shared[key] = _verdict(prof, state, target, fs, crash_view)
+    elif verdict.is_bug:
+        verdict = replace(verdict, crash_descriptor=state.descriptor())
+    return verdict
+
+
+def _verdict(prof: Profile, state: CrashState, target, fs, crash_view) -> Verdict:
+    """``check``'s comparison of the mounted state ``fs`` and its view."""
+    if crash_view is None:
         diff = [DiffEntry("unmountable", expected="mountable file system", actual=fs.reason)]
         return Verdict("bug", state.descriptor(), "unmountable", diff, fsck=target.fsck(fs))
 
-    crash_view = fs.state_view()
+    cp = state.checkpoint_id
+    oracle_view = prof.oracle_views.get(cp, prof.base_view)
+    persisted_set = prof.persisted.get(cp, {})
     diff: list[DiffEntry] = []
     subset = state.subset is not None
     candidates = [oracle_view]
@@ -518,10 +542,16 @@ def _prefix_state(prof: Profile, epochs: list[range], p: int, granularity: str):
 
 
 def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> list[Verdict]:
+    """The verdicts of ``prof``'s subset states, epoch by epoch. Most
+    subsets of an epoch recover to a state another one recovered to, so
+    each distinct (recovered state, checkpoint) pair is compared once, and
+    the later states with that pair take its verdict under their own
+    descriptor (``check``'s ``shared`` table)."""
     epochs = split_epochs(prof.device.log)
     prefixes = (_prefix_state(prof, epochs, p, flags.granularity) for p in range(len(epochs)))
+    shared: dict = {}
     return [
-        check(prof, build_subset_state(prefix, kept), memo)
+        check(prof, build_subset_state(prefix, kept), memo, shared)
         for prefix in prefixes
         for kept in enumerate_target_subsets(prefix, flags.seed)
     ]

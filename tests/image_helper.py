@@ -1,9 +1,12 @@
 """Reads disk images and file systems in tests as plain values: an image
-through the block reader a mount uses, a file system attribute by attribute."""
+through the block reader a mount uses, a file system attribute by attribute;
+and lists the crash states of a profiled workload."""
 
 import copy
 
-from crashlab.blockdev import BLOCK_SIZE, Device
+from crashlab import harness
+from crashlab.blockdev import BLOCK_SIZE, Device, split_epochs
+from crashlab.crashgen import build_subset_state, enumerate_target_subsets
 from crashlab.fstarget.soundfs import Inode
 
 
@@ -36,3 +39,15 @@ def same_bytes(a, b) -> bool:
     """Whether images ``a`` and ``b`` hold the same bytes. Equal content
     keys say so at once; only unequal ones are read in full."""
     return a.content_key() == b.content_key() or image_bytes(a) == image_bytes(b)
+
+
+def crash_states(prof, granularity="op", seed=0):
+    """Every checkpoint state of ``prof``, then every subset state, in the
+    order ``run_workload`` checks them in subset mode."""
+    for k in range(1, len(prof.device.checkpoints) + 1):
+        yield harness._checkpoint_state(prof, k)
+    epochs = split_epochs(prof.device.log)
+    for p in range(len(epochs)):
+        prefix = harness._prefix_state(prof, epochs, p, granularity)
+        for kept in enumerate_target_subsets(prefix, seed):
+            yield build_subset_state(prefix, kept)

@@ -577,6 +577,26 @@ def test_run_corpus_parse_error_names_the_file(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_corpus_parses_every_entry_before_running_one(tmp_path, capsys, monkeypatch):
+    """A bad last entry fails the corpus before its good entries run, as it
+    fails ``campaign --corpus``: exit 2, the error names the file, and no
+    workload runs."""
+    import shutil
+
+    for path in sorted(default_corpus_dir().glob("*.wl"))[:3]:
+        shutil.copy(path, tmp_path)
+    (tmp_path / "zz.wl").write_text("creat foo\nfrobnicate foo\n")
+    ran = []
+    monkeypatch.setattr(cli, "run_workload", lambda *a, **kw: ran.append(a) or [])
+    message = f"error: {tmp_path / 'zz.wl'}: line 2: unknown operation 'frobnicate'\n"
+    for mapped in ([], ["--mapped"]):
+        assert main(["corpus", "--dir", str(tmp_path), *mapped]) == 2
+        assert capsys.readouterr() == ("", message)
+    with pytest.raises(ace.GenerationError):
+        run_mapped_corpus(tmp_path)
+    assert ran == []
+
+
 def test_corpus_mapped_variants_reproduce_annotations():
     mapping = corpus_variant_map(default_corpus_dir())
     assert set(mapping.values()) >= {

@@ -25,7 +25,7 @@ from crashlab.fstarget.soundfs import (
     _decode_inode,
     _encode_inode,
 )
-from image_helper import fs_state, image_bytes
+from image_helper import crash_states, fs_state, image_bytes
 
 MiB = 1024 * 1024
 DEV = 4 * MiB
@@ -557,9 +557,12 @@ def test_memo_keys_hold_the_interned_blocks():
     for image in (crash_image(), second):
         SoundFs.mount(image, memo)
     assert len(memo.states) == len(memo.records) == 2
+    assert len(memo.plans) == 1  # the images differ outside the journal only
     keys = [key for _cls, key in memo.states]
     keys += [key for _cls, key, _journal_pos, _next_txn in memo.records]
+    keys += [journal for _cls, _superblock, journal in memo.plans]
     blocks = [x for key in keys for x in key[2:] if type(x) is bytes]
+    blocks += [superblock for _cls, superblock, _journal in memo.plans]
     assert len(blocks) > 4 and all(memo.values[b] is b for b in blocks)
 
 
@@ -873,8 +876,116 @@ def test_memo_never_holds_more_than_its_bound():
         assert isinstance(SoundFs.mount(image, memo), Unmountable)
         assert len(memo.states) <= MountMemo.LIMIT
     # emptied at the bound, so only the images mounted since are held
-    assert len(memo.states) == len(memo.values) == 50
+    assert len(memo.states) == len(memo.values) == len(memo.plans) == 50
     assert memo.records == {}
+
+
+def distinct_images(states) -> list:
+    return list({state.image.content_key(): state.image for state in states}.values())
+
+
+def assert_plan_hits_like_plain_mounts(target, images, every=1) -> MountMemo:
+    """Mount ``images`` through a memo, then empty its ``states`` table and
+    mount every ``every``-th image again. Each second mount finds its
+    journal scan in ``plans`` and its record in ``records``, so it runs no
+    recovery, and it must give what a plain mount gives. Returns the memo."""
+    memo = MountMemo()
+    for image in images:
+        target.mount(image, memo)
+    assert len(memo.states) == len(images)  # never emptied at its bound
+    plans, records = dict(memo.plans), dict(memo.records)
+    memo.states.clear()
+    for image in images[::every]:
+        mounted = target.mount(image, memo)
+        if isinstance(mounted, Unmountable):
+            assert mounted == target.mount(image)
+        else:
+            assert_like_a_plain_mount(mounted, image)
+    assert memo.plans == plans and memo.records == records
+    return memo
+
+
+# seq-1 tier indices: creat foo / fsync foo, and rename bar foo / fsync foo
+_SAMPLED_SEQ1 = (0, 1150)
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+def test_a_plan_hit_mount_equals_a_plain_mount(target):
+    """Every checkpoint state and op-granularity subset state of sampled
+    seq-1 workloads mounts through a known plan as it mounts plainly."""
+    from crashlab.harness import profile
+
+    for index in _SAMPLED_SEQ1:
+        (workload,) = ace.workload_range(ace.Bounds(seq_length=1), index, index + 1)
+        images = distinct_images(crash_states(profile(workload, target.NAME)))
+        memo = assert_plan_hits_like_plain_mounts(target, images)
+        assert len(memo.plans) < len(images)  # some images share a scan
+
+
+def test_a_plan_hit_mount_with_tombstones_equals_a_plain_mount():
+    """bugfs-b6 journals tombstones, which recovery applies to directory
+    blocks outside the journal: a known plan with tombstones still runs
+    full recovery, and gives what a plain mount gives."""
+    from crashlab.harness import profile
+
+    target = get_target("bugfs-b6")
+    for dsl in (
+        "# deps\ncreat foo\n# ops\nunlink foo\ncreat foo\nfsync foo\n",
+        "# deps\ncreat bar\n# ops\nunlink bar\ncreat bar\nfdatasync bar\ncreat foo\nsync\n",
+    ):
+        images = distinct_images(crash_states(profile(ace.parse(dsl), target.NAME)))
+        memo = assert_plan_hits_like_plain_mounts(target, images)
+        assert any(
+            tombstones
+            for plan in memo.plans.values()
+            if not isinstance(plan, Unmountable)
+            for _writes, tombstones in plan.txns
+        )
+
+
+def test_a_plan_hit_mount_of_a_sector_state_equals_a_plain_mount():
+    """The sector slice 590:600 (every 8th distinct image of each workload's
+    states): partial journal blocks scan as the device reads them."""
+    from crashlab.harness import profile
+
+    for workload in ace.workload_range(ace.Bounds(seq_length=1), 590, 600):
+        states = crash_states(profile(workload, "soundfs"), "sector", seed=7)
+        assert_plan_hits_like_plain_mounts(SoundFs, distinct_images(states), every=8)
+
+
+def test_a_subset_round_recovers_only_to_load(monkeypatch):
+    """``--seq 1 --subset --range 590:595`` mounts 288 distinct images. Each
+    used to run a full recovery; now a known or new journal scan fixes the
+    recovered image, so full recovery runs only to load each of the 5
+    distinct recovered file systems, as often as loads ran before."""
+    from crashlab.cli import CampaignConfig, run_campaign
+
+    counts = dict.fromkeys(("images", "open", "recoveries", "loads"), 0)
+    memo_entry = SoundFs.__dict__["_memo_entry"].__func__
+    recover, loaded = SoundFs._recover, SoundFs._loaded
+
+    def counting_entry(cls, image, memo):
+        counts["images"] += 1
+        counts["open"] += 1
+        try:
+            return memo_entry(cls, image, memo)
+        finally:
+            counts["open"] -= 1
+
+    def counting(name, real):
+        def call(self):
+            counts[name] += counts["open"]  # a memo mount's, not a profile's
+            return real(self)
+
+        return call
+
+    monkeypatch.setattr(SoundFs, "_memo_entry", classmethod(counting_entry))
+    monkeypatch.setattr(SoundFs, "_recover", counting("recoveries", recover))
+    monkeypatch.setattr(SoundFs, "_loaded", counting("loads", loaded))
+    config = CampaignConfig(fs="soundfs", seq=(1,), index_range=(590, 595), subset=True)
+    result = run_campaign(config, quiet=True)
+    assert (result.total_verdicts, result.bug_verdicts) == (815, 0)
+    assert counts == {"images": 288, "open": 0, "recoveries": 5, "loads": 5}
 
 
 # -- allocation ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from crashlab.harness import (
     run_workload,
     state_for,
 )
-from image_helper import fs_state, image_bytes, same_bytes
+from image_helper import crash_states, fs_state, image_bytes, same_bytes
 
 
 def test_two_persistence_points_two_checkpoints_two_oracles():
@@ -755,9 +755,9 @@ def _checked(monkeypatch, *args):
     checked = []
     real = harness.check
 
-    def recording(prof, state, memo=None):
+    def recording(prof, state, *memo_and_shared):
         checked.append(state.descriptor())
-        return real(prof, state, memo)
+        return real(prof, state, *memo_and_shared)
 
     monkeypatch.setattr(harness, "check", recording)
     return run_workload(*args), checked
@@ -847,6 +847,68 @@ def test_subset_mode_across_a_journal_wrap():
     vs = run_workload(w, "soundfs", RunFlags(subset=True))
     assert len(vs) == 2054
     assert all(v.outcome == "pass" for v in vs)
+
+
+# the subset campaigns of bugfs-b2 (every checkpoint too), bugfs-b3 (sector
+# granularity) and bugfs-b6, each cut to a slice that holds its bug verdicts
+_SUBSET_CAMPAIGNS = {
+    "bugfs-b2": (Bounds(seq_length=1), (1150, 1175), RunFlags(all_checkpoints=True, subset=True)),
+    "bugfs-b3": (
+        Bounds(seq_length=1, allowed_ops=(FsOpKind.FALLOC,)),
+        (120, 140),
+        RunFlags(subset=True, granularity="sector", seed=7),
+    ),
+    "bugfs-b6": (
+        Bounds(seq_length=2, allowed_ops=(FsOpKind.UNLINK, FsOpKind.CREAT), files=("foo", "bar"),
+               dirs=()),
+        (5, 30),
+        RunFlags(subset=True),
+    ),
+}
+
+
+def assert_shared_verdicts_equal_alone(workload, fs_name, flags) -> list:
+    """``run_workload``'s verdicts of ``workload``, which share the verdicts
+    of subset states, equal checking each crash state alone, through a fresh
+    memo, in outcome, descriptor, consequence, diff and fsck. Returns them."""
+    shared = run_workload(workload, fs_name, flags, MountMemo())
+    prof = profile(workload, fs_name)
+    alone = [check(prof, state) for state in crash_states(prof, flags.granularity, flags.seed)]
+    fields = ("outcome", "crash_descriptor", "consequence", "diff", "fsck")
+    assert [[getattr(v, f) for f in fields] for v in shared] == [
+        [getattr(v, f) for f in fields] for v in alone
+    ]
+    return shared
+
+
+@pytest.mark.parametrize("fs_name", _SUBSET_CAMPAIGNS)
+def test_shared_subset_verdicts_equal_checking_each_state_alone(monkeypatch, fs_name):
+    """A workload's subset states that recover to one state at one
+    checkpoint share the first one's verdict, under their own descriptors,
+    and each is the verdict the state gets alone."""
+    bounds, (start, end), flags = _SUBSET_CAMPAIGNS[fs_name]
+    compared = []
+    real = harness._verdict
+    monkeypatch.setattr(harness, "_verdict", lambda *a: compared.append(1) or real(*a))
+    states = bugs = 0
+    for workload in ace.workload_range(bounds, start, end):
+        verdicts = assert_shared_verdicts_equal_alone(workload, fs_name, flags)
+        states += len(verdicts)
+        bugs += sum(v.is_bug for v in verdicts)
+    assert bugs > 0
+    # each state compared alone, and fewer for the shared verdicts
+    assert states < len(compared) < 2 * states
+
+
+def test_a_state_recovered_at_two_checkpoints_is_compared_at_each():
+    """Before the fdatasync's commit reaches its home blocks, a crash
+    recovers to the file system checkpoint 2 left, whose falloc extent
+    bugfs-b3 dropped. As a subset state of checkpoint 1 it passes, since the
+    extent was not promised yet; the same state at checkpoint 2 is a bug."""
+    w = parse("creat foo\nfsync foo\nfalloc -k (0-4K) foo\nfdatasync foo\ncreat bar\nfsync bar\n")
+    verdicts = assert_shared_verdicts_equal_alone(w, "bugfs-b3", RunFlags(subset=True))
+    bugs = [v.crash_descriptor for v in verdicts if v.is_bug]
+    assert "prefix=5;kept=;gran=op" in bugs and len(bugs) == 20
 
 
 def test_subset_mode_samples_large_epochs(monkeypatch):
