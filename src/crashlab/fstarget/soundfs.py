@@ -209,6 +209,14 @@ def _lowest_clear_bit(bits: int, lo: int, hi: int) -> int | None:
     return (free & -free).bit_length() - 1 if free else None
 
 
+def _check_pointer(geo: Geometry, ino: int, block: int) -> None:
+    if not geo.data_start <= block < geo.total_blocks:
+        raise ValueError(
+            f"inode {ino} block pointer {block} lies outside the data region "
+            f"[{geo.data_start}, {geo.total_blocks})"
+        )
+
+
 def _pack_dir(entries: dict[str, int]) -> bytes:
     blob = bytearray()
     for name in sorted(entries):
@@ -278,13 +286,14 @@ class SoundFs:
         function of the target and the image's bytes, and after recovery
         nothing reads the journal (``_load_state``). So with a ``memo``,
         each distinct image is mounted once (``_memo_entry``): its journal
-        is scanned once per distinct journal, and the load, validation and
-        view run once per distinct recovered state (the blocks outside the
-        journal, the journal position and the next transaction id). Every
-        mount of one image through the memo returns one object, which is
-        never changed: the ``Unmountable``, or a memo mount that holds only
-        its ``memo_record`` and the image's journal blocks. It answers only
-        ``state_view``; ``thaw`` gives a live file system."""
+        is scanned once per distinct journal and replayed for each image,
+        and the load, validation and view run once per distinct recovered
+        state (the blocks outside the journal, the journal position and the
+        next transaction id). Every mount of one image through the memo
+        returns one object, which is never changed: the ``Unmountable``, or
+        a memo mount that holds only its ``memo_record`` and the image's
+        journal blocks. It answers only ``state_view``; ``thaw`` gives a
+        live file system."""
         if memo is None:
             return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
         mounted = memo.states.get((cls, image.content_key()))
@@ -314,36 +323,31 @@ class SoundFs:
         loaded now if no earlier image recovered to the same state.
 
         The journal scan comes from ``memo.plans`` when an image with the
-        same superblock and journal blocks was scanned before. A plan whose
-        recovery only copies home blocks (``_Plan.homes``) fixes the
-        recovered image without running recovery: this image outside the
-        journal with those blocks laid over it. Full recovery, on a device
-        of its own, runs only to load a new record, or when the plan
-        applies tombstones, which read directory blocks outside the
-        journal."""
+        same superblock and journal blocks was scanned before. Its replay
+        reads this image and gives the blocks recovery writes, none of them
+        in the journal (``_replay``): laid over this image outside the
+        journal, they are the recovered image that keys the record. Only a
+        new record recovers the image onto a device of its own, from the
+        same plan."""
         geo = Geometry.for_blocks(image.size_bytes // BLOCK_SIZE)
         rest, journal = image.split(geo.journal_start, geo.data_start)
         plan_key = (cls, image.read_block(0), image.part_key(journal))
         plan = memo.plans.get(plan_key)
         if plan is None:
-            plan = memo.plans[plan_key] = cls._scan(image, memo.values)
+            plan = memo.plans[plan_key] = cls._scan(image)
         if isinstance(plan, Unmountable):
             return plan
-        fs = None
-        if plan.homes is None:
-            fs = cls._recovered(Device(image.size_bytes, base=image, log_io=False), plan)
-            if isinstance(fs, Unmountable):
-                return fs
-            rest, journal = fs.device.snapshot().split(geo.journal_start, geo.data_start)
-            # the tombstones wrote blocks of their own
-            rest = rest.interned(memo.values)
-        else:
-            rest = rest.with_blocks(plan.homes)
+        blocks = cls._replay(plan, image.read_block)
+        if isinstance(blocks, Unmountable):
+            return blocks
+        for n, b in blocks.items():
+            blocks[n] = memo.values.setdefault(b, b)
+        rest = rest.with_blocks(blocks)
         key = (cls, rest.content_key(), plan.journal_pos, plan.next_txn)
         record = memo.records.get(key)
         if record is None:
-            if fs is None:
-                fs = cls._recovered(Device(image.size_bytes, base=image, log_io=False), plan)
+            # the replay above succeeded, so recovery does
+            fs = cls._recovered(Device(image.size_bytes, base=image, log_io=False), plan)
             fs = fs._loaded()
             record = fs if isinstance(fs, Unmountable) else _MountedState(fs, rest)
             memo.records[key] = record
@@ -356,24 +360,26 @@ class SoundFs:
     @classmethod
     def mount_device(cls, device: Device) -> "SoundFs | Unmountable":
         """Mount the image ``device`` holds, recovering onto it."""
-        fs = cls._recovered(device)
+        plan = cls._scan(device)
+        fs = plan if isinstance(plan, Unmountable) else cls._recovered(device, plan)
         return fs if isinstance(fs, Unmountable) else fs._loaded()
 
     @classmethod
-    def _recovered(cls, device: Device, plan: "_Plan | None" = None) -> "SoundFs | Unmountable":
-        """The first mount phase, recovery: the journal scan of ``device``
-        (``_scan``; ``plan`` when the caller has it), then its writes
-        applied to ``device`` (``_recover``)."""
-        if plan is None:
-            plan = cls._scan(device)
-        if isinstance(plan, Unmountable):
-            return plan
+    def _recovered(cls, device: Device, plan: "_Plan") -> "SoundFs | Unmountable":
+        """The first mount phase, recovery: ``plan``, the journal scan of
+        ``device`` (``_scan``), replayed onto ``device`` (``_replay``). The
+        homes of the transactions still in the journal are kept, so that
+        allocation skips them (``_alloc_block``)."""
+        blocks = cls._replay(plan, device.read_block)
+        if isinstance(blocks, Unmountable):
+            return blocks
+        for home, blk in blocks.items():
+            device.write_block(home, blk)
         fs = cls.__new__(cls)
-        fs.device, fs.geo, fs._plan = device, plan.geo, plan
-        try:
-            fs._journal_pos, fs._next_txn = fs._recover()
-        except _MOUNT_ERRORS as e:
-            return Unmountable(str(e))
+        fs.device, fs.geo = device, plan.geo
+        fs._journal_pos, fs._next_txn = plan.journal_pos, plan.next_txn
+        homes = {home for writes, _tombstones in plan.txns for home, _blk in writes}
+        fs._journal_homes = sum(1 << home for home in homes)
         return fs
 
     def _loaded(self) -> "SoundFs | Unmountable":
@@ -399,22 +405,17 @@ class SoundFs:
     # -- journal recovery ----------------------------------------------------
 
     @classmethod
-    def _scan(
-        cls, source: "Device | DiskImage", values: dict | None = None
-    ) -> "_Plan | Unmountable":
+    def _scan(cls, source: "Device | DiskImage") -> "_Plan | Unmountable":
         """The first step of recovery, which only reads ``source``: the
         geometry from the superblock, then the committed transactions in
         order, or the ``Unmountable`` either gives. A header's home list and
         tombstones are parsed only once its commit block and checksum match:
-        an uncommitted header may hold anything. A home write that lands in
-        the journal is seen by the reads after it, as it is when the writes
-        are applied in order; a tombstone only edits a directory's entry
-        block and inode, never a journal block. ``values``, a memo's intern
-        table, gets the blocks of ``_Plan.homes``."""
+        an uncommitted header may hold anything. A committed home must lie
+        in the metadata or the data region, as a block pointer must lie in
+        the data region (``_check_pointer``): recovery never writes block 0
+        or the journal."""
         read = source.read_block
-        in_journal: dict[int, bytes] = {}  # home writes into the journal
         txns = []
-        homes: dict[int, bytes] | None = {}
         last_txn = 0
         try:
             geo = Geometry.parse_superblock(read(0))
@@ -439,39 +440,57 @@ class SoundFs:
                 if h.digest() != csum:
                     break
                 targets = struct.unpack_from(f"<{n_entries}I", hdr_raw, _JHDR.size)
+                for home in targets:
+                    if home == 0 or home in journal or home >= geo.total_blocks:
+                        raise ValueError(
+                            f"transaction {txn_id} home block {home} lies outside "
+                            "the metadata and data regions"
+                        )
                 tombstones = cls._unpack_tombstones(hdr_raw, _JHDR.size + 4 * n_entries, n_tomb)
-                writes = list(zip(targets, entry_blocks))
-                txns.append((writes, tombstones))
-                if tombstones:
-                    homes = None
-                for home, blk in writes:
-                    if home in journal:
-                        in_journal[home] = blk
-                        read = functools.partial(_read_through, in_journal, source)
-                        homes = None
-                    elif not 0 < home < geo.total_blocks:
-                        homes = None
-                    elif homes is not None:
-                        homes[home] = blk if values is None else values.setdefault(blk, blk)
+                txns.append((list(zip(targets, entry_blocks)), tombstones))
                 last_txn = txn_id
                 pos += 1 + n_entries + 1
         except _MOUNT_ERRORS as e:
             return Unmountable(str(e))
-        return _Plan(geo, txns, pos, last_txn + 1, homes)
+        return _Plan(geo, txns, pos, last_txn + 1)
 
-    def _recover(self) -> tuple[int, int]:
-        """The second step of recovery: each committed transaction's home
-        writes, then its tombstones, applied to the device in order, as the
-        scan found them (``_plan``, which this drops); returns (next slot,
-        next id). It writes nothing else, so when no transaction has a
-        tombstone, the writes alone give the recovered image (``_Plan``)."""
-        plan = vars(self).pop("_plan")
-        for writes, tombstones in plan.txns:
-            for home, blk in writes:
-                self.device.write_block(home, blk)
-            for dir_ino, name in tombstones:
-                self._recovery_remove_entry(dir_ino, name)
-        return plan.journal_pos, plan.next_txn
+    @staticmethod
+    def _replay(plan: "_Plan", read) -> "dict[int, bytes] | Unmountable":
+        """The second step of recovery, which only reads too: each committed
+        transaction's home writes, then its tombstones, applied in order to
+        a map of block number to the bytes recovery leaves there, read
+        through ``read`` where the map has none; or the ``Unmountable`` a
+        tombstone gives. The recovered image is the scanned one with the
+        map laid over it. A tombstone removes a name from its directory's
+        entry block, which must lie in the data region, and from its size
+        in the inode table."""
+        geo = plan.geo
+        blocks: dict[int, bytes] = {}
+        try:
+            for writes, tombstones in plan.txns:
+                blocks.update(writes)
+                for dir_ino, name in tombstones:
+                    table = geo.itable_start + dir_ino // INODES_PER_BLOCK
+                    off = (dir_ino % INODES_PER_BLOCK) * INODE_SIZE
+                    raw = bytearray(blocks.get(table) or read(table))
+                    node = _decode_inode(dir_ino, raw[off : off + INODE_SIZE])
+                    if node.kind != KIND_DIR or not node.blocks:
+                        continue
+                    block = node.blocks[0]
+                    entries = _unpack_dir(blocks.get(block) or read(block), node.size)
+                    if name not in entries:
+                        continue
+                    _check_pointer(geo, dir_ino, block)
+                    del entries[name]
+                    packed = _pack_dir(entries)
+                    blocks[block] = packed.ljust(BLOCK_SIZE, b"\0")
+                    raw[off : off + INODE_SIZE] = _encode_inode(
+                        node.kind, node.nlink, len(packed), node.target, node.xattrs, node.blocks
+                    )
+                    blocks[table] = bytes(raw)
+        except _MOUNT_ERRORS as e:
+            return Unmountable(str(e))
+        return blocks
 
     @staticmethod
     def _unpack_tombstones(raw: bytes, offset: int, count: int):
@@ -479,39 +498,17 @@ class SoundFs:
         pos = offset
         for _ in range(count):
             dir_ino, nl = struct.unpack_from("<HB", raw, pos)
+            if dir_ino >= INODE_COUNT:
+                raise ValueError(f"tombstone inode {dir_ino} lies outside the inode table")
             pos += 3
             out.append((dir_ino, raw[pos : pos + nl].decode()))
             pos += nl
         return out
 
-    def _recovery_remove_entry(self, dir_ino: int, name: str) -> None:
-        # Double-processing path: edits the already-replayed directory block.
-        node = _decode_inode(dir_ino, self._read_inode_raw(dir_ino))
-        if node.kind != KIND_DIR or not node.blocks:
-            return
-        block = node.blocks[0]
-        entries = _unpack_dir(self.device.read_block(block), node.size)
-        if name not in entries:
-            return
-        del entries[name]
-        packed = _pack_dir(entries)
-        self.device.write_block(block, packed.ljust(BLOCK_SIZE, b"\0"))
-        raw = _encode_inode(
-            node.kind, node.nlink, len(packed), node.target, node.xattrs, node.blocks
-        )
-        self._write_inode_raw(dir_ino, raw)
-
     def _read_inode_raw(self, ino: int) -> bytes:
         blk = self.geo.itable_start + ino // INODES_PER_BLOCK
         off = (ino % INODES_PER_BLOCK) * INODE_SIZE
         return self.device.read_block(blk)[off : off + INODE_SIZE]
-
-    def _write_inode_raw(self, ino: int, raw: bytes) -> None:
-        blk = self.geo.itable_start + ino // INODES_PER_BLOCK
-        off = (ino % INODES_PER_BLOCK) * INODE_SIZE
-        cur = bytearray(self.device.read_block(blk))
-        cur[off : off + INODE_SIZE] = raw
-        self.device.write_block(blk, bytes(cur))
 
     # -- state loading -------------------------------------------------------
 
@@ -536,23 +533,15 @@ class SoundFs:
                 raise ValueError(f"allocated inode {ino} has free kind")
             if node.kind == KIND_DIR and node.size:
                 block = node.blocks[0] if node.blocks else 0
-                self._check_pointer(ino, block)
+                _check_pointer(geo, ino, block)
                 node.entries = _unpack_dir(self.device.read_block(block), node.size)
             elif node.kind == KIND_FILE:
                 for block in node.blocks:
                     if block:
-                        self._check_pointer(ino, block)
+                        _check_pointer(geo, ino, block)
             self.inodes[ino] = node
         if ROOT_INO not in self.inodes or self.inodes[ROOT_INO].kind != KIND_DIR:
             raise ValueError("missing root directory")
-
-    def _check_pointer(self, ino: int, block: int) -> None:
-        geo = self.geo
-        if not geo.data_start <= block < geo.total_blocks:
-            raise ValueError(
-                f"inode {ino} block pointer {block} lies outside the data region "
-                f"[{geo.data_start}, {geo.total_blocks})"
-            )
 
     def _validate(self) -> str | None:
         """Structural consistency of the recovered tree; None when sound."""
@@ -666,7 +655,11 @@ class SoundFs:
         return node
 
     def _alloc_block(self) -> int:
-        b = _lowest_clear_bit(self.alloc_blocks, self.geo.data_start, self.geo.total_blocks)
+        """The lowest free data block that is not the home of a transaction
+        still in the journal: recovery would write that transaction's old
+        bytes over whatever the block holds next."""
+        used = self.alloc_blocks | self._journal_homes
+        b = _lowest_clear_bit(used, self.geo.data_start, self.geo.total_blocks)
         if b is None:
             raise FsError("ENOSPC", "out of data blocks")
         self.alloc_blocks |= 1 << b
@@ -1131,6 +1124,7 @@ class SoundFs:
             # left after the new head are never replayed.
             self.device.flush()
             self._journal_pos = geo.journal_start
+            self._journal_homes = 0
         hdr = bytearray(
             _JHDR.pack(JOURNAL_HDR_MAGIC, self._next_txn, n, len(tombstones))
         )
@@ -1156,6 +1150,7 @@ class SoundFs:
         self.device.write_block(pos + 1 + n, commit_block, fua=True)
         for home, img in images:
             self.device.write_block(home, img)
+            self._journal_homes |= 1 << home
         self._journal_pos = pos + needed
         self._next_txn += 1
 
@@ -1226,26 +1221,17 @@ class SoundFs:
 class _Plan(NamedTuple):
     """What a journal scan finds (``SoundFs._scan``): the geometry, each
     committed transaction's ``(home, block)`` writes and tombstones in
-    replay order, the journal slot after the last one and the next
-    transaction id. ``homes`` holds every home write, the last to a block
-    winning, when no transaction has a tombstone and every home lies in the
-    device outside block 0 and the journal; then recovery leaves the image
-    with ``homes`` laid over it. Otherwise it is None."""
+    replay order (``SoundFs._replay``), the journal slot after the last one
+    and the next transaction id."""
 
     geo: Geometry
     txns: list
     journal_pos: int
     next_txn: int
-    homes: dict | None
-
-
-def _read_through(written: dict[int, bytes], source, block_no: int) -> bytes:
-    """Block ``block_no`` of ``source`` after the ``written`` blocks."""
-    return written.get(block_no) or source.read_block(block_no)
 
 
 class MountMemo:
-    """What mounting crash images gave, for one campaign partition, in three
+    """What mounting crash images gave, for one campaign partition, in four
     tables. ``states`` maps target class and exact image content to the
     image's memo mount (``SoundFs.mount``), or the ``Unmountable`` when
     recovery failed. ``plans`` maps target class, superblock and journal
@@ -1255,7 +1241,8 @@ class MountMemo:
     journal, journal position and next transaction id to a
     ``_MountedState`` or the ``Unmountable``; images that differ only in
     journal blocks recovery ignores share one. ``values`` interns block
-    contents, so the memo holds each once (distinct images share most of
+    contents, the images' and those their replays give, so the memo holds
+    each once (distinct images share most of
     their blocks). It empties itself when ``states`` reaches ``LIMIT``
     entries."""
 

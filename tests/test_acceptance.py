@@ -193,6 +193,37 @@ def test_acceptance_no_false_positives_seq2_slice():
     )
 
 
+def test_acceptance_no_false_positives_seq3_dir_reuse():
+    """A directory's entry block, freed by rmdir while still journaled and
+    then written as file data, keeps the data across recovery."""
+    t0 = time.monotonic()
+    details, ok = [], True
+    for all_checkpoints in (False, True):
+        result = run_campaign(
+            CampaignConfig(
+                fs="soundfs",
+                seq=(3,),
+                ops=("mkdir", "rmdir", "write"),
+                files=("foo",),
+                dirs=("A",),
+                all_checkpoints=all_checkpoints,
+            ),
+            quiet=True,
+        )
+        ok = ok and result.bug_verdicts == 0 and result.harness_errors == 0
+        details.append(
+            f"{'all-checkpoints' if all_checkpoints else 'default'}: "
+            f"{result.total_workloads} workloads, {result.bug_verdicts} bug verdicts, "
+            f"{result.harness_errors} harness errors"
+        )
+    elapsed = time.monotonic() - t0
+    _emit(
+        "no-false-positives-seq3-dir-reuse",
+        ok and elapsed < 60,
+        "; ".join(details) + f"; {elapsed:.1f}s (< 60s)",
+    )
+
+
 # -- criterion 4: seeded-bug detection --------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """File systems under test: format, recovery, op semantics, seeded bugs."""
 
 import copy
+import hashlib
+import struct
 
 import pytest
 
@@ -18,8 +20,13 @@ from crashlab.fstarget import (
     get_target,
 )
 from crashlab.fstarget.soundfs import (
+    JOURNAL_COMMIT_MAGIC,
     JOURNAL_HDR_MAGIC,
+    _JCOMMIT,
     _JHDR,
+    INODE_COUNT,
+    INODE_SIZE,
+    INODES_PER_BLOCK,
     Geometry,
     Inode,
     _decode_inode,
@@ -614,9 +621,11 @@ class _ReplayEndFs(SoundFs):
     """SoundFS that keeps, from recovery, the journal slot its replay
     stopped at."""
 
-    def _recover(self):
-        self.replay_end, next_txn = super()._recover()
-        return self.replay_end, next_txn
+    @classmethod
+    def _recovered(cls, device, plan):
+        fs = super()._recovered(device, plan)
+        fs.replay_end = fs._journal_pos
+        return fs
 
 
 def test_a_memo_mount_keeps_what_recovery_sets():
@@ -783,12 +792,83 @@ def with_block_pointer(image, path, index, block):
     image."""
     fs = SoundFs.mount_device(Device(DEV, image))
     ino = fs.resolve_ino(path)
-    node = _decode_inode(ino, fs._read_inode_raw(ino))
+    table = fs.geo.itable_start + ino // INODES_PER_BLOCK
+    off = (ino % INODES_PER_BLOCK) * INODE_SIZE
+    raw = bytearray(fs.device.read_block(table))
+    node = _decode_inode(ino, raw[off : off + INODE_SIZE])
     node.blocks[index] = block
-    raw = _encode_inode(node.kind, node.nlink, node.size, node.target, node.xattrs, node.blocks)
-    fs._write_inode_raw(ino, raw)
+    raw[off : off + INODE_SIZE] = _encode_inode(
+        node.kind, node.nlink, node.size, node.target, node.xattrs, node.blocks
+    )
+    fs.device.write_block(table, bytes(raw))
     fs.device.write_block(fs.geo.journal_start, bytes(BLOCK_SIZE))
     return ino, fs.device.snapshot()
+
+
+def with_txn(image, pos, txn_id, writes=(), tombstones=()):
+    """``image`` with a committed transaction numbered ``txn_id`` at journal
+    slot ``pos``, laid out as ``_write_txn`` lays it out: its ``(home,
+    block)`` writes and ``(directory inode, name)`` tombstones. No home is
+    written."""
+    hdr = _JHDR.pack(JOURNAL_HDR_MAGIC, txn_id, len(writes), len(tombstones))
+    hdr += struct.pack(f"<{len(writes)}I", *(home for home, _blk in writes))
+    for dir_ino, name in tombstones:
+        hdr += struct.pack("<HB", dir_ino, len(name)) + name.encode()
+    blocks = [hdr.ljust(BLOCK_SIZE, b"\0"), *(blk for _home, blk in writes)]
+    digest = hashlib.sha256(b"".join(blocks)).digest()
+    blocks.append(_JCOMMIT.pack(JOURNAL_COMMIT_MAGIC, txn_id, digest).ljust(BLOCK_SIZE, b"\0"))
+    for i, blk in enumerate(blocks):
+        image = write_block(image, pos + i, blk)
+    return image
+
+
+def test_a_committed_home_outside_the_metadata_and_data_regions_is_unmountable():
+    """Recovery writes only metadata and data blocks: a committed
+    transaction whose home is block 0, a journal block or past the device
+    does not mount, plainly or through the memo, and the reason names the
+    transaction and the home. A data block home is replayed."""
+    image = crash_image()
+    geo = geometry(image)
+    live = SoundFs.mount(image)
+    pos, txn = live._journal_pos, live._next_txn
+    last = geo.total_blocks - 1
+    good = with_txn(image, pos, txn, [(last, b"x" * BLOCK_SIZE)])
+    assert SoundFs.mount(good).device.read_block(last) == b"x" * BLOCK_SIZE
+    assert_like_a_plain_mount(SoundFs.mount(good, MountMemo()), good)
+    for home in (0, geo.journal_start, geo.data_start - 1, geo.total_blocks, 2**32 - 1):
+        bad = with_txn(image, pos, txn, [(last, b"x" * BLOCK_SIZE), (home, b"y" * BLOCK_SIZE)])
+        want = Unmountable(
+            f"transaction {txn} home block {home} lies outside the metadata and data regions"
+        )
+        memo = MountMemo()
+        mounts = [SoundFs.mount(bad), SoundFs.mount(bad, memo), SoundFs.mount(bad, memo)]
+        assert mounts == [want] * 3
+
+
+def test_a_tombstone_writes_only_the_inode_table_and_the_data_region():
+    """A tombstone that names an inode past the inode table, or removes a
+    name from a directory whose entry block lies outside the data region,
+    does not mount, plainly or through the memo."""
+    image = crash_image()
+    geo = geometry(image)
+    live = SoundFs.mount(image)
+    past_table = with_txn(image, live._journal_pos, live._next_txn, (), [(INODE_COUNT, "foo")])
+    # A's entries copied to a dead journal block, and its pointer moved there
+    dead = geo.data_start - 1
+    ino, moved = with_block_pointer(image, "A", 0, dead)
+    moved = write_block(moved, dead, live.device.read_block(live.inodes[ino].blocks[0]))
+    in_journal = with_txn(moved, geo.journal_start, 1000, (), [(ino, "foo")])
+    for bad, reason in (
+        (past_table, f"tombstone inode {INODE_COUNT} lies outside the inode table"),
+        (
+            in_journal,
+            f"inode {ino} block pointer {dead} lies outside the data region "
+            f"[{geo.data_start}, {geo.total_blocks})",
+        ),
+    ):
+        memo = MountMemo()
+        mounts = [SoundFs.mount(bad), SoundFs.mount(bad, memo), SoundFs.mount(bad, memo)]
+        assert mounts == [Unmountable(reason)] * 3
 
 
 def test_pointers_outside_the_data_region_are_unmountable():
@@ -922,10 +1002,10 @@ def test_a_plan_hit_mount_equals_a_plain_mount(target):
         assert len(memo.plans) < len(images)  # some images share a scan
 
 
-def test_a_plan_hit_mount_with_tombstones_equals_a_plain_mount(monkeypatch):
+def test_a_plan_hit_mount_with_tombstones_equals_a_plain_mount():
     """bugfs-b6 journals tombstones, which recovery applies to directory
-    blocks outside the journal: a known plan with tombstones still runs
-    full recovery, and gives what a plain mount gives."""
+    blocks outside the journal: a known plan with tombstones replays them
+    onto the image it mounts, and gives what a plain mount gives."""
     from crashlab.harness import profile
 
     target = get_target("bugfs-b6")
@@ -935,19 +1015,7 @@ def test_a_plan_hit_mount_with_tombstones_equals_a_plain_mount(monkeypatch):
     ):
         images = distinct_images(crash_states(profile(ace.parse(dsl), target.NAME)))
         memo = assert_plan_hits_like_plain_mounts(target, images)
-        recovered = []
-
-        def recover(fs):
-            recovered.append(fs)
-            return SoundFs._recover(fs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(target, "_recover", recover)
-            memo.states.clear()
-            for image in images:
-                target.mount(image, memo)
-        # only the images whose journal holds a tombstone recover again
-        assert 0 < len(recovered) < len(images)
+        assert any(tombstones for plan in memo.plans.values() for _w, tombstones in plan.txns)
 
 
 def test_a_plan_hit_mount_of_a_sector_state_equals_a_plain_mount():
@@ -961,15 +1029,16 @@ def test_a_plan_hit_mount_of_a_sector_state_equals_a_plain_mount():
 
 
 def test_a_subset_round_recovers_only_to_load(monkeypatch):
-    """``--seq 1 --subset --range 590:595`` mounts 288 distinct images. Each
-    used to run a full recovery; now a known or new journal scan fixes the
-    recovered image, so full recovery runs only to load each of the 5
-    distinct recovered file systems, as often as loads ran before."""
+    """``--seq 1 --subset --range 590:595`` mounts 288 distinct images. A
+    known or new journal scan and its replay give each recovered image
+    without a device, so a memo mount builds a ``Device`` only to load
+    each of the 5 distinct recovered file systems."""
     from crashlab.cli import CampaignConfig, run_campaign
+    from crashlab.fstarget import soundfs
 
-    counts = dict.fromkeys(("images", "open", "recoveries", "loads"), 0)
+    counts = dict.fromkeys(("images", "open", "devices", "loads"), 0)
     memo_entry = SoundFs.__dict__["_memo_entry"].__func__
-    recover, loaded = SoundFs._recover, SoundFs._loaded
+    loaded = SoundFs._loaded
 
     def counting_entry(cls, image, memo):
         counts["images"] += 1
@@ -980,22 +1049,56 @@ def test_a_subset_round_recovers_only_to_load(monkeypatch):
             counts["open"] -= 1
 
     def counting(name, real):
-        def call(self):
+        def call(*args, **kwargs):
             counts[name] += counts["open"]  # a memo mount's, not a profile's
-            return real(self)
+            return real(*args, **kwargs)
 
         return call
 
     monkeypatch.setattr(SoundFs, "_memo_entry", classmethod(counting_entry))
-    monkeypatch.setattr(SoundFs, "_recover", counting("recoveries", recover))
+    monkeypatch.setattr(soundfs, "Device", counting("devices", Device))
     monkeypatch.setattr(SoundFs, "_loaded", counting("loads", loaded))
     config = CampaignConfig(fs="soundfs", seq=(1,), index_range=(590, 595), subset=True)
     result = run_campaign(config, quiet=True)
     assert (result.total_verdicts, result.bug_verdicts) == (815, 0)
-    assert counts == {"images": 288, "open": 0, "recoveries": 5, "loads": 5}
+    assert counts == {"images": 288, "open": 0, "devices": 5, "loads": 5}
 
 
 # -- allocation ----------------------------------------------------------------------
+
+
+def test_a_block_recovery_replays_is_not_reused_as_data():
+    """``rmdir A`` frees A's entry block while the journal still holds the
+    transaction that wrote it there. Recovery replays that transaction, so
+    ``foo``'s data must go to another block: every checkpoint state
+    recovers to its oracle."""
+    from crashlab.harness import RunFlags, run_workload
+
+    w = ace.parse("mkdir A\nsync\nrmdir A\nwrite (0-4K) foo\nfsync foo\n")
+    verdicts = run_workload(w, "soundfs", RunFlags(all_checkpoints=True))
+    assert [v.outcome for v in verdicts] == ["pass", "pass"]
+
+
+def test_allocation_skips_the_homes_recovery_would_replay():
+    """After every commit, across a journal wrap, the homes a live file
+    system keeps are those a mount of its device replays; no block it
+    allocates is one of them."""
+    fs = fresh_fs()
+    wrapped = False
+    for i in range(40):
+        dsl = f"mkdir A\nsync\nrmdir A\nwrite ({i}K-{i + 4}K) foo\nfsync foo\n"
+        for step in ace.parse(dsl).steps:
+            if isinstance(step, FsOp):
+                homes, allocated = fs._journal_homes, fs.alloc_blocks
+                fs.apply(step, i)
+                assert fs.alloc_blocks & ~allocated & homes == 0
+            else:
+                pos = fs._journal_pos
+                fs.persist(step.kind, step.target)
+                wrapped |= fs._journal_pos < pos
+                assert fs._journal_homes == SoundFs.mount(fs.device.snapshot())._journal_homes
+    assert wrapped and fs._journal_homes
+
 
 
 # -- fork ----------------------------------------------------------------------------
@@ -1074,6 +1177,7 @@ def test_mounted_soundfs_holds_only_file_system_state():
         "geo",
         "_journal_pos",
         "_next_txn",
+        "_journal_homes",
         "alloc_inos",
         "alloc_blocks",
         "inodes",
