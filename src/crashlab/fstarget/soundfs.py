@@ -249,6 +249,9 @@ class SoundFs:
     # them (delayed allocation); dwrite always bypasses the delay.
     DELAYED_DATA = False
 
+    # The persistence calls whose commit a variant breaks (``commit_key``).
+    BUGGY_TRIGGERS: frozenset[str] = frozenset()
+
     # A memo mount's record (``mount``); a live file system has none.
     memo_record = None
 
@@ -1001,29 +1004,25 @@ class SoundFs:
     # -- persistence ---------------------------------------------------------
 
     def persist(self, kind: PersistKind, target: str | None = None) -> None:
-        self._commit(kind.value, self.persist_target(kind, target))
+        self._commit(*self.commit_key(kind, target))
 
-    def persist_target(self, kind: PersistKind, target: str | None) -> int | None:
-        """The inode a persistence call targets, None for sync. Raises the
-        FsError that ``persist`` raises when the target does not resolve."""
+    def commit_key(self, kind: PersistKind, target: str | None) -> tuple[bool, int | None]:
+        """All that a commit reads of its persistence call: whether the call
+        is one of ``BUGGY_TRIGGERS``, and then the inode it targets. From one
+        state, two calls with one key leave the same device and file system.
+        Raises the FsError that ``persist`` raises when the target does not
+        resolve."""
+        buggy = kind.value in self.BUGGY_TRIGGERS
         if kind is PersistKind.SYNC:
-            return None
+            return buggy, None
         _, _, target_ino = self._resolve(target, follow=True)
         if target_ino is None:
             raise FsError("ENOENT", f"persistence target {target} missing")
-        return target_ino
-
-    @classmethod
-    def commit_ignores_call(cls) -> bool:
-        """Whether a commit of this class leaves the same device and file
-        system whichever persistence call triggers it: SoundFS's own commit
-        makes everything pending durable. A subclass never shares, as it
-        may override any part of the commit path."""
-        return cls is SoundFs
+        return buggy, target_ino if buggy else None
 
     def unmount_clean(self) -> DiskImage:
         """Flush everything pending and return the quiesced image."""
-        self._commit("unmount", None)
+        self._commit(False, None)
         return self.device.snapshot()
 
     def fork(self, device: Device) -> "SoundFs":
@@ -1053,7 +1052,7 @@ class SoundFs:
         The unmount commit has one in-memory effect: ``_submit_file_blocks``
         on pending data, which allocates blocks and so changes
         ``block_count``. Every other part of ``_commit``, and every
-        variant's ``_after_commit("unmount")``, writes only to the device,
+        variant's ``_after_commit(False)``, writes only to the device,
         the dirty sets or the variant's own bookkeeping, none of which the
         view reads. So with no data pending the live view is that view.
 
@@ -1067,24 +1066,25 @@ class SoundFs:
         return replica.state_view()
 
     # Policy hooks the buggy variants override. -------------------------------
+    # Each reads of the persistence call only its key (``commit_key``).
 
-    def _skip_data_flush_inos(self, trigger: str) -> set[int]:
+    def _skip_data_flush_inos(self, buggy: bool) -> set[int]:
         return set()
 
-    def _adjust_effective(self, eff: "_EffectiveState", trigger: str, target_ino):
+    def _adjust_effective(self, eff: "_EffectiveState", buggy: bool, target_ino):
         pass
 
-    def _tombstones_for_commit(self, trigger: str) -> list[tuple[int, str]]:
+    def _tombstones_for_commit(self, buggy: bool) -> list[tuple[int, str]]:
         return []
 
-    def _after_commit(self, trigger: str) -> None:
+    def _after_commit(self, buggy: bool) -> None:
         """Baseline: a commit makes everything pending durable. Variants keep
         or clear their own bookkeeping here."""
 
     # -- the commit pipeline ---------------------------------------------------
 
-    def _commit(self, trigger: str, target_ino: int | None) -> None:
-        skip = self._skip_data_flush_inos(trigger)
+    def _commit(self, buggy: bool, target_ino: int | None) -> None:
+        skip = self._skip_data_flush_inos(buggy)
         deferred: dict[int, set[int]] = {}
         for ino, blocks in sorted(self._pending_data.items()):
             if ino in skip:
@@ -1096,8 +1096,8 @@ class SoundFs:
         self._pending_data = deferred
 
         eff = _EffectiveState(self)
-        self._adjust_effective(eff, trigger, target_ino)
-        tombstones = self._tombstones_for_commit(trigger)
+        self._adjust_effective(eff, buggy, target_ino)
+        tombstones = self._tombstones_for_commit(buggy)
         images = eff.block_images()
 
         if images or tombstones:
@@ -1106,7 +1106,7 @@ class SoundFs:
             self.device.flush()
         self._dirty_inodes.clear()
         self._bitmap_dirty = False
-        self._after_commit(trigger)
+        self._after_commit(buggy)
 
     def _write_txn(self, images: list[tuple[int, bytes]], tombstones) -> None:
         geo = self.geo

@@ -3,10 +3,14 @@
 Every variant is a thin policy override of the commit pipeline or the
 recovery path. A variant keeps its own bookkeeping: it creates it at mount
 (``_reset_pending``), records events by extending the ops it watches, and
-keeps or clears it in its ``_after_commit``. Sync-triggered commits stay
-correct in all of them, and so does a clean unmount except on bugfs-b3,
-whose dropped extents are never written back. The checker applies the same
-persistence rules to every target; the variants break them.
+keeps or clears it in its ``_after_commit``. Its commit hooks read of the
+persistence call only whether it is one of the variant's
+``BUGGY_TRIGGERS`` and, if so, its target inode (``SoundFs.commit_key``),
+so siblings whose final calls share that key share the commit. Commits by
+other calls, sync among them, stay correct in all of them, and so does a
+clean unmount except on bugfs-b3, whose dropped extents are never written
+back. The checker applies the same persistence rules to every target; the
+variants break them.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from __future__ import annotations
 from ..fsops import FsOpKind
 from .base import BugSeed
 from .soundfs import SoundFs
-
-_BUGGY_TRIGGERS = ("fsync", "fdatasync", "msync")
 
 
 def _renamed(fs: SoundFs, src: str, dst: str):
@@ -28,18 +30,20 @@ def _renamed(fs: SoundFs, src: str, dst: str):
 
 
 class LinkLossFs(SoundFs):
-    """B1: fsync-triggered commits omit hard-link dirents added since the
-    last commit (and the matching link-count bumps, keeping recovery able to
-    mount). The entries stay pending until a sync or clean unmount."""
+    """B1: fsync, fdatasync and msync commits omit hard-link dirents added
+    since the last commit (and the matching link-count bumps, keeping
+    recovery able to mount). The entries stay pending until a sync or clean
+    unmount."""
 
     NAME = "bugfs-b1"
     BUG_SEED = BugSeed(
         id="B1",
         description="new hard-link directory entries are not journaled by fsync",
-        trigger="link followed by fsync/fdatasync",
+        trigger="link followed by fsync/fdatasync/msync",
         consequence_class="file_missing",
         min_seq=1,
     )
+    BUGGY_TRIGGERS = frozenset({"fsync", "fdatasync", "msync"})
 
     def _reset_pending(self):
         super()._reset_pending()
@@ -49,8 +53,8 @@ class LinkLossFs(SoundFs):
         super()._op_link(src, dst)
         self._link_pending.append(self._resolve(dst, follow=False))
 
-    def _adjust_effective(self, eff, trigger, target_ino):
-        if trigger not in _BUGGY_TRIGGERS:
+    def _adjust_effective(self, eff, buggy, target_ino):
+        if not buggy:
             return
         for dir_ino, name, ino in self._link_pending:
             entries = eff.dir_entries.get(dir_ino)
@@ -59,26 +63,27 @@ class LinkLossFs(SoundFs):
                 if ino in eff.nlink:
                     eff.nlink[ino] -= 1
 
-    def _after_commit(self, trigger):
-        keep = trigger in _BUGGY_TRIGGERS
-        self._link_pending = [p for p in self._link_pending if keep and p[2] in self.inodes]
+    def _after_commit(self, buggy):
+        self._link_pending = [p for p in self._link_pending if buggy and p[2] in self.inodes]
         for dir_ino, _name, ino in self._link_pending:
             self._dirty_inodes.update((dir_ino, ino))
 
 
 class RenameNonAtomicFs(SoundFs):
-    """B2: fsync-triggered commits journal a rename's dirent-add but defer
-    the dirent-remove, so a crash shows the file in both locations. Link
-    counts are journaled to match the doubled view, so the state mounts."""
+    """B2: fsync, fdatasync and msync commits journal a rename's dirent-add
+    but defer the dirent-remove, so a crash shows the file in both
+    locations. Link counts are journaled to match the doubled view, so the
+    state mounts."""
 
     NAME = "bugfs-b2"
     BUG_SEED = BugSeed(
         id="B2",
         description="rename's source entry removal is deferred past the commit",
-        trigger="rename followed by fsync/fdatasync",
+        trigger="rename followed by fsync/fdatasync/msync",
         consequence_class="spurious_entry",
         min_seq=1,
     )
+    BUGGY_TRIGGERS = frozenset({"fsync", "fdatasync", "msync"})
 
     def _reset_pending(self):
         super()._reset_pending()
@@ -90,8 +95,8 @@ class RenameNonAtomicFs(SoundFs):
         if moved is not None:
             self._rename_pending.append(moved)
 
-    def _adjust_effective(self, eff, trigger, target_ino):
-        if trigger not in _BUGGY_TRIGGERS:
+    def _adjust_effective(self, eff, buggy, target_ino):
+        if not buggy:
             return
         for src_dir, src_name, _dst_dir, _dst_name, ino in self._rename_pending:
             if ino not in self.inodes:
@@ -105,9 +110,8 @@ class RenameNonAtomicFs(SoundFs):
             else:
                 eff.nlink[ino] = self.inodes[ino].nlink + 1
 
-    def _after_commit(self, trigger):
-        keep = trigger in _BUGGY_TRIGGERS
-        self._rename_pending = [p for p in self._rename_pending if keep and p[4] in self.inodes]
+    def _after_commit(self, buggy):
+        self._rename_pending = [p for p in self._rename_pending if buggy and p[4] in self.inodes]
         for src_dir, _sn, dst_dir, _dn, ino in self._rename_pending:
             self._dirty_inodes.update(i for i in (src_dir, dst_dir, ino) if i in self.inodes)
 
@@ -124,9 +128,10 @@ class FallocBeyondEofLossFs(SoundFs):
         consequence_class="metadata_mismatch(block_count)",
         min_seq=1,
     )
+    BUGGY_TRIGGERS = frozenset({"fdatasync"})
 
-    def _adjust_effective(self, eff, trigger, target_ino):
-        if trigger != "fdatasync" or target_ino is None:
+    def _adjust_effective(self, eff, buggy, target_ino):
+        if not buggy:
             return
         blocks = eff.blocks.get(target_ino)
         if blocks is None:
@@ -149,6 +154,7 @@ class DirectWriteSizeZeroFs(SoundFs):
         consequence_class="metadata_mismatch(size)",
         min_seq=1,
     )
+    BUGGY_TRIGGERS = frozenset({"fsync", "fdatasync"})
 
     def _reset_pending(self):
         super()._reset_pending()
@@ -168,15 +174,15 @@ class DirectWriteSizeZeroFs(SoundFs):
         self._durable_size.pop(node.ino, None)
         self._dwrite_extended.discard(node.ino)
 
-    def _adjust_effective(self, eff, trigger, target_ino):
-        if trigger not in ("fsync", "fdatasync"):
+    def _adjust_effective(self, eff, buggy, target_ino):
+        if not buggy:
             return
         for ino in self._dwrite_extended:
             if ino in eff.sizes:
                 eff.sizes[ino] = self._durable_size.get(ino, 0)
 
-    def _after_commit(self, trigger):
-        kept = self._dwrite_extended if trigger in ("fsync", "fdatasync") else ()
+    def _after_commit(self, buggy):
+        kept = self._dwrite_extended if buggy else ()
         flagged = {ino: self._durable_size.get(ino, 0) for ino in kept if ino in self.inodes}
         for ino, node in self.inodes.items():
             self._durable_size[ino] = node.size
@@ -194,10 +200,11 @@ class RenameBeforeDataFs(SoundFs):
     BUG_SEED = BugSeed(
         id="B5",
         description="rename metadata commits before the file's delayed data",
-        trigger="buffered write and rename of the same file, then fsync",
+        trigger="buffered write and rename of the same file, then fsync/fdatasync/msync",
         consequence_class="data_mismatch",
         min_seq=2,
     )
+    BUGGY_TRIGGERS = frozenset({"fsync", "fdatasync", "msync"})
     DELAYED_DATA = True
 
     def _reset_pending(self):
@@ -214,12 +221,10 @@ class RenameBeforeDataFs(SoundFs):
         super()._free_inode(node)
         self._renamed_inodes.discard(node.ino)
 
-    def _skip_data_flush_inos(self, trigger):
-        if trigger in _BUGGY_TRIGGERS:
-            return set(self._renamed_inodes)
-        return set()
+    def _skip_data_flush_inos(self, buggy):
+        return set(self._renamed_inodes) if buggy else set()
 
-    def _after_commit(self, trigger):
+    def _after_commit(self, buggy):
         self._renamed_inodes = set()
         self._dirty_inodes.update(i for i in self._pending_data if i in self.inodes)
 
@@ -234,10 +239,11 @@ class UnlinkReplayBrickFs(SoundFs):
     BUG_SEED = BugSeed(
         id="B6",
         description="recovery double-processes an unlink of a reused name",
-        trigger="unlink then creat of the same name, then fsync",
+        trigger="unlink then creat of the same name, then fsync/fdatasync",
         consequence_class="unmountable",
         min_seq=2,
     )
+    BUGGY_TRIGGERS = frozenset({"fsync", "fdatasync"})
 
     def _reset_pending(self):
         super()._reset_pending()
@@ -256,12 +262,10 @@ class UnlinkReplayBrickFs(SoundFs):
             self._reused_names.append((parent, name))
         return node
 
-    def _tombstones_for_commit(self, trigger):
-        if trigger in ("fsync", "fdatasync"):
-            return list(self._reused_names)
-        return []
+    def _tombstones_for_commit(self, buggy):
+        return list(self._reused_names) if buggy else []
 
-    def _after_commit(self, trigger):
+    def _after_commit(self, buggy):
         self._unlink_window = set()
         self._reused_names = []
 

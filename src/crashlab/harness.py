@@ -27,8 +27,10 @@ workload's state after its prologue and each of its leading steps, and a
 profile resumes from a fork of the deepest one its body starts with. A
 fork shares its device and file system until it first writes, and copies
 them then. Siblings that differ only in their final persistence call run
-its commit once when the target's commit ignores which call triggered it
-(SoundFS); each still computes its own persisted set (``profile``).
+its commit once per commit key, all that a commit reads of the call
+(``SoundFs.commit_key``): on SoundFS one key for every call, on a seeded
+variant one for the calls it does not break and one per target inode for
+those it does. Each still computes its own persisted set (``profile``).
 """
 
 from __future__ import annotations
@@ -165,8 +167,8 @@ class Profile:
         self.persisted: dict[int, dict[str, int]] = {}
         self.oracle_views: dict[int, FsStateView] = {}
         # shared with this state's forks; holds the first final commit run
-        # from this state (``_persist``)
-        self.final_commit: list = []
+        # from this state per commit key (``_persist``)
+        self.final_commit: dict = {}
         for op in prologue:
             self.fs.apply(op, self.op_index)
             self.op_index += 1
@@ -202,7 +204,7 @@ class Profile:
             _update_persisted(self.persisted_now, self.fs, step, view)
             self.persisted[cp] = dict(self.persisted_now)
         self.done += 1
-        self.final_commit = []
+        self.final_commit = {}
 
     def _own(self) -> None:
         """Before this run writes, copy the device and file system it may
@@ -216,17 +218,16 @@ class Profile:
         """Commit ``step``, insert its checkpoint and return the oracle view
         there.
 
-        The body's ``final`` step is never followed by another, so when the
-        target's commit ignores the call (``commit_ignores_call``), forks of
-        one state share it: the first to get here stores its post-commit
-        device, file system and view in ``final_commit``, and the others
-        check their target as ``persist`` does, then adopt those read-only,
-        never copying the state they forked from. Nothing advances a run
-        past its final step, so nothing writes to a stored commit."""
-        shared = final and self.fs.commit_ignores_call()
-        if shared and self.final_commit:
-            self.fs.persist_target(step.kind, step.target)
-            self.device, self.fs, view = self.final_commit[0]
+        The body's ``final`` step is never followed by another, so forks of
+        one state share it by commit key (``commit_key``, which checks the
+        target as ``persist`` does): the first to get here with a key stores
+        its post-commit device, file system and view in ``final_commit``,
+        and the others with that key adopt those read-only, never copying
+        the state they forked from. Nothing advances a run past its final
+        step, so nothing writes to a stored commit."""
+        key = self.fs.commit_key(step.kind, step.target) if final else None
+        if key in self.final_commit:
+            self.device, self.fs, view = self.final_commit[key]
             return view
         self._own()
         self.fs.persist(step.kind, step.target)
@@ -235,8 +236,8 @@ class Profile:
         # unless the commit deferred data (bugfs-b5), which gets its blocks
         # only when the unmount writes it.
         view = self.fs.clean_view()
-        if shared:
-            self.final_commit.append((self.device, self.fs, view))
+        if final:
+            self.final_commit[key] = (self.device, self.fs, view)
         return view
 
 
@@ -282,13 +283,13 @@ def profile(workload: Workload, fs_name: str, fork: PrefixFork | None = None) ->
     profile equals a fresh one.
 
     Siblings that share every step but a final persistence call all resume
-    from forks of the run at depth ``len(steps) - 1``. On a target whose
-    commit ignores the call (SoundFS), they share that commit: the first
-    runs it, and the others adopt its post-commit device, file system and
-    oracle view read-only, computing only their own persisted set. Nothing
-    is pushed after the final step, so nothing advances or forks an adopted
-    run. Without a ``fork`` stack (``replay``, the corpus) no state is
-    forked, and every commit runs."""
+    from forks of the run at depth ``len(steps) - 1``. Those whose calls
+    have one commit key (``SoundFs.commit_key``) share that commit, on
+    every target: the first runs it, and the others adopt its post-commit
+    device, file system and oracle view read-only, computing only their own
+    persisted set. Nothing is pushed after the final step, so nothing
+    advances or forks an adopted run. Without a ``fork`` stack (``replay``,
+    the corpus) no state is forked, and every commit runs."""
     steps = workload.steps
     try:
         run = fork.resume(fs_name, workload) if fork else Profile(fs_name, workload.prologue)

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import re
 import struct
 
 import pytest
@@ -1264,6 +1265,16 @@ def test_variant_catalog_complete():
     assert {v.NAME for v in VARIANTS} == {f"bugfs-b{i}" for i in range(1, 7)}
     assert all(seed is not None for seed in BUG_SEEDS)
     assert len({seed.id for seed in BUG_SEEDS}) == 6
+
+
+def test_each_seed_trigger_names_the_calls_its_commit_breaks():
+    """A seed's trigger text names exactly the persistence calls in its
+    class's ``BUGGY_TRIGGERS``; SoundFS breaks none."""
+    assert SoundFs.BUGGY_TRIGGERS == frozenset()
+    calls = {kind.value for kind in PersistKind}
+    for variant in VARIANTS:
+        named = calls.intersection(re.findall(r"\w+", variant.BUG_SEED.trigger))
+        assert variant.BUGGY_TRIGGERS and named == variant.BUGGY_TRIGGERS, variant.NAME
 
 
 def test_get_target_unknown():

@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import runpy
 import time
+from pathlib import Path
 
 import pytest
 
-from crashlab import ace, harness
+from crashlab import ace, cli, harness
 from crashlab.ace import Bounds, parse
 from crashlab.blockdev import BLOCK_SIZE, Device, replay, split_epochs
 from crashlab.crashgen import (
@@ -408,7 +410,7 @@ def _commits_and_persistence_steps(monkeypatch, fs_name, workloads):
     """Profile ``workloads`` in order through one ``PrefixFork`` stack, as
     a campaign partition does; count the commits run and the persistence
     steps run (a resumed profile skips the steps of its prefix), each of
-    which updates the persisted set once."""
+    which updates the persisted set once. Also return the profiles."""
     commits = _count_commits(monkeypatch)
     steps = 0
     update_persisted = harness._update_persisted
@@ -420,62 +422,126 @@ def _commits_and_persistence_steps(monkeypatch, fs_name, workloads):
 
     monkeypatch.setattr(harness, "_update_persisted", counted)
     fork = PrefixFork()
-    for w in workloads:
-        profile(w, fs_name, fork)
-    return commits[0], steps
+    profiles = [profile(w, fs_name, fork) for w in workloads]
+    return commits[0], steps, profiles
 
 
 def test_siblings_share_their_final_soundfs_commit(monkeypatch):
     """Seq-2 siblings that differ only in their final persistence call run
-    one SoundFS commit between them; bugfs-b5, whose commit depends on the
-    call, runs one per persistence step."""
+    one SoundFS commit between them. bugfs-b5's commit breaks on fsync,
+    fdatasync and msync, so its siblings run one commit per target inode
+    of those calls and one for sync: 214 for 302 persistence steps."""
     seq2 = list(ace.workload_range(Bounds(seq_length=2), 0, 100))
-    commits, steps = _commits_and_persistence_steps(monkeypatch, "soundfs", seq2)
+    commits, steps, _ = _commits_and_persistence_steps(monkeypatch, "soundfs", seq2)
     assert commits < steps / 2, (commits, steps)
     b5 = list(_b5_write_rename_slice())
-    commits, steps = _commits_and_persistence_steps(monkeypatch, "bugfs-b5", b5)
-    assert commits == steps
+    commits, steps, profiles = _commits_and_persistence_steps(monkeypatch, "bugfs-b5", b5)
+    assert (commits, steps) == (214, 302)
+    for w, prof in zip(b5, profiles):
+        assert _plain(prof) == _plain(profile(w, "bugfs-b5")), ace.serialize(w)
 
 
-class _AfterCommitFs(SoundFs):
-    """SoundFS with only its ``_after_commit`` hook overridden."""
+class _MsyncSizeLossFs(SoundFs):
+    """SoundFS whose msync commits journal the target inode's size as 0."""
 
-    NAME = "after-commit-fs"
+    NAME = "msync-size-loss-fs"
+    BUGGY_TRIGGERS = frozenset({"msync"})
 
-    def _after_commit(self, trigger):
-        super()._after_commit(trigger)
+    def _adjust_effective(self, eff, buggy, target_ino):
+        if buggy and target_ino in eff.sizes:
+            eff.sizes[target_ino] = 0
 
 
-def test_a_class_that_overrides_a_commit_hook_never_shares(monkeypatch):
-    """Only SoundFS itself shares a commit: a subclass that overrides a
-    single commit hook runs every commit, as every seeded variant does, and
-    its profiles still equal fresh ones."""
-    assert SoundFs.commit_ignores_call()
-    assert not any(cls.commit_ignores_call() for cls in TARGETS.values() if cls is not SoundFs)
-    assert not _AfterCommitFs.commit_ignores_call()
-    monkeypatch.setitem(TARGETS, _AfterCommitFs.NAME, _AfterCommitFs)
+def test_a_class_shares_final_commits_by_its_buggy_triggers(monkeypatch):
+    """A commit reads of its call only its key (``commit_key``): whether
+    the call is in the class's ``BUGGY_TRIGGERS`` and, if so, the target
+    inode. So fsync, fdatasync and sync siblings share one commit, and
+    msync siblings share one per target inode, hard links included; every
+    profile still equals a fresh one."""
+    name = _MsyncSizeLossFs.NAME
+    monkeypatch.setitem(TARGETS, name, _MsyncSizeLossFs)
     monkeypatch.setattr(harness, "_mkfs_cache", {})
+    body = "creat foo\nwrite (0-4K) foo\ncreat bar\nwrite (0-4K) bar\nlink foo baz\n"
+    finals = (
+        "fsync foo", "fdatasync bar", "sync", "fsync baz",
+        "msync foo", "msync bar", "msync baz", "msync foo",
+    )
+    siblings = [parse(f"{body}{final}\n") for final in finals]
+    fs = profile(dataclasses.replace(siblings[0], steps=siblings[0].steps[:-1]), name).fs
+    foo, bar = fs._resolve("foo", follow=False)[2], fs._resolve("bar", follow=False)[2]
+    keys = [fs.commit_key(w.steps[-1].kind, w.steps[-1].target) for w in siblings]
+    assert keys == [(False, None)] * 4 + [(True, foo), (True, bar), (True, foo), (True, foo)]
+    commits, steps, profiles = _commits_and_persistence_steps(monkeypatch, name, siblings)
+    assert (commits, steps) == (3, 8)
+    for w, prof in zip(siblings, profiles):
+        assert _plain(prof) == _plain(profile(w, name)), ace.serialize(w)
+    # the msync commits differ by target, so sharing them would be wrong
+    assert _plain(profiles[4]) != _plain(profiles[5])
     seq2 = list(ace.workload_range(Bounds(seq_length=2), 0, 100))
-    commits, steps = _commits_and_persistence_steps(monkeypatch, _AfterCommitFs.NAME, seq2)
-    assert commits == steps
-    for w in seq2[:20]:
-        assert _plain(profile(w, _AfterCommitFs.NAME)) == _plain(profile(w, "soundfs"))
+    commits, steps, profiles = _commits_and_persistence_steps(monkeypatch, name, seq2)
+    assert commits < steps / 2, (commits, steps)
+    for w, prof in zip(seq2, profiles):
+        assert _plain(prof) == _plain(profile(w, name)), ace.serialize(w)
 
 
 def test_a_sibling_with_a_missing_target_fails_as_a_fresh_profile_does(monkeypatch):
     """A sibling that would adopt a shared commit checks its target first,
-    as ``persist`` does, and gives a fresh profile's harness error."""
+    as ``persist`` does, and gives a fresh profile's harness error: on
+    SoundFS, and on bugfs-b1 and bugfs-b3, whose fsync commit key holds
+    the target inode and does not, respectively."""
     first, second = parse("creat foo\nfsync foo\n"), parse("creat foo\nfsync bar\n")
-    with pytest.raises(HarnessError) as fresh:
-        profile(second, "soundfs")
     commits = _count_commits(monkeypatch)
-    fork = PrefixFork()
-    profile(first, "soundfs", fork)
-    assert fork.runs[len(first.steps) - 1].final_commit
-    with pytest.raises(HarnessError) as shared:
-        profile(second, "soundfs", fork)
-    assert commits == [1]
-    assert str(shared.value) == str(fresh.value)
+    for name in ("soundfs", "bugfs-b1", "bugfs-b3"):
+        with pytest.raises(HarnessError) as fresh:
+            profile(second, name)
+        commits[0] = 0
+        fork = PrefixFork()
+        profile(first, name, fork)
+        assert fork.runs[len(first.steps) - 1].final_commit, name
+        with pytest.raises(HarnessError) as shared:
+            profile(second, name, fork)
+        assert commits == [1], name
+        assert str(shared.value) == str(fresh.value), name
+
+
+# commits one campaign partition runs on each of the benchmark's bughunt
+# campaigns; each ran every commit (1,260 in all) while only SoundFS shared
+_BUGHUNT_COMMITS = {
+    "bugfs-b1": 104,
+    "bugfs-b2": 104,
+    "bugfs-b3": 240,
+    "bugfs-b4": 48,
+    "bugfs-b5": 166,
+    "bugfs-b6": 114,
+}
+
+
+def test_bughunt_campaign_profiles_equal_fresh_ones(monkeypatch):
+    """Each of the benchmark's six bughunt campaigns (``perfbench/
+    workloads.py``), run as one partition: its workloads in campaign order
+    through one ``PrefixFork`` stack, each distinct body once. Every profile
+    equals a fresh one, while siblings whose final calls have one commit
+    key run one commit."""
+    bughunt = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+    campaigns = bughunt["_BUGHUNT"]
+    assert set(campaigns) == set(_BUGHUNT_COMMITS)
+    real_profile = harness.profile
+    for name, settings in campaigns.items():
+        config = cli.CampaignConfig(fs=name, **settings)
+        items = [item for tier in cli._collect_tiers(config) for item in tier]
+        profiles = []
+
+        def profiled(w, *args):
+            profiles.append((w, real_profile(w, *args)))
+            return profiles[-1][1]
+
+        monkeypatch.setattr(harness, "profile", profiled)
+        commits = _count_commits(monkeypatch)
+        cli._run_partition((name, config.run_flags(), items))
+        monkeypatch.undo()
+        assert commits == [_BUGHUNT_COMMITS[name]], name
+        for w, prof in profiles:
+            assert _plain(prof) == _plain(profile(w, name)), (name, ace.serialize(w))
 
 
 def _logged_image(prof, k):
