@@ -6,10 +6,17 @@ symbolic pass per (skeleton, params) group applies each op to a symbolic
 state; that pass alone decides validity, and the states it leaves after each
 op give the group's persistence choices and its dependency prologue. The
 output stream is deterministic and index-addressable: workload i is
-reconstructible from (Bounds, i). Seeking to i still runs the symbolic pass
-of every group before it, but counts each one's bodies from the states that
-pass left: no persistence choice and no workload of a skipped group is
-built.
+reconstructible from (Bounds, i).
+
+Seeking to i walks the tree of (skeleton, op, op, ...) candidates in stream
+order, passes over each subtree that ends before i by its body count, and
+descends only into the one that holds i; no persistence choice and no
+workload of a skipped group is built. The counts rest on one invariant: an
+op's range and flag reach only the symbolic sizes, which feed only later
+candidates' ranges, never validity or the live persistence targets. So all
+candidates of one shape (kind, paths, attribute, variant) have the same
+subtree count, and a count applies one candidate per shape: falloc's 120
+candidates over the default files are 6 shapes, and write's 24 are 6.
 
 Symmetry rule: for an operation taking two file-path arguments from the same
 directory (link, symlink, rename), the two argument orders describe the same
@@ -443,26 +450,6 @@ def _candidates(kind: FsOpKind, st: _SymState, bounds: Bounds) -> list[FsOp]:
     raise GenerationError(f"no candidates for {kind}")
 
 
-def _groups(skeleton: Skeleton, bounds: Bounds):
-    """``(ops, states)`` of each parameter group: its body ops and the
-    symbolic state each op left, in stream order."""
-    return _expand(skeleton, bounds, _SymState(bounds), (), ())
-
-
-def _expand(skeleton: Skeleton, bounds: Bounds, st: _SymState, ops: tuple, states: tuple):
-    for op in _candidates(skeleton.ops[len(ops)], st, bounds):
-        child = st.clone()
-        try:
-            _apply_effect(child, op)
-        except UnsatisfiableBody:
-            continue
-        body, after = ops + (op,), states + (child,)
-        if len(body) == len(skeleton.ops):
-            yield body, after
-        else:
-            yield from _expand(skeleton, bounds, child, body, after)
-
-
 # -- phase 3: persistence points -----------------------------------------------
 
 
@@ -524,6 +511,96 @@ def _weave(ops: tuple[FsOp, ...], combo: tuple[PersistOp | None, ...]) -> tuple[
 # -- generation pipeline ---------------------------------------------------------
 
 
+def _shape(op: FsOp) -> tuple:
+    """All of an op but its range and flag, which reach only ``sizes``."""
+    return (op.kind, op.path, op.path2, op.attr, op.variant)
+
+
+class _Walk:
+    """One walk of the candidate tree in stream order: each skeleton, then
+    each valid candidate of its first op, of its second, and so on down to
+    the parameter groups at the leaves.
+
+    It passes over every subtree whose body count is no more than ``skip``,
+    the bodies still to skip, and descends only into the one that holds the
+    target. A subtree's count depends only on the op shapes on its path, its
+    key (see the module docstring): ``count`` applies one representative per
+    shape, times the candidates that share it, and keeps each count by key,
+    so the descent into a counted subtree counts nothing again.
+    """
+
+    def __init__(self, bounds: Bounds, skip: int = 0):
+        self.bounds = bounds
+        self.skip = skip
+        self.counts: dict[tuple, int] = {}  # key -> bodies, this skeleton only
+        self.classes: dict[FsOpKind, list[list]] = {}
+
+    def classes_of(self, kind: FsOpKind) -> list[list]:
+        """``[representative, candidates]`` of each shape of ``kind``."""
+        classes = self.classes.get(kind)
+        if classes is None:
+            by_shape: dict[tuple, list] = {}
+            for op in _candidates(kind, _SymState(self.bounds), self.bounds):
+                by_shape.setdefault(_shape(op), [op, 0])[1] += 1
+            classes = self.classes[kind] = list(by_shape.values())
+        return classes
+
+    def groups(self, skeleton: Skeleton):
+        """``(ops, states, offset)`` of each parameter group at or after the
+        target: its body ops, the symbolic state each op left, and the
+        bodies of it to skip (0 for every group after the first)."""
+        self.counts = {}
+        return self._descend(skeleton, _SymState(self.bounds), (), (), ())
+
+    def size(self, skeleton: Skeleton) -> int:
+        """Bodies in ``skeleton``'s groups."""
+        self.counts = {}
+        return self.count(skeleton, _SymState(self.bounds), (), (), ())
+
+    def _descend(self, skeleton: Skeleton, st: _SymState, key: tuple, ops: tuple, states: tuple):
+        for op in _candidates(skeleton.ops[len(ops)], st, self.bounds):
+            path = key + (_shape(op),)
+            n = self.counts.get(path) if self.skip else None
+            if n is not None and n <= self.skip:  # a shape already counted here
+                self.skip -= n
+                continue
+            child = st.clone()
+            try:
+                _apply_effect(child, op)
+            except UnsatisfiableBody:
+                continue
+            body, after = ops + (op,), states + (child,)
+            if self.skip:
+                n = self.count(skeleton, child, path, body, after)
+                if n <= self.skip:
+                    self.skip -= n
+                    continue
+            if len(body) < len(skeleton.ops):
+                yield from self._descend(skeleton, child, path, body, after)
+            else:
+                offset, self.skip = self.skip, 0
+                yield body, after, offset
+
+    def count(self, skeleton: Skeleton, st: _SymState, key: tuple, ops: tuple, states: tuple) -> int:
+        """Bodies under the node that ``ops`` lead to, whose state is ``st``."""
+        n = self.counts.get(key)
+        if n is None:
+            if len(ops) == len(skeleton.ops):
+                n = _body_count(ops, states)
+            else:
+                n = 0
+                for rep, many in self.classes_of(skeleton.ops[len(ops)]):
+                    path, child = key + (_shape(rep),), st.clone()
+                    try:
+                        _apply_effect(child, rep)
+                    except UnsatisfiableBody:
+                        self.counts[path] = 0
+                        continue
+                    n += many * self.count(skeleton, child, path, ops + (rep,), states + (child,))
+            self.counts[key] = n
+        return n
+
+
 @dataclass
 class GenerationStats:
     # The generator rejects no body (see _workloads_from), so ``rejected``
@@ -535,27 +612,21 @@ class GenerationStats:
 def _workloads_from(bounds: Bounds, start: int):
     """The workload stream from index ``start`` on.
 
-    Each (skeleton, params) group holds exactly prod(len(choices)) bodies, so
-    a group that ends before ``start`` is skipped by its count alone, taken
-    from its symbolic states; its choices are never built. No body is ever
-    rejected: every persistence target offered exists and resolves in the
-    state its op left, and the group's ops were all applied without error
-    when the prologue was built.
+    Each (skeleton, params) group holds exactly prod(len(choices)) bodies,
+    counted from its symbolic states, and each subtree of the candidate tree
+    the sum of its groups'. The walk passes over a subtree that ends before
+    ``start`` by its count, taken one candidate per op shape (``_Walk``), and
+    enters the group that holds ``start`` at the offset left; no skipped
+    group's choices are built. No body is ever rejected: every persistence
+    target offered exists and resolves in the state its op left, and the
+    group's ops were all applied without error when the prologue was built.
     """
-    index = 0
+    walk, index = _Walk(bounds, start), start
     for skeleton in gen_skeletons(bounds):
-        for ops, states in _groups(skeleton, bounds):
-            if index < start:
-                count = _body_count(ops, states)
-                if index + count <= start:
-                    index += count
-                    continue
+        for ops, states, offset in walk.groups(skeleton):
             combos = itertools.product(*_persistence_choices(ops, states))
-            if index < start:
-                combos = itertools.islice(combos, start - index, None)
-                index = start
             prologue = tuple(states[-1].prologue)
-            for combo in combos:
+            for combo in itertools.islice(combos, offset, None):
                 yield Workload(prologue, _weave(ops, combo), skeleton, index)
                 index += 1
 
@@ -569,12 +640,9 @@ def generate_workloads(bounds: Bounds, stats: GenerationStats | None = None):
 
 
 def count_workloads(bounds: Bounds) -> int:
-    """Length of the workload stream, counted by group without building any."""
-    return sum(
-        _body_count(ops, states)
-        for skeleton in gen_skeletons(bounds)
-        for ops, states in _groups(skeleton, bounds)
-    )
+    """Length of the workload stream, counted by op shape without building any."""
+    walk = _Walk(bounds)
+    return sum(walk.size(skeleton) for skeleton in gen_skeletons(bounds))
 
 
 def workload_range(bounds: Bounds, start: int, end: int | None) -> list[Workload]:

@@ -1003,22 +1003,28 @@ class SoundFs:
 
     # -- persistence ---------------------------------------------------------
 
-    def persist(self, kind: PersistKind, target: str | None = None) -> None:
-        self._commit(*self.commit_key(kind, target))
+    def persist(
+        self, kind: PersistKind, target: str | None = None, key: tuple | None = None
+    ) -> None:
+        """Commit for one persistence call; ``key`` is its ``commit_key``
+        when the caller has resolved it already."""
+        self._commit(*(self.commit_key(kind, target) if key is None else key))
 
     def commit_key(self, kind: PersistKind, target: str | None) -> tuple[bool, int | None]:
         """All that a commit reads of its persistence call: whether the call
-        is one of ``BUGGY_TRIGGERS``, and then the inode it targets. From one
-        state, two calls with one key leave the same device and file system.
-        Raises the FsError that ``persist`` raises when the target does not
-        resolve."""
-        buggy = kind.value in self.BUGGY_TRIGGERS
-        if kind is PersistKind.SYNC:
-            return buggy, None
-        _, _, target_ino = self._resolve(target, follow=True)
-        if target_ino is None:
+        is one of ``BUGGY_TRIGGERS``. A variant whose commit also reads the
+        target inode (bugfs-b3) keeps it in the key. From one state, two
+        calls with one key leave the same device and file system. Raises the
+        FsError that ``persist`` raises when the target does not resolve."""
+        if kind is not PersistKind.SYNC:
+            self._persist_target(target)
+        return kind.value in self.BUGGY_TRIGGERS, None
+
+    def _persist_target(self, target: str) -> int:
+        _, _, ino = self._resolve(target, follow=True)
+        if ino is None:
             raise FsError("ENOENT", f"persistence target {target} missing")
-        return buggy, target_ino if buggy else None
+        return ino
 
     def unmount_clean(self) -> DiskImage:
         """Flush everything pending and return the quiesced image."""

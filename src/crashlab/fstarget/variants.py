@@ -5,8 +5,9 @@ recovery path. A variant keeps its own bookkeeping: it creates it at mount
 (``_reset_pending``), records events by extending the ops it watches, and
 keeps or clears it in its ``_after_commit``. Its commit hooks read of the
 persistence call only whether it is one of the variant's
-``BUGGY_TRIGGERS`` and, if so, its target inode (``SoundFs.commit_key``),
-so siblings whose final calls share that key share the commit. Commits by
+``BUGGY_TRIGGERS`` (``SoundFs.commit_key``); bugfs-b3's also read the
+target inode of those calls, and its key holds it. Siblings whose final
+calls share a key share the commit. Commits by
 other calls, sync among them, stay correct in all of them, and so does a
 clean unmount except on bugfs-b3, whose dropped extents are never written
 back. The checker applies the same persistence rules to every target; the
@@ -129,6 +130,12 @@ class FallocBeyondEofLossFs(SoundFs):
         min_seq=1,
     )
     BUGGY_TRIGGERS = frozenset({"fdatasync"})
+
+    def commit_key(self, kind, target):
+        # the one variant whose commit reads the target inode
+        if kind.value in self.BUGGY_TRIGGERS:
+            return True, self._persist_target(target)
+        return super().commit_key(kind, target)
 
     def _adjust_effective(self, eff, buggy, target_ino):
         if not buggy:

@@ -29,8 +29,9 @@ fork shares its device and file system until it first writes, and copies
 them then. Siblings that differ only in their final persistence call run
 its commit once per commit key, all that a commit reads of the call
 (``SoundFs.commit_key``): on SoundFS one key for every call, on a seeded
-variant one for the calls it does not break and one per target inode for
-those it does. Each still computes its own persisted set (``profile``).
+variant one for the calls it does not break and one for those it does,
+except on bugfs-b3, whose broken commit reads the target: one per target
+inode there. Each still computes its own persisted set (``profile``).
 """
 
 from __future__ import annotations
@@ -218,19 +219,20 @@ class Profile:
         """Commit ``step``, insert its checkpoint and return the oracle view
         there.
 
-        The body's ``final`` step is never followed by another, so forks of
-        one state share it by commit key (``commit_key``, which checks the
-        target as ``persist`` does): the first to get here with a key stores
-        its post-commit device, file system and view in ``final_commit``,
-        and the others with that key adopt those read-only, never copying
-        the state they forked from. Nothing advances a run past its final
-        step, so nothing writes to a stored commit."""
-        key = self.fs.commit_key(step.kind, step.target) if final else None
-        if key in self.final_commit:
+        The step's commit key (``commit_key``) checks its target once, and
+        ``persist`` runs the commit from it. The body's ``final`` step is
+        never followed by another, so forks of one state share it by that
+        key: the first to get here with a key stores its post-commit device,
+        file system and view in ``final_commit``, and the others with that
+        key adopt those read-only, never copying the state they forked from.
+        Nothing advances a run past its final step, so nothing writes to a
+        stored commit."""
+        key = self.fs.commit_key(step.kind, step.target)
+        if final and key in self.final_commit:
             self.device, self.fs, view = self.final_commit[key]
             return view
         self._own()
-        self.fs.persist(step.kind, step.target)
+        self.fs.persist(step.kind, step.target, key)
         self.device.insert_checkpoint()
         # The oracle is the view after a clean unmount. It is the live view
         # unless the commit deferred data (bugfs-b5), which gets its blocks

@@ -1,8 +1,10 @@
 """Workload generation: counts, symmetry, persistence points, dependencies, DSL."""
 
+import collections
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 
@@ -65,13 +67,13 @@ def test_empty_allowed_ops_rejected():
 
 def _bodies(skeleton, bounds):
     """The op tuples of the skeleton's parameter groups, in stream order."""
-    return [ops for ops, _states in ace._groups(skeleton, bounds)]
+    return [ops for ops, _states, _offset in ace._Walk(bounds).groups(skeleton)]
 
 
 def _group(ops, bounds):
     """(prologue, choices) of the parameter group whose ops are ``ops``."""
     skeleton = Skeleton(tuple(op.kind for op in ops))
-    for group_ops, states in ace._groups(skeleton, bounds):
+    for group_ops, states, _offset in ace._Walk(bounds).groups(skeleton):
         if group_ops == ops:
             return tuple(states[-1].prologue), ace._persistence_choices(ops, states)
     raise AssertionError(f"no parameter group {ops}")
@@ -414,7 +416,7 @@ def test_body_count_matches_the_built_choices(bounds, total):
     without building its persistence choices; the count must be the number
     of bodies those choices give."""
     for skeleton in gen_skeletons(bounds):
-        for ops, states in ace._groups(skeleton, bounds):
+        for ops, states, _offset in ace._Walk(bounds).groups(skeleton):
             built = ace._persistence_choices(ops, states)
             assert ace._body_count(ops, states) == _body_count(built), ops
     assert ace.count_workloads(bounds) == total
@@ -429,6 +431,125 @@ def test_stream_digest_is_pinned():
         for w in ace.workload_range(bounds, start, end):
             h.update(f"{w.index}\n{serialize(w)}".encode())
     assert h.hexdigest() == "e8c3b6e5517dbe204301add8cd345a61cfe277efa6d4bba925c49414206f61d1"
+
+
+# -- the shape-counted walk against a group-by-group reference -----------------------
+
+
+def _reference_groups(skeleton, bounds, st=None, ops=(), states=()):
+    """The parameter groups in stream order, every valid candidate applied:
+    the walk the seek and the count once took."""
+    if st is None:
+        st = _SymState(bounds)
+    for op in ace._candidates(skeleton.ops[len(ops)], st, bounds):
+        child = st.clone()
+        try:
+            _apply_effect(child, op)
+        except UnsatisfiableBody:
+            continue
+        body, after = ops + (op,), states + (child,)
+        if len(body) == len(skeleton.ops):
+            yield body, after
+        else:
+            yield from _reference_groups(skeleton, bounds, child, body, after)
+
+
+def _reference(bounds, starts, length):
+    """The tier's size, counted group by group, and for each start s the
+    workloads [s, s + length) as ``_indexed_dsl`` gives them, built from the
+    groups they fall in."""
+    slices = {s: [] for s in starts}
+    index = 0
+    for skeleton in gen_skeletons(bounds):
+        for ops, states in _reference_groups(skeleton, bounds):
+            count = ace._body_count(ops, states)
+            hits = [s for s in starts if s < index + count and index < s + length]
+            if hits:
+                combos = itertools.product(*ace._persistence_choices(ops, states))
+                prologue = tuple(states[-1].prologue)
+                for i, combo in enumerate(combos, start=index):
+                    w = ace.Workload(prologue, ace._weave(ops, combo), skeleton, i)
+                    for s in hits:
+                        if s <= i < s + length:
+                            slices[s].extend(_indexed_dsl([w]))
+            index += count
+    return index, slices
+
+
+def _kinds(ops):
+    return tuple(FsOpKind(o) for o in ops.split(","))
+
+
+_TIERS = {
+    "seq1": (Bounds(seq_length=1), 1415),
+    "seq2-foo-bar": (Bounds(seq_length=2, files=("foo", "bar"), dirs=()), 97804),
+    "seq2": (_SEQ2, 3858556),
+    # the bounded seq-3 tiers of the paper's exploration (ROADMAP item 5)
+    "seq3-data": (
+        Bounds(3, _kinds("write,dwrite,mwrite,falloc"), files=("foo",), dirs=()),
+        1572864,
+    ),
+    "seq3-metadata": (
+        Bounds(3, _kinds("creat,link,unlink,rename"), files=("foo", "bar"), dirs=()),
+        6500,
+    ),
+    "seq3-nested": (
+        Bounds(3, _kinds("mkdir,rmdir,rename,link,unlink"), files=("foo", "A/foo"), dirs=("A",)),
+        12556,
+    ),
+    "seq3-dir-reuse": (Bounds(3, _kinds("mkdir,rmdir,write"), files=("foo",), dirs=("A",)), 11456),
+}
+
+
+@pytest.mark.parametrize("tier", list(_TIERS))
+def test_count_and_seek_match_the_group_by_group_reference(tier):
+    """``count_workloads`` and ``workload_range`` count subtrees by op shape;
+    both must agree with a walk that applies and counts every group, at
+    seeded random starts and at and past the tier end."""
+    bounds, size = _TIERS[tier]
+    rng = random.Random(f"seek-{tier}")
+    length = 40
+    starts = {0, size - length, size - 1, size, size + 1} | {rng.randrange(size) for _ in range(6)}
+    total, slices = _reference(bounds, starts, length)
+    assert ace.count_workloads(bounds) == total == size
+    for s in starts:
+        got = _indexed_dsl(ace.workload_range(bounds, s, s + length))
+        assert got == slices[s], s
+        assert len(got) == max(0, min(length, size - s))
+
+
+def _without_sizes(st):
+    return {k: v for k, v in vars(st).items() if k != "sizes"}
+
+
+@pytest.mark.parametrize("kind", list(FsOpKind), ids=lambda k: k.value)
+def test_candidates_of_one_shape_differ_only_in_sizes(kind):
+    """The seek and the count apply one candidate per shape (all of an op but
+    its range and flag) and multiply: over the states the seq-1 groups
+    leave, each shape must have as many candidates as on an empty state,
+    and they must all fail or all leave states that differ only in sizes."""
+    bounds = Bounds(seq_length=1)
+    empty = _SymState(bounds)
+    states = [empty] + [
+        after[-1]
+        for skeleton in gen_skeletons(bounds)
+        for _ops, after in _reference_groups(skeleton, bounds)
+    ]
+    counts = collections.Counter(map(ace._shape, ace._candidates(kind, empty, bounds)))
+    for st in states:
+        candidates = ace._candidates(kind, st, bounds)
+        assert collections.Counter(map(ace._shape, candidates)) == counts
+        outcomes = collections.defaultdict(list)
+        for op in candidates:
+            child = st.clone()
+            try:
+                _apply_effect(child, op)
+                outcome = _without_sizes(child)
+            except UnsatisfiableBody:
+                outcome = None
+            outcomes[ace._shape(op)].append(outcome)
+        for shape, results in outcomes.items():
+            assert all(r == results[0] for r in results), (shape, st.nodes)
 
 
 # -- independent brute-force enumerator (exhaustiveness oracle) ----------------------

@@ -429,14 +429,14 @@ def _commits_and_persistence_steps(monkeypatch, fs_name, workloads):
 def test_siblings_share_their_final_soundfs_commit(monkeypatch):
     """Seq-2 siblings that differ only in their final persistence call run
     one SoundFS commit between them. bugfs-b5's commit breaks on fsync,
-    fdatasync and msync, so its siblings run one commit per target inode
-    of those calls and one for sync: 214 for 302 persistence steps."""
+    fdatasync and msync, so its siblings run one commit for those calls and
+    one for sync: 198 for 302 persistence steps."""
     seq2 = list(ace.workload_range(Bounds(seq_length=2), 0, 100))
     commits, steps, _ = _commits_and_persistence_steps(monkeypatch, "soundfs", seq2)
     assert commits < steps / 2, (commits, steps)
     b5 = list(_b5_write_rename_slice())
     commits, steps, profiles = _commits_and_persistence_steps(monkeypatch, "bugfs-b5", b5)
-    assert (commits, steps) == (214, 302)
+    assert (commits, steps) == (198, 302)
     for w, prof in zip(b5, profiles):
         assert _plain(prof) == _plain(profile(w, "bugfs-b5")), ace.serialize(w)
 
@@ -447,6 +447,12 @@ class _MsyncSizeLossFs(SoundFs):
     NAME = "msync-size-loss-fs"
     BUGGY_TRIGGERS = frozenset({"msync"})
 
+    def commit_key(self, kind, target):
+        # its commit reads the target inode, as bugfs-b3's does
+        if kind.value in self.BUGGY_TRIGGERS:
+            return True, self._persist_target(target)
+        return super().commit_key(kind, target)
+
     def _adjust_effective(self, eff, buggy, target_ino):
         if buggy and target_ino in eff.sizes:
             eff.sizes[target_ino] = 0
@@ -454,8 +460,8 @@ class _MsyncSizeLossFs(SoundFs):
 
 def test_a_class_shares_final_commits_by_its_buggy_triggers(monkeypatch):
     """A commit reads of its call only its key (``commit_key``): whether
-    the call is in the class's ``BUGGY_TRIGGERS`` and, if so, the target
-    inode. So fsync, fdatasync and sync siblings share one commit, and
+    the call is in the class's ``BUGGY_TRIGGERS`` and, for a class whose
+    broken commit reads it, the target inode. So fsync, fdatasync and sync siblings share one commit, and
     msync siblings share one per target inode, hard links included; every
     profile still equals a fresh one."""
     name = _MsyncSizeLossFs.NAME
@@ -487,11 +493,17 @@ def test_a_class_shares_final_commits_by_its_buggy_triggers(monkeypatch):
 def test_a_sibling_with_a_missing_target_fails_as_a_fresh_profile_does(monkeypatch):
     """A sibling that would adopt a shared commit checks its target first,
     as ``persist`` does, and gives a fresh profile's harness error: on
-    SoundFS, and on bugfs-b1 and bugfs-b3, whose fsync commit key holds
-    the target inode and does not, respectively."""
-    first, second = parse("creat foo\nfsync foo\n"), parse("creat foo\nfsync bar\n")
+    SoundFS, on bugfs-b1, whose fsync commit is broken, and on bugfs-b3,
+    whose fsync commit is not and whose broken fdatasync commit keeps the
+    target inode in its key."""
     commits = _count_commits(monkeypatch)
-    for name in ("soundfs", "bugfs-b1", "bugfs-b3"):
+    for name, call in (
+        ("soundfs", "fsync"),
+        ("bugfs-b1", "fsync"),
+        ("bugfs-b3", "fsync"),
+        ("bugfs-b3", "fdatasync"),
+    ):
+        first, second = parse(f"creat foo\n{call} foo\n"), parse(f"creat foo\n{call} bar\n")
         with pytest.raises(HarnessError) as fresh:
             profile(second, name)
         commits[0] = 0
@@ -507,12 +519,12 @@ def test_a_sibling_with_a_missing_target_fails_as_a_fresh_profile_does(monkeypat
 # commits one campaign partition runs on each of the benchmark's bughunt
 # campaigns; each ran every commit (1,260 in all) while only SoundFS shared
 _BUGHUNT_COMMITS = {
-    "bugfs-b1": 104,
-    "bugfs-b2": 104,
+    "bugfs-b1": 66,
+    "bugfs-b2": 66,
     "bugfs-b3": 240,
-    "bugfs-b4": 48,
-    "bugfs-b5": 166,
-    "bugfs-b6": 114,
+    "bugfs-b4": 36,
+    "bugfs-b5": 154,
+    "bugfs-b6": 106,
 }
 
 
