@@ -9,12 +9,14 @@ groups, for CI use.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import contextlib
 import hashlib
 import json
+import os
+import pickle
+import signal
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,15 +138,21 @@ class CampaignResult:
 
 
 def _run_partition(args):
-    """Run one partition's workloads, a contiguous run of the tier, in
-    whichever process calls it: the campaign process for the first
-    partition, a pool worker for the others.
+    """Run one partition, a contiguous slice of a tier, in whichever process
+    calls it: the campaign process for the first partition, a forked worker
+    for the others.
 
-    Returns ``(verdict_count, findings)``: the number of verdicts its
-    workloads gave, and ``(campaign index, workload, verdict)`` for each bug
-    or harness-error verdict, in index order; no passing verdict is kept.
-    Callers unpack the tuple by position, which holds when a wrapper ships
-    it back as a list.
+    ``args`` is ``(fs_name, flags, source, base, start, end)``: the tier's
+    workloads ``[start, end)`` (``end`` None for the rest of the tier), taken
+    from ``ace.workload_range`` on the tier's bounds, or sliced from the
+    parsed corpus when ``source`` is a tuple of workloads. Workload ``i`` of
+    the tier has campaign index ``base + i``.
+
+    Returns ``(workload_count, verdict_count, findings)``: the number of
+    workloads the slice held, the number of verdicts they gave, and
+    ``(campaign index, workload, verdict)`` for each bug or harness-error
+    verdict, in index order; no passing verdict is kept. Callers unpack the
+    tuple by position, which holds when a wrapper ships it back as a list.
 
     A verdict depends only on the workload's body, the target and the
     flags, so each distinct body (prologue and steps) is run once: a later
@@ -158,12 +166,16 @@ def _run_partition(args):
     the crash states share one mount memo, so a prefix or an image that
     recurs across sibling workloads is run or recovered once; the verdicts
     depend on neither. Nothing outlives the call."""
-    fs_name, flags, items = args
+    fs_name, flags, source, base, start, end = args
+    if isinstance(source, Bounds):
+        workloads = ace.workload_range(source, start, end)
+    else:
+        workloads = source[start:end]
     memo, fork = MountMemo(), PrefixFork()
     ran: dict[tuple, list] = {}  # body -> [verdict count, non-pass verdicts]
     skeleton = None
     count, findings = 0, []
-    for idx, workload in items:
+    for idx, workload in enumerate(workloads, base + start):
         if workload.skeleton != skeleton:
             skeleton = workload.skeleton
             ran.clear()
@@ -175,61 +187,151 @@ def _run_partition(args):
         verdict_count, found = kept
         count += verdict_count
         findings += [(idx, workload, verdict) for verdict in found]
-    return count, findings
+    return len(workloads), count, findings
 
 
-def _collect_tiers(config: CampaignConfig) -> list[list[tuple[int, Workload]]]:
-    """Workload batches in campaign order: shorter sequences first, so every
-    seq-k verdict is aggregated before seq-(k+1) starts.
+def _collect_tiers(config: CampaignConfig) -> list[tuple]:
+    """Each tier's ``(source, base, start, end)`` in campaign order: shorter
+    sequences first, so every seq-k verdict is aggregated before seq-(k+1)
+    starts. The campaign runs the tier's workloads ``[start, end)``, ``end``
+    None meaning the rest of the tier; ``source`` is the tier's bounds, or
+    the parsed corpus as a tuple of workloads (see ``_run_partition``).
 
-    A workload's campaign index is its generator index plus the full sizes of
-    the shorter tiers, so each workload has one index whatever the range, and
-    ``--range`` selects by it. Bounds that give a tier no workload at all
-    are a config error, as such a campaign would test nothing and pass; a
-    ``--range`` past a tier's end selects none on purpose."""
+    A workload's campaign index is its generator index plus ``base``, the
+    full sizes of the shorter tiers, so each workload has one index whatever
+    the range, and ``--range`` selects by it. No workload is built here. A
+    tier is counted only when its size is needed: for the base of the next
+    tier, or to cut the open end of the last tier into more than one
+    partition; a counted tier's slice stops at its end. Bounds that give a
+    tier no workload at all are a config error, found by looking for a first
+    workload, as such a campaign would test nothing and pass; a ``--range``
+    past a tier's end selects none on purpose."""
     if config.corpus is not None:
-        corpus_dir = Path(config.corpus)
-        files = sorted(corpus_dir.glob("*.wl"))
-        return [[(i, ace.parse_file(path)) for i, path in enumerate(files)]]
+        corpus = tuple(workload for _path, workload in _corpus_entries(config.corpus))
+        return [(corpus, 0, 0, len(corpus))]
     start, end = config.index_range or (0, None)
     seqs = sorted(set(config.seq))
     tiers = []
     base = 0
     for n, seq_length in enumerate(seqs):
         bounds = config.bounds_for(seq_length)
-        lo = max(start - base, 0)
-        hi = None if end is None else max(end - base, 0)
-        tier = [(base + w.index, w) for w in ace.workload_range(bounds, lo, hi)]
-        if not tier and config.index_range is None:
+        if config.index_range is None and not ace.workload_range(bounds, 0, 1):
             raise ValueError(
                 f"bounds {bounds.describe()};dirs={','.join(bounds.dirs)} give no workload"
             )
-        tiers.append(tier)
-        if n + 1 < len(seqs):
-            base += ace.count_workloads(bounds)
+        lo = max(start - base, 0)
+        hi = None if end is None else max(end - base, 0)
+        last = n + 1 == len(seqs)
+        if not last or (hi is None and config.workers > 1):
+            size = ace.count_workloads(bounds)
+            lo, hi = min(lo, size), size if hi is None else min(hi, size)
+        tiers.append((bounds, base, lo, hi))
+        if not last:
+            base += size
     return tiers
 
 
-def _run_tier(config: CampaignConfig, flags, tier) -> tuple[int, list]:
-    """One tier's ``(verdict_count, findings)``, as ``_run_partition`` gives
-    them, run in ``config.workers`` processes. The partitions are contiguous,
-    so their findings, concatenated, stay in index order.
+def _fork_partition(payload) -> tuple[int, int]:
+    """Fork a worker that runs ``_run_partition(payload)`` and pickles its
+    result, or the exception it raised, down a pipe; return the worker's pid
+    and the pipe's read end. The campaign process starts no thread, so a
+    bare fork is safe, and the worker inherits the payload: nothing is
+    pickled to it."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    # The worker ends by os._exit whatever happens, so it runs no exit
+    # handler, flushes no stdio buffer it inherited and never returns into
+    # the campaign process's stack.
+    status = 1
+    try:
+        os.close(rfd)
+        try:
+            data = pickle.dumps((True, _run_partition(payload), None))
+        except BaseException as e:  # sent to the campaign process, which raises it again
+            data = _pickled_error(e, traceback.format_exc())
+        with open(wfd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
-    The tier is cut into ``config.workers`` contiguous partitions, which
-    keeps sibling workloads, and so their shared prefixes and images, in
-    one partition; empty ones are dropped. The calling process submits
-    every partition but the first to a pool with one worker each, then runs
-    the first itself, so no process idles while the others work. With one
-    partition (or none) no pool is made."""
-    cuts = [len(tier) * wk // config.workers for wk in range(config.workers + 1)]
-    payloads = [(config.fs, flags, tier[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    own, others = payloads[:1], payloads[1:]
-    with (
-        concurrent.futures.ProcessPoolExecutor(len(others)) if others else contextlib.nullcontext()
-    ) as pool:
-        futures = [pool.submit(_run_partition, payload) for payload in others]
-        chunks = [_run_partition(payload) for payload in own] + [f.result() for f in futures]
-    return sum(chunk[0] for chunk in chunks), [f for chunk in chunks for f in chunk[1]]
+
+def _pickled_error(error: BaseException, trace: str) -> bytes:
+    """``error`` as a worker sends it; one whose class cannot be rebuilt
+    from its pickle goes as a RuntimeError with its type and message."""
+    try:
+        data = pickle.dumps((False, error, trace))
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps((False, RuntimeError(f"{type(error).__name__}: {error}"), trace))
+    return data
+
+
+def _join_partition(pid: int, fd: int):
+    """The result a forked worker sent down ``fd``, read to its end, once
+    the worker has been reaped; the exception the worker raised is raised
+    here again, and a worker that died without sending one raises an error
+    that names its exit status."""
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"partition worker {pid} {how}")
+    ok, value, trace = pickle.loads(data)
+    if not ok:
+        raise value from RuntimeError(f"in partition worker {pid}:\n{trace}")
+    return value
+
+
+def _run_tier(config: CampaignConfig, flags, tier) -> tuple[int, int, list]:
+    """One tier's ``(workload_count, verdict_count, findings)``, as
+    ``_run_partition`` gives them, run in ``config.workers`` processes. The
+    partitions are contiguous, so their findings, concatenated, stay in
+    index order.
+
+    The tier's slice is cut into ``config.workers`` contiguous partitions,
+    which keeps sibling workloads, and so their shared prefixes and images,
+    in one partition; empty ones are dropped, and a slice with an open end
+    (one worker) is one partition. Each partition is a slice description,
+    and each process seeks its own workloads. The campaign process forks a
+    worker for every partition but the first, runs the first itself, so no
+    process idles while the others work, and then reads the workers'
+    results in order, each in the main thread. If any partition raises, the
+    workers still running are killed; every worker is reaped by its pid."""
+    source, base, start, end = tier
+    if end is None:
+        slices = [(start, None)]
+    else:
+        cuts = [start + (end - start) * k // config.workers for k in range(config.workers + 1)]
+        slices = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    payloads = [(config.fs, flags, source, base, lo, hi) for lo, hi in slices]
+    workers = []
+    try:
+        for payload in payloads[1:]:
+            workers.append(_fork_partition(payload))
+        chunks = [_run_partition(payload) for payload in payloads[:1]]
+        while workers:
+            chunks.append(_join_partition(*workers.pop(0)))
+    finally:
+        for pid, fd in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+    workload_count = sum(chunk[0] for chunk in chunks)
+    verdict_count = sum(chunk[1] for chunk in chunks)
+    return workload_count, verdict_count, [f for chunk in chunks for f in chunk[2]]
 
 
 def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResult:
@@ -241,7 +343,7 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
     t0 = time.monotonic()
     flags = config.run_flags()
     tiers = _collect_tiers(config)
-    res = CampaignResult(exit_code=EXIT_OK, total_workloads=sum(map(len, tiers)))
+    res = CampaignResult(exit_code=EXIT_OK)
     target = get_target(config.fs)
     bounds_desc = (
         f"corpus:{config.corpus}"
@@ -249,7 +351,8 @@ def run_campaign(config: CampaignConfig, *, quiet: bool = False) -> CampaignResu
         else ";".join(config.bounds_for(s).describe() for s in sorted(set(config.seq)))
     )
     for tier in tiers:
-        verdict_count, findings = _run_tier(config, flags, tier)
+        workload_count, verdict_count, findings = _run_tier(config, flags, tier)
+        res.total_workloads += workload_count
         res.total_verdicts += verdict_count
         for idx, workload, verdict in findings:
             if verdict.outcome == "harness_error":

@@ -2,6 +2,12 @@
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +16,7 @@ from crashlab.cli import (
     CampaignConfig,
     _collect_tiers,
     _run_partition,
+    _run_tier,
     corpus_variant_map,
     default_corpus_dir,
     main,
@@ -18,6 +25,7 @@ from crashlab.cli import (
     run_corpus,
     run_mapped_corpus,
 )
+from crashlab.fstarget import FsError
 from crashlab.harness import RunFlags, run_workload
 
 
@@ -215,20 +223,35 @@ def test_campaign_orders_seq_tiers():
     assert result.total_workloads > 0
 
 
-def test_campaign_index_is_stable_across_ranges():
+def _slice_pairs(monkeypatch, config) -> list[tuple[int, ace.Workload]]:
+    """``(campaign index, workload)`` of each workload the campaign's tiers
+    hold, in order, as one partition per tier numbers them: every workload
+    is flagged, so each comes back as a finding."""
+    flagged = [harness.Verdict(outcome="bug")]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_workload", lambda *args: flagged)
+        return [
+            (idx, workload)
+            for tier in _collect_tiers(config)
+            for idx, workload, _v in _run_partition((config.fs, config.run_flags(), *tier))[2]
+        ]
+
+
+def test_campaign_index_is_stable_across_ranges(monkeypatch):
     """A seq-2 workload is numbered after the whole seq-1 tier (1,415
     workloads), whatever part of that tier the range covers."""
 
     def numbered(index_range):
-        tiers = _collect_tiers(CampaignConfig(seq=(1, 2), index_range=index_range))
-        return {i: ace.serialize(w) for tier in tiers for i, w in tier}
+        pairs = _slice_pairs(monkeypatch, CampaignConfig(seq=(1, 2), index_range=index_range))
+        return {i: ace.serialize(w) for i, w in pairs}
 
     a = numbered((1413, 1417))
     b = numbered((1416, 1418))
     assert sorted(a) == [1413, 1414, 1415, 1416]
     assert sorted(b) == [1416, 1417]
     assert a[1416] == b[1416]
-    assert _collect_tiers(CampaignConfig(seq=(2,), index_range=(1, 2)))[0][0][1].index == 1
+    ((idx, workload),) = _slice_pairs(monkeypatch, CampaignConfig(seq=(2,), index_range=(1, 2)))
+    assert idx == workload.index == 1
 
 
 def test_group_representative_index_reruns_its_workload(tmp_path):
@@ -682,11 +705,13 @@ def test_a_partition_runs_each_distinct_body_once(monkeypatch, config, duplicate
     partition had gets that one's verdicts, which equal its own run's with
     no mount memo and no prefix fork. The partition returns their count and
     each index's non-pass verdicts, duplicates included."""
-    (tier,) = _collect_tiers(config)
+    tier = _slice_pairs(monkeypatch, config)
     flags = config.run_flags()
     alone = [(idx, workload, run_workload(workload, config.fs, flags)) for idx, workload in tier]
     ran = _counted_runs(monkeypatch)
-    count, findings = _run_partition((config.fs, flags, tier))
+    (sliced,) = _collect_tiers(config)
+    workloads, count, findings = _run_partition((config.fs, flags, *sliced))
+    assert workloads == len(tier)
     assert count == sum(len(verdicts) for _idx, _w, verdicts in alone)
     assert findings == [
         (idx, workload, v)
@@ -703,20 +728,25 @@ def test_a_body_repeated_after_another_skeleton_runs_again(monkeypatch):
     """The map of bodies run holds one skeleton's bodies: it is emptied
     when the skeleton changes, so a body repeated after another skeleton's
     workload runs again. The verdict count and findings stay those of each
-    workload run alone."""
+    workload run alone. The partition's source is a tuple of workloads, as
+    a corpus campaign's is, numbered from the base."""
     config = CampaignConfig(fs="bugfs-b1", seq=(1,), ops=("creat", "link"))
-    (tier,) = _collect_tiers(config)
+    tier = _slice_pairs(monkeypatch, config)
     flags = config.run_flags()
     alone = {idx: run_workload(workload, config.fs, flags) for idx, workload in tier}
     idx, buggy = next((i, w) for i, w in tier if any(v.is_bug for v in alone[i]))
-    other = next((i, w) for i, w in tier if w.skeleton != buggy.skeleton)
-    items = [(idx, buggy), (idx + 1, buggy), other, (idx + 2, buggy)]
+    other_idx, other = next((i, w) for i, w in tier if w.skeleton != buggy.skeleton)
+    source = (buggy, buggy, other, buggy)
     ran = _counted_runs(monkeypatch)
-    count, findings = _run_partition((config.fs, flags, items))
-    assert ran == [buggy, other[1], buggy]
-    assert count == 3 * len(alone[idx]) + len(alone[other[0]])
+    workloads, count, findings = _run_partition((config.fs, flags, source, idx, 0, len(source)))
+    assert ran == [buggy, other, buggy]
+    assert workloads == 4
+    assert count == 3 * len(alone[idx]) + len(alone[other_idx])
     assert findings == [
-        (i, w, v) for i, w in items for v in alone[idx if w is buggy else i] if v.outcome != "pass"
+        (idx + k, w, v)
+        for k, w in enumerate(source)
+        for v in alone[idx if w is buggy else other_idx]
+        if v.outcome != "pass"
     ]
 
 
@@ -746,7 +776,7 @@ def test_a_partition_starts_from_mkfs_once_per_run_of_one_prologue(monkeypatch, 
     monkeypatch.setattr(harness.Profile, "__init__", counted)
     for (lo, hi), want in zip(ranges, fresh, strict=True):
         config = CampaignConfig(seq=(2,), index_range=(lo, hi))
-        (tier,) = _collect_tiers(config)
+        tier = _slice_pairs(monkeypatch, config)
         built[0] = 0
         run_campaign(config, quiet=True)
         assert built[0] == _prologue_runs(tier) == want, (lo, hi)
@@ -756,13 +786,13 @@ def test_equal_steps_after_another_prologue_run_again(monkeypatch):
     """The body includes the prologue: a workload with a seq-1 workload's
     steps after another prologue runs, and gets its own verdicts: the first
     passes, so only the twin's harness error comes back."""
-    (tier,) = _collect_tiers(CampaignConfig(seq=(1,)))
+    tier = _slice_pairs(monkeypatch, CampaignConfig(seq=(1,)))
     idx, workload = next(
         (i, w) for i, w in tier if not w.prologue and ace.serialize(w).startswith("mkdir A\n")
     )
     twin = dataclasses.replace(workload, prologue=workload.steps[:1])
     ran = _counted_runs(monkeypatch)
-    count, findings = _run_partition(("soundfs", RunFlags(), [(idx, workload), (idx + 1, twin)]))
+    _, count, findings = _run_partition(("soundfs", RunFlags(), (workload, twin), idx, 0, 2))
     assert ran == [workload, twin]
     assert count == len(run_workload(workload, "soundfs")) + len(run_workload(twin, "soundfs"))
     assert findings == [(idx + 1, twin, v) for v in run_workload(twin, "soundfs")]
@@ -773,4 +803,179 @@ def test_an_all_passing_partition_returns_no_findings():
     """Passing verdicts are counted, never returned."""
     config = CampaignConfig(seq=(2,), index_range=(0, 150))
     (tier,) = _collect_tiers(config)
-    assert _run_partition((config.fs, config.run_flags(), tier)) == (150, [])
+    assert _run_partition((config.fs, config.run_flags(), *tier)) == (150, 150, [])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CampaignConfig(seq=(1,), index_range=(1400, 2000)),
+        CampaignConfig(seq=(1, 2), index_range=(1400, 1500)),
+    ],
+    ids=["end-past-the-tier-end", "across-the-tier-boundary"],
+)
+def test_partitions_yield_the_generator_pairs(monkeypatch, config):
+    """Each process seeks its own partition of a tier's slice; on any number
+    of workers, the partitions together yield the ``(campaign index,
+    workload)`` pairs ``workload_range`` gives for those indices, in order:
+    a seq-2 workload's index follows the whole seq-1 tier."""
+    seq1, seq2 = config.bounds_for(1), config.bounds_for(2)
+    start, end = config.index_range
+    size = ace.count_workloads(seq1)
+    want = [(w.index, w) for w in ace.workload_range(seq1, start, end)]
+    if 2 in config.seq:
+        want += [(size + w.index, w) for w in ace.workload_range(seq2, 0, end - size)]
+    flagged = [harness.Verdict(outcome="bug")]
+    monkeypatch.setattr(cli, "run_workload", lambda *args: flagged)
+    for workers in (1, 2, 3, 4):
+        cfg = dataclasses.replace(config, workers=workers)
+        got, total = [], 0
+        for tier in _collect_tiers(cfg):
+            count, _verdicts, findings = _run_tier(cfg, cfg.run_flags(), tier)
+            got += [(idx, workload) for idx, workload, _v in findings]
+            total += count
+        assert got == want, workers
+        assert total == len(want)
+
+
+def test_a_tier_is_counted_only_when_its_size_is_needed(monkeypatch):
+    """Only the base of a later tier, or the cuts of a last tier with no
+    ``--range`` END on more than one worker, need a tier's size. Bounds
+    that give no workload are found by looking for a first one."""
+    counted = []
+    count = ace.count_workloads
+    monkeypatch.setattr(ace, "count_workloads", lambda b: counted.append(b.seq_length) or count(b))
+    for config, want, end in [
+        (CampaignConfig(seq=(1,)), [], None),
+        (CampaignConfig(seq=(2,), index_range=(5, 10**9), workers=4), [], 10**9),
+        (CampaignConfig(seq=(1,), workers=2), [1], 1415),
+        (CampaignConfig(seq=(1, 2), index_range=(1400, 1500), workers=3), [1], 85),
+    ]:
+        counted.clear()
+        assert _collect_tiers(config)[-1][3] == end
+        assert counted == want, config
+    counted.clear()
+    empty = CampaignConfig(seq=(1, 2), ops=("creat",), files=(), dirs=(), workers=2)
+    with pytest.raises(ValueError, match="give no workload"):
+        _collect_tiers(empty)
+    assert counted == []
+
+
+def _campaign_files(out, config) -> list[bytes]:
+    run_campaign(dataclasses.replace(config, out=str(out)), quiet=True)
+    names = ("reports.jsonl", "groups.json", "summary.json", "errors.jsonl")
+    return [(out / name).read_bytes() for name in names]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CampaignConfig(seq=(1,), index_range=(1400, 2000)),
+        CampaignConfig(seq=(1, 2), index_range=(1400, 1500)),
+        CampaignConfig(seq=(2,), index_range=(25000, 25250)),
+        _b6_config(),
+    ],
+    ids=["seq1-end-past-the-tier", "across-the-tier-boundary", "seq2-deep", "bugfs-b6"],
+)
+def test_report_files_identical_for_one_to_four_workers(tmp_path, config):
+    one = _campaign_files(tmp_path / "w1", config)
+    for workers in (2, 3, 4):
+        config = dataclasses.replace(config, workers=workers)
+        assert _campaign_files(tmp_path / f"w{workers}", config) == one, workers
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_partitions(monkeypatch, fail_in_worker):
+    """Make ``_run_partition`` call ``fail_in_worker(payload)`` in a forked
+    worker, and run normally in the campaign process."""
+    campaign = os.getpid()
+    real = cli._run_partition
+
+    def partition(payload):
+        if os.getpid() != campaign:
+            fail_in_worker(payload)
+        return real(payload)
+
+    monkeypatch.setattr(cli, "_run_partition", partition)
+
+
+_WORKERS3 = CampaignConfig(seq=(2,), index_range=(0, 40), workers=3)
+
+
+def test_an_error_raised_in_a_worker_is_raised_again(monkeypatch):
+    """The first worker's exception (cuts 0, 13, 26, 40) comes back with its
+    type and message, the worker's traceback as its cause, and every worker
+    reaped."""
+
+    def fail(payload):
+        raise KeyError(f"partition {payload[4]}")
+
+    _failing_partitions(monkeypatch, fail)
+    with pytest.raises(KeyError) as info:
+        run_campaign(_WORKERS3, quiet=True)
+    assert type(info.value) is KeyError
+    assert info.value.args == ("partition 13",)
+    assert "in partition worker" in str(info.value.__cause__)
+    assert "KeyError: 'partition 13'" in str(info.value.__cause__)
+    _assert_no_child_left()
+
+
+def test_an_error_that_cannot_be_rebuilt_keeps_its_type_name_and_message(monkeypatch):
+    """``FsError(code, message)`` cannot be unpickled from its one-string
+    args, so it comes back as a RuntimeError that names it."""
+
+    def fail(_payload):
+        raise FsError("EIO", "device gone")
+
+    _failing_partitions(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match=r"^FsError: EIO: device gone$"):
+        run_campaign(_WORKERS3, quiet=True)
+    _assert_no_child_left()
+
+
+def test_a_worker_killed_by_a_signal_names_its_exit_status(monkeypatch):
+    _failing_partitions(monkeypatch, lambda _payload: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError, match=r"^partition worker \d+ was killed by signal 9$"):
+        run_campaign(_WORKERS3, quiet=True)
+    _assert_no_child_left()
+
+
+def test_a_failing_own_partition_kills_and_reaps_the_workers(monkeypatch):
+    """The campaign process's own partition raises while its workers would
+    run for a minute: they are killed, not waited for, and reaped."""
+    campaign = os.getpid()
+    real = cli._run_partition
+
+    def partition(payload):
+        if os.getpid() == campaign:
+            raise ValueError("own partition failed")
+        time.sleep(60)
+        return real(payload)
+
+    monkeypatch.setattr(cli, "_run_partition", partition)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="^own partition failed$"):
+        run_campaign(_WORKERS3, quiet=True)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_a_campaign_leaves_no_child_and_flushes_no_stdio_twice():
+    """A worker ends without flushing the stdio buffers it inherited, so
+    output the campaign process had buffered before the fork appears once."""
+    code = (
+        "from crashlab.cli import CampaignConfig, run_campaign\n"
+        "print('buffered', end='')\n"
+        "run_campaign(CampaignConfig(seq=(2,), index_range=(0, 40), workers=3), quiet=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "buffered", "")
+    run_campaign(_WORKERS3, quiet=True)
+    _assert_no_child_left()

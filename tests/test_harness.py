@@ -540,7 +540,7 @@ def test_bughunt_campaign_profiles_equal_fresh_ones(monkeypatch):
     real_profile = harness.profile
     for name, settings in campaigns.items():
         config = cli.CampaignConfig(fs=name, **settings)
-        items = [item for tier in cli._collect_tiers(config) for item in tier]
+        (tier,) = cli._collect_tiers(config)
         profiles = []
 
         def profiled(w, *args):
@@ -549,7 +549,7 @@ def test_bughunt_campaign_profiles_equal_fresh_ones(monkeypatch):
 
         monkeypatch.setattr(harness, "profile", profiled)
         commits = _count_commits(monkeypatch)
-        cli._run_partition((name, config.run_flags(), items))
+        cli._run_partition((name, config.run_flags(), *tier))
         monkeypatch.undo()
         assert commits == [_BUGHUNT_COMMITS[name]], name
         for w, prof in profiles:
