@@ -11,19 +11,17 @@ with ``DiskImage.with_writes``; a mount memo keys images and their parts by
 but the log stays sector-addressed: a write that does not cover whole blocks
 (a sector-granular crash-state unit) is merged into the blocks it touches.
 
-The device applies writes eagerly to its current image; durability
-distinctions (what survives a power cut) are reconstructed later from the
-log by the crash-state generator. Reads are never logged. The log holds
-only writes and FLUSHes: a checkpoint is a position in it and an epoch a
-range of positions (``split_epochs``), so every crash state is a cut of it.
-The device keeps its image at each checkpoint, and ``replay`` builds a cut
-from the last of those images at or before it, applying only the writes
-logged since: a checkpoint state is that checkpoint's image.
+The device applies writes eagerly to its current image and logs every
+write and FLUSH it is sent; durability distinctions (what survives a power
+cut) are reconstructed later from the log by the crash-state generator.
+Reads are never logged. An epoch is a range of log positions
+(``split_epochs``), so every crash state is a cut of the log, and
+``replay`` builds a cut from an image at an earlier position by applying
+only the writes logged since.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
 SECTOR_SIZE = 512
@@ -146,12 +144,10 @@ class DiskImage:
 
 
 class Device:
-    """Recording block device confined to a single worker. ``log`` holds
-    the writes and FLUSHes it was sent; ``checkpoints[k - 1]`` is the log
-    position (the number of records before it) of checkpoint ``k`` and
-    ``images[k - 1]`` the device's image there."""
+    """Recording block device confined to a single worker: its current
+    image and ``log``, the writes and FLUSHes it was sent."""
 
-    def __init__(self, size_bytes: int, base: DiskImage | None = None, *, log_io: bool = True):
+    def __init__(self, size_bytes: int, base: DiskImage | None = None):
         if size_bytes <= 0 or size_bytes % SECTOR_SIZE != 0:
             raise GeometryError("size must be a positive multiple of the sector size")
         if base is None:
@@ -161,10 +157,7 @@ class Device:
         self.size_bytes = size_bytes
         self._base = base._base
         self._overlay = dict(base._overlay)
-        self._log_io = log_io
         self.log: list[IoRecord] = []
-        self.checkpoints: list[int] = []
-        self.images: list[DiskImage] = []
 
     # -- IO path --
 
@@ -176,20 +169,11 @@ class Device:
             raise OutOfBoundsError(f"block {block_no} out of bounds")
         data = bytes(data)
         sector = block_no * _SECTORS_PER_BLOCK
-        if self._log_io:
-            self.log.append(IoRecord(sector, data, fua=fua))
+        self.log.append(IoRecord(sector, data, fua=fua))
         _write(self._base, self._overlay, sector, data)
 
     def flush(self) -> None:
-        if self._log_io:
-            self.log.append(IoRecord(flush=True))
-
-    def insert_checkpoint(self) -> int:
-        """Mark the log's end as the next checkpoint and keep the image
-        there; return its number."""
-        self.checkpoints.append(len(self.log))
-        self.images.append(self.snapshot())
-        return len(self.checkpoints)
+        self.log.append(IoRecord(flush=True))
 
     # -- reads (never logged) --
 
@@ -202,16 +186,13 @@ class Device:
         return DiskImage(self.size_bytes, self._base, dict(self._overlay))
 
     def copy(self) -> "Device":
-        """An independent device with this one's image, log, checkpoints and
-        checkpoint images. A forked profile copies its device before it
-        first writes, and a replica that oracle capture unmounts runs on one
-        (``SoundFs.clean_view``)."""
+        """An independent device with this one's image and log. A forked
+        profile copies its device before it first writes, and a replica that
+        oracle capture unmounts runs on one (``SoundFs.clean_view``)."""
         dev = Device.__new__(Device)
         dev.__dict__.update(vars(self))
         dev._overlay = dict(self._overlay)
         dev.log = list(self.log)
-        dev.checkpoints = list(self.checkpoints)
-        dev.images = list(self.images)
         return dev
 
 
@@ -230,18 +211,8 @@ def split_epochs(log: list[IoRecord]) -> list[range]:
     return epochs
 
 
-def replay(
-    base: DiskImage,
-    log: list[IoRecord],
-    checkpoints: list[int],
-    images: list[DiskImage],
-    end: int,
-) -> DiskImage:
-    """The image after the writes among the first ``end`` records of
-    ``log``: the image at the last of the ``checkpoints`` (log positions,
-    with their ``images``) at or before ``end``, or ``base`` before the
-    first, with the writes logged after it applied: none for a cut at a
-    checkpoint. Pure: no input image is modified."""
-    k = bisect_right(checkpoints, end)
-    start, image = (checkpoints[k - 1], images[k - 1]) if k else (0, base)
+def replay(image: DiskImage, log: list[IoRecord], start: int, end: int) -> DiskImage:
+    """``image`` with the writes among ``log[start:end]`` applied: the image
+    at log position ``end`` when ``image`` is the one at ``start``. Pure: no
+    input image is modified."""
     return image.with_writes((rec.sector, rec.data) for rec in log[start:end] if rec.data)

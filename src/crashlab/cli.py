@@ -202,10 +202,7 @@ def _collect_tiers(config: CampaignConfig) -> list[tuple]:
     the range, and ``--range`` selects by it. No workload is built here. A
     tier is counted only when its size is needed: for the base of the next
     tier, or to cut the open end of the last tier into more than one
-    partition; a counted tier's slice stops at its end. Bounds that give a
-    tier no workload at all are a config error, found by looking for a first
-    workload, as such a campaign would test nothing and pass; a ``--range``
-    past a tier's end selects none on purpose."""
+    partition; a counted tier's slice stops at its end."""
     if config.corpus is not None:
         corpus = tuple(workload for _path, workload in _corpus_entries(config.corpus))
         return [(corpus, 0, 0, len(corpus))]
@@ -215,10 +212,6 @@ def _collect_tiers(config: CampaignConfig) -> list[tuple]:
     base = 0
     for n, seq_length in enumerate(seqs):
         bounds = config.bounds_for(seq_length)
-        if config.index_range is None and not ace.workload_range(bounds, 0, 1):
-            raise ValueError(
-                f"bounds {bounds.describe()};dirs={','.join(bounds.dirs)} give no workload"
-            )
         lo = max(start - base, 0)
         hi = None if end is None else max(end - base, 0)
         last = n + 1 == len(seqs)
@@ -309,7 +302,12 @@ def _run_tier(config: CampaignConfig, flags, tier) -> tuple[int, int, list]:
     worker for every partition but the first, runs the first itself, so no
     process idles while the others work, and then reads the workers'
     results in order, each in the main thread. If any partition raises, the
-    workers still running are killed; every worker is reaped by its pid."""
+    workers still running are killed; every worker is reaped by its pid.
+
+    Bounds that give the tier no workload at all are a config error, as
+    such a campaign would test nothing and pass, so a tier whose partitions
+    return none looks for a first workload; a ``--range`` past the end of a
+    non-empty tier selects none on purpose."""
     source, base, start, end = tier
     if end is None:
         slices = [(start, None)]
@@ -330,6 +328,10 @@ def _run_tier(config: CampaignConfig, flags, tier) -> tuple[int, int, list]:
             os.close(fd)
             os.waitpid(pid, 0)
     workload_count = sum(chunk[0] for chunk in chunks)
+    if not workload_count and isinstance(source, Bounds) and not ace.workload_range(source, 0, 1):
+        raise ValueError(
+            f"bounds {source.describe()};dirs={','.join(source.dirs)} give no workload"
+        )
     verdict_count = sum(chunk[1] for chunk in chunks)
     return workload_count, verdict_count, [f for chunk in chunks for f in chunk[2]]
 

@@ -1,16 +1,17 @@
-"""Crash-state construction from checkpoint images and the cuts of an IO log.
+"""Crash-state construction from checkpoints and the cuts of an IO log.
 
-A checkpoint state is the device's image at that checkpoint. A subset-mode
-state is every fully durable leading epoch plus an ordered subset of the
-target epoch's write units (whole records, or 512-byte sectors). Small
-epochs are enumerated exhaustively; larger ones are sampled reproducibly
-from a seed. The prefix image is built once per target epoch
-(``prefix_state``), from the last checkpoint image at or before it, and
-each state is that image with its kept units applied through
-``DiskImage.with_writes``, so this module never sees the image format. A
-state's coordinates (the checkpoint number, or the prefix epoch count,
-kept unit indices and granularity) are its descriptor, which
-``CrashState.descriptor`` writes and ``parse_descriptor`` reads.
+A checkpoint is a record with a log ``position`` and the device's
+``image`` there; checkpoint 0 is the formatted file system at position 0.
+A checkpoint state is its image. A subset-mode state is every fully
+durable leading epoch plus an ordered subset of the target epoch's write
+units (whole records, or 512-byte sectors). Small epochs are enumerated
+exhaustively; larger ones are sampled reproducibly from a seed. The prefix
+image is built once per target epoch (``prefix_state``), from the last
+checkpoint at or before it, and each state is that image with its kept
+units applied through ``DiskImage.with_writes``, so this module never sees
+the image format. A state's coordinates (the checkpoint number, or the
+prefix epoch count, kept unit indices and granularity) are its descriptor,
+which ``CrashState.descriptor`` writes and ``parse_descriptor`` reads.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .blockdev import SECTOR_SIZE, DiskImage, IoRecord, replay
 
@@ -54,7 +56,7 @@ class CrashState:
     """A disk image representing storage contents at a simulated power loss."""
 
     image: DiskImage
-    checkpoint_id: int = 0  # 0 = before any persistence point
+    checkpoint_id: int = 0  # 0 = the formatted file system, before any persistence point
     # a subset state's prefix epoch count, kept unit indices and granularity
     subset: tuple[int, tuple[int, ...], str] | None = None
 
@@ -101,29 +103,26 @@ class PrefixState:
 
 
 def prefix_state(
-    base: DiskImage,
+    checkpoints: list,
     log: list[IoRecord],
-    checkpoints: list[int],
-    images: list[DiskImage],
     epochs: list[range],
     prefix_count: int,
     granularity: str = "op",
 ) -> PrefixState:
-    """base + the writes of the first ``prefix_count`` of the ``epochs`` of
-    ``log``, with the next epoch as the target, built by ``replay`` from the
-    last of the checkpoint ``images`` at or before the target. The prefix
-    contains the checkpoints at or before the target's start
-    (``checkpoints`` holds their log positions), so one right after a
-    terminator counts for the prefix ending there. None sits at position 0,
-    before every epoch: each persistence call logs a commit or a FLUSH
-    before its checkpoint."""
+    """The writes of the first ``prefix_count`` of the ``epochs`` of ``log``,
+    with the next epoch as the target, built by ``replay`` from the last of
+    the ``checkpoints`` at or before the target's start. The prefix contains
+    those checkpoints, so one right after a terminator counts for the prefix
+    ending there; the checkpoint number is the last one's index."""
     if not 0 <= prefix_count < len(epochs):
         raise ValueError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
     target = epochs[prefix_count]
+    k = bisect_right(checkpoints, target.start, key=attrgetter("position")) - 1
+    start = checkpoints[k]
     return PrefixState(
-        replay(base, log, checkpoints, images, target.start),
+        replay(start.image, log, start.position, target.start),
         prefix_count,
-        bisect_right(checkpoints, target.start),
+        k,
         _atomic_units(log, target, granularity),
         granularity,
     )

@@ -298,7 +298,7 @@ class SoundFs:
         journal blocks. It answers only ``state_view``; ``thaw`` gives a
         live file system."""
         if memo is None:
-            return cls.mount_device(Device(image.size_bytes, base=image, log_io=False))
+            return cls.mount_device(Device(image.size_bytes, base=image))
         mounted = memo.states.get((cls, image.content_key()))
         if mounted is None:
             if len(memo.states) >= MountMemo.LIMIT:
@@ -318,7 +318,7 @@ class SoundFs:
         specializing attribute reads on every instance of the class."""
         record = self.memo_record
         image = record.image.with_blocks(self._journal)
-        return record.fs.fork(Device(image.size_bytes, base=image, log_io=False))
+        return record.fs.fork(Device(image.size_bytes, base=image))
 
     @classmethod
     def _memo_entry(cls, image: DiskImage, memo: "MountMemo") -> "SoundFs | Unmountable":
@@ -350,7 +350,7 @@ class SoundFs:
         record = memo.records.get(key)
         if record is None:
             # the replay above succeeded, so recovery does
-            fs = cls._recovered(Device(image.size_bytes, base=image, log_io=False), plan)
+            fs = cls._recovered(Device(image.size_bytes, base=image), plan)
             fs = fs._loaded()
             record = fs if isinstance(fs, Unmountable) else _MountedState(fs, rest)
             memo.records[key] = record

@@ -1,13 +1,15 @@
 """Workload profiling and the one crash-state pipeline.
 
 A ``Profile`` is the run that executes the workload once on a recording
-device, inserting a checkpoint after every persistence call and capturing
-an oracle at each one: the view the file system would show after a clean
-unmount (``clean_view``: the live view, or an unmounted replica's when the
-commit deferred data). Crash states are cuts of its IO log: at a
-checkpoint, the device's image there, which the device keeps; mid-epoch,
-the crash generator's subsets, each built on the image at the last
-checkpoint before its cut with only the writes logged since replayed.
+device. Its ``checkpoints`` list one ``Checkpoint`` record per persistence
+point: the log position, the device's image there, the oracle view (the
+view the file system would show after a clean unmount: ``clean_view``, the
+live view, or an unmounted replica's when the commit deferred data) and
+the persisted set. Checkpoint 0 is the formatted file system, at position
+0 with an empty persisted set, and each persistence call appends one
+record. Crash states are cuts of the IO log: at a checkpoint, its image;
+mid-epoch, the crash generator's subsets, each built on the image of the
+last checkpoint before its cut with only the writes logged since replayed.
 ``check(prof, state)`` turns any of them into a verdict: it mounts the
 state so recovery runs and compares it against the oracle of the last
 checkpoint the state contains, but only for entities the persistence calls
@@ -37,6 +39,7 @@ inode there. Each still computes its own persisted set (``profile``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .ace import Workload
 from .blockdev import (
@@ -87,9 +90,10 @@ _mkfs_cache: dict[str, DiskImage] = {}
 
 def mkfs_base_image(fs_name: str) -> DiskImage:
     """Formatting is deterministic, so the clean image is built once per
-    target and shared as a replay base. mkfs writes only the blocks of its
-    zero base that it makes non-zero, so every device and crash state built
-    on the image copies a few blocks, not hundreds."""
+    target and shared as the image of every profile's checkpoint 0. mkfs
+    writes only the blocks of its zero base that it makes non-zero, so
+    every device and crash state built on the image copies a few blocks,
+    not hundreds."""
     if fs_name not in _mkfs_cache:
         dev = Device(DEFAULT_DEVICE_BYTES)
         get_target(fs_name).mkfs(dev)
@@ -146,27 +150,34 @@ def _update_persisted(
         bump(parent_dir(resolved), ENTRY)
 
 
+class Checkpoint(NamedTuple):
+    """One persistence point of a profile run: its position in the IO log
+    (the number of records before it), the device's image there, the oracle
+    view and the persisted set. Nothing changes a record once made."""
+
+    position: int
+    image: DiskImage
+    view: FsStateView
+    persisted: dict[str, int]
+
+
 class Profile:
-    """A workload's profile run: the file system, its recording device (the
-    IO log, the checkpoints' positions in it and the image at each) and,
-    after the prologue and ``done`` body steps, the oracle view and the
-    persisted set at each checkpoint. ``shared`` says whether a fork may
-    still hold the device and file system."""
+    """A workload's profile run: the file system, its recording device and,
+    after the prologue and ``done`` body steps, its ``checkpoints``, the
+    formatted file system first. ``shared`` says whether a fork may still
+    hold the device and file system."""
 
     def __init__(self, fs_name: str, prologue) -> None:
         self.fs_name = fs_name
-        self.base_image = mkfs_base_image(fs_name)
-        self.device = Device(DEFAULT_DEVICE_BYTES, self.base_image)
+        image = mkfs_base_image(fs_name)
+        self.device = Device(DEFAULT_DEVICE_BYTES, image)
         self.fs = get_target(fs_name).mount_device(self.device)
         if isinstance(self.fs, Unmountable):
             raise HarnessError(f"fresh image did not mount: {self.fs.reason}")
-        self.base_view = self.fs.state_view()
+        self.checkpoints = [Checkpoint(0, image, self.fs.state_view(), {})]
         self.shared = False
         self.op_index = 0
         self.done = 0
-        self.persisted_now: dict[str, int] = {}
-        self.persisted: dict[int, dict[str, int]] = {}
-        self.oracle_views: dict[int, FsStateView] = {}
         # shared with this state's forks; holds the first final commit run
         # from this state per commit key (``_persist``)
         self.final_commit: dict = {}
@@ -177,17 +188,15 @@ class Profile:
     def fork(self) -> "Profile":
         """An independent copy. It shares the device and file system with
         this run until either writes, which copies them first (``_own``).
-        Stored oracle views and per-checkpoint persisted sets are never
-        changed, so the copy shares them. The copy also shares
-        ``final_commit`` with this run and with every other fork of this
-        state, until it takes a step: a workload whose last step is a
-        persistence call stores its commit there or adopts a stored one."""
+        Checkpoint records are never changed, so the copy shares them. The
+        copy also shares ``final_commit`` with this run and with every other
+        fork of this state, until it takes a step: a workload whose last
+        step is a persistence call stores its commit there or adopts a
+        stored one."""
         run = Profile.__new__(Profile)
         run.__dict__.update(vars(self))
         self.shared = run.shared = True
-        run.persisted_now = dict(self.persisted_now)
-        run.persisted = dict(self.persisted)
-        run.oracle_views = dict(self.oracle_views)
+        run.checkpoints = list(self.checkpoints)
         return run
 
     def advance(self, steps) -> None:
@@ -199,11 +208,7 @@ class Profile:
             self.fs.apply(step, self.op_index)
             self.op_index += 1
         else:
-            view = self._persist(step, self.done == len(steps) - 1)
-            cp = len(self.device.checkpoints)
-            self.oracle_views[cp] = view
-            _update_persisted(self.persisted_now, self.fs, step, view)
-            self.persisted[cp] = dict(self.persisted_now)
+            self._persist(step, self.done == len(steps) - 1)
         self.done += 1
         self.final_commit = {}
 
@@ -215,32 +220,34 @@ class Profile:
             self.fs = self.fs.fork(self.device)
             self.shared = False
 
-    def _persist(self, step: PersistOp, final: bool) -> FsStateView:
-        """Commit ``step``, insert its checkpoint and return the oracle view
-        there.
+    def _persist(self, step: PersistOp, final: bool) -> None:
+        """Commit ``step`` and append its checkpoint, with the last
+        checkpoint's persisted set raised by what ``step`` made durable.
 
         The step's commit key (``commit_key``) checks its target once, and
         ``persist`` runs the commit from it. The body's ``final`` step is
         never followed by another, so forks of one state share it by that
         key: the first to get here with a key stores its post-commit device,
-        file system and view in ``final_commit``, and the others with that
-        key adopt those read-only, never copying the state they forked from.
+        file system and checkpoint in ``final_commit``, and the others with
+        that key adopt those read-only, never copying the state they forked
+        from, and append that checkpoint with their own persisted set.
         Nothing advances a run past its final step, so nothing writes to a
         stored commit."""
         key = self.fs.commit_key(step.kind, step.target)
         if final and key in self.final_commit:
-            self.device, self.fs, view = self.final_commit[key]
-            return view
-        self._own()
-        self.fs.persist(step.kind, step.target, key)
-        self.device.insert_checkpoint()
-        # The oracle is the view after a clean unmount. It is the live view
-        # unless the commit deferred data (bugfs-b5), which gets its blocks
-        # only when the unmount writes it.
-        view = self.fs.clean_view()
-        if final:
-            self.final_commit[key] = (self.device, self.fs, view)
-        return view
+            self.device, self.fs, cp = self.final_commit[key]
+        else:
+            self._own()
+            self.fs.persist(step.kind, step.target, key)
+            # The oracle is the view after a clean unmount. It is the live
+            # view unless the commit deferred data (bugfs-b5), which gets its
+            # blocks only when the unmount writes it.
+            cp = Checkpoint(len(self.device.log), self.device.snapshot(), self.fs.clean_view(), {})
+            if final:
+                self.final_commit[key] = (self.device, self.fs, cp)
+        persisted = dict(self.checkpoints[-1].persisted)
+        _update_persisted(persisted, self.fs, step, cp.view)
+        self.checkpoints.append(cp._replace(persisted=persisted))
 
 
 class PrefixFork:
@@ -276,8 +283,8 @@ class PrefixFork:
 
 
 def profile(workload: Workload, fs_name: str, fork: PrefixFork | None = None) -> Profile:
-    """Run ``workload`` once end to end and return the run: its IO log,
-    per-checkpoint oracle views and persisted sets.
+    """Run ``workload`` once end to end and return the run: its IO log and
+    its checkpoints.
 
     With a partition's ``fork`` stack, the run resumes from a fork of the
     deepest frozen run its body starts with, and as it passes each new
@@ -288,9 +295,9 @@ def profile(workload: Workload, fs_name: str, fork: PrefixFork | None = None) ->
     from forks of the run at depth ``len(steps) - 1``. Those whose calls
     have one commit key (``SoundFs.commit_key``) share that commit, on
     every target: the first runs it, and the others adopt its post-commit
-    device, file system and oracle view read-only, computing only their own
-    persisted set. Nothing is pushed after the final step, so nothing
-    advances or forks an adopted run. Without a ``fork`` stack (``replay``,
+    device, file system, image and oracle view read-only, computing only
+    their own persisted set. Nothing is pushed after the final step, so
+    nothing advances or forks an adopted run. Without a ``fork`` stack (``replay``,
     the corpus) no state is forked, and every commit runs."""
     steps = workload.steps
     try:
@@ -403,13 +410,12 @@ def _verdict(prof: Profile, state: CrashState, target, fs, crash_view) -> Verdic
         return Verdict("bug", state.descriptor(), "unmountable", diff, fsck=target.fsck(fs))
 
     cp = state.checkpoint_id
-    oracle_view = prof.oracle_views.get(cp, prof.base_view)
-    persisted_set = prof.persisted.get(cp, {})
+    oracle_view, persisted_set = prof.checkpoints[cp].view, prof.checkpoints[cp].persisted
     diff: list[DiffEntry] = []
     subset = state.subset is not None
     candidates = [oracle_view]
     if subset:
-        candidates += [view for j, view in prof.oracle_views.items() if j > cp]
+        candidates += [later.view for later in prof.checkpoints[cp + 1 :]]
 
     for path in sorted(persisted_set):
         level = persisted_set[path]
@@ -526,7 +532,7 @@ def run_workload(
     except HarnessError as e:
         return [Verdict("harness_error", crash_descriptor="profile", reason=str(e))]
 
-    n = len(prof.device.checkpoints)
+    n = len(prof.checkpoints) - 1
     if n == 0:
         return []  # no persistence point, so nothing to test
 
@@ -537,21 +543,18 @@ def run_workload(
     return verdicts
 
 
-def _prefix_state(prof: Profile, epochs: list[range], p: int, granularity: str):
-    dev = prof.device
-    return prefix_state(
-        prof.base_image, dev.log, dev.checkpoints, dev.images, epochs, p, granularity
-    )
-
-
 def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> list[Verdict]:
     """The verdicts of ``prof``'s subset states, epoch by epoch. Most
     subsets of an epoch recover to a state another one recovered to, so
     each distinct (recovered state, checkpoint) pair is compared once, and
     the later states with that pair take its verdict under their own
     descriptor (``check``'s ``shared`` table)."""
-    epochs = split_epochs(prof.device.log)
-    prefixes = (_prefix_state(prof, epochs, p, flags.granularity) for p in range(len(epochs)))
+    log = prof.device.log
+    epochs = split_epochs(log)
+    prefixes = (
+        prefix_state(prof.checkpoints, log, epochs, p, flags.granularity)
+        for p in range(len(epochs))
+    )
     shared: dict = {}
     return [
         check(prof, build_subset_state(prefix, kept), memo, shared)
@@ -564,9 +567,8 @@ def _checkpoint_state(prof: Profile, k: int) -> CrashState:
     """Checkpoint ``k``'s state: its image, through a ``replay`` that
     applies no logged write. ``perfbench``'s tracer counts one ``replay``
     per checkpoint state built."""
-    dev = prof.device
-    image = replay(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[k - 1])
-    return CrashState(image, checkpoint_id=k)
+    cp = prof.checkpoints[k]
+    return CrashState(replay(cp.image, prof.device.log, cp.position, cp.position), k)
 
 
 def state_for(prof: Profile, descriptor: str) -> CrashState:
@@ -576,10 +578,11 @@ def state_for(prof: Profile, descriptor: str) -> CrashState:
         crash = parse_descriptor(descriptor)
         if isinstance(crash, tuple):
             p, kept, granularity = crash
-            prefix = _prefix_state(prof, split_epochs(prof.device.log), p, granularity)
+            log = prof.device.log
+            prefix = prefix_state(prof.checkpoints, log, split_epochs(log), p, granularity)
             return build_subset_state(prefix, kept)
-        if not 1 <= crash <= len(prof.device.checkpoints):
-            raise ValueError(f"the workload has {len(prof.device.checkpoints)} checkpoints")
+        if not 1 <= crash < len(prof.checkpoints):
+            raise ValueError(f"the workload has {len(prof.checkpoints) - 1} checkpoints")
         return _checkpoint_state(prof, crash)
     except ValueError as e:
         raise ValueError(f"crash descriptor {descriptor!r}: {e}") from None

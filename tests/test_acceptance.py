@@ -22,6 +22,7 @@ from crashlab.cli import (
 from crashlab.crashgen import build_subset_state, enumerate_target_subsets, prefix_state
 from crashlab.fsops import FsOpKind, same_directory
 from crashlab.fstarget import VARIANTS
+from crashlab.harness import Checkpoint
 from image_helper import image_bytes
 
 SIX_OPS = (
@@ -305,9 +306,10 @@ def test_acceptance_regression_corpus():
 def test_acceptance_crash_state_exhaustiveness():
     size = 16 * 1024
     base = DiskImage.zeroed(size)
+    formatted = [Checkpoint(0, base, None, {})]
     log = [IoRecord(i * 2, bytes([0x20 + i]) * 512) for i in range(4)]
     images = {}
-    pre = prefix_state(base, log, [], [], split_epochs(log), 0)
+    pre = prefix_state(formatted, log, split_epochs(log), 0)
     for kept in enumerate_target_subsets(pre):
         state = build_subset_state(pre, kept)
         # eager oracle: apply kept writes directly
@@ -329,7 +331,7 @@ def test_acceptance_crash_state_exhaustiveness():
             sec = rng.randrange(0, 6)
             log.append(IoRecord(sec, bytes([0x30 + i]) * (512 * rng.randint(1, 2))))
         units = [(r.sector, r.data) for r in log]
-        pre = prefix_state(base, log, [], [], split_epochs(log), 0)
+        pre = prefix_state(formatted, log, split_epochs(log), 0)
         for kept in enumerate_target_subsets(pre):
             image = build_subset_state(pre, kept).image
             expect = bytearray(size)

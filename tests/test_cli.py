@@ -462,14 +462,36 @@ def test_a_corpus_campaign_names_the_file_that_does_not_parse(tmp_path, capsys):
 
 def test_bounds_that_give_no_workload_are_a_config_error(capsys):
     """Bounds that leave no op a candidate would run nothing and exit 0 like
-    a clean campaign, so they exit 2 naming the bounds. With ``--range``
-    the campaign selects no workload, as a range past a tier's end does,
-    and exits 0."""
+    a clean campaign, so they exit 2 naming the bounds, with or without
+    ``--range`` and on any number of workers."""
     args = ["campaign", "--seq", "1", "2", "--ops", "creat", "--files", "", "--dirs", ""]
-    assert main(args) == 2
-    assert capsys.readouterr().err == "error: bounds seq=1;ops=creat;files=;dirs= give no workload\n"
-    assert main([*args, "--range", "0:10"]) == 0
+    for extra in ([], ["--range", "0:10"], ["--workers", "2"]):
+        assert main([*args, *extra]) == 2, extra
+        err = capsys.readouterr().err
+        assert err == "error: bounds seq=1;ops=creat;files=;dirs= give no workload\n", extra
+
+
+def test_a_range_past_a_tier_end_is_a_clean_run(monkeypatch, capsys):
+    """A ``--range`` past the end of a tier that has workloads selects none
+    on purpose and exits 0. Only a tier whose partitions return no workload
+    looks for a first one: a campaign with workloads seeks only its
+    partitions."""
+    seeks = []
+    workload_range = ace.workload_range
+
+    def recording(bounds, start, end):
+        seeks.append((bounds.seq_length, start, end))
+        return workload_range(bounds, start, end)
+
+    monkeypatch.setattr(ace, "workload_range", recording)
+    args = ["campaign", "--seq", "1", "--ops", "creat", "--files", "foo", "--dirs", ""]
+    assert main([*args, "--range", "100:200"]) == 0
     assert "] 0 workloads, 0 verdicts" in capsys.readouterr().out
+    assert seeks == [(1, 100, 200), (1, 0, 1)]
+    seeks.clear()
+    assert main([*args, "--range", "1:3"]) == 0
+    assert "] 2 workloads" in capsys.readouterr().out
+    assert seeks == [(1, 1, 3)]
 
 
 def _b3_subset_config(**kw):
@@ -840,8 +862,7 @@ def test_partitions_yield_the_generator_pairs(monkeypatch, config):
 
 def test_a_tier_is_counted_only_when_its_size_is_needed(monkeypatch):
     """Only the base of a later tier, or the cuts of a last tier with no
-    ``--range`` END on more than one worker, need a tier's size. Bounds
-    that give no workload are found by looking for a first one."""
+    ``--range`` END on more than one worker, need a tier's size."""
     counted = []
     count = ace.count_workloads
     monkeypatch.setattr(ace, "count_workloads", lambda b: counted.append(b.seq_length) or count(b))
@@ -854,11 +875,6 @@ def test_a_tier_is_counted_only_when_its_size_is_needed(monkeypatch):
         counted.clear()
         assert _collect_tiers(config)[-1][3] == end
         assert counted == want, config
-    counted.clear()
-    empty = CampaignConfig(seq=(1, 2), ops=("creat",), files=(), dirs=(), workers=2)
-    with pytest.raises(ValueError, match="give no workload"):
-        _collect_tiers(empty)
-    assert counted == []
 
 
 def _campaign_files(out, config) -> list[bytes]:

@@ -19,6 +19,7 @@ from crashlab.crashgen import (
     parse_descriptor,
     prefix_state,
 )
+from crashlab.harness import Checkpoint
 from image_helper import image_bytes
 
 SIZE = 64 * 1024
@@ -38,19 +39,17 @@ def _cut(items):
     return log, checkpoints
 
 
-def _images(base, log, checkpoints):
-    """The image at each checkpoint, as a device keeps it: ``base`` with
-    every write logged before the checkpoint."""
-    return [base.with_writes((r.sector, r.data) for r in log[:c] if r.data) for c in checkpoints]
+def _replay(base, log, end):
+    """``base`` with every write among the first ``end`` records of ``log``."""
+    return replay(base, log, 0, end)
 
 
-def _replay(base, log, checkpoints, end):
-    return replay(base, log, checkpoints, _images(base, log, checkpoints), end)
-
-
-def _prefix(base, log, checkpoints, prefix, granularity="op"):
-    images = _images(base, log, checkpoints)
-    return prefix_state(base, log, checkpoints, images, split_epochs(log), prefix, granularity)
+def _prefix(base, log, positions, prefix, granularity="op"):
+    """``prefix_state`` on the checkpoints a profile keeps: checkpoint 0 at
+    position 0 with ``base``, then one at each of the ``positions`` with
+    the image there."""
+    checkpoints = [Checkpoint(c, _replay(base, log, c), None, {}) for c in (0, *positions)]
+    return prefix_state(checkpoints, log, split_epochs(log), prefix, granularity)
 
 
 def _subsets(log, prefix, granularity="op", seed=0):
@@ -61,7 +60,7 @@ def _subsets(log, prefix, granularity="op", seed=0):
 def test_one_crash_state_per_checkpoint():
     log, cps = _cut([IoRecord(0, b"\x01" * 512), FLUSH, CP, IoRecord(1, b"\x02" * 512), FLUSH, CP])
     base = DiskImage.zeroed(SIZE)
-    images = [_replay(base, log, cps, cps[k - 1]) for k in (1, 2)]
+    images = [_replay(base, log, c) for c in cps]
     assert image_bytes(images[0])[512:1024] == bytes(512)
     assert image_bytes(images[1])[512:1024] == b"\x02" * 512
 
@@ -188,14 +187,14 @@ def test_full_subset_equals_replay_to_epoch_end():
     pre = _prefix(base, log, cps, 1)
     state = build_subset_state(pre, tuple(range(len(pre.units))))
     assert len(pre.units) == 1
-    assert image_bytes(state.image) == image_bytes(_replay(base, log, cps, cps[0]))
+    assert image_bytes(state.image) == image_bytes(_replay(base, log, cps[0]))
 
 
 def test_empty_subset_equals_replay_to_prefix_end():
     log, cps = _cut([IoRecord(0, b"\x01" * 512), FLUSH, CP, IoRecord(2, b"\x03" * 512)])
     base = DiskImage.zeroed(SIZE)
     state = build_subset_state(_prefix(base, log, cps, 1), ())
-    assert image_bytes(state.image) == image_bytes(_replay(base, log, cps, cps[0]))
+    assert image_bytes(state.image) == image_bytes(_replay(base, log, cps[0]))
 
 
 def test_two_disjoint_writes_all_four_images_match_oracle():
@@ -248,7 +247,7 @@ def test_checkpoint_mode_equivalence_with_subset_mode():
     # checkpoint 1 sits after epoch 0; checkpoint 2 after epoch 1
     for k, prefix in ((1, 1), (2, 2)):
         sub = build_subset_state(_prefix(base, log, cps, prefix), ())
-        assert image_bytes(sub.image) == image_bytes(_replay(base, log, cps, cps[k - 1]))
+        assert image_bytes(sub.image) == image_bytes(_replay(base, log, cps[k - 1]))
         assert sub.checkpoint_id == k
 
 
@@ -269,7 +268,7 @@ def test_prefix_durability():
         epochs = split_epochs(log)
         for prefix in range(len(epochs)):
             # checkpoint k follows the flush that ends epoch k - 1
-            want = _replay(base, log, cps, cps[prefix - 1]) if prefix else base
+            want = _replay(base, log, cps[prefix - 1]) if prefix else base
             target_secs = set()
             for rec in log[epochs[prefix].start : epochs[prefix].stop]:
                 if rec.data:

@@ -132,7 +132,7 @@ def test_v1_pad_bytes_are_never_read():
     mounted = SoundFs.mount(image)
     view = mounted.state_view().entries
 
-    dev = Device(DEV, image, log_io=False)
+    dev = Device(DEV, image)
     scribbled_entries = 0
     for ino, node in mounted.inodes.items():
         blk = mounted.geo.itable_start + ino // INODES_PER_BLOCK
@@ -219,12 +219,12 @@ def test_mount_crash_state_at_any_checkpoint_succeeds():
     fs = SoundFs.mount_device(live)
     fs.apply(op("creat", path="foo"), 0)
     fs.persist(PersistKind.FSYNC, "foo")
-    live.insert_checkpoint()
+    positions = [len(live.log)]
     fs.apply(op("write", path="foo", start=0, end=4096), 1)
     fs.persist(PersistKind.SYNC)
-    live.insert_checkpoint()
-    for k in (1, 2):
-        image = replay(base, live.log, live.checkpoints, live.images, live.checkpoints[k - 1])
+    positions.append(len(live.log))
+    for position in positions:
+        image = replay(base, live.log, 0, position)
         assert not isinstance(SoundFs.mount(image), Unmountable)
 
 
@@ -576,14 +576,22 @@ def test_memo_keys_hold_the_interned_blocks():
 
 def mount_state(fs) -> dict:
     """What a mount gives, as plain values: every attribute, with the inodes
-    without the file contents read so far, and the device as its bytes, log
-    and checkpoints."""
+    without the file contents read so far, and the device as its bytes and
+    log."""
     out = dict(vars(fs))
     slots = [a for a in Inode.__slots__ if a != "content"]
     out["inodes"] = {i: tuple(getattr(n, a) for a in slots) for i, n in fs.inodes.items()}
-    out["device"] = (image_bytes(fs.device.snapshot()), fs.device.log, fs.device.checkpoints)
+    out["device"] = (image_bytes(fs.device.snapshot()), fs.device.log)
     out["geo"] = vars(fs.geo)
     return out
+
+
+def plain_mount(cls, image):
+    """A plain mount of ``image`` whose device log holds no recovery write,
+    as a thawed file system's does: a thaw starts on the recovered image."""
+    fs = cls.mount(image)
+    fs.device.log.clear()
+    return fs
 
 
 def assert_like_a_plain_mount(mounted, image):
@@ -592,7 +600,7 @@ def assert_like_a_plain_mount(mounted, image):
     in its view, and in its attributes and device bytes after the same
     write and after a commit. The memo mount stays as it was; the thawed
     file system is returned."""
-    plain = type(mounted).mount(image)
+    plain = plain_mount(type(mounted), image)
     assert mounted.state_view() == plain.state_view()
     fs = mounted.thaw()
     assert fs.state_view() == plain.state_view()
@@ -652,7 +660,7 @@ def test_a_viewed_memo_mount_builds_no_file_system(monkeypatch, target):
     prof = harness.profile(
         ace.parse("mkdir A\ncreat A/foo\nwrite (0-8K) A/foo\nfsync A/foo\n"), target.NAME
     )
-    state = harness._checkpoint_state(prof, len(prof.device.checkpoints))
+    state = harness._checkpoint_state(prof, len(prof.checkpoints) - 1)
     memo = MountMemo()
     first = harness.check(prof, state, memo)
     assert len(target.mount(state.image, memo).memo_record.probes) == 1
@@ -681,7 +689,7 @@ def test_a_memo_mount_is_one_read_only_object(target):
     prof = harness.profile(
         ace.parse("mkdir A\ncreat A/foo\nwrite (0-8K) A/foo\nfsync A/foo\n"), target.NAME
     )
-    state = harness._checkpoint_state(prof, len(prof.device.checkpoints))
+    state = harness._checkpoint_state(prof, len(prof.checkpoints) - 1)
     memo = MountMemo()
     mounted = target.mount(state.image, memo)
     assert target.mount(state.image, memo) is mounted
@@ -722,7 +730,7 @@ def test_a_memo_mount_thaws_at_the_first_call_that_reads_its_state(target, call)
     image = crash_image(target)
     memo = MountMemo()
     target.mount(image, memo)
-    hit, plain = target.mount(image, memo), target.mount(image)
+    hit, plain = target.mount(image, memo), plain_mount(target, image)
     assert set(vars(hit)) == {"memo_record", "_journal"}
     live = hit.thaw()
     for fs in (live, plain):
@@ -901,9 +909,7 @@ def test_an_empty_directory_never_reads_its_entry_block():
 
     w = ace.parse("mkdir A\nfdatasync A\n")
     prof = profile(w, "bugfs-b3")
-    dev = prof.device
-    image = replay(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[0])
-    fs = get_target("bugfs-b3").mount(image)
+    fs = get_target("bugfs-b3").mount(prof.checkpoints[1].image)
     assert fs.state_view().entries["A"].block_count == 0
 
 
@@ -914,14 +920,12 @@ def test_a_directory_without_an_entry_block_gets_one_before_a_commit():
     from crashlab.harness import profile
 
     prof = profile(ace.parse("mkdir A\nfdatasync A\n"), "bugfs-b3")
-    dev = prof.device
-    image = replay(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[0])
-    fs = get_target("bugfs-b3").mount(image)
+    fs = get_target("bugfs-b3").mount(prof.checkpoints[1].image)
     dir_ino = fs.resolve_ino("A")
     assert fs.inodes[dir_ino].blocks == [0]
     fs.apply(op("creat", path="A/x"))
     fs.persist(PersistKind.SYNC)
-    assert fs.device.read_block(0) == image_bytes(prof.base_image)[:BLOCK_SIZE]
+    assert fs.device.read_block(0) == image_bytes(prof.checkpoints[0].image)[:BLOCK_SIZE]
     again = get_target("bugfs-b3").mount(fs.device.snapshot())
     assert not isinstance(again, Unmountable)
     assert fs.geo.data_start <= again.inodes[dir_ino].blocks[0] < fs.geo.total_blocks
@@ -1386,15 +1390,12 @@ def test_sound_journal_never_bricks_across_campaign_sample():
 
 def test_fsck_reports_on_unmountable():
     from crashlab import ace
-    from crashlab.blockdev import replay as replay_log
     from crashlab.harness import profile
 
     w = ace.parse("creat foo\nlink foo bar\nsync\nunlink bar\ncreat bar\nfsync bar\n")
     prof = profile(w, "bugfs-b6")
-    dev = prof.device
-    image = replay_log(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[1])
     target = get_target("bugfs-b6")
-    mounted = target.mount(image)
+    mounted = target.mount(prof.checkpoints[2].image)
     assert isinstance(mounted, Unmountable)
     assert target.fsck(mounted) == {
         "mountable": False,

@@ -40,29 +40,29 @@ from image_helper import crash_states, fs_state, image_bytes, same_bytes
 def test_two_persistence_points_two_checkpoints_two_oracles():
     w = parse("creat foo\nfsync foo\ncreat bar\nfsync bar\n")
     prof = profile(w, "soundfs")
-    assert len(prof.device.checkpoints) == 2
-    assert sorted(prof.oracle_views) == [1, 2]
-    assert sorted(prof.persisted) == [1, 2]
+    # checkpoint 0 is the formatted file system, before any logged IO
+    formatted, first, second = prof.checkpoints
+    assert formatted.image is mkfs_base_image("soundfs")
+    assert set(formatted.view.entries) == {"/"} and formatted.persisted == {}
     # each persistence call logs its commit before its checkpoint
-    first, second = prof.device.checkpoints
-    assert 0 < first < second == len(prof.device.log)
+    assert 0 == formatted.position < first.position < second.position == len(prof.device.log)
 
 
 def test_persisted_set_includes_parent_dirent():
     w = parse("creat foo\nfsync foo\n")
     prof = profile(w, "soundfs")
-    assert prof.persisted[1]["foo"] == FULL
-    assert prof.persisted[1]["/"] == ENTRY
+    assert prof.checkpoints[1].persisted["foo"] == FULL
+    assert prof.checkpoints[1].persisted["/"] == ENTRY
 
 
 def test_persisted_set_levels_per_kind():
     w = parse("mkdir A\ncreat A/foo\nlink A/foo A/bar\nfsync A/foo\nfdatasync A/bar\nsync\n")
     prof = profile(w, "soundfs")
-    cp1 = prof.persisted[1]
+    cp1 = prof.checkpoints[1].persisted
     assert cp1["A/foo"] == FULL
     assert cp1["A/bar"] == FULL  # all hard links of the fsynced inode
     assert cp1["A"] == ENTRY
-    cp3 = prof.persisted[3]
+    cp3 = prof.checkpoints[3].persisted
     assert cp3["A"] == FULL  # sync upgrades everything
     assert cp3["/"] == FULL
 
@@ -70,7 +70,7 @@ def test_persisted_set_levels_per_kind():
 def test_persisted_set_monotone_for_sync():
     w = parse("creat foo\nsync\ncreat bar\nsync\n")
     prof = profile(w, "soundfs")
-    assert set(prof.persisted[1]) <= set(prof.persisted[2])
+    assert set(prof.checkpoints[1].persisted) <= set(prof.checkpoints[2].persisted)
 
 
 def test_profiling_deterministic_io_log():
@@ -89,8 +89,8 @@ def test_oracle_checkpoint_alignment():
     """Oracle k reflects everything up to the k-th persistence call, nothing after."""
     w = parse("creat foo\nfsync foo\ncreat bar\nfsync bar\n")
     prof = profile(w, "soundfs")
-    v1 = prof.oracle_views[1].entries
-    v2 = prof.oracle_views[2].entries
+    v1 = prof.checkpoints[1].view.entries
+    v2 = prof.checkpoints[2].view.entries
     assert "foo" in v1 and "bar" not in v1
     assert "foo" in v2 and "bar" in v2
 
@@ -99,9 +99,8 @@ def _live_run(w, fs_name):
     """Apply ``w`` on a plain mount of the mkfs image, with no oracle
     capture; yield the file system and the checkpoint id after each
     persistence call."""
-    device = Device(DEFAULT_DEVICE_BYTES, mkfs_base_image(fs_name))
-    fs = get_target(fs_name).mount_device(device)
-    idx = 0
+    fs = get_target(fs_name).mount_device(Device(DEFAULT_DEVICE_BYTES, mkfs_base_image(fs_name)))
+    idx = k = 0
     for op in w.prologue:
         fs.apply(op, idx)
         idx += 1
@@ -111,7 +110,8 @@ def _live_run(w, fs_name):
             idx += 1
         else:
             fs.persist(step.kind, step.target)
-            yield fs, device.insert_checkpoint()
+            k += 1
+            yield fs, k
 
 
 def _b5_write_rename_slice():
@@ -137,9 +137,9 @@ def _clean_restart_view(w, fs_name, k):
 def test_oracle_views_match_mounting_the_oracle_image():
     w = parse("mkdir A\nwrite (0-8K) A/foo\nfsync A/foo\nmwrite (0-4K) A/foo\nsync\n")
     prof = profile(w, "soundfs")
-    assert sorted(prof.oracle_views) == [1, 2]
-    for k, view in prof.oracle_views.items():
-        assert _clean_restart_view(w, "soundfs", k).entries == view.entries, k
+    assert len(prof.checkpoints) == 3
+    for k, cp in enumerate(prof.checkpoints[1:], 1):
+        assert _clean_restart_view(w, "soundfs", k).entries == cp.view.entries, k
 
 
 def _b3_lost_path(w, prof, k):
@@ -152,7 +152,7 @@ def _b3_lost_path(w, prof, k):
     pp = [s for s in w.steps if not isinstance(s, FsOp)][k - 1]
     if prof.fs_name != "bugfs-b3" or pp.kind is not PersistKind.FDATASYNC:
         return None
-    entry = prof.oracle_views[k].get(pp.target)
+    entry = prof.checkpoints[k].view.get(pp.target)
     sectors_within_eof = 8 * -(-entry.size // 4096)
     if entry.kind == "dir" or entry.block_count > sectors_within_eof:
         return pp.target
@@ -174,8 +174,9 @@ def test_oracle_fork_strategy_equals_restart_strategy():
     lost = unmountable = 0
     for name, w in cases:
         prof = profile(w, name)
-        assert len(prof.device.checkpoints) == len(prof.oracle_views) > 0
-        for k, view in prof.oracle_views.items():
+        assert len(prof.checkpoints) > 1
+        for k, cp in enumerate(prof.checkpoints[1:], 1):
+            view = cp.view
             restart = _clean_restart_view(w, name, k)
             path = _b3_lost_path(w, prof, k)
             if path is None:
@@ -204,7 +205,7 @@ def test_oracle_is_a_clean_unmount_not_the_live_view():
         fs.apply(op, idx)
     fs.persist(PersistKind.FSYNC, "foo")
     assert fs.state_view().entries["foo"].block_count == 0
-    assert profile(w, "bugfs-b5").oracle_views[1].entries["foo"].block_count == 8
+    assert profile(w, "bugfs-b5").checkpoints[1].view.entries["foo"].block_count == 8
 
 
 # Each variant's trigger, then a sync: whatever oracle capture at the
@@ -257,14 +258,14 @@ def test_clean_view_equals_the_unmounted_replica_view():
 
 
 def test_profile_replicates_only_where_a_commit_deferred_data(monkeypatch):
-    """Counts the checkpoints at which ``profile`` copies the file system:
-    none on SoundFS, and on bugfs-b5 only the fsync that deferred the
-    renamed file's data, not the sync after it."""
+    """Records the log positions at which ``profile`` copies the file
+    system: none on SoundFS, and on bugfs-b5 only the fsync that deferred
+    the renamed file's data, not the sync after it."""
     at = []
     replicate = SoundFs.replicate
 
     def counting(fs):
-        at.append(len(fs.device.checkpoints))
+        at.append(len(fs.device.log))
         return replicate(fs)
 
     monkeypatch.setattr(SoundFs, "replicate", counting)
@@ -272,9 +273,9 @@ def test_profile_replicates_only_where_a_commit_deferred_data(monkeypatch):
         profile(w, "soundfs")
     assert at == []
     prof = profile(parse(_TRIGGERS_THEN_SYNC["bugfs-b5"]), "bugfs-b5")
-    assert len(prof.device.checkpoints) == 2
-    assert at == [1]
-    assert prof.oracle_views[1].entries["foo"].block_count == 8
+    assert len(prof.checkpoints) == 3
+    assert at == [prof.checkpoints[1].position]
+    assert prof.checkpoints[1].view.entries["foo"].block_count == 8
 
 
 def _profile_record(w, fs_name, fork=None):
@@ -285,11 +286,19 @@ def _profile_record(w, fs_name, fork=None):
         return str(e)
 
 
+def _plain_checkpoints(prof):
+    """Each checkpoint of ``prof`` as plain values, copied: its position, the
+    content key of its image, its view's entries and its persisted set."""
+    return [
+        (cp.position, cp.image.content_key(), dict(cp.view.entries), dict(cp.persisted))
+        for cp in prof.checkpoints
+    ]
+
+
 def _plain(prof):
     if isinstance(prof, str):
         return prof
-    views = {k: v.entries for k, v in prof.oracle_views.items()}
-    return prof.device.log, prof.device.checkpoints, views, prof.persisted, prof.base_view.entries
+    return prof.device.log, _plain_checkpoints(prof)
 
 
 def _sibling_chain(text):
@@ -559,9 +568,8 @@ def test_bughunt_campaign_profiles_equal_fresh_ones(monkeypatch):
 def _logged_image(prof, k):
     """Checkpoint ``k``'s reference image: the mkfs image with every write
     logged before the checkpoint."""
-    dev = prof.device
-    writes = ((rec.sector, rec.data) for rec in dev.log[: dev.checkpoints[k - 1]] if rec.data)
-    return mkfs_base_image(prof.fs_name).with_writes(writes)
+    log = prof.device.log[: prof.checkpoints[k].position]
+    return mkfs_base_image(prof.fs_name).with_writes((r.sector, r.data) for r in log if r.data)
 
 
 def _profiled_through_one_stack(monkeypatch, name, workloads, flags):
@@ -590,10 +598,10 @@ def _profiled_through_one_stack(monkeypatch, name, workloads, flags):
 
 @pytest.mark.parametrize("all_checkpoints", [False, True], ids=["default", "all-checkpoints"])
 def test_checkpoint_images_are_the_logged_writes_on_mkfs(monkeypatch, all_checkpoints):
-    """On every target, each image a device keeps at a checkpoint, and so
-    each checkpoint state ``check`` gets, equals the mkfs image with every
-    write logged before that checkpoint. Seq-2 SoundFS siblings that share
-    a final commit share its device, images included."""
+    """On every target, each checkpoint's image, and so each checkpoint
+    state ``check`` gets, equals the mkfs image with every write logged
+    before that checkpoint. Seq-2 SoundFS siblings that share a final
+    commit share its device and image."""
     seq1 = ace.workload_range(Bounds(seq_length=1), 0, None)[::13]
     cases = [(name, seq1) for name in sorted(TARGETS)]
     cases += [(name, _sibling_chain(text)) for name, text in _TRIGGERS_THEN_SYNC.items()]
@@ -607,12 +615,10 @@ def test_checkpoint_images_are_the_logged_writes_on_mkfs(monkeypatch, all_checkp
         shared += len(profiles) - len(devices)
         want = {}
         for prof in devices.values():
-            dev = prof.device
-            assert len(dev.images) == len(dev.checkpoints), name
-            for k, image in enumerate(dev.images, 1):
-                want[id(dev), k] = _logged_image(prof, k)
-                assert same_bytes(image, want[id(dev), k]), (name, k)
-        counts = [len(p.device.checkpoints) for p in profiles]
+            for k, cp in enumerate(prof.checkpoints):
+                want[id(prof.device), k] = _logged_image(prof, k)
+                assert same_bytes(cp.image, want[id(prof.device), k]), (name, k)
+        counts = [len(p.checkpoints) - 1 for p in profiles]
         assert len(states) == sum(counts if all_checkpoints else map(bool, counts)), name
         for prof, state in states:
             assert same_bytes(state.image, want[id(prof.device), state.checkpoint_id]), name
@@ -621,28 +627,54 @@ def test_checkpoint_images_are_the_logged_writes_on_mkfs(monkeypatch, all_checkp
 
 def test_a_subset_prefix_from_its_checkpoint_equals_one_from_mkfs():
     """A subset prefix built from the last checkpoint image before its
-    target epoch equals one built from the mkfs image with no checkpoint
-    image, at op and sector granularity, on every target."""
+    target epoch equals one built from checkpoint 0, the mkfs image, at op
+    and sector granularity, on every target."""
     cases = [*_TRIGGERS_THEN_SYNC.items(), ("soundfs", _TRIGGERS_THEN_SYNC["bugfs-b3"])]
     for name, text in cases:
         prof = profile(parse(text), name)
-        dev = prof.device
-        epochs = split_epochs(dev.log)
+        log = prof.device.log
+        epochs = split_epochs(log)
         for p, granularity in itertools.product(range(len(epochs)), ("op", "sector")):
-            near = prefix_state(
-                prof.base_image, dev.log, dev.checkpoints, dev.images, epochs, p, granularity
-            )
-            far = prefix_state(prof.base_image, dev.log, [], [], epochs, p, granularity)
+            near = prefix_state(prof.checkpoints, log, epochs, p, granularity)
+            far = prefix_state(prof.checkpoints[:1], log, epochs, p, granularity)
             assert same_bytes(near.image, far.image), (name, p)
             assert near.units == far.units, (name, p)
 
 
+def test_a_cut_replayed_from_any_checkpoint_equals_one_from_mkfs():
+    """For every checkpoint ``k`` of a profile and every log position from
+    ``k``'s to the log's end, the writes since ``k`` replayed onto ``k``'s
+    image give the bytes of the writes since position 0 replayed onto
+    checkpoint 0's, the mkfs image: on sampled seq-2 SoundFS workloads and
+    on every workload of bugfs-b6's unlink/creat tier, whose commits
+    journal tombstones."""
+    b6 = Bounds(
+        seq_length=2,
+        allowed_ops=(FsOpKind.UNLINK, FsOpKind.CREAT),
+        files=("foo", "bar"),
+        dirs=(),
+    )
+    cases = [("soundfs", w) for w in ace.workload_range(Bounds(seq_length=2), 0, 20000)[::97]]
+    cases += [("bugfs-b6", w) for w in ace.workload_range(b6, 0, None)]
+    cuts = 0
+    for name, w in cases:
+        prof = profile(w, name)
+        log, (formatted, *later) = prof.device.log, prof.checkpoints
+        assert formatted.position == 0 and later
+        for k, cp in enumerate(prof.checkpoints):
+            for p in range(cp.position, len(log) + 1):
+                want = replay(formatted.image, log, 0, p)
+                assert same_bytes(replay(cp.image, log, cp.position, p), want), (name, k, p)
+                cuts += k > 0
+    assert cuts > 1000
+
+
 def _held(run) -> tuple:
     """What a profile run holds, as plain values: its file system's
-    attributes, and so its device's image, log, checkpoints and checkpoint
-    images (``fs_state``); the device it names must be the file system's."""
+    attributes, and so its device's image and log (``fs_state``), and its
+    checkpoints; the device it names must be the file system's."""
     assert run.fs.device is run.device
-    return fs_state(run.fs), run.done, run.op_index
+    return fs_state(run.fs), _plain_checkpoints(run), run.done, run.op_index
 
 
 def test_a_fork_that_advances_leaves_what_it_shares_alone():
@@ -680,8 +712,8 @@ def test_live_view_has_the_oracle_paths_and_kinds():
     block_counts_differ = 0
     for name, w in cases:
         live = {cp: fs.state_view() for fs, cp in _live_run(w, name)}
-        oracle = profile(w, name).oracle_views
-        assert sorted(live) == sorted(oracle)
+        oracle = [cp.view for cp in profile(w, name).checkpoints]
+        assert sorted(live) == list(range(1, len(oracle)))
         for k, view in live.items():
             assert _without_block_counts(view) == _without_block_counts(oracle[k]), (name, k)
             block_counts_differ += view.entries != oracle[k].entries
@@ -710,11 +742,6 @@ def test_mkfs_base_image_keeps_only_nonzero_blocks():
 
 
 # -- checker -------------------------------------------------------------------
-
-
-def _crash_image(prof, k):
-    dev = prof.device
-    return replay(prof.base_image, dev.log, dev.checkpoints, dev.images, dev.checkpoints[k - 1])
 
 
 def _check_at(prof, k):
@@ -752,7 +779,7 @@ def test_probe_outcomes_are_kept_per_image_and_directories():
     # ino 0 is reserved and ino 1 is the root
     creats = "".join(f"creat f{i}\n" for i in range(62))
     prof = profile(parse(creats + "sync\nunlink f0\nsync\n"), "soundfs")
-    assert all(level == FULL for k in (1, 2) for level in prof.persisted[k].values())
+    assert all(level == FULL for cp in prof.checkpoints[1:] for level in cp.persisted.values())
     states = [state_for(prof, f"checkpoint={k}") for k in (1, 2)]
     memo = MountMemo()
     verdicts = [check(prof, state, memo) for state in [*states, *states]]
@@ -766,9 +793,9 @@ def test_mutating_non_persisted_file_never_flips_pass_to_bug():
     is invisible to the checker."""
     w = parse("write (0-4K) bar\nwrite (0-4K) foo\nfsync foo\n")
     prof = profile(w, "soundfs")
-    image = _crash_image(prof, 1)
+    image = prof.checkpoints[1].image
     assert _check_at(prof, 1).outcome == "pass"
-    assert "bar" not in prof.persisted[1]
+    assert "bar" not in prof.checkpoints[1].persisted
 
     # locate bar's data block in the recovered image and corrupt it
     fs = SoundFs.mount(image)
@@ -786,9 +813,9 @@ def test_mutation_fuzz_over_random_non_persisted_targets():
         "mkdir A\nwrite (0-8K) A/x\nwrite (0-8K) A/y\nwrite (0-8K) z\nfsync A/x\n"
     )
     prof = profile(w, "soundfs")
-    image = _crash_image(prof, 1)
+    image = prof.checkpoints[1].image
     fs = SoundFs.mount(image)
-    unpersisted = [p for p in ("A/y", "z") if p not in prof.persisted[1]]
+    unpersisted = [p for p in ("A/y", "z") if p not in prof.checkpoints[1].persisted]
     assert unpersisted
     for _ in range(10):
         path = rng.choice(unpersisted)
@@ -810,8 +837,9 @@ def test_checker_soundness_on_clean_shutdown_all_targets():
     w = parse(text)
     for name in sorted(TARGETS):
         prof = profile(w, name)
-        k = len(prof.device.checkpoints)
-        assert all(prof.persisted[k][path] == FULL for path in prof.oracle_views[k].entries)
+        k = len(prof.checkpoints) - 1
+        last = prof.checkpoints[k]
+        assert all(last.persisted[path] == FULL for path in last.view.entries)
         v = check(prof, CrashState(prof.fs.unmount_clean(), checkpoint_id=k))
         assert v.outcome == "pass", (name, v.diff)
 
@@ -904,12 +932,12 @@ def test_journal_atomicity_under_subset_mode():
     never a mix."""
     w = parse("creat foo\nwrite (0-8K) foo\nfsync foo\ncreat bar\nfsync bar\n")
     prof = profile(w, "soundfs")
-    allowed = [set(v.entries) for v in (prof.base_view, *prof.oracle_views.values())]
-    log, checkpoints, images = prof.device.log, prof.device.checkpoints, prof.device.images
+    allowed = [set(cp.view.entries) for cp in prof.checkpoints]
+    log = prof.device.log
     epochs = split_epochs(log)
     # every epoch has at most 10 units, so each is enumerated exhaustively
     for prefix in range(len(epochs)):
-        pre = prefix_state(prof.base_image, log, checkpoints, images, epochs, prefix)
+        pre = prefix_state(prof.checkpoints, log, epochs, prefix)
         for kept in enumerate_target_subsets(pre):
             state = build_subset_state(pre, kept)
             fs = SoundFs.mount(state.image)
