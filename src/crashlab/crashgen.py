@@ -118,9 +118,9 @@ def prefix_state(
         raise ValueError(f"prefix {prefix_count} out of range; log has {len(epochs)} epochs")
     target = epochs[prefix_count]
     k = bisect_right(checkpoints, target.start, key=attrgetter("position")) - 1
-    start = checkpoints[k]
+    last = checkpoints[k]
     return PrefixState(
-        replay(start.image, log, start.position, target.start),
+        replay(last.image, log, last.position, target.start),
         prefix_count,
         k,
         _atomic_units(log, target, granularity),
