@@ -464,7 +464,11 @@ def _per_class_counts(reports: list[report.BugReport]) -> dict[str, int]:
 # -- replay ---------------------------------------------------------------------
 
 
-def replay_report(path, index: int, *, quiet: bool = False) -> Verdict:
+def replay_report(
+    path, index: int, *, quiet: bool = False
+) -> tuple[report.BugReport, Verdict]:
+    """The report at ``index`` of a report file and the verdict its crash
+    state gives when the workload is profiled again."""
     reports = report.read_reports(path)
     if not 0 <= index < len(reports):
         raise ValueError(f"report file has {len(reports)} entries; no index {index}")
@@ -488,7 +492,7 @@ def replay_report(path, index: int, *, quiet: bool = False) -> Verdict:
                 f"  {entry.category} {entry.path} {entry.field} "
                 f"expected={entry.expected!r} actual={entry.actual!r}"
             )
-    return verdict
+    return rep, verdict
 
 
 # -- corpus ----------------------------------------------------------------------
@@ -680,8 +684,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "campaign":
             return run_campaign(_config_from_args(args)).exit_code
         if args.command == "replay":
-            replay_report(args.report_file, args.index)
-            return EXIT_OK
+            # exit 1 when the replay does not reproduce the report
+            rep, verdict = replay_report(args.report_file, args.index)
+            replayed = (verdict.consequence, [vars(d) for d in verdict.diff])
+            return EXIT_OK if replayed == (rep.consequence, rep.diff) else EXIT_BUGS
         corpus_dir = args.dir or default_corpus_dir()
         get_target(args.fs)
         _check_corpus_dir(corpus_dir)

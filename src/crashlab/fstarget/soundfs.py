@@ -284,19 +284,20 @@ class SoundFs:
 
     @classmethod
     def mount(cls, image: DiskImage, memo: "MountMemo | None" = None) -> "SoundFs | Unmountable":
-        """Mount a crash image: recovery runs on a private device, then the
-        state is loaded and validated (``mount_device``). A mount is a pure
-        function of the target and the image's bytes, and after recovery
-        nothing reads the journal (``_load_state``). So with a ``memo``,
-        each distinct image is mounted once (``_memo_entry``): its journal
-        is scanned once per distinct journal and replayed for each image,
-        and the load, validation and view run once per distinct recovered
-        state (the blocks outside the journal, the journal position and the
-        next transaction id). Every mount of one image through the memo
-        returns one object, which is never changed: the ``Unmountable``, or
-        a memo mount that holds only its ``memo_record`` and the image's
-        journal blocks. It answers only ``state_view``; ``thaw`` gives a
-        live file system."""
+        """Mount a crash image: without a ``memo``, recovery runs on a
+        private device, then the state is loaded and validated from it
+        (``mount_device``). A mount is a pure function of the target and
+        the image's bytes, and after recovery nothing reads the journal
+        (``_load_state``). So with a ``memo``, each distinct image is
+        mounted once (``_memo_entry``): its journal is scanned once per
+        distinct journal and replayed once for each image, and the load,
+        validation and view run once per distinct recovered state (the
+        blocks outside the journal, the journal position and the next
+        transaction id), on that recovered image. Every mount of one image
+        through the memo returns one object, which is never changed: the
+        ``Unmountable``, or a memo mount that holds only its
+        ``memo_record`` and the image's journal blocks. It answers only
+        ``state_view``; ``thaw`` gives a live file system."""
         if memo is None:
             return cls.mount_device(Device(image.size_bytes, base=image))
         mounted = memo.states.get((cls, image.content_key()))
@@ -329,9 +330,9 @@ class SoundFs:
         same superblock and journal blocks was scanned before. Its replay
         reads this image and gives the blocks recovery writes, none of them
         in the journal (``_replay``): laid over this image outside the
-        journal, they are the recovered image that keys the record. Only a
-        new record recovers the image onto a device of its own, from the
-        same plan."""
+        journal, they are the recovered image that keys the record. A new
+        record is loaded from that image (``_load``), so no block is
+        written and the journal is replayed once."""
         geo = Geometry.for_blocks(image.size_bytes // BLOCK_SIZE)
         rest, journal = image.split(geo.journal_start, geo.data_start)
         plan_key = (cls, image.read_block(0), image.part_key(journal))
@@ -349,9 +350,7 @@ class SoundFs:
         key = (cls, rest.content_key(), plan.journal_pos, plan.next_txn)
         record = memo.records.get(key)
         if record is None:
-            # the replay above succeeded, so recovery does
-            fs = cls._recovered(Device(image.size_bytes, base=image), plan)
-            fs = fs._loaded()
+            fs = cls._load(Device(image.size_bytes, base=rest), plan)
             record = fs if isinstance(fs, Unmountable) else _MountedState(fs, rest)
             memo.records[key] = record
         if isinstance(record, Unmountable):
@@ -362,41 +361,38 @@ class SoundFs:
 
     @classmethod
     def mount_device(cls, device: Device) -> "SoundFs | Unmountable":
-        """Mount the image ``device`` holds, recovering onto it."""
+        """Mount the image ``device`` holds: the journal scanned
+        (``_scan``) and replayed (``_replay``), the replay's block map
+        written onto ``device``, then the state loaded from it (``_load``)."""
         plan = cls._scan(device)
-        fs = plan if isinstance(plan, Unmountable) else cls._recovered(device, plan)
-        return fs if isinstance(fs, Unmountable) else fs._loaded()
-
-    @classmethod
-    def _recovered(cls, device: Device, plan: "_Plan") -> "SoundFs | Unmountable":
-        """The first mount phase, recovery: ``plan``, the journal scan of
-        ``device`` (``_scan``), replayed onto ``device`` (``_replay``). The
-        homes of the transactions still in the journal are kept, so that
-        allocation skips them (``_alloc_block``)."""
-        blocks = cls._replay(plan, device.read_block)
+        blocks = plan if isinstance(plan, Unmountable) else cls._replay(plan, device.read_block)
         if isinstance(blocks, Unmountable):
             return blocks
         for home, blk in blocks.items():
             device.write_block(home, blk)
+        return cls._load(device, plan)
+
+    @classmethod
+    def _load(cls, device: Device, plan: "_Plan") -> "SoundFs | Unmountable":
+        """A new file system over ``device``, which holds the image that
+        recovery by ``plan`` leaves: the bitmaps and the tree loaded and
+        validated, or the ``Unmountable`` either gives. The homes of the
+        transactions still in the journal are kept, so that allocation
+        skips them (``_alloc_block``)."""
         fs = cls.__new__(cls)
         fs.device, fs.geo = device, plan.geo
         fs._journal_pos, fs._next_txn = plan.journal_pos, plan.next_txn
         homes = {home for writes, _tombstones in plan.txns for home, _blk in writes}
         fs._journal_homes = sum(1 << home for home in homes)
-        return fs
-
-    def _loaded(self) -> "SoundFs | Unmountable":
-        """The second mount phase: the bitmaps and the tree loaded from the
-        recovered device and validated."""
         try:
-            self._load_state()
+            fs._load_state()
         except _MOUNT_ERRORS as e:
             return Unmountable(str(e))
-        problem = self._validate()
+        problem = fs._validate()
         if problem is not None:
             return Unmountable(problem)
-        self._reset_pending()
-        return self
+        fs._reset_pending()
+        return fs
 
     def _reset_pending(self) -> None:
         """Start with nothing pending; variants add their bookkeeping here."""

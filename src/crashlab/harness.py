@@ -16,13 +16,14 @@ checkpoint the state contains, but only for entities the persistence calls
 made durable (``_update_persisted``). Campaigns, replay (``state_for``
 rebuilds the state a report names) and the corpus all go through it, and
 it mounts every state through a ``MountMemo``: each distinct crash image
-is mounted once, each distinct journal scanned once, each distinct
-recovered file system recovered, loaded and viewed once, and each distinct
-set of directories probed once on it. A repeat is compared on the stored
-view; a live file system is thawed from the memo mount only when a probe
-must write. One workload's subset states that recover to one file system
-at one checkpoint are compared once and share the verdict
-(``_subset_verdicts``). Within a campaign's worker partition,
+is mounted once, its journal scanned once per distinct journal and
+replayed once, each distinct recovered file system loaded from the
+recovered image the replay gives and viewed once, with no block written,
+and each distinct set of directories probed once on it. A repeat is
+compared on the stored view; a live file system is thawed from the memo
+mount only when a probe must write. One workload's subset states that
+recover to one file system at one checkpoint are compared once and share
+the verdict (``_subset_verdicts``). Within a campaign's worker partition,
 the memo is shared, and the workloads' bodies form a trie of shared step
 prefixes: a stack of frozen runs (``PrefixFork``) holds the last profiled
 workload's state after its prologue and each of its leading steps, and a
@@ -452,7 +453,8 @@ def _write_checks(fs, crash_view: FsStateView, persisted_set: dict[str, int]):
     directories, so it is kept on the memo mount's record, keyed by the
     probed directories. A stored outcome is returned without touching a
     file system; otherwise the probes run on a live file system thawed
-    from the memo mount, which stays as it was."""
+    from the memo mount, which stays as it was. A directory's probes run
+    in order, and the first that fails is its one diff entry."""
     dirs: set[str] = set()
     for path in persisted_set:
         entry = crash_view.get(path)
@@ -474,34 +476,21 @@ def _write_checks(fs, crash_view: FsStateView, persisted_set: dict[str, int]):
         probe = "probe_chk" if d == "/" else f"{d}/probe_chk"
         if crash_view.get(probe) is not None:
             continue
-        try:
-            live.apply(FsOp(FsOpKind.CREAT, path=probe), _PROBE_INDEX)
-            live.apply(FsOp(FsOpKind.WRITE, path=probe, start=0, end=4096), _PROBE_INDEX)
-            live.apply(FsOp(FsOpKind.UNLINK, path=probe), _PROBE_INDEX)
-        except FsError as e:
-            diff.append(
-                DiffEntry(
-                    "probe",
-                    path=d,
-                    expected="writable directory",
-                    actual=str(e),
-                )
-            )
-            continue
+        checks = [("writable directory", [
+            FsOp(FsOpKind.CREAT, path=probe),
+            FsOp(FsOpKind.WRITE, path=probe, start=0, end=4096),
+            FsOp(FsOpKind.UNLINK, path=probe),
+        ])]
         entry = crash_view.get(d)
         if d != "/" and entry is not None and entry.size == 0:
-            try:
-                live.apply(FsOp(FsOpKind.RMDIR, path=d), _PROBE_INDEX)
-                live.apply(FsOp(FsOpKind.MKDIR, path=d), _PROBE_INDEX)
-            except FsError as e:
-                diff.append(
-                    DiffEntry(
-                        "probe",
-                        path=d,
-                        expected="removable empty directory",
-                        actual=str(e),
-                    )
-                )
+            checks.append(("removable empty directory",
+                           [FsOp(FsOpKind.RMDIR, path=d), FsOp(FsOpKind.MKDIR, path=d)]))
+        try:
+            for expected, ops in checks:
+                for op in ops:
+                    live.apply(op, _PROBE_INDEX)
+        except FsError as e:
+            diff.append(DiffEntry("probe", path=d, expected=expected, actual=str(e)))
     probes[probed] = tuple(diff)
     return probes[probed]
 

@@ -525,10 +525,11 @@ def test_replay_reproduces_consequence_and_diff_hash(tmp_path):
         assert reports
         descriptors[name] = [r.crash_descriptor for r in reports]
         for idx in pick(len(reports)):
-            verdict = replay_report(out / "reports.jsonl", idx, quiet=True)
-            assert verdict.consequence == reports[idx].consequence
-            assert verdict.crash_descriptor == reports[idx].crash_descriptor
-            assert [vars(d) for d in verdict.diff] == reports[idx].diff
+            rep, verdict = replay_report(out / "reports.jsonl", idx, quiet=True)
+            assert rep == reports[idx]
+            assert verdict.consequence == rep.consequence
+            assert verdict.crash_descriptor == rep.crash_descriptor
+            assert [vars(d) for d in verdict.diff] == rep.diff
     assert len(descriptors["b3"]) == 34
     assert sum(d.startswith("prefix=") for d in descriptors["b3"]) == 33
     sector = descriptors["b3sector"]
@@ -582,6 +583,31 @@ def test_replay_rejects_workload_it_cannot_rebuild(tmp_path, capsys, dsl, messag
     assert main(["replay", str(bad), "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("consequence", "spurious_entry"), ("diff", [])], ids=["consequence", "diff"]
+)
+def test_replay_that_does_not_reproduce_the_report_exits_one(tmp_path, capsys, key, value):
+    """Report 0 of the README's b1 campaign replays as ``file_missing`` with
+    its own diff: it exits 0, and an edited copy of it exits 1."""
+    out = tmp_path / "out"
+    config = CampaignConfig(
+        fs="bugfs-b1", seq=(1,), ops=("creat", "link"), files=("foo", "bar"), dirs=(),
+        out=str(out),
+    )
+    run_campaign(config, quiet=True)
+    assert main(["replay", str(out / "reports.jsonl"), "0"]) == 0
+    payload = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
+    assert payload["consequence"] == "file_missing" and payload["diff"]
+    payload[key] = value
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text(json.dumps(payload) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(edited), "0"]) == 1
+    printed = capsys.readouterr().out
+    assert f"original consequence: {payload['consequence']}\n" in printed
+    assert "replayed consequence: file_missing\n" in printed
 
 
 def test_replay_refuses_version_mismatch(tmp_path):

@@ -631,8 +631,8 @@ class _ReplayEndFs(SoundFs):
     stopped at."""
 
     @classmethod
-    def _recovered(cls, device, plan):
-        fs = super()._recovered(device, plan)
+    def _load(cls, device, plan):
+        fs = super()._load(device, plan)
         fs.replay_end = fs._journal_pos
         return fs
 
@@ -1035,15 +1035,15 @@ def test_a_plan_hit_mount_of_a_sector_state_equals_a_plain_mount():
 
 def test_a_subset_round_recovers_only_to_load(monkeypatch):
     """``--seq 1 --subset --range 590:595`` mounts 288 distinct images. A
-    known or new journal scan and its replay give each recovered image
+    known or new journal scan and its one replay give each recovered image
     without a device, so a memo mount builds a ``Device`` only to load
-    each of the 5 distinct recovered file systems."""
+    each of the 5 distinct recovered file systems, and writes no block."""
     from crashlab.cli import CampaignConfig, run_campaign
     from crashlab.fstarget import soundfs
 
-    counts = dict.fromkeys(("images", "open", "devices", "loads"), 0)
+    counts = dict.fromkeys(("images", "open", "devices", "loads", "replays", "writes"), 0)
     memo_entry = SoundFs.__dict__["_memo_entry"].__func__
-    loaded = SoundFs._loaded
+    load = SoundFs.__dict__["_load"].__func__
 
     def counting_entry(cls, image, memo):
         counts["images"] += 1
@@ -1062,11 +1062,15 @@ def test_a_subset_round_recovers_only_to_load(monkeypatch):
 
     monkeypatch.setattr(SoundFs, "_memo_entry", classmethod(counting_entry))
     monkeypatch.setattr(soundfs, "Device", counting("devices", Device))
-    monkeypatch.setattr(SoundFs, "_loaded", counting("loads", loaded))
+    monkeypatch.setattr(SoundFs, "_load", classmethod(counting("loads", load)))
+    monkeypatch.setattr(SoundFs, "_replay", staticmethod(counting("replays", SoundFs._replay)))
+    monkeypatch.setattr(Device, "write_block", counting("writes", Device.write_block))
     config = CampaignConfig(fs="soundfs", seq=(1,), index_range=(590, 595), subset=True)
     result = run_campaign(config, quiet=True)
     assert (result.total_verdicts, result.bug_verdicts) == (815, 0)
-    assert counts == {"images": 288, "open": 0, "devices": 5, "loads": 5}
+    assert counts == {
+        "images": 288, "open": 0, "devices": 5, "loads": 5, "replays": 288, "writes": 0
+    }
 
 
 # -- allocation ----------------------------------------------------------------------
