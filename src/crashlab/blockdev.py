@@ -80,12 +80,13 @@ class DiskImage:
     O(dirtied blocks), not O(device size).
     """
 
-    __slots__ = ("size_bytes", "_base", "_overlay")
+    __slots__ = ("size_bytes", "_base", "_overlay", "_key")
 
     def __init__(self, size_bytes: int, base: bytes, overlay: dict[int, bytes]):
         self.size_bytes = size_bytes
         self._base = base
         self._overlay = overlay
+        self._key = None  # ``content_key``, built on first use
 
     @classmethod
     def zeroed(cls, size_bytes: int) -> "DiskImage":
@@ -111,8 +112,13 @@ class DiskImage:
     def content_key(self) -> tuple:
         """A hashable value that equals another image's only when both hold
         the same bytes. Equal content over a different base or overlay split
-        gives a different key: a missed match, never a wrong one."""
-        return self.part_key(self._overlay)
+        gives a different key: a missed match, never a wrong one. The image
+        never changes, so the key is built once and kept: a crash state that
+        adopting siblings share, or a checkpoint image that ``replay`` of an
+        empty range returns, is sorted and keyed once."""
+        if self._key is None:
+            self._key = self.part_key(self._overlay)
+        return self._key
 
     def part_key(self, blocks: dict[int, bytes]) -> tuple:
         """``content_key`` of this image's base with only ``blocks`` (block
@@ -214,5 +220,9 @@ def split_epochs(log: list[IoRecord]) -> list[range]:
 def replay(image: DiskImage, log: list[IoRecord], start: int, end: int) -> DiskImage:
     """``image`` with the writes among ``log[start:end]`` applied: the image
     at log position ``end`` when ``image`` is the one at ``start``. Pure: no
-    input image is modified."""
+    input image is modified. An empty range returns ``image`` itself, which
+    is immutable, so a checkpoint state is its checkpoint's image and keeps
+    that image's ``content_key``."""
+    if start == end:
+        return image
     return image.with_writes((rec.sector, rec.data) for rec in log[start:end] if rec.data)

@@ -5,11 +5,13 @@ A checkpoint is a record with a log ``position`` and the device's
 A checkpoint state is its image. A subset-mode state is every fully
 durable leading epoch plus an ordered subset of the target epoch's write
 units (whole records, or 512-byte sectors). Small epochs are enumerated
-exhaustively; larger ones are sampled reproducibly from a seed. The prefix
-image is built once per target epoch (``prefix_state``), from the last
-checkpoint at or before it, and each state is that image with its kept
-units applied through ``DiskImage.with_writes``, so this module never sees
-the image format. A state's coordinates (the checkpoint number, or the
+exhaustively, from one table of kept tuples per unit count; larger ones are
+sampled reproducibly from a seed. The prefix image is built once per target
+epoch (``prefix_state``), from the last checkpoint at or before it, and
+each state is that image with its kept units applied through
+``DiskImage.with_writes``, so this module never sees the image format. A
+prefix keeps the states built on it, so each is built once however often
+it is asked for. A state's coordinates (the checkpoint number, or the
 prefix epoch count, kept unit indices and granularity) are its descriptor,
 which ``CrashState.descriptor`` writes and ``parse_descriptor`` reads.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .blockdev import SECTOR_SIZE, DiskImage, IoRecord, replay
@@ -29,6 +31,14 @@ EXHAUSTIVE_UNITS = 10
 SAMPLE_COUNT = 64
 GRANULARITIES = ("op", "sector")
 _CHECKPOINT = "checkpoint="  # a checkpoint state's descriptor, before its number
+
+# _SUBSETS[n]: every ordered index subset of n units, in mask order (bit i of
+# mask m keeps unit i), for each n an epoch is enumerated exhaustively at.
+# The subsets of n units are those of n - 1 units, then each of them with
+# unit n - 1 kept.
+_SUBSETS = [((),)]
+for _n in range(EXHAUSTIVE_UNITS):
+    _SUBSETS.append(_SUBSETS[-1] + tuple(kept + (_n,) for kept in _SUBSETS[-1]))
 
 
 def parse_descriptor(text: str) -> "int | tuple[int, tuple[int, ...], str]":
@@ -93,13 +103,17 @@ def _atomic_units(log: list[IoRecord], epoch: range, granularity: str) -> list[t
 class PrefixState:
     """What every subset state of one target epoch shares: the image with
     all prefix epochs applied, the last checkpoint they contain, and the
-    target epoch's droppable units."""
+    target epoch's droppable units. ``states`` holds the subset states
+    built on it by kept tuple (``build_subset_state``): a profile run keeps
+    its prefixes, so siblings that adopt its final commit check the very
+    states it built."""
 
     image: DiskImage
     prefix_count: int
     checkpoint_id: int
     units: list[tuple[int, bytes]]
     granularity: str
+    states: dict[tuple[int, ...], CrashState] = field(default_factory=dict, compare=False)
 
 
 def prefix_state(
@@ -131,36 +145,41 @@ def prefix_state(
 def enumerate_target_subsets(prefix: PrefixState, seed: int = 0):
     """Yield ordered index subsets of the target epoch's atomic units.
 
-    Up to EXHAUSTIVE_UNITS units, all 2^n subsets; beyond that, SAMPLE_COUNT
-    distinct subsets sampled without replacement, reproducibly from the seed.
+    Up to EXHAUSTIVE_UNITS units, all 2^n subsets in mask order, from a
+    precomputed table; beyond that, SAMPLE_COUNT distinct subsets sampled
+    without replacement, reproducibly from the seed.
     """
     n = len(prefix.units)
     if n <= EXHAUSTIVE_UNITS:
-        masks = range(1 << n)
-    else:
-        # Draw masks until SAMPLE_COUNT distinct ones are held, without
-        # building the 2^n pool. Past 2^10 masks, random.sample over that pool
-        # makes these same draws, so a seed picks the subsets it always did.
-        rng = random.Random(seed)
-        picked: dict[int, None] = {}
-        while len(picked) < SAMPLE_COUNT:
-            picked[rng.randrange(1 << n)] = None
-        masks = picked
-    for mask in masks:
+        yield from _SUBSETS[n]
+        return
+    # Draw masks until SAMPLE_COUNT distinct ones are held, without
+    # building the 2^n pool. Past 2^10 masks, random.sample over that pool
+    # makes these same draws, so a seed picks the subsets it always did.
+    rng = random.Random(seed)
+    picked: dict[int, None] = {}
+    while len(picked) < SAMPLE_COUNT:
+        picked[rng.randrange(1 << n)] = None
+    for mask in picked:
         yield tuple(i for i in range(n) if mask >> i & 1)
 
 
 def build_subset_state(prefix: PrefixState, kept: tuple[int, ...]) -> CrashState:
-    """The prefix image + the kept target units, in order. ``kept`` is
-    strictly increasing, as ``enumerate_target_subsets`` and
-    ``parse_descriptor`` give it."""
-    units = prefix.units
-    if kept and not 0 <= kept[0] <= kept[-1] < len(units):
-        raise ValueError(
-            f"kept units out of range; epoch {prefix.prefix_count} has {len(units)} units"
+    """The prefix image + the kept target units, in order. ``kept`` is a
+    strictly increasing tuple, as ``enumerate_target_subsets`` and
+    ``parse_descriptor`` give it. The state is built once per prefix and
+    kept there (``PrefixState.states``); a later call with the same ``kept``
+    returns that state, which nothing changes."""
+    state = prefix.states.get(kept)
+    if state is None:
+        units = prefix.units
+        if kept and not 0 <= kept[0] <= kept[-1] < len(units):
+            raise ValueError(
+                f"kept units out of range; epoch {prefix.prefix_count} has {len(units)} units"
+            )
+        state = prefix.states[kept] = CrashState(
+            prefix.image.with_writes(units[i] for i in kept),
+            checkpoint_id=prefix.checkpoint_id,
+            subset=(prefix.prefix_count, kept, prefix.granularity),
         )
-    return CrashState(
-        prefix.image.with_writes(units[i] for i in kept),
-        checkpoint_id=prefix.checkpoint_id,
-        subset=(prefix.prefix_count, tuple(kept), prefix.granularity),
-    )
+    return state

@@ -330,9 +330,11 @@ class SoundFs:
         same superblock and journal blocks was scanned before. Its replay
         reads this image and gives the blocks recovery writes, none of them
         in the journal (``_replay``): laid over this image outside the
-        journal, they are the recovered image that keys the record. A new
-        record is loaded from that image (``_load``), so no block is
-        written and the journal is replayed once."""
+        journal, they are the recovered image that keys the record. A
+        replay that writes no block (a journal with no transaction) leaves
+        that part as it is, with no copy. A new record is loaded from that
+        image (``_load``), so no block is written and the journal is
+        replayed once."""
         geo = Geometry.for_blocks(image.size_bytes // BLOCK_SIZE)
         rest, journal = image.split(geo.journal_start, geo.data_start)
         plan_key = (cls, image.read_block(0), image.part_key(journal))
@@ -344,9 +346,10 @@ class SoundFs:
         blocks = cls._replay(plan, image.read_block)
         if isinstance(blocks, Unmountable):
             return blocks
-        for n, b in blocks.items():
-            blocks[n] = memo.values.setdefault(b, b)
-        rest = rest.with_blocks(blocks)
+        if blocks:
+            for n, b in blocks.items():
+                blocks[n] = memo.values.setdefault(b, b)
+            rest = rest.with_blocks(blocks)
         key = (cls, rest.content_key(), plan.journal_pos, plan.next_txn)
         record = memo.records.get(key)
         if record is None:

@@ -35,6 +35,11 @@ its commit once per commit key, all that a commit reads of the call
 variant one for the calls it does not break and one for those it does,
 except on bugfs-b3, whose broken commit reads the target: one per target
 inode there. Each still computes its own persisted set (``profile``).
+Siblings that share a commit have one IO log and one set of checkpoint
+images, so one set of crash states: a run's crash-state cell
+(``Profile.cell``) is stored beside its final commit, and each subset
+state is built and keyed once per distinct run, while every sibling
+judges it against its own persisted sets (``_subset_verdicts``).
 """
 
 from __future__ import annotations
@@ -182,6 +187,10 @@ class Profile:
         # shared with this state's forks; holds the first final commit run
         # from this state per commit key (``_persist``)
         self.final_commit: dict = {}
+        # this state's crash states, shared with its forks and with siblings
+        # that adopt its final commit: its subset prefixes by granularity
+        # (``_subset_verdicts``)
+        self.cell: dict = {}
         for op in prologue:
             self.fs.apply(op, self.op_index)
             self.op_index += 1
@@ -190,10 +199,10 @@ class Profile:
         """An independent copy. It shares the device and file system with
         this run until either writes, which copies them first (``_own``).
         Checkpoint records are never changed, so the copy shares them. The
-        copy also shares ``final_commit`` with this run and with every other
-        fork of this state, until it takes a step: a workload whose last
-        step is a persistence call stores its commit there or adopts a
-        stored one."""
+        copy also shares ``final_commit`` and the crash-state ``cell`` with
+        this run and with every other fork of this state, until it takes a
+        step: a workload whose last step is a persistence call stores its
+        commit there or adopts a stored one."""
         run = Profile.__new__(Profile)
         run.__dict__.update(vars(self))
         self.shared = run.shared = True
@@ -202,8 +211,10 @@ class Profile:
 
     def advance(self, steps) -> None:
         """Run step ``done`` of the workload body ``steps``; the new state
-        gets a fresh ``final_commit`` cell."""
+        gets a fresh ``final_commit`` table and a fresh crash-state ``cell``,
+        unless it adopts a stored final commit and that commit's cell."""
         step = steps[self.done]
+        self.cell = {}
         if isinstance(step, FsOp):
             self._own()
             self.fs.apply(step, self.op_index)
@@ -229,14 +240,17 @@ class Profile:
         ``persist`` runs the commit from it. The body's ``final`` step is
         never followed by another, so forks of one state share it by that
         key: the first to get here with a key stores its post-commit device,
-        file system and checkpoint in ``final_commit``, and the others with
-        that key adopt those read-only, never copying the state they forked
-        from, and append that checkpoint with their own persisted set.
-        Nothing advances a run past its final step, so nothing writes to a
-        stored commit."""
+        file system, checkpoint and crash-state cell in ``final_commit``,
+        and the others with that key adopt those read-only, never copying
+        the state they forked from, and append that checkpoint with their
+        own persisted set. An adopter has the same IO log and checkpoint
+        images as the run that stored the commit, so the same crash states:
+        it checks the ones that run built, in the cell, against its own
+        persisted sets. Nothing advances a run past its final step, so
+        nothing writes to a stored commit."""
         key = self.fs.commit_key(step.kind, step.target)
         if final and key in self.final_commit:
-            self.device, self.fs, cp = self.final_commit[key]
+            self.device, self.fs, cp, self.cell = self.final_commit[key]
         else:
             self._own()
             self.fs.persist(step.kind, step.target, key)
@@ -245,7 +259,7 @@ class Profile:
             # blocks only when the unmount writes it.
             cp = Checkpoint(len(self.device.log), self.device.snapshot(), self.fs.clean_view(), {})
             if final:
-                self.final_commit[key] = (self.device, self.fs, cp)
+                self.final_commit[key] = (self.device, self.fs, cp, self.cell)
         persisted = dict(self.checkpoints[-1].persisted)
         _update_persisted(persisted, self.fs, step, cp.view)
         self.checkpoints.append(cp._replace(persisted=persisted))
@@ -537,13 +551,21 @@ def _subset_verdicts(prof: Profile, flags: RunFlags, memo: MountMemo | None) -> 
     subsets of an epoch recover to a state another one recovered to, so
     each distinct (recovered state, checkpoint) pair is compared once, and
     the later states with that pair take its verdict under their own
-    descriptor (``check``'s ``shared`` table)."""
-    log = prof.device.log
-    epochs = split_epochs(log)
-    prefixes = (
-        prefix_state(prof.checkpoints, log, epochs, p, flags.granularity)
-        for p in range(len(epochs))
-    )
+    descriptor (``check``'s ``shared`` table).
+
+    The run's prefix states at this granularity are kept in its cell
+    (``Profile.cell``), and each keeps the subset states built on it. So
+    siblings that adopt one final commit, which share its cell, build and
+    key each crash state once between them, while each checks it against
+    its own persisted sets."""
+    prefixes = prof.cell.get(flags.granularity)
+    if prefixes is None:
+        log = prof.device.log
+        epochs = split_epochs(log)
+        prefixes = prof.cell[flags.granularity] = [
+            prefix_state(prof.checkpoints, log, epochs, p, flags.granularity)
+            for p in range(len(epochs))
+        ]
     shared: dict = {}
     return [
         check(prof, build_subset_state(prefix, kept), memo, shared)

@@ -185,6 +185,41 @@ def test_replay_does_not_mutate_base():
     assert image_bytes(base) == bytes(MiB)
 
 
+def test_replay_of_an_empty_range_is_the_image_itself():
+    log = _mklog("WFW")
+    image = DiskImage.zeroed(1 * MiB).with_writes([(8, b"\x05" * 512)])
+    for p in range(len(log) + 1):
+        assert replay(image, log, p, p) is image
+
+
+# -- content keys ------------------------------------------------------------------
+
+
+def test_content_key_is_built_once_and_kept():
+    image = DiskImage.zeroed(1 * MiB).with_writes([(0, b"\x01" * 512), (16, b"\x02" * 4096)])
+    key = image.content_key()
+    assert image.content_key() is key
+    assert key == image.part_key(image._overlay)
+
+
+def test_derived_images_start_without_a_key():
+    """Every image built from a keyed one keys its own content when asked."""
+    dev = Device(1 * MiB)
+    dev.write_block(3, b"\x03" * BLOCK_SIZE)
+    image = dev.snapshot().with_writes([(64, b"\x04" * 512)])
+    image.content_key()
+    rest, cut = image.split(0, 4)
+    derived = [
+        image.with_writes([(0, b"\x05" * 512)]),
+        image.interned({}),
+        rest.with_blocks(cut),
+        rest,
+        dev.snapshot(),
+    ]
+    assert all(d._key is None for d in derived)
+    assert [d.content_key() for d in derived] == [d.part_key(d._overlay) for d in derived]
+
+
 # -- snapshots -------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Crash-state generation: checkpoint mode, subset mode, ordering guarantees."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,8 +13,10 @@ from crashlab.blockdev import (
     split_epochs,
 )
 from crashlab.crashgen import (
+    EXHAUSTIVE_UNITS,
     SAMPLE_COUNT,
     CrashState,
+    PrefixState,
     build_subset_state,
     enumerate_target_subsets,
     parse_descriptor,
@@ -136,6 +139,46 @@ def test_random_mode_reproducible_and_distinct():
     assert all(list(s) == sorted(s) for s in a)
     c = _subsets(log, 0, "op", seed=12)
     assert a != c
+
+
+def _units(n):
+    """A prefix over a zeroed image whose target epoch holds ``n`` sector units."""
+    return PrefixState(DiskImage.zeroed(SIZE), 0, 0, [(i, b"\x01" * 512) for i in range(n)], "sector")
+
+
+def test_exhaustive_subsets_are_every_mask_in_order():
+    """Up to the exhaustive bound, the subsets are those of masks 0, 1, ...,
+    2^n - 1, bit i of a mask keeping unit i."""
+    for n in range(EXHAUSTIVE_UNITS + 1):
+        want = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+        assert list(enumerate_target_subsets(_units(n))) == want, n
+
+
+# the sampled subsets of n units for a seed, as digests of their list's repr
+_SAMPLED = {
+    (11, 11): "ff16053f763ae479ece46e7a6e648708d84373b5a9e64943472459c60dd9cb1e",
+    (16, 0): "596b263b868d0179e690b29835d6fc62c66a46cced7699570223396cddc8b8ee",
+    (48, 7): "d08a8c9ffb39c8b8ec22ff5d5c00889766b8081679d36ad210699c2605e219e1",
+}
+
+
+def test_sampled_subsets_are_pinned_per_seed():
+    """Past the exhaustive bound a seed picks the subsets it always picked."""
+    for (n, seed), digest in _SAMPLED.items():
+        got = list(enumerate_target_subsets(_units(n), seed))
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == digest, (n, seed)
+
+
+def test_a_prefix_builds_each_subset_state_once():
+    """A prefix keeps the states built on it: asking again for a kept tuple
+    returns that state, and a bad one is still rejected."""
+    prefix = _units(3)
+    first = [build_subset_state(prefix, kept) for kept in enumerate_target_subsets(prefix)]
+    again = [build_subset_state(prefix, kept) for kept in enumerate_target_subsets(prefix)]
+    assert all(a is b for a, b in zip(first, again))
+    assert len(prefix.states) == 8
+    with pytest.raises(ValueError, match="out of range"):
+        build_subset_state(prefix, (3,))
 
 
 def test_fua_terminator_is_single_unit_in_sector_mode():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crashlab import ace, cli, harness
+from crashlab import ace, cli, crashgen, harness
 from crashlab.ace import Bounds, parse
 from crashlab.blockdev import BLOCK_SIZE, Device, replay, split_epochs
 from crashlab.crashgen import (
@@ -1004,6 +1004,86 @@ def test_shared_subset_verdicts_equal_checking_each_state_alone(monkeypatch, fs_
     assert bugs > 0
     # each state compared alone, and fewer for the shared verdicts
     assert states < len(compared) < 2 * states
+
+
+def _siblings(body, finals):
+    return [parse(f"{body}{final}\n") for final in finals]
+
+
+_DWRITE_BODY = "creat foo\nwrite (0-8K) foo\n"
+_B3_BODY = (
+    "write (0-8K) foo\nlink foo bar\nwrite (0-8K) baz\nfsync foo\n"
+    "falloc -k (8-16K) foo\nfalloc -k (8-16K) baz\n"
+)
+# (target, flags, workloads in partition order)
+_SHARED_STATE_CASES = {
+    # the third ends with an op after its last persistence call: its dwrite
+    # logs an epoch after the fsync's checkpoint, and the siblings that
+    # follow it take the stack's run after that fsync
+    "op-after-persist": ("soundfs", RunFlags(subset=True), _siblings(
+        _DWRITE_BODY, ("fsync foo", "fdatasync foo", "fsync foo\ndwrite (0-4K) foo",
+                       "fsync foo", "fdatasync foo"))),
+    # at sector granularity its epochs hold [56, 1, 32] units, two sampled
+    "sampled": ("soundfs", RunFlags(subset=True, granularity="sector", seed=7),
+                _siblings(_DWRITE_BODY, ("fsync foo", "fdatasync foo", "sync"))),
+    # the broken fdatasync commit's key holds the target inode: foo and its
+    # link bar share one commit, baz has its own
+    "bugfs-b3": ("bugfs-b3", RunFlags(subset=True), _siblings(
+        _B3_BODY, ("fdatasync foo", "fdatasync bar", "fdatasync baz", "fsync foo", "sync"))),
+    # the deferred data of the broken commits makes clean_view unmount a replica
+    "bugfs-b5": ("bugfs-b5", RunFlags(subset=True), _siblings(
+        "creat bar\nwrite (0-4K) bar\nrename bar foo\n",
+        ("fsync foo", "fdatasync foo", "msync foo", "sync"))),
+}
+
+
+@pytest.mark.parametrize("case", _SHARED_STATE_CASES)
+def test_siblings_that_share_a_final_commit_check_its_crash_states(monkeypatch, case):
+    """Workloads profiled through one ``PrefixFork`` stack, as a campaign
+    partition runs them: a sibling that adopts a final commit checks the
+    very subset states the run that stored it built, each built once per
+    crash-state cell, and every verdict equals a fresh profile's."""
+    name, flags, workloads = _SHARED_STATE_CASES[case]
+    built = [0]
+    real_state, real_profile, real_check = crashgen.CrashState, harness.profile, harness.check
+    profiles, states = [], {}  # states: id(profile) -> {descriptor: state}
+
+    def counted_state(*args, **kwargs):
+        built[0] += 1
+        return real_state(*args, **kwargs)
+
+    def profiled(*args):
+        profiles.append(real_profile(*args))
+        return profiles[-1]
+
+    def checked(prof, state, *memo_and_shared):
+        if state.subset is not None:
+            states.setdefault(id(prof), {})[state.descriptor()] = state
+        return real_check(prof, state, *memo_and_shared)
+
+    monkeypatch.setattr(crashgen, "CrashState", counted_state)
+    monkeypatch.setattr(harness, "profile", profiled)
+    monkeypatch.setattr(harness, "check", checked)
+    fork, memo = PrefixFork(), MountMemo()
+    verdicts = [run_workload(w, name, flags, memo, fork) for w in workloads]
+    monkeypatch.undo()
+
+    cells = {(id(prof.cell), d) for prof in profiles for d in states[id(prof)]}
+    assert built[0] == len(cells)
+    adopters = 0
+    for a, b in itertools.combinations(profiles, 2):
+        if a.device is b.device:
+            adopters += 1
+            assert a.cell is b.cell
+            assert states[id(a)].keys() == states[id(b)].keys()
+            assert all(states[id(b)][d] is state for d, state in states[id(a)].items())
+    assert adopters
+    fields = ("outcome", "crash_descriptor", "consequence", "diff", "fsck", "reason")
+    for w, got in zip(workloads, verdicts):
+        fresh = run_workload(w, name, flags)
+        assert [[getattr(v, f) for f in fields] for v in got] == [
+            [getattr(v, f) for f in fields] for v in fresh
+        ], ace.serialize(w)
 
 
 def test_a_state_recovered_at_two_checkpoints_is_compared_at_each():
