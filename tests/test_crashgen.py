@@ -143,7 +143,8 @@ def test_random_mode_reproducible_and_distinct():
 
 def _units(n):
     """A prefix over a zeroed image whose target epoch holds ``n`` sector units."""
-    return PrefixState(DiskImage.zeroed(SIZE), 0, 0, [(i, b"\x01" * 512) for i in range(n)], "sector")
+    units = [(i, b"\x01" * 512) for i in range(n)]
+    return PrefixState(DiskImage.zeroed(SIZE), 0, 0, units, "sector")
 
 
 def test_exhaustive_subsets_are_every_mask_in_order():

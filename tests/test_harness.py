@@ -1010,7 +1010,7 @@ def _siblings(body, finals):
     return [parse(f"{body}{final}\n") for final in finals]
 
 
-_DWRITE_BODY = "creat foo\nwrite (0-8K) foo\n"
+_WRITE_BODY = "creat foo\nwrite (0-8K) foo\n"
 _B3_BODY = (
     "write (0-8K) foo\nlink foo bar\nwrite (0-8K) baz\nfsync foo\n"
     "falloc -k (8-16K) foo\nfalloc -k (8-16K) baz\n"
@@ -1018,14 +1018,14 @@ _B3_BODY = (
 # (target, flags, workloads in partition order)
 _SHARED_STATE_CASES = {
     # the third ends with an op after its last persistence call: its dwrite
-    # logs an epoch after the fsync's checkpoint, and the siblings that
-    # follow it take the stack's run after that fsync
+    # logs an epoch after the fsync's checkpoint, and the fourth, its body
+    # without that dwrite, resumes from the stack's run after the fsync
     "op-after-persist": ("soundfs", RunFlags(subset=True), _siblings(
-        _DWRITE_BODY, ("fsync foo", "fdatasync foo", "fsync foo\ndwrite (0-4K) foo",
+        _WRITE_BODY, ("fsync foo", "fdatasync foo", "fsync foo\ndwrite (0-4K) foo",
                        "fsync foo", "fdatasync foo"))),
     # at sector granularity its epochs hold [56, 1, 32] units, two sampled
     "sampled": ("soundfs", RunFlags(subset=True, granularity="sector", seed=7),
-                _siblings(_DWRITE_BODY, ("fsync foo", "fdatasync foo", "sync"))),
+                _siblings(_WRITE_BODY, ("fsync foo", "fdatasync foo", "sync"))),
     # the broken fdatasync commit's key holds the target inode: foo and its
     # link bar share one commit, baz has its own
     "bugfs-b3": ("bugfs-b3", RunFlags(subset=True), _siblings(
